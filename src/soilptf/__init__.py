@@ -7,9 +7,9 @@ effects (sample internal diameter and length).
 
 __version__ = "0.1.0"
 
-from .cpxr import CpxrConfig, PxrModel, pxr_predict, train_cpxr
+from .cpxr import CpxrConfig, PxrModel, train_cpxr
 from .data import ColumnSchema, Dataset, Sample, assign_folds, load_dataset, select_columns
-from .discretize import DiscretizationScheme, build_scheme, itemize, mdl_discretize
+from .discretize import DiscretizationScheme, build_scheme, mdl_discretize
 from .evaluation import EvaluationReport, compare, cross_validate, metrics
 from .hydrology import (
     MODEL_CONFIGS,
@@ -20,8 +20,8 @@ from .hydrology import (
     texture_statistics,
     vg_theta,
 )
-from .linreg import LinearModel, ols_fit, predict_linear, residuals
-from .patterns import Item, Pattern, filter_similar, matching_dataset, mine_contrast_patterns
+from .linreg import LinearModel, ols_fit, residuals
+from .patterns import Item, Pattern, mine_contrast_patterns
 from .synth import SynthConfig, default_synth_config, generate
 
 __all__ = [
@@ -45,18 +45,13 @@ __all__ = [
     "cross_validate",
     "default_synth_config",
     "derived_water_contents",
-    "filter_similar",
     "fit_vg",
     "generate",
-    "itemize",
     "load_dataset",
-    "matching_dataset",
     "mdl_discretize",
     "metrics",
     "mine_contrast_patterns",
     "ols_fit",
-    "predict_linear",
-    "pxr_predict",
     "residuals",
     "select_columns",
     "texture_statistics",

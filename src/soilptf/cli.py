@@ -516,16 +516,35 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_model_payload(path: Path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "model" not in payload or "target" not in payload:
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: malformed model file ({exc})") from None
+    if (
+        not isinstance(payload, dict)
+        or not isinstance(payload.get("model"), dict)
+        or not isinstance(payload.get("target"), str)
+    ):
         raise UsageError(f"{path}: not a model file (expected keys 'model' and 'target')")
+    try:
+        payload["model"] = _model_from_payload(payload)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
+    return payload
+
+
+def _model_from_payload(payload: dict):
     d = payload["model"]
     if d.get("kind") == "pxr":
-        payload["model"] = PxrModel.from_dict(d)
-    else:
-        payload["model"] = LinearModel.from_dict(d)
-    return payload
+        return PxrModel.from_dict(d)
+    model = LinearModel.from_dict(d)
+    config = MODEL_CONFIGS.get(payload.get("config_id"))
+    if config is not None and sorted(config.features) == sorted(model.coefficients):
+        # The file lists coefficients sorted; restore the training column
+        # order so predictions sum in the same order as at training time.
+        model.coefficients = {c: model.coefficients[c] for c in config.features}
+    return model
 
 
 def _model_paths(spec: str) -> list[Path]:
@@ -579,21 +598,24 @@ def cmd_predict(args) -> int:
     if missing:
         raise UsageError(f"feature table lacks columns required by the models: {missing}")
 
-    rows = []
-    predictions: dict[str, dict[str, float]] = {}
-    for s in dataset.samples:
-        per_sample = {}
-        for target in order:
-            model = by_target[target]
-            x = {}
-            for f in model.feature_names:
+    # One design matrix per distinct model column order (models trained
+    # together share one). Cells are checked sample by sample, so the gap
+    # reported is the first one met in (sample, target, feature) order.
+    names = {t: tuple(by_target[t].feature_names) for t in order}
+    matrices = {cols: np.empty((len(dataset.samples), len(cols))) for cols in names.values()}
+    for i, s in enumerate(dataset.samples):
+        for cols, X in matrices.items():
+            for j, f in enumerate(cols):
                 v = s.value(f)
                 if v is None:
                     raise DataError(f"sample {s.id!r} lacks a value for feature {f!r}")
-                x[f] = v
-            per_sample[target] = float(model.predict(x))
-        predictions[s.id] = per_sample
-        rows.append([s.id] + [_fmt(per_sample[t]) for t in order])
+                X[i, j] = v
+    columns = {t: by_target[t].predict_matrix(matrices[names[t]], names[t]) for t in order}
+    predictions = [{t: float(columns[t][i]) for t in order} for i in range(len(dataset.samples))]
+    rows = [
+        [s.id] + [_fmt(per_sample[t]) for t in order]
+        for s, per_sample in zip(dataset.samples, predictions)
+    ]
     _write_csv(args.out, ["id"] + list(order), rows, meta)
 
     if args.curve:
@@ -603,8 +625,8 @@ def cmd_predict(args) -> int:
             )
         tensions = np.geomspace(1.0, 15000.0, 50)
         curve_rows = []
-        for s in dataset.samples:
-            params = _clamped_vg(predictions[s.id])
+        for s, per_sample in zip(dataset.samples, predictions):
+            params = _clamped_vg(per_sample)
             for h in tensions:
                 curve_rows.append([s.id, _fmt(h), _fmt(vg_theta(params, float(h)))])
         _write_csv(args.curve, ["id", "tension_cm", "theta"], curve_rows, meta)

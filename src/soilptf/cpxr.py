@@ -15,18 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import json
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
 from .discretize import DiscretizationScheme, build_scheme
-from .linreg import LinearModel, fit_local
+from .linreg import LinearModel, fit_local, one_row
 from .patterns import (
     ContrastStats,
     Pattern,
     _mine_masks,
     _pattern_order_key,
     filter_similar_masks,
-    matches,
+    pattern_mask,
 )
 
 
@@ -53,6 +55,11 @@ class CpxrConfig:
     min_train: int = 30
 
     def __post_init__(self):
+        for name, f in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind) or math.isnan(value):
+                raise CpxrError(f"{name} must be {what}, got {value!r}")
         if not 0 < self.rho < 1:
             raise CpxrError(f"rho must be in (0, 1), got {self.rho}")
         if self.max_k < 1 or self.max_passes < 1 or self.max_len < 1:
@@ -158,11 +165,12 @@ class PxrModel:
         return len(self.pairs)
 
     def predict(self, x) -> float:
-        return pxr_predict(self, x)
+        """Prediction for one sample mapping: a one-row predict_matrix."""
+        return float(self.predict_matrix(one_row(x, self.feature_names), self.feature_names)[0])
 
     def predict_matrix(self, X: np.ndarray, feature_names) -> np.ndarray:
-        from .patterns import pattern_mask
-
+        """Weighted mean of the local models whose patterns match each row;
+        rows matching none get the default model."""
         X = np.asarray(X, dtype=float)
         default = self.default_model.predict_matrix(X, feature_names)
         if not self.pairs:
@@ -223,19 +231,6 @@ class PxrModel:
         return cls.from_dict(json.loads(text))
 
 
-def pxr_predict(model: PxrModel, x) -> float:
-    """Weighted-mean prediction over the patterns matching one sample."""
-    num = 0.0
-    den = 0.0
-    for pair in model.pairs:
-        if matches(pair.pattern, x):
-            num += pair.weight * pair.model.predict(x)
-            den += pair.weight
-    if den > 0:
-        return num / den
-    return model.default_model.predict(x)
-
-
 @dataclass
 class _Candidate:
     pattern: Pattern
@@ -246,22 +241,10 @@ class _Candidate:
     predictions: np.ndarray  # local-model predictions on every training row
 
 
-def _set_error(cands, idx_list, y, default_pred):
-    if not idx_list:
-        return float(np.abs(y - default_pred).sum())
-    num = np.zeros(len(y))
-    den = np.zeros(len(y))
-    for i in idx_list:
-        num += cands[i].weight * cands[i].mask * cands[i].predictions
-        den += cands[i].weight * cands[i].mask
-    pred = np.where(den > 0, num / np.where(den > 0, den, 1.0), default_pred)
-    return float(np.abs(y - pred).sum())
-
-
 def _optimize(cands, y, default_pred, config: CpxrConfig):
     """Greedy forward selection then swap passes on total absolute error."""
     chosen: list[int] = []
-    err = _set_error(cands, chosen, y, default_pred)
+    err = float(np.abs(y - default_pred).sum())
     trace = [err]
 
     def batch_errors(base_idx, pool):
@@ -322,8 +305,6 @@ def optimize_pattern_set(candidates, X, y, feature_names, baseline: LinearModel,
     the default model. Returns (chosen entries, objective trace); the
     trace is strictly decreasing by construction.
     """
-    from .patterns import pattern_mask
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     default_pred = baseline.predict_matrix(X, feature_names)

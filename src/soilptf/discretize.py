@@ -52,30 +52,6 @@ class DiscretizationScheme:
     def features(self) -> list[str]:
         return sorted(self.cuts) + sorted(self.categorical)
 
-    def interval_item(self, feature: str, x: float) -> Item:
-        """The unique interval (or equality) item of a feature covering x."""
-        if feature in self.categorical:
-            return Item(feature=feature, value=x)
-        if feature not in self.cuts:
-            raise DiscretizeError(f"feature {feature!r} absent from scheme")
-        cuts = self.cuts[feature]
-        lo, hi = -math.inf, math.inf
-        for c in cuts:
-            if x < c:
-                hi = c
-                break
-            lo = c
-        return Item(feature=feature, lo=lo, hi=hi)
-
-    def items_for(self, sample) -> frozenset[Item]:
-        out = []
-        for feature in self.features:
-            x = sample.value(feature) if hasattr(sample, "value") else sample[feature]
-            if x is None:
-                raise DiscretizeError(f"missing value for feature {feature!r}")
-            out.append(self.interval_item(feature, x))
-        return frozenset(out)
-
     def alphabet(self) -> list[Item]:
         """All discriminative items: interval items per cut feature plus
         equality items per categorical feature. Features without cuts
@@ -222,8 +198,3 @@ def build_scheme(
         else:
             cuts[name] = mdl_discretize(X[:, j], labels, feature=name, max_depth=max_depth).cuts
     return DiscretizationScheme(cuts=cuts, categorical=cats)
-
-
-def itemize(scheme: DiscretizationScheme, sample) -> frozenset[Item]:
-    """Map one sample onto its item set under the scheme (one item per feature)."""
-    return scheme.items_for(sample)

@@ -48,14 +48,21 @@ class LinearModel:
         return list(self.coefficients)
 
     def predict(self, x) -> float:
-        return predict_linear(self, x)
+        """Prediction for one sample mapping: a one-row predict_matrix."""
+        return float(self.predict_matrix(one_row(x, self.feature_names), self.feature_names)[0])
 
     def predict_matrix(self, X: np.ndarray, feature_names) -> np.ndarray:
-        if list(feature_names) != self.feature_names:
+        """intercept + X @ beta, with beta taken in the caller's column order.
+
+        The column names must be the model's features, each once; their
+        order may differ from the model's (a loaded model lists them sorted).
+        """
+        names = list(feature_names)
+        if len(names) != len(self.coefficients) or set(names) != set(self.coefficients):
             raise FitError(
-                f"feature order mismatch: model has {self.feature_names}, got {list(feature_names)}"
+                f"feature mismatch: model has {self.feature_names}, got {names}"
             )
-        beta = np.array([self.coefficients[c] for c in self.feature_names])
+        beta = np.array([self.coefficients[c] for c in names])
         return X @ beta + self.intercept
 
     def to_dict(self) -> dict:
@@ -179,21 +186,18 @@ def fit_local(X, y, feature_names=None) -> LinearModel:
         return ols_fit(X, y, ridge=local_ridge(X), feature_names=feature_names)
 
 
-def predict_linear(model: LinearModel, x) -> float:
-    """Evaluate intercept + sum(coef * feature) for one sample mapping."""
-    total = model.intercept
-    for name, coef in model.coefficients.items():
-        if hasattr(x, "value"):
-            v = x.value(name)
-        else:
-            try:
-                v = x[name]
-            except KeyError:
-                raise FitError(f"sample lacks model feature {name!r}") from None
+def one_row(x, feature_names) -> np.ndarray:
+    """One sample mapping as a one-row design matrix in the given column order."""
+    row = np.empty((1, len(feature_names)))
+    for j, name in enumerate(feature_names):
+        try:
+            v = x[name]
+        except KeyError:
+            raise FitError(f"sample lacks model feature {name!r}") from None
         if v is None:
             raise FitError(f"sample has no value for model feature {name!r}")
-        total += coef * v
-    return float(total)
+        row[0, j] = v
+    return row
 
 
 def residuals(model: LinearModel, X, y, feature_names=None) -> np.ndarray:

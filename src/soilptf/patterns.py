@@ -38,11 +38,6 @@ class Item:
     def is_equality(self) -> bool:
         return self.value is not None
 
-    def covers(self, x: float) -> bool:
-        if self.value is not None:
-            return x == self.value
-        return self.lo <= x < self.hi
-
     def covers_array(self, col: np.ndarray) -> np.ndarray:
         if self.value is not None:
             return col == self.value
@@ -112,32 +107,6 @@ class Pattern:
     @classmethod
     def from_dict(cls, items: list) -> "Pattern":
         return cls(tuple(Item.from_dict(d) for d in items))
-
-
-def matches(pattern: Pattern, sample) -> bool:
-    """True when every pattern item covers the sample's feature value.
-
-    The sample may be a Sample or a plain mapping; a missing or None value
-    under a pattern feature is an error.
-    """
-    for it in pattern.items:
-        if hasattr(sample, "value"):
-            x = sample.value(it.feature)
-        else:
-            try:
-                x = sample[it.feature]
-            except KeyError:
-                raise PatternError(f"sample lacks feature {it.feature!r}") from None
-        if x is None:
-            raise PatternError(f"sample has no value for feature {it.feature!r}")
-        if not it.covers(x):
-            return False
-    return True
-
-
-def matching_dataset(pattern: Pattern, dataset) -> set[str]:
-    """Ids of the samples in a dataset that the pattern matches."""
-    return {s.id for s in dataset.samples if matches(pattern, s)}
 
 
 def pattern_mask(pattern: Pattern, X: np.ndarray, feature_names) -> np.ndarray:
@@ -280,34 +249,15 @@ def _emit(results, items, frontier, stats_for, min_growth):
             results.append((Pattern(tuple(items[j] for j in idxs)), st))
 
 
-def filter_similar(
-    candidates: list[tuple[Pattern, ContrastStats]],
-    dataset,
-    jaccard_max: float = 0.9,
-) -> list[tuple[Pattern, ContrastStats]]:
-    """Drop patterns whose matching dataset nearly duplicates a kept one.
-
-    Greedy scan in descending (growth, support_le, shorter, text) order;
-    a candidate is dropped when the Jaccard similarity of its matching
-    dataset with any kept pattern's exceeds jaccard_max.
-    """
-    ordered = sorted(candidates, key=lambda pair: _pattern_order_key(*pair))
-    kept: list[tuple[Pattern, ContrastStats]] = []
-    kept_sets: list[set[str]] = []
-    for pattern, st in ordered:
-        mds = matching_dataset(pattern, dataset)
-        if any(_jaccard(mds, other) > jaccard_max for other in kept_sets):
-            continue
-        kept.append((pattern, st))
-        kept_sets.append(mds)
-    return kept
-
-
 def filter_similar_masks(order_keys, masks: np.ndarray, jaccard_max: float) -> list[int]:
-    """Mask-based variant of filter_similar; returns kept indices.
+    """Drop candidates whose matching rows nearly duplicate a kept one's.
 
-    order_keys must sort ascending into the same scan order filter_similar
-    uses; masks holds one boolean row per candidate.
+    Greedy scan in ascending order_keys order (for mined patterns,
+    _pattern_order_key: descending growth, then descending support_le,
+    then shorter, then text); masks holds one boolean row per candidate.
+    A candidate is dropped when the Jaccard similarity of its rows with
+    any kept candidate's exceeds jaccard_max; two empty row sets count as
+    identical. Returns the kept indices in scan order.
     """
     ranked = sorted(range(len(order_keys)), key=lambda i: order_keys[i])
     kept: list[int] = []
@@ -323,9 +273,3 @@ def filter_similar_masks(order_keys, masks: np.ndarray, jaccard_max: float) -> l
         if ok:
             kept.append(i)
     return kept
-
-
-def _jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)

@@ -16,8 +16,16 @@ import pytest
 
 from soilptf import __version__
 from soilptf.cli import SEED_ENV, TARGET_COLUMNS, main
-from soilptf.data import KNOWN_FEATURES
-from soilptf.hydrology import PARAMETRIC_TARGETS, VgParameters, texture_statistics, vg_theta
+from soilptf.cpxr import train_cpxr
+from soilptf.data import KNOWN_FEATURES, load_dataset, select_columns
+from soilptf.hydrology import (
+    MODEL_CONFIGS,
+    PARAMETRIC_TARGETS,
+    VgParameters,
+    texture_statistics,
+    vg_theta,
+)
+from soilptf.linreg import fit_local
 
 
 def run(argv):
@@ -443,6 +451,20 @@ def test_train_hyper_usage_errors(synth_small, tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec", ['min_growth="x"', "min_support_le=null", 'jaccard_max="a"', "max_k=true",
+             "max_len=2.5", "min_growth=NaN"],
+)
+def test_train_malformed_hyperparameter_is_one_line_usage_error(synth_small, tmp_path, capsys,
+                                                                 spec):
+    rc = run(["train", "--features", synth_small / "dataset.csv", "--config", "SHC2",
+              "--method", "cpxr", "--out-dir", tmp_path / "m", "--set", spec])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert spec.split("=")[0] in err and "Traceback" not in err
+
+
 def test_train_set_overrides_hyper_file(work, synth_small, shc2_cpxr_models):
     hyper = work / "hyper_rho.json"
     hyper.write_text('{"rho": 0.3}\n')
@@ -577,6 +599,67 @@ def test_predict_rejects_non_model_json(synth_small, tmp_path, capsys):
               "--out", tmp_path / "p.csv"])
     assert rc == 2
     assert "not a model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ['{"model": {"kind": "pxr"}, "target": "t"}\n', '{"model": {"kind": "pxr", "pai'],
+    ids=["missing-key", "truncated"],
+)
+def test_predict_malformed_model_file_is_one_line_usage_error(synth_small, tmp_path, capsys,
+                                                              text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc = run(["predict", "--model", bad, "--features", synth_small / "dataset.csv",
+              "--out", tmp_path / "p.csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.json: malformed model file" in err and "Traceback" not in err
+
+
+def test_predict_reports_first_missing_cell(swrc3_models, tmp_path, capsys):
+    # gaps in both samples and in several columns: the first one met in
+    # (sample, model feature) order is reported
+    table = tmp_path / "gaps.csv"
+    table.write_text(
+        "id,sand,silt,clay,bulk_density,d_g,sigma_g\n"
+        "a,40.0,40.0,20.0,,0.05,\n"
+        "b,,40.0,20.0,1.4,0.05,10.0\n"
+    )
+    rc = run(["predict", "--model", swrc3_models, "--features", table,
+              "--out", tmp_path / "p.csv"])
+    assert rc == 1
+    assert "sample 'a' lacks a value for feature 'bulk_density'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["cpxr", "mlr"])
+def test_predict_equals_in_memory_predict_matrix(work, synth_big, synth_small, method):
+    # loaded models reproduce the in-memory models' predict_matrix bit for bit
+    config = MODEL_CONFIGS["SWRC2"]
+    models = work / f"models_swrc2_{method}"
+    assert run(["train", "--features", synth_big / "dataset.csv", "--config", "SWRC2",
+                "--method", method, "--out-dir", models]) == 0
+    out = work / f"preds_swrc2_{method}.csv"
+    assert run(["predict", "--model", models, "--features", synth_small / "dataset.csv",
+                "--out", out]) == 0
+    header, rows = parse_csv(out)
+    assert header == ["id"] + list(config.targets)
+
+    train = select_columns(load_dataset(synth_big / "dataset.csv"), config)
+    table = select_columns(load_dataset(synth_small / "dataset.csv", strict=False), config)
+    assert [r["id"] for r in rows] == table.ids
+    patterns = 0
+    for target in config.targets:
+        y = train.targets[target]
+        if method == "cpxr":
+            model = train_cpxr(train.X, y, train.feature_names)
+            patterns += model.k
+        else:
+            model = fit_local(train.X, y, train.feature_names)
+        want = model.predict_matrix(table.X, table.feature_names)
+        assert [float(r[target]) for r in rows] == want.tolist(), target
+    if method == "cpxr":
+        assert patterns > 0
 
 
 # ----------------------------------------------------------------------

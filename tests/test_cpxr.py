@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilptf.cpxr import (
     CpxrConfig,
@@ -11,7 +13,6 @@ from soilptf.cpxr import (
     PxrModel,
     local_weight,
     optimize_pattern_set,
-    pxr_predict,
     split_le_se,
     train_cpxr,
 )
@@ -157,7 +158,6 @@ def test_weighted_mean_prediction():
     assert m.predict({"x": 1.0}) == pytest.approx(1.0)   # first only
     assert m.predict({"x": 10.0}) == pytest.approx(4.0)  # second only
     assert m.predict({"x": -1.0}) == pytest.approx(99.0) # default
-    assert pxr_predict(m, {"x": 4.0}) == m.predict({"x": 4.0})
 
 
 def test_predict_matrix_agrees_with_scalar():
@@ -333,3 +333,65 @@ def test_trained_model_json_roundtrip():
     assert back.predict_matrix(X, ["x", "z"]).tolist() == (
         model.predict_matrix(X, ["x", "z"]).tolist()
     )
+
+
+def test_trained_model_json_roundtrip_unsorted_names():
+    # feature names out of alphabetical order: the loaded local models list
+    # their coefficients sorted, predictions must stay bit-identical
+    X, y = _two_regime()
+    X = X[:, ::-1].copy()
+    model = train_cpxr(X, y, ["z", "x"])
+    assert model.k >= 1
+    back = PxrModel.from_json(model.to_json())
+    assert back.default_model.feature_names == ["x", "z"]
+    assert back.predict_matrix(X, ["z", "x"]).tolist() == (
+        model.predict_matrix(X, ["z", "x"]).tolist()
+    )
+
+
+def _random_pxr(seed):
+    rng = np.random.default_rng(seed)
+    names = ["z", "x"]
+
+    def linear():
+        return LinearModel(
+            intercept=float(rng.normal()),
+            coefficients={f: float(rng.normal()) for f in names},
+            training_count=5,
+            feature_means={f: 0.0 for f in names},
+            feature_scales={f: 1.0 for f in names},
+        )
+
+    pairs, seen = [], set()
+    for _ in range(int(rng.integers(0, 4))):
+        f = names[int(rng.integers(2))]
+        lo = float(rng.normal())
+        item = Item(f, value=float(rng.integers(-1, 2))) if rng.random() < 0.3 else (
+            Item(f, lo=lo, hi=lo + float(rng.uniform(0.1, 2.0)))
+        )
+        pattern = Pattern((item,))
+        if str(pattern) not in seen:
+            seen.add(str(pattern))
+            pairs.append(PatternLocal(pattern, linear(), float(rng.uniform(1e-6, 2.0))))
+    default = linear()
+    return PxrModel(pairs=pairs, default_model=default, baseline=default,
+                    scheme=DiscretizationScheme(), feature_names=names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    z=st.one_of(st.integers(-1, 1).map(float), st.floats(-3.0, 3.0)),
+    x=st.one_of(st.integers(-1, 1).map(float), st.floats(-3.0, 3.0)),
+)
+def test_one_row_predict_is_predict_matrix(seed, z, x):
+    model = _random_pxr(seed)
+    sample = {"x": x, "z": z}
+    row = np.array([[z, x]])
+    for m in (model, PxrModel.from_json(model.to_json())):
+        assert m.predict(sample).hex() == float(m.predict_matrix(row, ["z", "x"])[0]).hex()
+        assert m.predict(sample).hex() == model.predict(sample).hex()
+        lin = m.default_model
+        want = float(lin.predict_matrix(np.array([[sample[f] for f in lin.feature_names]]),
+                                        lin.feature_names)[0])
+        assert lin.predict(sample).hex() == want.hex()

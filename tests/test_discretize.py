@@ -10,7 +10,6 @@ from soilptf.discretize import (
     DiscretizationScheme,
     DiscretizeError,
     build_scheme,
-    itemize,
     mdl_discretize,
 )
 from soilptf.patterns import Item
@@ -138,34 +137,23 @@ def test_cutpoints_must_increase():
 
 def test_interval_item_partition():
     scheme = DiscretizationScheme(cuts={"x": (2.5, 7.0)})
-    for x in (-10.0, 0.0, 2.4999, 2.5, 5.0, 6.999, 7.0, 99.0):
-        covering = [it for it in scheme.alphabet() if it.covers(x)]
-        assert len(covering) == 1
-        assert covering[0] == scheme.interval_item("x", x)
+    xs = np.array([-10.0, 0.0, 2.4999, 2.5, 5.0, 6.999, 7.0, 99.0])
+    covers = np.array([it.covers_array(xs) for it in scheme.alphabet()])
+    # exactly one alphabet item covers each x
+    assert covers.sum(axis=0).tolist() == [1] * len(xs)
     # boundary value falls in the right (half-open) bin
-    assert str(scheme.interval_item("x", 2.5)) == "2.5 <= x < 7"
+    (bin_of_cut,) = [it for it, hit in zip(scheme.alphabet(), covers[:, 3]) if hit]
+    assert str(bin_of_cut) == "2.5 <= x < 7"
 
 
 def test_interval_item_zero_cuts_and_errors():
     scheme = DiscretizationScheme(cuts={"x": ()})
-    assert str(scheme.interval_item("x", 5.0)) == "x any"
     assert scheme.alphabet() == []  # all-range items are not discriminative
-    with pytest.raises(DiscretizeError, match="absent"):
-        scheme.interval_item("y", 1.0)
 
 
 def test_alphabet_single_cut():
     scheme = DiscretizationScheme(cuts={"x": (2.5,)})
     assert [str(it) for it in scheme.alphabet()] == ["x < 2.5", "x >= 2.5"]
-
-
-def test_itemize_one_item_per_feature():
-    scheme = DiscretizationScheme(cuts={"sand": (82.0, 86.0), "silt": ()}, categorical={"clay": (1.0, 3.0)})
-    items = itemize(scheme, {"sand": 83.0, "silt": 14.0, "clay": 3.0})
-    texts = sorted(str(it) for it in items)
-    assert texts == ["82 <= sand < 86", "clay = 3", "silt any"]
-    with pytest.raises(DiscretizeError, match="missing value"):
-        itemize(scheme, {"sand": 83.0, "silt": None, "clay": 3.0})
 
 
 def test_build_scheme_and_categorical():

@@ -10,7 +10,6 @@ from soilptf.linreg import (
     fit_local,
     local_ridge,
     ols_fit,
-    predict_linear,
     residuals,
 )
 
@@ -126,16 +125,15 @@ def test_fit_local_rank_deficient_fallback():
 
 def test_predict_paths_agree():
     m = ols_fit([[0.0], [1.0], [2.0]], [3.0, 5.0, 7.0], feature_names=["x"])
-    assert predict_linear(m, {"x": 10.0}) == pytest.approx(23.0, abs=1e-9)
     assert m.predict({"x": 10.0}) == pytest.approx(23.0, abs=1e-9)
     got = m.predict_matrix(np.array([[10.0], [0.0]]), ["x"])
     assert got == pytest.approx([23.0, 3.0], abs=1e-9)
-    with pytest.raises(FitError, match="feature order mismatch"):
+    with pytest.raises(FitError, match="feature mismatch"):
         m.predict_matrix(np.array([[1.0]]), ["y"])
     with pytest.raises(FitError, match="lacks model feature"):
-        predict_linear(m, {"z": 1.0})
+        m.predict({"z": 1.0})
     with pytest.raises(FitError, match="no value"):
-        predict_linear(m, {"x": None})
+        m.predict({"x": None})
 
 
 def test_model_finite_guard():
@@ -162,3 +160,17 @@ def test_residuals_definition():
     y = np.array([2.0, 3.0, 4.0])
     # observed minus predicted, with prediction 1 + 2x
     assert residuals(m, X, y) == pytest.approx([1.0, 0.0, -1.0], abs=1e-9)
+
+
+def test_json_roundtrip_keeps_predictions_for_unsorted_names():
+    # JSON sorts the coefficients; predict_matrix must still follow the
+    # caller's column order, giving the in-memory model's bits
+    rng = np.random.default_rng(4)
+    X = rng.normal(0, 1, (20, 2))
+    y = 1.0 + 2.0 * X[:, 0] - 0.5 * X[:, 1] + rng.normal(0, 0.1, 20)
+    m = ols_fit(X, y, feature_names=["z", "x"])
+    back = LinearModel.from_json(m.to_json())
+    assert back.feature_names == ["x", "z"]
+    assert back.predict_matrix(X, ["z", "x"]).tolist() == m.predict_matrix(X, ["z", "x"]).tolist()
+    with pytest.raises(FitError, match="feature mismatch"):
+        back.predict_matrix(X, ["x", "x"])

@@ -14,10 +14,7 @@ from soilptf.patterns import (
     Item,
     Pattern,
     PatternError,
-    filter_similar,
     filter_similar_masks,
-    matches,
-    matching_dataset,
     mine_contrast_patterns,
     pattern_mask,
     _pattern_order_key,
@@ -32,15 +29,19 @@ def test_item_text_forms():
     assert str(Item("x")) == "x any"
 
 
+def _covers(it, x):
+    """Scalar reference for Item.covers_array."""
+    return x == it.value if it.value is not None else it.lo <= x < it.hi
+
+
 def test_item_covers_half_open():
     it = Item("x", lo=2.0, hi=5.0)
-    assert it.covers(2.0)
-    assert it.covers(4.999)
-    assert not it.covers(5.0)
-    assert not it.covers(1.999)
+    assert it.covers_array(np.array([2.0, 4.999, 5.0, 1.999])).tolist() == [
+        True, True, False, False,
+    ]
     eq = Item("g", value=1.0)
-    assert eq.covers(1.0) and not eq.covers(1.0001)
-    assert Item("x").covers(-1e300) and Item("x").covers(1e300)
+    assert eq.covers_array(np.array([1.0, 1.0001])).tolist() == [True, False]
+    assert Item("x").covers_array(np.array([-1e300, 1e300])).all()
 
 
 def test_item_covers_array_matches_scalar():
@@ -48,7 +49,7 @@ def test_item_covers_array_matches_scalar():
     xs = rng.normal(0, 3, 200)
     for it in (Item("x", lo=-1.0, hi=2.0), Item("x", hi=0.0), Item("x", value=float(xs[0]))):
         mask = it.covers_array(xs)
-        assert mask.tolist() == [it.covers(float(x)) for x in xs]
+        assert mask.tolist() == [_covers(it, float(x)) for x in xs]
 
 
 def test_item_empty_interval_rejected():
@@ -85,22 +86,9 @@ def test_pattern_dict_roundtrip():
     assert Pattern.from_dict(p.to_dict()) == p
 
 
-def test_matches_sample_and_mapping():
-    p = Pattern((Item("sand", lo=80.0),))
-    assert matches(p, {"sand": 85.0})
-    assert not matches(p, {"sand": 10.0})
-    s = Sample(id="a", features={"sand": 85.0}, targets={})
-    assert matches(p, s)
-    with pytest.raises(PatternError, match="lacks feature"):
-        matches(p, {"clay": 1.0})
-    with pytest.raises(PatternError, match="no value"):
-        matches(p, {"sand": None})
-
-
-def test_matching_dataset_ids():
-    samples = [Sample(id=f"r{i}", features={"x": float(i)}, targets={}) for i in range(6)]
-    ds = Dataset(samples, ["x"], [])
-    assert matching_dataset(Pattern((Item("x", hi=3.0),)), ds) == {"r0", "r1", "r2"}
+def _matches(pattern, x):
+    """Scalar reference: every item covers the sample's value."""
+    return all(_covers(it, x[it.feature]) for it in pattern.items)
 
 
 def test_pattern_mask_against_matches():
@@ -109,7 +97,7 @@ def test_pattern_mask_against_matches():
     names = ["x", "y"]
     p = Pattern((Item("x", lo=1.0, hi=4.0), Item("y", hi=3.0)))
     mask = pattern_mask(p, X, names)
-    expect = [matches(p, dict(zip(names, row))) for row in X]
+    expect = [_matches(p, dict(zip(names, row))) for row in X]
     assert mask.tolist() == expect
     with pytest.raises(PatternError, match="lacks feature"):
         pattern_mask(p, X, ["x", "z"])
@@ -190,10 +178,10 @@ def exhaustive_mine(le, se, scheme, min_support_le, min_growth, max_len, min_cou
             if len(set(feats)) != len(feats):
                 continue
             p = Pattern(tuple(combo))
-            c_le = sum(1 for s in le.samples if matches(p, s))
+            c_le = sum(1 for s in le.samples if _matches(p, s.features))
             if c_le < min_cnt:
                 continue
-            c_se = sum(1 for s in se.samples if matches(p, s))
+            c_se = sum(1 for s in se.samples if _matches(p, s.features))
             s_le = c_le / n_le
             s_se = c_se / n_se if n_se else 0.0
             growth = math.inf if s_se == 0.0 else s_le / s_se
@@ -241,44 +229,59 @@ def _stats(s_le, s_se):
 
 
 def _nested_candidates():
-    ds = _dataset("r", [[float(i)] for i in range(10)], ["x"])
+    X = np.array([[float(i)] for i in range(10)])
     cands = [
         (Pattern((Item("x", hi=20.0),)), _stats(1.0, 0.2)),   # growth 5, all 10 rows
         (Pattern((Item("x", hi=9.0),)), _stats(0.9, 0.3)),    # growth 3, 9 rows
         (Pattern((Item("x", hi=5.0),)), _stats(0.5, 0.25)),   # growth 2, 5 rows
     ]
-    return cands, ds
+    return cands, X
+
+
+def _filter(cands, X, jaccard_max):
+    """Run filter_similar_masks on (pattern, stats) pairs; kept pattern texts."""
+    masks = np.array([pattern_mask(p, X, ["x"]) for p, _ in cands])
+    keys = [_pattern_order_key(p, st) for p, st in cands]
+    return [str(cands[i][0]) for i in filter_similar_masks(keys, masks, jaccard_max)]
 
 
 def test_filter_similar_drops_near_duplicates():
-    cands, ds = _nested_candidates()
-    kept = filter_similar(cands, ds, jaccard_max=0.8)
-    assert [str(p) for p, _ in kept] == ["x < 20", "x < 5"]
+    cands, X = _nested_candidates()
+    assert _filter(cands, X, 0.8) == ["x < 20", "x < 5"]
 
 
 def test_filter_similar_threshold_is_strict():
-    cands, ds = _nested_candidates()
+    cands, X = _nested_candidates()
     # jaccard('x < 9', 'x < 20') is exactly 0.9: not above the cap, so kept
-    kept = filter_similar(cands, ds, jaccard_max=0.9)
-    assert [str(p) for p, _ in kept] == ["x < 20", "x < 9", "x < 5"]
+    assert _filter(cands, X, 0.9) == ["x < 20", "x < 9", "x < 5"]
 
 
 def test_filter_similar_empty_sets_are_duplicates():
-    ds = _dataset("r", [[0.0], [1.0]], ["x"])
+    X = np.array([[0.0], [1.0]])
     cands = [
         (Pattern((Item("x", lo=100.0),)), _stats(0.4, 0.1)),
         (Pattern((Item("x", lo=200.0),)), _stats(0.2, 0.1)),
     ]
-    kept = filter_similar(cands, ds, jaccard_max=0.9)
-    assert [str(p) for p, _ in kept] == ["x >= 100"]
+    assert _filter(cands, X, 0.9) == ["x >= 100"]
+
+
+def _jaccard(a: set, b: set) -> float:
+    return 1.0 if not a and not b else len(a & b) / len(a | b)
 
 
 def test_filter_similar_masks_matches_set_route():
-    cands, ds = _nested_candidates()
-    X = np.array([[float(i)] for i in range(10)])
-    masks = np.array([pattern_mask(p, X, ["x"]) for p, _ in cands])
-    keys = [_pattern_order_key(p, st) for p, st in cands]
-    for cap in (0.8, 0.9):
-        kept_idx = filter_similar_masks(keys, masks, cap)
-        want = [str(p) for p, _ in filter_similar(cands, ds, jaccard_max=cap)]
-        assert [str(cands[i][0]) for i in kept_idx] == want
+    # reference: the same greedy scan over row-id sets
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        n_cand, n_rows = int(rng.integers(1, 9)), int(rng.integers(0, 12))
+        masks = rng.random((n_cand, n_rows)) < rng.uniform(0.1, 0.9)
+        keys = [(float(rng.integers(0, 3)), i) for i in range(n_cand)]
+        cap = float(rng.choice([0.0, 0.3, 0.5, 0.8, 0.9, 1.0]))
+        want, kept_sets = [], []
+        for i in sorted(range(n_cand), key=lambda i: keys[i]):
+            rows = set(np.flatnonzero(masks[i]).tolist())
+            if any(_jaccard(rows, other) > cap for other in kept_sets):
+                continue
+            want.append(i)
+            kept_sets.append(rows)
+        assert filter_similar_masks(keys, masks, cap) == want, f"trial {trial}"
