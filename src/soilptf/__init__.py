@@ -21,7 +21,7 @@ from .hydrology import (
     vg_theta,
 )
 from .linreg import LinearModel, ols_fit, residuals
-from .patterns import Item, Pattern, mine_contrast_patterns
+from .patterns import Item, Pattern
 from .synth import SynthConfig, default_synth_config, generate
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "load_dataset",
     "mdl_discretize",
     "metrics",
-    "mine_contrast_patterns",
     "ols_fit",
     "residuals",
     "select_columns",

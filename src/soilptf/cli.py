@@ -28,7 +28,15 @@ import numpy as np
 
 from . import __version__
 from .cpxr import CpxrConfig, CpxrError, PxrModel, train_cpxr
-from .data import KNOWN_FEATURES, DataError, Dataset, Sample, load_dataset, select_columns
+from .data import (
+    KNOWN_FEATURES,
+    MISSING_TOKENS,
+    DataError,
+    Dataset,
+    Sample,
+    load_dataset,
+    select_columns,
+)
 from .evaluation import EvaluationError, EvaluationReport, compare, cross_validate
 from .hydrology import (
     MODEL_CONFIGS,
@@ -163,7 +171,7 @@ def _read_table(path) -> tuple[list[str], list[dict]]:
 
 def _cell(row: dict, column: str, path, required: bool = True) -> float | None:
     raw = row.get(column, "")
-    if raw == "" or raw.lower() in ("na", "nan", "none", "null"):
+    if raw.lower() in MISSING_TOKENS:
         if required:
             raise DataError(f"{path}: sample {row.get('id', '?')!r} lacks {column!r}")
         return None

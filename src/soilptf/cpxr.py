@@ -23,7 +23,6 @@ import numpy as np
 from .discretize import DiscretizationScheme, build_scheme
 from .linreg import LinearModel, fit_local, one_row
 from .patterns import (
-    ContrastStats,
     Pattern,
     _mine_masks,
     _pattern_order_key,
@@ -57,13 +56,24 @@ class CpxrConfig:
     def __post_init__(self):
         for name, f in self.__dataclass_fields__.items():
             value = getattr(self, name)
-            kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, kind) or math.isnan(value):
+            kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a finite number")
+            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
                 raise CpxrError(f"{name} must be {what}, got {value!r}")
-        if not 0 < self.rho < 1:
-            raise CpxrError(f"rho must be in (0, 1), got {self.rho}")
-        if self.max_k < 1 or self.max_passes < 1 or self.max_len < 1:
-            raise CpxrError("max_k, max_passes and max_len must be positive")
+        for name, ok, valid in (
+            ("rho", 0 < self.rho < 1, "in (0, 1)"),
+            ("min_support_le", 0 < self.min_support_le <= 1, "in (0, 1]"),
+            ("min_count_le", self.min_count_le >= 1, "at least 1"),
+            ("min_growth", self.min_growth > 0, "positive"),
+            ("max_len", self.max_len >= 1, "positive"),
+            ("jaccard_max", 0 <= self.jaccard_max <= 1, "in [0, 1]"),
+            ("max_k", self.max_k >= 1, "positive"),
+            ("max_passes", self.max_passes >= 1, "positive"),
+            ("max_depth", self.max_depth >= 0, "non-negative"),
+            ("weight_floor", self.weight_floor > 0, "positive"),
+            ("min_train", self.min_train >= 2, "at least 2"),
+        ):
+            if not ok:
+                raise CpxrError(f"{name} must be {valid}, got {getattr(self, name)}")
 
     @classmethod
     def from_mapping(cls, overrides: dict) -> "CpxrConfig":
@@ -75,46 +85,42 @@ class CpxrConfig:
 
 @dataclass(frozen=True)
 class ErrorSplit:
-    """Large-error / small-error partition of sample ids."""
+    """Large-error / small-error partition of row indices."""
 
-    le_ids: tuple
-    se_ids: tuple
+    le_ids: np.ndarray
+    se_ids: np.ndarray
     total_abs_error: float
     cum_fraction: float
 
     def __post_init__(self):
-        if set(self.le_ids) & set(self.se_ids):
+        if np.intersect1d(self.le_ids, self.se_ids).size:
             raise CpxrError("error classes overlap")
 
 
-def split_le_se(residuals_by_id: dict, rho: float = 0.45) -> ErrorSplit:
-    """Partition ids by descending |residual| at cumulative fraction rho.
+def split_le_se(residuals, rho: float = 0.45) -> ErrorSplit:
+    """Partition row indices by descending |residual| at cumulative fraction rho.
 
-    The large-error class is the minimal prefix of the sorted ids whose
+    The large-error class is the minimal prefix of the sorted rows whose
     cumulative absolute residual reaches rho of the total; ties on
-    |residual| put the larger id last. All-zero residuals give an empty
-    large-error class.
+    |residual| put the larger row index last. All-zero residuals give an
+    empty large-error class.
     """
     if not 0 < rho < 1:
         raise CpxrError(f"rho must be in (0, 1), got {rho}")
-    order = sorted(residuals_by_id, key=lambda i: (-abs(residuals_by_id[i]), i))
-    total = float(sum(abs(residuals_by_id[i]) for i in order))
+    a = np.abs(np.asarray(residuals, dtype=float))
+    order = np.argsort(-a, kind="stable")
+    # exclusive prefix sums, added in sorted order; the total is the last
+    # one (np.sum adds pairwise and may differ in the last bits)
+    cum = np.concatenate(([0.0], np.cumsum(a[order])))
+    total = float(cum[-1])
     if total == 0.0:
-        return ErrorSplit(le_ids=(), se_ids=tuple(order), total_abs_error=0.0, cum_fraction=0.0)
-    cum = 0.0
-    le = []
-    for i in order:
-        if cum >= rho * total:
-            break
-        cum += abs(residuals_by_id[i])
-        le.append(i)
-    in_le = set(le)
-    se = [i for i in order if i not in in_le]
+        return ErrorSplit(le_ids=order[:0], se_ids=order, total_abs_error=0.0, cum_fraction=0.0)
+    m = int(np.searchsorted(cum, rho * total, side="left"))
     return ErrorSplit(
-        le_ids=tuple(le),
-        se_ids=tuple(se),
+        le_ids=order[:m],
+        se_ids=order[m:],
         total_abs_error=total,
-        cum_fraction=cum / total,
+        cum_fraction=float(cum[m]) / total,
     )
 
 
@@ -234,7 +240,6 @@ class PxrModel:
 @dataclass
 class _Candidate:
     pattern: Pattern
-    stats: ContrastStats
     model: LinearModel
     weight: float
     mask: np.ndarray         # rows of the training set the pattern matches
@@ -311,7 +316,6 @@ def optimize_pattern_set(candidates, X, y, feature_names, baseline: LinearModel,
     cands = [
         _Candidate(
             pattern=c.pattern,
-            stats=None,
             model=c.model,
             weight=c.weight,
             mask=pattern_mask(c.pattern, X, feature_names),
@@ -360,12 +364,12 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
         )
 
     scheme = DiscretizationScheme()
-    split = split_le_se({i: float(r0[i]) for i in range(n)}, config.rho)
-    if not split.le_ids:
+    split = split_le_se(r0, config.rho)
+    if split.le_ids.size == 0:
         return finalize([], baseline, [float(np.abs(r0).sum())])
 
     le_rows = np.zeros(n, dtype=bool)
-    le_rows[list(split.le_ids)] = True
+    le_rows[split.le_ids] = True
     labels = le_rows.astype(int)
     scheme = build_scheme(X, labels, names, categorical=categorical, max_depth=config.max_depth)
 
@@ -408,11 +412,9 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
         ei = float(np.abs(y[mask] - local_pred[mask]).sum())
         if (e0 - ei) / e0 < config.min_reduction:
             continue
-        pattern, stats = mined[i]
         candidates.append(
             _Candidate(
-                pattern=pattern,
-                stats=stats,
+                pattern=mined[i][0],
                 model=local,
                 weight=local_weight(e0, ei, config.weight_floor),
                 mask=mask,

@@ -144,29 +144,6 @@ class Dataset:
         return Dataset(kept, list(self.feature_names), list(self.target_names))
 
 
-@dataclass
-class FoldAssignment:
-    """Partition of sample ids into k folds for one repetition."""
-
-    k: int
-    repetition: int
-    fold_of_sample: dict[str, int]
-
-    def __post_init__(self):
-        sizes = self.fold_sizes()
-        if sizes and max(sizes) - min(sizes) > 1:
-            raise DataError(f"fold sizes differ by more than one: {sizes}")
-
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for f in self.fold_of_sample.values():
-            sizes[f] += 1
-        return sizes
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return [sid for sid, f in self.fold_of_sample.items() if f == fold]
-
-
 def _parse_cell(token: str, column: str, row: int) -> float | None:
     text = token.strip()
     if text.lower() in MISSING_TOKENS:
@@ -275,14 +252,19 @@ def select_columns(dataset: Dataset, config) -> Selection:
     return Selection(ids=ids, X=X, targets=targets, feature_names=feats, excluded_ids=excluded)
 
 
-def assign_folds(dataset: Dataset, k: int, seed: int, repetition: int = 0) -> FoldAssignment:
-    """Deterministically partition sample ids into k folds of near-equal size."""
-    ids = dataset.ids() if isinstance(dataset, Dataset) else list(dataset)
+def assign_folds(n: int, k: int, seed: int) -> np.ndarray:
+    """Deterministically assign each of n rows to one of k folds of near-equal size.
+
+    Returns an int array holding each row's fold.
+    """
     if k < 2:
         raise DataError(f"need at least 2 folds, got {k}")
-    if len(ids) < k:
-        raise DataError(f"cannot split {len(ids)} samples into {k} folds")
+    if n < k:
+        raise DataError(f"cannot split {n} samples into {k} folds")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ids))
-    fold_of_sample = {ids[j]: i % k for i, j in enumerate(order)}
-    return FoldAssignment(k=k, repetition=repetition, fold_of_sample=fold_of_sample)
+    fold = np.empty(n, dtype=int)
+    fold[rng.permutation(n)] = np.arange(n) % k
+    sizes = np.bincount(fold, minlength=k)
+    if sizes.max() - sizes.min() > 1:
+        raise DataError(f"fold sizes differ by more than one: {sizes.tolist()}")
+    return fold

@@ -215,20 +215,13 @@ def _fit_method(method, X_tr, y_tr, names, cpxr_config):
 def _run_repetition(args):
     (rep, ids, X, targets, names, k, scheme, seed, method, cpxr_config,
      collect_predictions) = args
-    folds = assign_folds(ids, k, seed ^ rep, repetition=rep)
-    row_of = {sid: i for i, sid in enumerate(ids)}
+    fold = assign_folds(len(ids), k, seed ^ rep)
     records = []
     for split_id, test_folds in _splits_for(k, scheme):
-        test_ids = sorted(
-            (sid for sid, f in folds.fold_of_sample.items() if f in test_folds),
-            key=lambda s: row_of[s],
-        )
-        test_idx = np.array([row_of[s] for s in test_ids], dtype=int)
-        train_mask = np.ones(len(ids), dtype=bool)
-        train_mask[test_idx] = False
-        train_idx = np.flatnonzero(train_mask)
-        if set(train_idx) & set(test_idx):
-            raise EvaluationError("train/test leakage in fold assignment")
+        in_test = np.isin(fold, test_folds)
+        test_idx = np.flatnonzero(in_test)
+        train_idx = np.flatnonzero(~in_test)
+        test_ids = [ids[i] for i in test_idx]
         X_tr, X_te = X[train_idx], X[test_idx]
         degraded = False
         train_metrics, test_metrics = {}, {}

@@ -141,55 +141,6 @@ def _pattern_order_key(pattern: Pattern, stats: ContrastStats):
     return (-stats.growth, -stats.support_le, len(pattern), str(pattern))
 
 
-def mine_contrast_patterns(
-    le,
-    se,
-    scheme,
-    min_support_le: float = 0.02,
-    min_growth: float = 2.0,
-    max_len: int = 4,
-    min_count_le: int = 2,
-) -> list[tuple[Pattern, ContrastStats]]:
-    """Enumerate all contrast patterns of the large-error class.
-
-    Level-wise search over the scheme's item alphabet; a pattern survives
-    when its large-error support is at least min_support_le (and at least
-    min_count_le samples), its growth rate is at least min_growth and it
-    has at most max_len items. Support is anti-monotone, so candidates are
-    pruned on it alone; growth is checked at emission.
-    """
-    if len(le) == 0:
-        raise PatternError("large-error class is empty")
-    if min_support_le <= 0 or min_growth <= 0 or max_len < 1:
-        raise PatternError("mining thresholds must be positive")
-    le_ids = set(le.ids())
-    se_ids = set(se.ids())
-    if le_ids & se_ids:
-        raise PatternError(f"error classes overlap: {sorted(le_ids & se_ids)}")
-
-    items = scheme.alphabet()
-    if not items:
-        return []  # no discriminative items, nothing to enumerate
-    feats = sorted({it.feature for it in items})
-    col = {name: j for j, name in enumerate(feats)}
-    X_le = _value_matrix(le, feats)
-    X_se = _value_matrix(se, feats)
-    masks_le = np.array([it.covers_array(X_le[:, col[it.feature]]) for it in items])
-    masks_se = np.array([it.covers_array(X_se[:, col[it.feature]]) for it in items])
-    found = _mine_masks(items, masks_le, masks_se, min_support_le, min_growth, max_len, min_count_le)
-    return sorted(found, key=lambda pair: _pattern_order_key(*pair))
-
-
-def _value_matrix(dataset, feature_names) -> np.ndarray:
-    rows = []
-    for s in dataset.samples:
-        vals = [s.value(c) for c in feature_names]
-        if any(v is None for v in vals):
-            raise PatternError(f"sample {s.id!r} missing a discretized feature")
-        rows.append(vals)
-    return np.array(rows, dtype=float)
-
-
 def _mine_masks(
     items: list[Item],
     masks_le: np.ndarray,
@@ -199,9 +150,28 @@ def _mine_masks(
     max_len: int,
     min_count_le: int,
 ) -> list[tuple[Pattern, ContrastStats]]:
-    """Core level-wise miner over precomputed per-item row masks."""
+    """Enumerate all contrast patterns of the large-error class.
+
+    masks_le and masks_se hold one boolean row per item of the alphabet
+    over the large-error and small-error samples. Level-wise search: a
+    pattern survives when its large-error support is at least
+    min_support_le (and at least min_count_le samples), its growth rate is
+    at least min_growth and it has at most max_len items. Support is
+    anti-monotone, so candidates are pruned on it alone; growth is checked
+    at emission. Patterns come out level by level, not in
+    _pattern_order_key order.
+    """
+    if min_support_le <= 0 or min_growth <= 0 or max_len < 1:
+        raise PatternError("mining thresholds must be positive")
+    if len(masks_le) != len(items) or len(masks_se) != len(items):
+        raise PatternError(
+            f"need one mask row per item: {len(items)} items, "
+            f"{len(masks_le)} and {len(masks_se)} rows"
+        )
     n_le = masks_le.shape[1]
     n_se = masks_se.shape[1]
+    if n_le == 0:
+        raise PatternError("large-error class is empty")
     min_cnt = max(min_count_le, math.ceil(min_support_le * n_le))
 
     def stats_for(mask_le, mask_se) -> ContrastStats:
@@ -215,7 +185,7 @@ def _mine_masks(
         )
 
     results = []
-    # frontier entries: (last item index, item indices tuple, mask_le, mask_se)
+    # frontier entries: (item indices, mask_le, mask_se)
     frontier = []
     for j, it in enumerate(items):
         m_le = masks_le[j]

@@ -41,11 +41,11 @@ from soilptf.hydrology import (
     vg_theta,
 )
 from soilptf.linreg import LinearModel
-from soilptf.patterns import Item, Pattern, mine_contrast_patterns
+from soilptf.patterns import Item, Pattern
 from soilptf.synth import generate, scale_effect_config, two_regime_config
 
 from test_discretize import brute_force_cuts
-from test_patterns import _dataset, exhaustive_mine
+from test_patterns import _mine, exhaustive_mine
 
 
 def _verdict(num: int, ok: bool, detail: str):
@@ -181,11 +181,11 @@ def test_criterion_03_mining_oracle():
                 cols.append(rng.integers(0, 2, count))
             return np.column_stack(cols)
 
-        le = _dataset("le", draw(int(rng.integers(2, 21))), names)
-        se = _dataset("se", draw(int(rng.integers(2, 21))), names)
-        got = mine_contrast_patterns(le, se, scheme, min_support_le=0.1,
-                                     min_growth=1.5, max_len=3, min_count_le=2)
-        want = exhaustive_mine(le, se, scheme, 0.1, 1.5, 3, 2)
+        le = draw(int(rng.integers(2, 21)))
+        se = draw(int(rng.integers(2, 21)))
+        got = _mine(le, se, names, scheme, min_support_le=0.1, min_growth=1.5, max_len=3,
+                    min_count_le=2)
+        want = exhaustive_mine(le, se, names, scheme, 0.1, 1.5, 3, 2)
         flatten = lambda rows: [
             (str(p), st.support_le, st.support_se, st.count_le, st.count_se) for p, st in rows
         ]

@@ -453,7 +453,8 @@ def test_train_hyper_usage_errors(synth_small, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "spec", ['min_growth="x"', "min_support_le=null", 'jaccard_max="a"', "max_k=true",
-             "max_len=2.5", "min_growth=NaN"],
+             "max_len=2.5", "min_growth=NaN", "jaccard_max=-Infinity", "min_support_le=-0.1",
+             "min_growth=0", "weight_floor=0", "min_count_le=0"],
 )
 def test_train_malformed_hyperparameter_is_one_line_usage_error(synth_small, tmp_path, capsys,
                                                                  spec):

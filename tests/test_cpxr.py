@@ -57,56 +57,114 @@ def test_config_validation():
         CpxrConfig(max_k=0)
 
 
+# the CLI test covers the lower bounds of jaccard_max, min_support_le,
+# min_growth, weight_floor and min_count_le
+@pytest.mark.parametrize("field, bad", [
+    ("jaccard_max", 1.5), ("min_support_le", 0.0), ("min_support_le", 1.5),
+    ("min_growth", float("inf")), ("min_reduction", float("inf")), ("rho", float("nan")),
+    ("max_depth", -1), ("min_train", 1),
+])
+def test_config_rejects_out_of_range(field, bad):
+    with pytest.raises(CpxrError, match=field):
+        CpxrConfig(**{field: bad})
+
+
+def test_config_accepts_range_edges():
+    CpxrConfig(min_support_le=1.0, jaccard_max=0.0, min_count_le=1, max_depth=0, min_train=2)
+    CpxrConfig(jaccard_max=1.0, min_growth=1e-9, weight_floor=1e-12, min_reduction=-1.0)
+
+
 # ----------------------------------------------------------------------
 # error split
 # ----------------------------------------------------------------------
 
 def test_split_hand_example():
-    split = split_le_se({"a": 3.0, "b": -2.0, "c": 1.0, "d": 0.5}, rho=0.45)
-    assert split.le_ids == ("a",)
-    assert split.se_ids == ("b", "c", "d")
+    split = split_le_se(np.array([3.0, -2.0, 1.0, 0.5]), rho=0.45)
+    assert split.le_ids.tolist() == [0]
+    assert split.se_ids.tolist() == [1, 2, 3]
     assert split.total_abs_error == 6.5
     assert split.cum_fraction == pytest.approx(3.0 / 6.5)
 
 
 def test_split_tie_breaks_on_id():
-    split = split_le_se({"b": -2.0, "a": 2.0, "c": 0.1}, rho=0.6)
-    assert split.le_ids == ("a", "b")
-    assert split.se_ids == ("c",)
+    # the row index takes the place of the id
+    split = split_le_se(np.array([0.1, -2.0, 2.0]), rho=0.6)
+    assert split.le_ids.tolist() == [1, 2]
+    assert split.se_ids.tolist() == [0]
 
 
 def test_split_all_zero_residuals():
-    split = split_le_se({"a": 0.0, "b": 0.0}, rho=0.45)
-    assert split.le_ids == ()
-    assert set(split.se_ids) == {"a", "b"}
+    split = split_le_se(np.array([0.0, -0.0]), rho=0.45)
+    assert split.le_ids.size == 0
+    assert sorted(split.se_ids.tolist()) == [0, 1]
     assert split.cum_fraction == 0.0
 
 
 def test_split_rho_validation():
     with pytest.raises(CpxrError, match="rho"):
-        split_le_se({"a": 1.0}, rho=1.0)
+        split_le_se(np.array([1.0]), rho=1.0)
 
 
 def test_split_minimal_prefix_property():
     rng = np.random.default_rng(21)
     for _ in range(50):
         n = int(rng.integers(2, 40))
-        res = {f"s{i}": float(rng.normal(0, 2)) for i in range(n)}
+        res = rng.normal(0, 2, n)
         rho = float(rng.uniform(0.1, 0.9))
         split = split_le_se(res, rho)
-        assert sorted(split.le_ids + split.se_ids) == sorted(res)
-        order = sorted(res, key=lambda i: (-abs(res[i]), i))
-        assert split.le_ids == tuple(order[: len(split.le_ids)])
-        total = sum(abs(v) for v in res.values())
-        le_sum = sum(abs(res[i]) for i in split.le_ids)
+        le, se = split.le_ids.tolist(), split.se_ids.tolist()
+        assert sorted(le + se) == list(range(n))
+        order = sorted(range(n), key=lambda i: (-abs(res[i]), i))
+        assert le == order[: len(le)]
+        total = float(np.abs(res).sum())
+        le_sum = float(np.abs(res[le]).sum())
         assert le_sum >= rho * total - 1e-12
-        if split.le_ids:
-            assert le_sum - abs(res[split.le_ids[-1]]) < rho * total
+        if le:
+            assert le_sum - abs(res[le[-1]]) < rho * total
+
+
+def _split_reference(residuals_by_id: dict, rho: float):
+    """Scalar reference: the id-keyed loop split_le_se replaced. The total
+    is summed left to right, as sum() over floats does before Python 3.12."""
+    order = sorted(residuals_by_id, key=lambda i: (-abs(residuals_by_id[i]), i))
+    total = 0.0
+    for i in order:
+        total += abs(residuals_by_id[i])
+    if total == 0.0:
+        return [], order, 0.0, 0.0
+    cum = 0.0
+    le = []
+    for i in order:
+        if cum >= rho * total:
+            break
+        cum += abs(residuals_by_id[i])
+        le.append(i)
+    in_le = set(le)
+    se = [i for i in order if i not in in_le]
+    return le, se, total, cum / total
+
+
+_residual = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -2.5]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_residual, min_size=1, max_size=60), st.floats(0.01, 0.99))
+def test_split_matches_scalar_reference(values, rho):
+    split = split_le_se(np.array(values), rho)
+    le, se, total, frac = _split_reference(dict(enumerate(values)), rho)
+    assert split.le_ids.tolist() == le
+    assert split.se_ids.tolist() == se
+    assert split.total_abs_error == total
+    assert split.cum_fraction == frac
 
 
 def test_error_split_disjointness_enforced():
     with pytest.raises(CpxrError, match="overlap"):
-        ErrorSplit(le_ids=("a",), se_ids=("a", "b"), total_abs_error=1.0, cum_fraction=0.5)
+        ErrorSplit(le_ids=np.array([0]), se_ids=np.array([0, 1]), total_abs_error=1.0,
+                   cum_fraction=0.5)
 
 
 # ----------------------------------------------------------------------

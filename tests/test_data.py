@@ -8,7 +8,6 @@ from soilptf.data import (
     ColumnSchema,
     DataError,
     Dataset,
-    FoldAssignment,
     Sample,
     assign_folds,
     infer_schema,
@@ -208,24 +207,22 @@ def test_select_columns_unknown_column(tmp_path):
         select_columns(ds, MODEL_CONFIGS["SWRC1"])  # dataset lacks d_g etc.
 
 
-def make_ids(n):
-    return [f"s{i}" for i in range(n)]
-
-
 def test_assign_folds_equal_n_k():
-    folds = assign_folds(make_ids(10), k=10, seed=0)
-    assert sorted(folds.fold_sizes()) == [1] * 10
+    fold = assign_folds(10, k=10, seed=0)
+    assert np.bincount(fold, minlength=10).tolist() == [1] * 10
 
 
 def test_assign_folds_213_sizes():
-    folds = assign_folds(make_ids(213), k=10, seed=4)
-    assert sorted(folds.fold_sizes()) == [21] * 7 + [22] * 3
+    fold = assign_folds(213, k=10, seed=4)
+    assert sorted(np.bincount(fold, minlength=10).tolist()) == [21] * 7 + [22] * 3
 
 
 def test_assign_folds_deterministic():
-    a = assign_folds(make_ids(50), k=10, seed=7)
-    b = assign_folds(make_ids(50), k=10, seed=7)
-    assert a.fold_of_sample == b.fold_of_sample
+    fold = assign_folds(50, k=10, seed=7)
+    assert fold.tolist() == assign_folds(50, k=10, seed=7).tolist()
+    # the i-th row of the seed's permutation goes to fold i mod k
+    perm = np.random.default_rng(7).permutation(50)
+    assert fold[perm].tolist() == [i % 10 for i in range(50)]
 
 
 def test_assign_folds_partition_property():
@@ -235,20 +232,15 @@ def test_assign_folds_partition_property():
         k = int(rng.integers(2, 11))
         if n < k:
             continue
-        ids = make_ids(n)
-        folds = assign_folds(ids, k=k, seed=int(rng.integers(0, 1000)))
-        seen = [sid for f in range(k) for sid in folds.fold_ids(f)]
-        assert sorted(seen) == sorted(ids)
-        assert max(folds.fold_sizes()) - min(folds.fold_sizes()) <= 1
+        fold = assign_folds(n, k=k, seed=int(rng.integers(0, 1000)))
+        assert fold.shape == (n,) and fold.min() >= 0 and fold.max() < k
+        sizes = np.bincount(fold, minlength=k)
+        assert sizes.sum() == n
+        assert sizes.max() - sizes.min() <= 1
 
 
 def test_assign_folds_errors():
     with pytest.raises(DataError):
-        assign_folds(make_ids(10), k=1, seed=0)
+        assign_folds(10, k=1, seed=0)
     with pytest.raises(DataError):
-        assign_folds(make_ids(3), k=5, seed=0)
-
-
-def test_fold_assignment_size_invariant():
-    with pytest.raises(DataError, match="differ by more than one"):
-        FoldAssignment(k=2, repetition=0, fold_of_sample={"a": 0, "b": 0, "c": 0, "d": 1})
+        assign_folds(3, k=5, seed=0)

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from soilptf.data import Dataset, Sample
 from soilptf.discretize import DiscretizationScheme
 from soilptf.patterns import (
     INF,
@@ -14,10 +13,10 @@ from soilptf.patterns import (
     Item,
     Pattern,
     PatternError,
-    filter_similar_masks,
-    mine_contrast_patterns,
-    pattern_mask,
+    _mine_masks,
     _pattern_order_key,
+    filter_similar_masks,
+    pattern_mask,
 )
 
 
@@ -112,21 +111,28 @@ def test_growth_ratio_and_infinite():
 # mining
 # ----------------------------------------------------------------------
 
-def _dataset(prefix, rows, names):
-    samples = [
-        Sample(id=f"{prefix}{i}", features=dict(zip(names, map(float, row))), targets={})
-        for i, row in enumerate(rows)
-    ]
-    return Dataset(samples, list(names), [])
+def _mine(le_rows, se_rows, names, scheme, min_support_le=0.02, min_growth=2.0,
+          max_len=4, min_count_le=2):
+    """Item masks from Item.covers_array over the two classes' rows, mined
+    by _mine_masks and sorted by _pattern_order_key."""
+    items = scheme.alphabet()
+    col = {name: j for j, name in enumerate(names)}
+
+    def masks(rows):
+        X = np.asarray(rows, dtype=float).reshape(len(rows), len(names))
+        cover = [it.covers_array(X[:, col[it.feature]]) for it in items]
+        return np.array(cover, dtype=bool).reshape(len(items), len(X))
+
+    found = _mine_masks(items, masks(le_rows), masks(se_rows), min_support_le, min_growth,
+                        max_len, min_count_le)
+    return sorted(found, key=lambda pair: _pattern_order_key(*pair))
 
 
 def test_mine_pure_bins():
     # LE entirely below the cut, SE entirely above: only the LE-frequent
     # item survives; its mirror has zero large-error support.
-    le = _dataset("le", [[0], [1], [2], [1], [0]], ["x"])
-    se = _dataset("se", [[3], [4], [5], [4]], ["x"])
     scheme = DiscretizationScheme(cuts={"x": (2.5,)})
-    found = mine_contrast_patterns(le, se, scheme)
+    found = _mine([[0], [1], [2], [1], [0]], [[3], [4], [5], [4]], ["x"], scheme)
     assert [str(p) for p, _ in found] == ["x < 2.5"]
     st = found[0][1]
     assert (st.support_le, st.support_se, st.count_le, st.count_se) == (1.0, 0.0, 5, 0)
@@ -134,42 +140,48 @@ def test_mine_pure_bins():
 
 
 def test_mine_growth_threshold():
-    le = _dataset("le", [[0], [0], [0], [5], [5]], ["x"])
-    se = _dataset("se", [[0], [0], [5], [5], [5]], ["x"])
+    le = [[0], [0], [0], [5], [5]]
+    se = [[0], [0], [5], [5], [5]]
     scheme = DiscretizationScheme(cuts={"x": (2.5,)})
     # 'x < 2.5': growth (3/5)/(2/5) = 1.5
-    assert mine_contrast_patterns(le, se, scheme, min_growth=2.0) == []
-    found = mine_contrast_patterns(le, se, scheme, min_growth=1.2)
+    assert _mine(le, se, ["x"], scheme, min_growth=2.0) == []
+    found = _mine(le, se, ["x"], scheme, min_growth=1.2)
     assert [str(p) for p, _ in found] == ["x < 2.5"]
 
 
 def test_mine_max_len_and_counts():
     names = ["a", "b", "c"]
-    le = _dataset("le", [[0, 0, 0]] * 4, names)
-    se = _dataset("se", [[5, 5, 5]] * 4, names)
+    le = [[0, 0, 0]] * 4
+    se = [[5, 5, 5]] * 4
     scheme = DiscretizationScheme(cuts={n: (2.5,) for n in names})
-    short = mine_contrast_patterns(le, se, scheme, max_len=2)
+    short = _mine(le, se, names, scheme, max_len=2)
     assert len(short) == 6  # 3 singles + 3 pairs over the low bins
-    full = mine_contrast_patterns(le, se, scheme, max_len=3)
+    full = _mine(le, se, names, scheme, max_len=3)
     assert len(full) == 7
     assert max(len(p) for p, _ in full) == 3
 
 
 def test_mine_input_errors():
-    ds = _dataset("a", [[0], [1]], ["x"])
     scheme = DiscretizationScheme(cuts={"x": (0.5,)})
     with pytest.raises(PatternError, match="empty"):
-        mine_contrast_patterns(_dataset("z", [], ["x"]), ds, scheme)
+        _mine([], [[0], [1]], ["x"], scheme)
     with pytest.raises(PatternError, match="positive"):
-        mine_contrast_patterns(ds, ds.subset([]), scheme, min_support_le=0.0)
-    with pytest.raises(PatternError, match="overlap"):
-        mine_contrast_patterns(ds, ds, scheme)
+        _mine([[0], [1]], [], ["x"], scheme, min_support_le=0.0)
+    with pytest.raises(PatternError, match="positive"):
+        _mine([[0], [1]], [], ["x"], scheme, min_growth=0.0)
+    items = scheme.alphabet()
+    with pytest.raises(PatternError, match="one mask row per item"):
+        _mine_masks(items, np.ones((1, 3), dtype=bool), np.ones((2, 3), dtype=bool),
+                    0.1, 1.5, 2, 1)
 
 
-def exhaustive_mine(le, se, scheme, min_support_le, min_growth, max_len, min_count_le):
+def exhaustive_mine(le_rows, se_rows, names, scheme, min_support_le, min_growth, max_len,
+                    min_count_le):
     """Brute-force reference: test every feature-distinct item combination."""
     items = scheme.alphabet()
-    n_le, n_se = len(le.samples), len(se.samples)
+    le = [dict(zip(names, map(float, row))) for row in le_rows]
+    se = [dict(zip(names, map(float, row))) for row in se_rows]
+    n_le, n_se = len(le), len(se)
     min_cnt = max(min_count_le, math.ceil(min_support_le * n_le))
     out = []
     for r in range(1, max_len + 1):
@@ -178,10 +190,10 @@ def exhaustive_mine(le, se, scheme, min_support_le, min_growth, max_len, min_cou
             if len(set(feats)) != len(feats):
                 continue
             p = Pattern(tuple(combo))
-            c_le = sum(1 for s in le.samples if _matches(p, s.features))
+            c_le = sum(1 for x in le if _matches(p, x))
             if c_le < min_cnt:
                 continue
-            c_se = sum(1 for s in se.samples if _matches(p, s.features))
+            c_se = sum(1 for x in se if _matches(p, x))
             s_le = c_le / n_le
             s_se = c_se / n_se if n_se else 0.0
             growth = math.inf if s_se == 0.0 else s_le / s_se
@@ -208,11 +220,10 @@ def test_mine_agrees_with_exhaustive_oracle():
             [rng.integers(0, 6, n), rng.integers(0, 6, n)]
             + ([rng.integers(0, 2, n)] if categorical else [])
         )
-        le = _dataset("le", draw(n_le), names)
-        se = _dataset("se", draw(n_se), names)
-        got = mine_contrast_patterns(le, se, scheme, min_support_le=0.1,
-                                     min_growth=1.5, max_len=3, min_count_le=2)
-        want = exhaustive_mine(le, se, scheme, 0.1, 1.5, 3, 2)
+        le, se = draw(n_le), draw(n_se)
+        got = _mine(le, se, names, scheme, min_support_le=0.1, min_growth=1.5, max_len=3,
+                    min_count_le=2)
+        want = exhaustive_mine(le, se, names, scheme, 0.1, 1.5, 3, 2)
         flat = lambda rows: [
             (str(p), st.support_le, st.support_se, st.count_le, st.count_se)
             for p, st in rows
