@@ -8,7 +8,7 @@ effects (sample internal diameter and length).
 __version__ = "0.1.0"
 
 from .cpxr import CpxrConfig, PxrModel, train_cpxr
-from .data import ColumnSchema, Dataset, Sample, assign_folds, load_dataset, select_columns
+from .data import ColumnSchema, Dataset, assign_folds, load_dataset, select_columns
 from .discretize import DiscretizationScheme, build_scheme, mdl_discretize
 from .evaluation import EvaluationReport, compare, cross_validate, metrics
 from .hydrology import (
@@ -36,7 +36,6 @@ __all__ = [
     "ModelConfig",
     "Pattern",
     "PxrModel",
-    "Sample",
     "SynthConfig",
     "VgParameters",
     "assign_folds",

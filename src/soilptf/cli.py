@@ -30,11 +30,11 @@ from . import __version__
 from .cpxr import CpxrConfig, CpxrError, PxrModel, train_cpxr
 from .data import (
     KNOWN_FEATURES,
-    MISSING_TOKENS,
     DataError,
     Dataset,
-    Sample,
     load_dataset,
+    parse_columns,
+    read_rows,
     select_columns,
 )
 from .evaluation import EvaluationError, EvaluationReport, compare, cross_validate
@@ -72,6 +72,12 @@ SEED_ENV = "CPXR_PTF_SEED"
 TARGET_COLUMNS = tuple(
     t for t in POINT_TARGETS + ("log_alpha", "log_n", "log_ksat") if t not in KNOWN_FEATURES
 )
+
+# Columns derive-features reads. Every fitted sample needs a value in the
+# required basic columns and in every parameter column.
+BASIC_REQUIRED = ("sand", "silt", "clay", "bulk_density")
+BASIC_COLUMNS = BASIC_REQUIRED + ("internal_diameter_cm", "length_cm", "ksat_cm_day")
+VG_COLUMNS = ("theta_r", "theta_s", "alpha_per_cm", "n")
 
 
 # ----------------------------------------------------------------------
@@ -153,32 +159,20 @@ def _write_csv(path, header: list[str], rows, meta: dict):
     _write_text(path, buf.getvalue())
 
 
-def _read_table(path) -> tuple[list[str], list[dict]]:
-    """CSV as (header, row dicts of raw strings); '#' lines skipped."""
-    with open(path, "r", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = list(csv.reader(lines))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    out = []
-    for i, raw in enumerate(rows[1:], start=2):
-        if len(raw) != len(header):
-            raise DataError(f"{path} row {i}: expected {len(header)} cells, got {len(raw)}")
-        out.append(dict(zip(header, (c.strip() for c in raw))))
-    return header, out
-
-
-def _cell(row: dict, column: str, path, required: bool = True) -> float | None:
-    raw = row.get(column, "")
-    if raw.lower() in MISSING_TOKENS:
-        if required:
-            raise DataError(f"{path}: sample {row.get('id', '?')!r} lacks {column!r}")
+def _first_gap(ids, names, matrix) -> tuple[str, str] | None:
+    """(sample id, column name) of the first NaN of matrix in row-major order."""
+    gaps = np.argwhere(np.isnan(matrix))
+    if not len(gaps):
         return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataError(f"{path}: non-numeric {column!r} for sample {row.get('id', '?')!r}: {raw!r}") from None
+    i, j = gaps[0]
+    return ids[i], names[j]
+
+
+def _require_values(path, ids, columns, names):
+    """Raise DataError naming the first missing cell of the named columns."""
+    gap = _first_gap(ids, names, np.column_stack([columns[c] for c in names]))
+    if gap is not None:
+        raise DataError(f"{path}: sample {gap[0]!r} lacks {gap[1]!r}")
 
 
 def _resolve_hyper(args) -> CpxrConfig:
@@ -216,15 +210,12 @@ def _model_config(config_id: str):
 
 
 def _dataset_to_rows(dataset: Dataset) -> tuple[list[str], list[list[str]]]:
-    header = ["id"] + list(dataset.feature_names) + list(dataset.target_names)
-    rows = []
-    for s in dataset.samples:
-        rows.append(
-            [s.id]
-            + [_fmt(s.features.get(c)) for c in dataset.feature_names]
-            + [_fmt(s.value(c)) for c in dataset.target_names]
-        )
-    return header, rows
+    names = list(dataset.feature_names) + list(dataset.target_names)
+    cells = {
+        c: ["" if math.isnan(v) else repr(v) for v in dataset.columns[c].tolist()] for c in names
+    }
+    rows = [[sid] + [cells[c][i] for c in names] for i, sid in enumerate(dataset.ids)]
+    return ["id"] + names, rows
 
 
 # ----------------------------------------------------------------------
@@ -233,18 +224,15 @@ def _dataset_to_rows(dataset: Dataset) -> tuple[list[str], list[list[str]]]:
 
 
 def _read_retention(path) -> list[tuple[str, list[tuple[float, float]]]]:
-    header, rows = _read_table(path)
+    header, rows = read_rows(path)
     needed = {"id", "tension_cm", "theta"}
     if not needed <= set(header):
         raise DataError(f"{path}: retention table needs columns {sorted(needed)}, has {header}")
+    ids, columns = parse_columns(header, rows, ("tension_cm", "theta"))
+    _require_values(path, ids, columns, ("tension_cm", "theta"))
     groups: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        sid = row["id"]
-        if not sid:
-            raise DataError(f"{path}: empty sample id")
-        groups.setdefault(sid, []).append(
-            (_cell(row, "tension_cm", path), _cell(row, "theta", path))
-        )
+    for sid, h, theta in zip(ids, columns["tension_cm"].tolist(), columns["theta"].tolist()):
+        groups.setdefault(sid, []).append((h, theta))
     return list(groups.items())
 
 
@@ -311,61 +299,50 @@ def cmd_derive_features(args) -> int:
     seed = _resolve_seed(args.seed)
     meta = _meta(seed, {"command": "derive-features", "seed": seed})
 
-    _, basic_rows = _read_table(basic_path)
-    _, vg_rows = _read_table(vg_path)
-    vg_by_id = {row["id"]: row for row in vg_rows}
+    basic_ids, basic = parse_columns(*read_rows(basic_path), BASIC_COLUMNS)
+    vg_ids, vg = parse_columns(*read_rows(vg_path), VG_COLUMNS)
+    vg_row = {sid: j for j, sid in enumerate(vg_ids)}
+    rows = [i for i, sid in enumerate(basic_ids) if sid in vg_row]
+    skipped = [sid for sid in basic_ids if sid not in vg_row]
+    if not rows:
+        raise DataError(f"no sample of {basic_path} has fitted parameters in {vg_path}")
+    ids = [basic_ids[i] for i in rows]
+    b = {c: basic[c][rows].tolist() for c in BASIC_COLUMNS}
+    v = {c: vg[c][[vg_row[sid] for sid in ids]].tolist() for c in VG_COLUMNS}
+    _require_values(basic_path, ids, b, BASIC_REQUIRED)
+    _require_values(vg_path, ids, v, VG_COLUMNS)
 
-    samples = []
-    skipped = []
-    for row in basic_rows:
-        sid = row.get("id", "")
-        if not sid:
-            raise DataError(f"{basic_path}: row without sample id")
-        fitted = vg_by_id.get(sid)
-        if fitted is None:
-            skipped.append(sid)
-            continue
-        sand = _cell(row, "sand", basic_path)
-        silt = _cell(row, "silt", basic_path)
-        clay = _cell(row, "clay", basic_path)
-        d_g, sigma_g = texture_statistics(sand, silt, clay)
+    columns: dict[str, list[float]] = {name: [] for name in KNOWN_FEATURES + TARGET_COLUMNS}
+    for k, sid in enumerate(ids):
+        d_g, sigma_g = texture_statistics(b["sand"][k], b["silt"][k], b["clay"][k])
         params = VgParameters(
-            theta_r=_cell(fitted, "theta_r", vg_path),
-            theta_s=_cell(fitted, "theta_s", vg_path),
-            alpha=_cell(fitted, "alpha_per_cm", vg_path),
-            n=_cell(fitted, "n", vg_path),
+            theta_r=v["theta_r"][k],
+            theta_s=v["theta_s"][k],
+            alpha=v["alpha_per_cm"][k],
+            n=v["n"][k],
         )
-        features = {
-            "sand": sand,
-            "silt": silt,
-            "clay": clay,
-            "bulk_density": _cell(row, "bulk_density", basic_path),
+        ksat = b["ksat_cm_day"][k]  # NaN when not measured
+        if ksat <= 0:
+            raise DataError(f"{basic_path}: sample {sid!r} has non-positive ksat_cm_day")
+        values = {
+            **derived_water_contents(params),
+            **{c: col[k] for c, col in b.items()},
             "d_g": d_g,
             "sigma_g": sigma_g,
-            "internal_diameter_cm": _cell(row, "internal_diameter_cm", basic_path, required=False),
-            "length_cm": _cell(row, "length_cm", basic_path, required=False),
             "theta_r": params.theta_r,
             "theta_s": params.theta_s,
             "alpha": params.alpha,
             "n": params.n,
+            "log_alpha": math.log(params.alpha),
+            "log_n": math.log(params.n),
+            "log_ksat": math.log(ksat),
         }
-        targets = {k: v for k, v in derived_water_contents(params).items() if k not in KNOWN_FEATURES}
-        targets["log_alpha"] = math.log(params.alpha)
-        targets["log_n"] = math.log(params.n)
-        ksat = _cell(row, "ksat_cm_day", basic_path, required=False)
-        if ksat is not None:
-            if ksat <= 0:
-                raise DataError(f"{basic_path}: sample {sid!r} has non-positive ksat_cm_day")
-            targets["log_ksat"] = math.log(ksat)
-        else:
-            targets["log_ksat"] = None
-        samples.append(Sample(id=sid, features=features, targets=targets))
+        for name, col in columns.items():
+            col.append(values[name])
 
-    if not samples:
-        raise DataError(f"no sample of {basic_path} has fitted parameters in {vg_path}")
-    dataset = Dataset(samples, list(KNOWN_FEATURES), list(TARGET_COLUMNS))
-    header, rows = _dataset_to_rows(dataset)
-    _write_csv(args.out, header, rows, meta)
+    dataset = Dataset(ids, columns, list(KNOWN_FEATURES), list(TARGET_COLUMNS))
+    header, out_rows = _dataset_to_rows(dataset)
+    _write_csv(args.out, header, out_rows, meta)
     if skipped:
         print(
             f"derive-features: {len(skipped)} samples without fitted parameters skipped "
@@ -599,30 +576,25 @@ def cmd_predict(args) -> int:
     by_target = {pl["target"]: pl["model"] for pl in payloads}
 
     dataset = load_dataset(features_path, strict=False)
-    available = set(dataset.feature_names) | set(dataset.target_names)
-    missing = sorted(
-        {f for pl in payloads for f in pl["model"].feature_names} - available
-    )
+    needed = {f for pl in payloads for f in pl["model"].feature_names}
+    missing = sorted(needed - set(dataset.columns))
     if missing:
         raise UsageError(f"feature table lacks columns required by the models: {missing}")
 
     # One design matrix per distinct model column order (models trained
-    # together share one). Cells are checked sample by sample, so the gap
-    # reported is the first one met in (sample, target, feature) order.
+    # together share one). The gap reported is the first one met in
+    # (sample, target, feature) order.
     names = {t: tuple(by_target[t].feature_names) for t in order}
-    matrices = {cols: np.empty((len(dataset.samples), len(cols))) for cols in names.values()}
-    for i, s in enumerate(dataset.samples):
-        for cols, X in matrices.items():
-            for j, f in enumerate(cols):
-                v = s.value(f)
-                if v is None:
-                    raise DataError(f"sample {s.id!r} lacks a value for feature {f!r}")
-                X[i, j] = v
+    matrices = {cols: dataset.matrix(cols) for cols in names.values()}
+    flat = [f for cols in matrices for f in cols]
+    gap = _first_gap(dataset.ids, flat, dataset.matrix(flat))
+    if gap is not None:
+        raise DataError(f"sample {gap[0]!r} lacks a value for feature {gap[1]!r}")
     columns = {t: by_target[t].predict_matrix(matrices[names[t]], names[t]) for t in order}
-    predictions = [{t: float(columns[t][i]) for t in order} for i in range(len(dataset.samples))]
+    predictions = [{t: float(columns[t][i]) for t in order} for i in range(len(dataset))]
     rows = [
-        [s.id] + [_fmt(per_sample[t]) for t in order]
-        for s, per_sample in zip(dataset.samples, predictions)
+        [sid] + [_fmt(per_sample[t]) for t in order]
+        for sid, per_sample in zip(dataset.ids, predictions)
     ]
     _write_csv(args.out, ["id"] + list(order), rows, meta)
 
@@ -633,10 +605,10 @@ def cmd_predict(args) -> int:
             )
         tensions = np.geomspace(1.0, 15000.0, 50)
         curve_rows = []
-        for s, per_sample in zip(dataset.samples, predictions):
+        for sid, per_sample in zip(dataset.ids, predictions):
             params = _clamped_vg(per_sample)
             for h in tensions:
-                curve_rows.append([s.id, _fmt(h), _fmt(vg_theta(params, float(h)))])
+                curve_rows.append([sid, _fmt(h), _fmt(vg_theta(params, float(h)))])
         _write_csv(args.curve, ["id", "tension_cm", "theta"], curve_rows, meta)
     return 0
 

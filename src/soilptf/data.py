@@ -2,13 +2,14 @@
 
 The canonical table layout is one row per sample with an ``id`` column,
 basic-property feature columns and any number of numeric target columns.
-Missing entries are empty cells (or na/nan/null tokens); lines starting
-with ``#`` are metadata comments and are skipped.
+Missing entries are empty cells (or na/nan/none/null tokens); any other
+cell must hold a finite number. Lines starting with ``#`` are metadata
+comments and are skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import csv
 import math
@@ -59,99 +60,144 @@ class ColumnSchema:
 
 
 @dataclass
-class Sample:
-    """One soil sample.
+class Dataset:
+    """Samples stored by column: one float64 array per column, NaN marking a
+    missing entry.
 
     Feature units: sand/silt/clay in mass percent, bulk_density in g cm^-3,
     d_g and sigma_g in mm, internal_diameter_cm and length_cm in cm.
     Water-content targets are volumetric fractions; conductivity targets
-    are natural-log cm day^-1. A value of None marks a missing entry.
+    are natural-log cm day^-1. Features and targets are disjoint, and
+    ``columns`` holds exactly the declared ones, each with one entry per id.
     """
 
-    id: str
-    features: dict[str, float | None] = field(default_factory=dict)
-    targets: dict[str, float | None] = field(default_factory=dict)
-
-    def value(self, name: str) -> float | None:
-        """Look up a column by name, checking features before targets."""
-        if name in self.features:
-            return self.features[name]
-        if name in self.targets:
-            return self.targets[name]
-        raise KeyError(f"sample {self.id!r} has no column {name!r}")
-
-    def has(self, name: str) -> bool:
-        return name in self.features or name in self.targets
-
-
-def validate_sample(sample: Sample) -> list[str]:
-    """Return invariant violations for one sample (empty list if clean)."""
-    problems = []
-    texture = [sample.features.get(c) for c in ("sand", "silt", "clay")]
-    if all(v is not None for v in texture):
-        total = sum(texture)
-        if abs(total - 100.0) > TEXTURE_SUM_TOL:
-            problems.append(f"sand+silt+clay = {total:g}, expected 100 +/- {TEXTURE_SUM_TOL}")
-    for name in ("internal_diameter_cm", "length_cm"):
-        v = sample.features.get(name)
-        if v is not None and v <= 0:
-            problems.append(f"{name} = {v:g} must be positive")
-    for name, v in sample.targets.items():
-        if v is None:
-            continue
-        if name.startswith("theta_") and not 0.0 <= v <= 1.0:
-            problems.append(f"{name} = {v:g} outside [0, 1]")
-    return problems
-
-
-@dataclass
-class Dataset:
-    """A collection of samples sharing one column layout."""
-
-    samples: list[Sample]
+    ids: list[str]
+    columns: dict[str, np.ndarray]
     feature_names: list[str]
     target_names: list[str]
 
     def __post_init__(self):
+        self.columns = {name: np.asarray(col, dtype=float) for name, col in self.columns.items()}
         seen = set()
-        for s in self.samples:
-            if s.id in seen:
-                raise DataError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
-        for s in self.samples:
-            for name in self.feature_names:
-                if name not in s.features:
-                    raise DataError(f"sample {s.id!r} lacks declared feature {name!r}")
-            for name in self.target_names:
-                if name not in s.targets and name not in s.features:
-                    raise DataError(f"sample {s.id!r} lacks declared target {name!r}")
+        for sid in self.ids:
+            if sid in seen:
+                raise DataError(f"duplicate sample id {sid!r}")
+            seen.add(sid)
+        declared = set()
+        for role, names in (("feature", self.feature_names), ("target", self.target_names)):
+            for name in names:
+                if name in declared:
+                    raise DataError(f"column {name!r} is declared twice among features and targets")
+                if name not in self.columns:
+                    raise DataError(f"dataset lacks declared {role} {name!r}")
+                declared.add(name)
+        for name, col in self.columns.items():
+            if name not in declared:
+                raise DataError(f"column {name!r} is neither a feature nor a target")
+            if col.shape != (len(self.ids),):
+                raise DataError(f"column {name!r} has shape {col.shape}, not ({len(self.ids)},)")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def ids(self) -> list[str]:
-        return [s.id for s in self.samples]
-
-    def by_id(self, sample_id: str) -> Sample:
-        for s in self.samples:
-            if s.id == sample_id:
-                return s
-        raise KeyError(sample_id)
-
-    def subset(self, ids) -> "Dataset":
-        wanted = set(ids)
-        kept = [s for s in self.samples if s.id in wanted]
-        return Dataset(kept, list(self.feature_names), list(self.target_names))
+    def matrix(self, names) -> np.ndarray:
+        """The named columns side by side, one row per sample."""
+        out = np.empty((len(self.ids), len(names)))
+        for j, name in enumerate(names):
+            out[:, j] = self.columns[name]
+        return out
 
 
-def _parse_cell(token: str, column: str, row: int) -> float | None:
+def validate_dataset(dataset: Dataset) -> list[tuple[int, str]]:
+    """Return (row index, problem) pairs for invariant violations, in row
+    order and, within a row, in rule order; empty if the data are clean."""
+    cols = dataset.columns
+    features = set(dataset.feature_names)
+    found = []
+    if {"sand", "silt", "clay"} <= features:
+        total = cols["sand"] + cols["silt"] + cols["clay"]
+        for i in np.flatnonzero(np.abs(total - 100.0) > TEXTURE_SUM_TOL):
+            found.append((i, f"sand+silt+clay = {total[i]:g}, expected 100 +/- {TEXTURE_SUM_TOL}"))
+    for name in ("internal_diameter_cm", "length_cm"):
+        if name in features:
+            for i in np.flatnonzero(cols[name] <= 0):
+                found.append((i, f"{name} = {cols[name][i]:g} must be positive"))
+    for name in dataset.target_names:
+        if name.startswith("theta_"):
+            v = cols[name]
+            for i in np.flatnonzero((v < 0.0) | (v > 1.0)):
+                found.append((i, f"{name} = {v[i]:g} outside [0, 1]"))
+    found.sort(key=lambda item: item[0])
+    return [(int(i), problem) for i, problem in found]
+
+
+def read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV table as its stripped header and its raw data rows.
+
+    Lines starting with ``#`` are skipped; the data row at index i is
+    called row i + 2 in diagnostics. Raises DataError for a missing or
+    empty file, a repeated column name or a row whose length differs
+    from the header's.
+    """
+    try:
+        with open(path, "r", newline="") as fh:
+            lines = [ln for ln in fh if not ln.startswith("#")]
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    rows = list(csv.reader(lines))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header: {header}")
+    for i, raw in enumerate(rows[1:], start=2):
+        if len(raw) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(raw)}")
+    return header, rows[1:]
+
+
+def _parse_cell(token: str, column: str, row: int) -> float:
+    """One numeric cell: NaN for a missing token, else a finite float.
+
+    Raises DataError naming the row, the column and the token for text
+    that is not a number and for infinities or NaN spelled other than
+    as a missing token.
+    """
     text = token.strip()
     if text.lower() in MISSING_TOKENS:
-        return None
+        return math.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"row {row}: column {column!r} value {token!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}: column {column!r} value {token!r} is not a finite number")
+    return value
+
+
+def parse_columns(
+    header: list[str], rows: list[list[str]], names, id_column: str = "id"
+) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Parse the ids and the named numeric columns of rows from read_rows.
+
+    A name absent from the header reads as an all-NaN column. Raises
+    DataError for an empty id or a bad cell, the first met in (row, name)
+    order.
+    """
+    at = {c: j for j, c in enumerate(header)}
+    if id_column not in at:
+        raise DataError(f"header has no {id_column!r} column: {header}")
+    ids = []
+    values = np.full((len(names), len(rows)), math.nan)
+    present = [(k, name, at[name]) for k, name in enumerate(names) if name in at]
+    for i, raw in enumerate(rows):
+        sid = raw[at[id_column]].strip()
+        if not sid:
+            raise DataError(f"row {i + 2}: empty sample id")
+        ids.append(sid)
+        for k, name, j in present:
+            values[k, i] = _parse_cell(raw[j], name, i + 2)
+    return ids, dict(zip(names, values))
 
 
 def infer_schema(header: list[str], id_column: str = "id") -> ColumnSchema:
@@ -167,20 +213,11 @@ def load_dataset(path, schema: ColumnSchema | None = None, strict: bool = True) 
     """Read a sample table from CSV.
 
     Raises DataError for a missing file, a header that does not match the
-    schema, duplicate ids, non-numeric cells or (with strict=True) sample
-    invariant violations; every diagnostic names the offending row.
+    schema, duplicate ids, non-numeric or non-finite cells or (with
+    strict=True) sample invariant violations; every diagnostic about a
+    cell names its row.
     """
-    try:
-        with open(path, "r", newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-    except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
-    rows = list(csv.reader(lines))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header: {header}")
+    header, rows = read_rows(path)
     if schema is None:
         schema = infer_schema(header)
     declared = {schema.id_column, *schema.features, *schema.targets}
@@ -191,25 +228,13 @@ def load_dataset(path, schema: ColumnSchema | None = None, strict: bool = True) 
             f"{path}: header does not match schema "
             f"(missing {sorted(missing)}, undeclared {sorted(extra)})"
         )
-    col_index = {c: header.index(c) for c in header}
-
-    samples = []
-    problems = []
-    for i, raw in enumerate(rows[1:], start=2):
-        if len(raw) != len(header):
-            raise DataError(f"row {i}: expected {len(header)} cells, got {len(raw)}")
-        sid = raw[col_index[schema.id_column]].strip()
-        if not sid:
-            raise DataError(f"row {i}: empty sample id")
-        features = {c: _parse_cell(raw[col_index[c]], c, i) for c in schema.features}
-        targets = {c: _parse_cell(raw[col_index[c]], c, i) for c in schema.targets}
-        sample = Sample(id=sid, features=features, targets=targets)
-        if strict:
-            problems.extend(f"row {i}: {p}" for p in validate_sample(sample))
-        samples.append(sample)
-    if problems:
-        raise DataError(f"{path}: invalid samples:\n  " + "\n  ".join(problems))
-    return Dataset(samples, list(schema.features), list(schema.targets))
+    ids, columns = parse_columns(header, rows, schema.features + schema.targets, schema.id_column)
+    dataset = Dataset(ids, columns, list(schema.features), list(schema.targets))
+    if strict:
+        problems = [f"row {i + 2}: {p}" for i, p in validate_dataset(dataset)]
+        if problems:
+            raise DataError(f"{path}: invalid samples:\n  " + "\n  ".join(problems))
+    return dataset
 
 
 @dataclass
@@ -233,20 +258,15 @@ def select_columns(dataset: Dataset, config) -> Selection:
     feats = list(config.features)
     targs = list(config.targets)
     for name in feats + targs:
-        probe = dataset.samples[0] if dataset.samples else None
-        if probe is not None and not probe.has(name):
+        if name not in dataset.columns:
             raise DataError(f"configuration column {name!r} not present in dataset")
-    kept, excluded = [], []
-    for s in dataset.samples:
-        vals = [s.value(c) for c in feats + targs]
-        if any(v is None for v in vals):
-            excluded.append(s.id)
-        else:
-            kept.append((s.id, vals))
-    if not kept:
+    data = dataset.matrix(feats + targs)
+    complete = ~np.isnan(data).any(axis=1)
+    if not complete.any():
         raise DataError(f"no usable rows for configuration {getattr(config, 'id', '?')!r}")
-    ids = [sid for sid, _ in kept]
-    data = np.array([vals for _, vals in kept], dtype=float)
+    ids = [sid for sid, keep in zip(dataset.ids, complete) if keep]
+    excluded = [sid for sid, keep in zip(dataset.ids, complete) if not keep]
+    data = data[complete]
     X = data[:, : len(feats)]
     targets = {t: data[:, len(feats) + j].copy() for j, t in enumerate(targs)}
     return Selection(ids=ids, X=X, targets=targets, feature_names=feats, excluded_ids=excluded)

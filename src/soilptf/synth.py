@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .data import KNOWN_FEATURES, Dataset, Sample
+from .data import KNOWN_FEATURES, Dataset
 from .hydrology import (
     PARAMETRIC_TARGETS,
     POINT_TARGETS,
@@ -177,7 +177,13 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
     inner = rng.choice(np.asarray(config.id_choices, dtype=float), size=n)
     length = rng.choice(np.asarray(config.length_choices, dtype=float), size=n)
 
-    samples = []
+    target_names = [
+        t
+        for t in dict.fromkeys(POINT_TARGETS + PARAMETRIC_TARGETS + ("log_ksat",))
+        if t not in KNOWN_FEATURES
+    ]
+    ids = []
+    columns: dict[str, list[float]] = {name: [] for name in KNOWN_FEATURES + tuple(target_names)}
     regimes: dict[str, str] = {}
     effective: dict[str, dict[str, float]] = {}
     for i in range(n):
@@ -218,7 +224,6 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
             n=1.0 + math.exp(log_n1),
         )
         targets: dict[str, float] = derived_water_contents(params)
-        targets["theta_r"] = params.theta_r
         targets["log_alpha"] = math.log(params.alpha)
         targets["log_n"] = math.log(params.n)
         targets["log_ksat"] = float(log_ksat)
@@ -227,8 +232,10 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
         feats.update(
             theta_r=params.theta_r, theta_s=params.theta_s, alpha=params.alpha, n=params.n
         )
-        sample_targets = {k: v for k, v in targets.items() if k not in KNOWN_FEATURES}
-        samples.append(Sample(id=sid, features=feats, targets=sample_targets))
+        ids.append(sid)
+        values = {**targets, **feats}
+        for name, col in columns.items():
+            col.append(values[name])
         regimes[sid] = regime.name
         effective[sid] = {
             "theta_r": params.theta_r,
@@ -238,12 +245,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
             "log_ksat": float(log_ksat),
         }
 
-    target_names = [
-        t
-        for t in dict.fromkeys(POINT_TARGETS + PARAMETRIC_TARGETS + ("log_ksat",))
-        if t not in KNOWN_FEATURES
-    ]
-    dataset = Dataset(samples, feature_names=list(KNOWN_FEATURES), target_names=target_names)
+    dataset = Dataset(ids, columns, feature_names=list(KNOWN_FEATURES), target_names=target_names)
     truth = {"config": config.to_dict(), "regimes": regimes, "effective_params": effective}
     return dataset, truth
 

@@ -770,3 +770,42 @@ def test_report_rejects_non_reports(synth_small, tmp_path, capsys):
               "--b", synth_small / "truth.json"])
     assert rc == 2
     assert "not an evaluation report" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# non-finite cells
+# ----------------------------------------------------------------------
+
+_FEATURE_TABLE = (
+    "id,sand,silt,clay,bulk_density,d_g,sigma_g,theta_r\n"
+    "a,40,40,20,1.4,0.05,10,0.05\n"
+    "b,40,40,20,{token},0.05,10,0.05\n"
+)
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "+nan", "-nan", "Infinity", "1e999"])
+@pytest.mark.parametrize("command", ["train", "predict", "derive-features", "fit-vg"])
+def test_non_finite_cell_is_one_line_runtime_error(swrc3_models, tmp_path, capsys, command, token):
+    table = tmp_path / "in.csv"
+    out = tmp_path / "out.csv"
+    if command == "fit-vg":
+        table.write_text(f"id,tension_cm,theta\na,1.0,0.45\na,10.0,{token}\n")
+        argv, row, column = ["fit-vg", "--input", table, "--out", out], 3, "theta"
+    elif command == "derive-features":
+        _basic_table(table, [f"s1,40,40,20,{token},120"])
+        _vg_table(tmp_path / "vg.csv", ["s1"])
+        argv = ["derive-features", "--basic", table, "--vg", tmp_path / "vg.csv", "--out", out]
+        row, column = 2, "bulk_density"
+    else:
+        table.write_text(_FEATURE_TABLE.format(token=token))
+        row, column = 3, "bulk_density"
+        if command == "train":
+            argv = ["train", "--features", table, "--config", "SWRC3", "--method", "mlr",
+                    "--out-dir", tmp_path / "models"]
+        else:
+            argv = ["predict", "--model", swrc3_models / "SWRC3_mlr_theta_r.json",
+                    "--features", table, "--out", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: row {row}: column {column!r} value {token!r} is not a finite number\n"
+    assert not out.exists()

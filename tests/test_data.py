@@ -1,21 +1,26 @@
 """Tables, schema inference, column selection and fold assignment."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soilptf.cli import _dataset_to_rows, _meta, _write_csv
 from soilptf.data import (
     KNOWN_FEATURES,
     ColumnSchema,
     DataError,
     Dataset,
-    Sample,
     assign_folds,
     infer_schema,
     load_dataset,
     select_columns,
-    validate_sample,
+    validate_dataset,
 )
-from soilptf.hydrology import MODEL_CONFIGS, POINT_TARGETS
+from soilptf.hydrology import MODEL_CONFIGS, POINT_TARGETS, ModelConfig
 
 
 FOUR_ROWS = """id,sand,silt,clay,bulk_density,theta_10
@@ -37,8 +42,10 @@ def test_load_four_row_csv(tmp_path):
     assert len(ds) == 4
     assert ds.feature_names == ["sand", "silt", "clay", "bulk_density"]
     assert ds.target_names == ["theta_10"]
-    assert ds.by_id("2").features["sand"] == 84.6
-    assert ds.by_id("4").targets["theta_10"] == 0.17
+    assert ds.ids == ["1", "2", "3", "4"]
+    assert ds.columns["sand"][1] == 84.6
+    assert ds.columns["theta_10"][3] == 0.17
+    assert all(col.dtype == np.float64 for col in ds.columns.values())
 
 
 def test_load_header_only(tmp_path):
@@ -80,8 +87,18 @@ def test_load_texture_sum_enforced(tmp_path):
 def test_load_missing_tokens(tmp_path):
     text = "id,sand,silt,clay,theta_10\n1,83,14,3,na\n2,84,13,3,\n"
     ds = load_dataset(write(tmp_path, text))
-    assert ds.by_id("1").targets["theta_10"] is None
-    assert ds.by_id("2").targets["theta_10"] is None
+    assert np.isnan(ds.columns["theta_10"]).all()
+    assert ds.columns["sand"].tolist() == [83.0, 84.0]
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "+nan", "-nan", "Infinity", "1e999"])
+def test_load_rejects_non_finite_cells(tmp_path, token):
+    bad = FOUR_ROWS.replace("78,19,3,1.6", f"78,19,3,{token}")
+    with pytest.raises(DataError) as exc:
+        load_dataset(write(tmp_path, bad), strict=False)
+    assert str(exc.value) == (
+        f"row 4: column 'bulk_density' value {token!r} is not a finite number"
+    )
 
 
 def test_load_schema_mismatch(tmp_path):
@@ -113,35 +130,79 @@ def test_schema_duplicate_names():
         ColumnSchema(features=("sand",), targets=("sand",))
 
 
-def test_validate_sample_rules():
-    s = Sample(id="x", features={"sand": 50.0, "silt": 30.0, "clay": 20.0}, targets={})
-    assert validate_sample(s) == []
-    s = Sample(id="x", features={"sand": 50.0, "silt": 30.0, "clay": 18.0}, targets={})
-    assert any("sand+silt+clay" in p for p in validate_sample(s))
-    s = Sample(id="x", features={"length_cm": -1.0}, targets={"theta_10": 1.4})
-    problems = validate_sample(s)
-    assert any("length_cm" in p for p in problems)
-    assert any("theta_10" in p for p in problems)
+def test_validate_dataset_rules():
+    def check(features, targets):
+        columns = {**features, **targets}
+        n = len(next(iter(columns.values())))
+        ds = Dataset([f"r{i}" for i in range(n)], columns, list(features), list(targets))
+        return validate_dataset(ds)
+
+    assert check({"sand": [50.0], "silt": [30.0], "clay": [20.0]}, {}) == []
+    problems = check({"sand": [50.0], "silt": [30.0], "clay": [18.0]}, {})
+    assert [i for i, _ in problems] == [0] and "sand+silt+clay" in problems[0][1]
+    problems = check({"length_cm": [-1.0]}, {"theta_10": [1.4]})
+    assert problems == [(0, "length_cm = -1 must be positive"), (0, "theta_10 = 1.4 outside [0, 1]")]
+    # missing entries break no rule; a target named like a feature rule is not checked
+    assert check({"length_cm": [math.nan]}, {"theta_10": [math.nan], "length": [-1.0]}) == []
+    # problems come in row order, then in rule order within a row
+    problems = check(
+        {"sand": [50.0, 50.0, 60.0], "silt": [30.0, 30.0, 30.0], "clay": [20.0, 18.0, 20.0],
+         "internal_diameter_cm": [5.0, 0.0, -2.0], "length_cm": [1.0, -3.0, 1.0]},
+        {"theta_s": [0.4, 1.2, -0.1], "theta_10": [0.3, 0.3, 2.0]},
+    )
+    assert problems == [
+        (1, "sand+silt+clay = 98, expected 100 +/- 0.5"),
+        (1, "internal_diameter_cm = 0 must be positive"),
+        (1, "length_cm = -3 must be positive"),
+        (1, "theta_s = 1.2 outside [0, 1]"),
+        (2, "sand+silt+clay = 110, expected 100 +/- 0.5"),
+        (2, "internal_diameter_cm = -2 must be positive"),
+        (2, "theta_s = -0.1 outside [0, 1]"),
+        (2, "theta_10 = 2 outside [0, 1]"),
+    ]
 
 
-def test_sample_value_checks_features_first():
-    s = Sample(id="x", features={"theta_s": 0.4}, targets={"theta_s": 0.9})
-    assert s.value("theta_s") == 0.4
-    with pytest.raises(KeyError):
-        s.value("nope")
+def test_load_reports_problems_by_row(tmp_path):
+    text = (
+        "id,sand,silt,clay,length_cm,theta_10\n"
+        "a,50,30,20,1,0.3\n"
+        "b,50,30,10,-1,0.3\n"
+        "c,50,30,20,1,1.5\n"
+    )
+    with pytest.raises(DataError) as exc:
+        load_dataset(write(tmp_path, "# comment lines do not count\n" + text))
+    assert str(exc.value).splitlines()[1:] == [
+        "  row 3: sand+silt+clay = 90, expected 100 +/- 0.5",
+        "  row 3: length_cm = -1 must be positive",
+        "  row 4: theta_10 = 1.5 outside [0, 1]",
+    ]
 
 
 def test_dataset_invariants():
-    a = Sample(id="a", features={"sand": 1.0}, targets={})
-    with pytest.raises(DataError, match="duplicate"):
-        Dataset([a, Sample(id="a", features={"sand": 2.0}, targets={})], ["sand"], [])
-    with pytest.raises(DataError, match="lacks declared feature"):
-        Dataset([a], ["sand", "clay"], [])
-    ds = Dataset([a, Sample(id="b", features={"sand": 2.0}, targets={})], ["sand"], [])
-    sub = ds.subset(["b"])
-    assert sub.ids() == ["b"]
-    with pytest.raises(KeyError):
-        ds.by_id("zz")
+    def make(ids=("a", "b"), columns=None, features=("sand",), targets=()):
+        columns = {"sand": [1.0, 2.0]} if columns is None else columns
+        return Dataset(list(ids), columns, list(features), list(targets))
+
+    ds = make()
+    assert len(ds) == 2 and ds.ids == ["a", "b"]
+    assert ds.columns["sand"].dtype == np.float64
+    assert ds.matrix(["sand", "sand"]).tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    assert ds.matrix([]).shape == (2, 0)
+    with pytest.raises(DataError, match="duplicate sample id 'a'"):
+        make(ids=("a", "a"))
+    with pytest.raises(DataError, match="lacks declared feature 'clay'"):
+        make(features=("sand", "clay"))
+    with pytest.raises(DataError, match="lacks declared target 'theta_10'"):
+        make(targets=("theta_10",))
+    with pytest.raises(DataError, match="column 'sand' has shape"):
+        make(columns={"sand": [1.0, 2.0, 3.0]})
+    with pytest.raises(DataError, match="column 'sand' has shape"):
+        make(columns={"sand": [[1.0], [2.0]]})
+    with pytest.raises(DataError, match="column 'sand' is declared twice"):
+        make(targets=("sand",))
+    with pytest.raises(DataError, match="column 'clay' is neither"):
+        make(columns={"sand": [1.0, 2.0], "clay": [3.0, 4.0]})
+    assert len(make(ids=(), columns={"sand": []})) == 0
 
 
 def synth_rows(n, rng, drop_length_for=()):
@@ -184,15 +245,93 @@ def test_select_columns_excludes_incomplete(tmp_path):
     assert select_columns(ds, MODEL_CONFIGS["SWRC1"]).X.shape == (8, 6)
 
 
+def csv_oracle(path, features, targets):
+    """select_columns rebuilt from the csv module and float(): kept ids, their
+    feature rows and target values, and the excluded ids."""
+    with open(path, newline="") as fh:
+        header, *body = csv.reader(ln for ln in fh if not ln.startswith("#"))
+    header = [c.strip() for c in header]
+    ids, rows, excluded = [], [], []
+    p = len(features)
+    for raw in body:
+        cell = dict(zip(header, raw))
+        values = [cell[c].strip() for c in list(features) + list(targets)]
+        if any(v.lower() in ("", "na", "nan", "none", "null") for v in values):
+            excluded.append(cell["id"].strip())
+        else:
+            ids.append(cell["id"].strip())
+            rows.append([float(v) for v in values])
+    targets = {t: [r[p + j] for r in rows] for j, t in enumerate(targets)}
+    return ids, [r[:p] for r in rows], targets, excluded
+
+
+def assert_matches_oracle(path, config):
+    sel = select_columns(load_dataset(path, strict=False), config)
+    ids, X, targets, excluded = csv_oracle(path, config.features, config.targets)
+    assert sel.ids == ids and sel.excluded_ids == excluded
+    assert sel.feature_names == list(config.features)
+    assert sel.X.tobytes() == np.array(X, dtype=float).tobytes()
+    for t in config.targets:
+        assert sel.targets[t].tobytes() == np.array(targets[t], dtype=float).tobytes()
+
+
 def test_select_columns_rejoin_bit_exact(tmp_path):
-    ds = load_dataset(write(tmp_path, synth_rows(12, np.random.default_rng(2))))
-    sel = select_columns(ds, MODEL_CONFIGS["SHC2"])
-    for row, sid in zip(sel.X, sel.ids):
-        s = ds.by_id(sid)
-        for j, name in enumerate(sel.feature_names):
-            assert row[j] == s.value(name)
-    for sid, y in zip(sel.ids, sel.targets["log_ksat"]):
-        assert y == ds.by_id(sid).value("log_ksat")
+    rng = np.random.default_rng(2)
+    path = write(tmp_path, synth_rows(12, rng, drop_length_for={3, 7}))
+    assert_matches_oracle(path, MODEL_CONFIGS["SHC2"])
+    assert_matches_oracle(path, MODEL_CONFIGS["SWRC1"])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_cell_value = st.one_of(_finite, st.sampled_from([-0.0, 5e-324, -1e-310]), st.just(math.nan))
+_ids = st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True), min_size=0, max_size=12,
+                unique=True)
+_ROUND_TRIP_COLUMNS = (("sand", "bulk_density", "length_cm"), ("theta_10", "log_ksat"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ids.flatmap(lambda ids: st.tuples(
+    st.just(ids),
+    st.lists(st.lists(_cell_value, min_size=len(ids), max_size=len(ids)), min_size=5, max_size=5),
+)))
+def test_written_table_reads_back_bit_exact(tmp_path_factory, table):
+    ids, values = table
+    features, targets = _ROUND_TRIP_COLUMNS
+    ds = Dataset(ids, dict(zip(features + targets, values)), list(features), list(targets))
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    header, rows = _dataset_to_rows(ds)
+    _write_csv(path, header, rows, _meta(0, {}))
+    back = load_dataset(path, strict=False)
+    assert back.ids == ds.ids
+    assert back.feature_names == list(features) and back.target_names == list(targets)
+    for name in features + targets:
+        assert back.columns[name].tobytes() == ds.columns[name].tobytes(), name
+
+
+_text_cell = st.one_of(
+    _finite.map(repr),
+    _finite.map(lambda v: f" {v!r} "),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", " ", "na", "NaN", "nan", "None", "NULL", " na "]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ids.flatmap(lambda ids: st.lists(
+    st.lists(_text_cell, min_size=4, max_size=4), min_size=len(ids), max_size=len(ids),
+).map(lambda cells: (ids, cells))))
+def test_select_columns_matches_csv_oracle(tmp_path_factory, table):
+    ids, cells = table
+    lines = ["# header comment", "id,sand,length_cm,theta_10,log_ksat"]
+    lines += [",".join([sid] + row) for sid, row in zip(ids, cells)]
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    path.write_text("\n".join(lines) + "\n")
+    config = ModelConfig("T", ("length_cm", "sand"), ("log_ksat", "theta_10"))
+    if csv_oracle(path, config.features, config.targets)[0]:
+        assert_matches_oracle(path, config)
+    else:
+        with pytest.raises(DataError, match="no usable rows"):
+            select_columns(load_dataset(path, strict=False), config)
 
 
 def test_select_columns_zero_usable(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from soilptf.data import Dataset, Sample
+from soilptf.data import Dataset
 from soilptf.evaluation import (
     ComparisonRow,
     ComparisonTable,
@@ -93,12 +93,9 @@ def _regime_dataset(n=100, seed=0, p_minor=0.2, noise=0.01):
     x = rng.uniform(0, 5, n)
     z = rng.choice([0.3, 0.7], n, p=[1.0 - p_minor, p_minor])
     y = np.where(z < 0.5, 2.0 * x, -2.0 * x + 10.0) + rng.normal(0, noise, n)
-    samples = [
-        Sample(id=f"s{i:03d}", features={"x": float(x[i]), "z": float(z[i])},
-               targets={"y": float(y[i])})
-        for i in range(n)
-    ]
-    return Dataset(samples, ["x", "z"], ["y"]), ModelConfig("TOY", ("x", "z"), ("y",))
+    ids = [f"s{i:03d}" for i in range(n)]
+    dataset = Dataset(ids, {"x": x, "z": z, "y": y}, ["x", "z"], ["y"])
+    return dataset, ModelConfig("TOY", ("x", "z"), ("y",))
 
 
 def test_rotating_pair_coverage():
@@ -114,7 +111,7 @@ def test_rotating_pair_coverage():
             for sid in r.test_ids:
                 seen[sid] = seen.get(sid, 0) + 1
         # every sample is tested exactly twice per repetition
-        assert set(seen) == set(ds.ids())
+        assert set(seen) == set(ds.ids)
         assert set(seen.values()) == {2}
 
 
@@ -126,13 +123,13 @@ def test_classic_scheme_tests_once():
     for rep in range(2):
         recs = [r for r in report.records if r.repetition == rep]
         seen = [sid for r in recs for sid in r.test_ids]
-        assert sorted(seen) == sorted(ds.ids())
+        assert sorted(seen) == sorted(ds.ids)
 
 
 def test_test_ids_follow_row_order():
     ds, cfg = _regime_dataset(n=40)
     report = cross_validate(ds, cfg, method="mlr", repetitions=1, seed=3, k=4)
-    order = {sid: i for i, sid in enumerate(ds.ids())}
+    order = {sid: i for i, sid in enumerate(ds.ids)}
     for rec in report.records:
         rows = [order[sid] for sid in rec.test_ids]
         assert rows == sorted(rows)
@@ -186,7 +183,7 @@ def test_collected_predictions():
         assert len(rec.predictions) == rec.n_test  # one target
         for sid, target, obs, pred in rec.predictions:
             assert target == "y"
-            assert obs == ds.by_id(sid).targets["y"]
+            assert obs == ds.columns["y"][ds.ids.index(sid)]
             assert np.isfinite(pred)
     plain = cross_validate(ds, cfg, method="mlr", repetitions=1, seed=0, k=4)
     assert all(rec.predictions is None for rec in plain.records)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from soilptf.data import KNOWN_FEATURES, validate_sample
+from soilptf.data import KNOWN_FEATURES, validate_dataset
 from soilptf.hydrology import KPA_TO_CM, VgParameters, vg_theta
 from soilptf.synth import (
     LinearSpec,
@@ -18,6 +18,16 @@ from soilptf.synth import (
     scale_effect_config,
     two_regime_config,
 )
+
+
+def rows(ds):
+    """(id, features, targets) per sample, with Python float values."""
+    for i, sid in enumerate(ds.ids):
+        yield (
+            sid,
+            {c: ds.columns[c][i].item() for c in ds.feature_names},
+            {c: ds.columns[c][i].item() for c in ds.target_names},
+        )
 
 
 def test_linear_spec_evaluate():
@@ -66,72 +76,74 @@ def test_regime_boundary_belongs_right():
 def test_generate_shapes_and_ids():
     ds, truth = generate(default_synth_config(n_samples=40, seed=1))
     assert len(ds) == 40
-    assert ds.ids()[0] == "s0000" and ds.ids()[-1] == "s0039"
+    assert ds.ids[0] == "s0000" and ds.ids[-1] == "s0039"
     assert ds.feature_names == list(KNOWN_FEATURES)
     # point and parametric targets minus what doubles as a feature
     assert len(ds.target_names) == 12
     assert "theta_s" not in ds.target_names and "theta_i" in ds.target_names
     assert set(truth) == {"config", "regimes", "effective_params"}
-    assert set(truth["regimes"]) == set(ds.ids())
+    assert set(truth["regimes"]) == set(ds.ids)
 
 
 def test_generate_deterministic():
     a, ta = generate(default_synth_config(n_samples=25, seed=9))
     b, tb = generate(default_synth_config(n_samples=25, seed=9))
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa == sb
+    assert a.ids == b.ids
+    for name, col in a.columns.items():
+        assert col.tobytes() == b.columns[name].tobytes(), name
     assert ta["effective_params"] == tb["effective_params"]
     c, _ = generate(default_synth_config(n_samples=25, seed=10))
-    assert any(sa != sc for sa, sc in zip(a.samples, c.samples))
+    assert any(not np.array_equal(col, c.columns[name]) for name, col in a.columns.items())
 
 
 def test_generate_samples_are_valid():
     ds, _ = generate(default_synth_config(n_samples=60, seed=2))
     cfg = default_synth_config()
-    for s in ds.samples:
-        assert validate_sample(s) == []
-        assert abs(s.features["sand"] + s.features["silt"] + s.features["clay"] - 100.0) < 0.02
-        assert 1.1 <= s.features["bulk_density"] <= 1.7
-        assert s.features["internal_diameter_cm"] in cfg.id_choices
-        assert s.features["length_cm"] in cfg.length_choices
+    assert validate_dataset(ds) == []
+    assert not any(np.isnan(col).any() for col in ds.columns.values())
+    for _, features, _ in rows(ds):
+        assert abs(features["sand"] + features["silt"] + features["clay"] - 100.0) < 0.02
+        assert 1.1 <= features["bulk_density"] <= 1.7
+        assert features["internal_diameter_cm"] in cfg.id_choices
+        assert features["length_cm"] in cfg.length_choices
 
 
 def test_regime_assignment_follows_sand():
     ds, truth = generate(default_synth_config(n_samples=80, seed=3))
-    for s in ds.samples:
-        want = "fine" if s.features["sand"] < 60.0 else "coarse"
-        assert truth["regimes"][s.id] == want
+    for sid, features, _ in rows(ds):
+        want = "fine" if features["sand"] < 60.0 else "coarse"
+        assert truth["regimes"][sid] == want
     assert set(truth["regimes"].values()) == {"fine", "coarse"}
 
 
 def test_targets_consistent_with_effective_params():
     ds, truth = generate(default_synth_config(n_samples=30, seed=4))
-    for s in ds.samples:
-        p = truth["effective_params"][s.id]
+    for sid, features, targets in rows(ds):
+        p = truth["effective_params"][sid]
         params = VgParameters(theta_r=p["theta_r"], theta_s=p["theta_s"],
                               alpha=p["alpha"], n=p["n"])
-        assert s.targets["theta_10"] == pytest.approx(
+        assert targets["theta_10"] == pytest.approx(
             vg_theta(params, 10 * KPA_TO_CM), rel=1e-12)
-        assert s.targets["theta_1500"] == pytest.approx(
+        assert targets["theta_1500"] == pytest.approx(
             vg_theta(params, 1500 * KPA_TO_CM), rel=1e-12)
-        assert s.targets["log_alpha"] == pytest.approx(math.log(p["alpha"]), rel=1e-12)
-        assert s.targets["log_n"] == pytest.approx(math.log(p["n"]), rel=1e-12)
-        assert s.targets["log_ksat"] == p["log_ksat"]
-        assert s.features["theta_s"] == p["theta_s"]
+        assert targets["log_alpha"] == pytest.approx(math.log(p["alpha"]), rel=1e-12)
+        assert targets["log_n"] == pytest.approx(math.log(p["n"]), rel=1e-12)
+        assert targets["log_ksat"] == p["log_ksat"]
+        assert features["theta_s"] == p["theta_s"]
         # water contents decrease along the tension ladder
-        ladder = [s.targets[f"theta_{k}"] for k in (10, 30, 50, 100, 300, 500, 1000, 1500)]
+        ladder = [targets[f"theta_{k}"] for k in (10, 30, 50, 100, 300, 500, 1000, 1500)]
         assert all(b < a for a, b in zip(ladder, ladder[1:]))
 
 
 def test_noise_free_two_regime_is_exact():
     cfg = two_regime_config(n_samples=50, noise_sd=0.0, seed=5)
     ds, truth = generate(cfg)
-    for s in ds.samples:
-        regime = cfg.regime_of(s.features[cfg.regime_feature])
-        feats = {k: s.features[k] for k in
+    for sid, features, _ in rows(ds):
+        regime = cfg.regime_of(features[cfg.regime_feature])
+        feats = {k: features[k] for k in
                  ("sand", "silt", "clay", "bulk_density", "d_g", "sigma_g",
                   "internal_diameter_cm", "length_cm")}
-        p = truth["effective_params"][s.id]
+        p = truth["effective_params"][sid]
         assert p["theta_r"] == pytest.approx(regime.formula("theta_r").evaluate(feats), rel=1e-14)
         assert p["theta_s"] == pytest.approx(regime.formula("theta_s").evaluate(feats), rel=1e-14)
         assert math.log(p["alpha"]) == pytest.approx(
@@ -143,11 +155,10 @@ def test_noise_free_two_regime_is_exact():
 def test_scale_rule_shifts_parameters():
     cfg = scale_effect_config(n_samples=50, noise_sd=0.0, seed=6)
     ds, truth = generate(cfg)
-    for s in ds.samples:
-        regime = cfg.regime_of(s.features[cfg.regime_feature])
-        feats = dict(s.features)
-        p = truth["effective_params"][s.id]
-        length = s.features["length_cm"]
+    for sid, feats, _ in rows(ds):
+        regime = cfg.regime_of(feats[cfg.regime_feature])
+        p = truth["effective_params"][sid]
+        length = feats["length_cm"]
         want_log_alpha = regime.formula("log_alpha").evaluate(feats) - 0.004 * length
         want_theta_s = regime.formula("theta_s").evaluate(feats) - 0.0005 * length
         assert math.log(p["alpha"]) == pytest.approx(want_log_alpha, rel=1e-12)
@@ -159,10 +170,9 @@ def test_jitter_scales_with_noise_sd():
     cfg = two_regime_config(n_samples=300, noise_sd=noise_sd, seed=7)
     ds, truth = generate(cfg)
     dev_alpha, dev_ksat = [], []
-    for s in ds.samples:
-        regime = cfg.regime_of(s.features[cfg.regime_feature])
-        feats = dict(s.features)
-        p = truth["effective_params"][s.id]
+    for sid, feats, _ in rows(ds):
+        regime = cfg.regime_of(feats[cfg.regime_feature])
+        p = truth["effective_params"][sid]
         dev_alpha.append(math.log(p["alpha"]) - regime.formula("log_alpha").evaluate(feats))
         dev_ksat.append(p["log_ksat"] - regime.formula("log_ksat").evaluate(feats))
     assert np.std(dev_alpha) == pytest.approx(5.0 * noise_sd, rel=0.35)
