@@ -8,7 +8,7 @@ effects (sample internal diameter and length).
 __version__ = "0.1.0"
 
 from .cpxr import CpxrConfig, PxrModel, train_cpxr
-from .data import ColumnSchema, Dataset, assign_folds, load_dataset, select_columns
+from .data import Dataset, assign_folds, load_dataset, select_columns
 from .discretize import DiscretizationScheme, build_scheme, mdl_discretize
 from .evaluation import EvaluationReport, compare, cross_validate, metrics
 from .hydrology import (
@@ -25,7 +25,6 @@ from .patterns import Item, Pattern
 from .synth import SynthConfig, default_synth_config, generate
 
 __all__ = [
-    "ColumnSchema",
     "CpxrConfig",
     "Dataset",
     "DiscretizationScheme",

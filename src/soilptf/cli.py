@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +36,10 @@ from .data import (
     read_rows,
     select_columns,
 )
-from .evaluation import EvaluationError, EvaluationReport, compare, cross_validate
+from .evaluation import EvaluationError, EvaluationReport, compare, cross_validate, map_jobs
 from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
-    POINT_TARGETS,
     HydrologyError,
     RetentionPoint,
     VgFitError,
@@ -53,6 +51,7 @@ from .hydrology import (
 )
 from .linreg import FitError, LinearModel, fit_local
 from .synth import (
+    TARGET_COLUMNS,
     SynthError,
     default_synth_config,
     generate,
@@ -67,11 +66,6 @@ class UsageError(ValueError):
 
 
 SEED_ENV = "CPXR_PTF_SEED"
-
-# Column order of feature tables written by derive-features and synth.
-TARGET_COLUMNS = tuple(
-    t for t in POINT_TARGETS + ("log_alpha", "log_n", "log_ksat") if t not in KNOWN_FEATURES
-)
 
 # Columns derive-features reads. Every fitted sample needs a value in the
 # required basic columns and in every parameter column.
@@ -200,6 +194,12 @@ def _resolve_hyper(args) -> CpxrConfig:
         raise UsageError(str(exc)) from None
 
 
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def _model_config(config_id: str):
     try:
         return MODEL_CONFIGS[config_id]
@@ -258,16 +258,12 @@ def _fit_one_sample(item):
 
 def cmd_fit_vg(args) -> int:
     path = _require_file(args.input)
+    jobs = _jobs(args)
     seed = _resolve_seed(args.seed)
     settings = {"command": "fit-vg", "seed": seed}
     meta = _meta(seed, settings)
 
-    items = _read_retention(path)
-    if args.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_fit_one_sample, items))
-    else:
-        results = [_fit_one_sample(it) for it in items]
+    results = map_jobs(_fit_one_sample, _read_retention(path), jobs)
 
     header = ["id", "theta_r", "theta_s", "alpha_per_cm", "n", "fit_rmse"]
     rows = [
@@ -426,6 +422,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"repetitions must be positive, got {args.reps}")
     if args.k < 2:
         raise UsageError(f"need at least 2 folds, got {args.k}")
+    jobs = _jobs(args)
     seed = _resolve_seed(args.seed)
     hyper = _resolve_hyper(args)
     settings = {
@@ -453,7 +450,7 @@ def cmd_evaluate(args) -> int:
             k=args.k,
             cv_scheme=args.cv_scheme,
             cpxr_config=hyper,
-            jobs=args.jobs,
+            jobs=jobs,
             collect_predictions=args.dump_predictions,
         )
         reports[method] = report
@@ -702,7 +699,8 @@ def _add_hyper(p):
 def _add_jobs(p):
     p.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1,
-        help="parallel worker processes (default: all cores)",
+        help="parallel worker processes, at least 1; never more than the tasks or "
+        "the cores (default: all cores)",
     )
 
 

@@ -187,7 +187,7 @@ class PxrModel:
             m = pattern_mask(pair.pattern, X, feature_names)
             num += pair.weight * m * pair.model.predict_matrix(X, feature_names)
             den += pair.weight * m
-        return np.where(den > 0, num / np.where(den > 0, den, 1.0), default)
+        return _blend(num, den, default)
 
     def to_dict(self) -> dict:
         return {
@@ -237,17 +237,21 @@ class PxrModel:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass
-class _Candidate:
-    pattern: Pattern
-    model: LinearModel
-    weight: float
-    mask: np.ndarray         # rows of the training set the pattern matches
-    predictions: np.ndarray  # local-model predictions on every training row
+def _blend(num, den, default):
+    """The weighted-mean rule: num / den on rows some pattern matches
+    (den > 0), the default prediction elsewhere. Works row-wise on stacked
+    (num, den) pairs too."""
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), default)
 
 
-def _optimize(cands, y, default_pred, config: CpxrConfig):
-    """Greedy forward selection then swap passes on total absolute error."""
+def _optimize(w, wp, y, default_pred, config: CpxrConfig):
+    """Greedy forward selection then swap passes on total absolute error.
+
+    The candidates are the rows of a table: w[i] is candidate i's weight
+    on the rows its pattern matches (0 elsewhere) and wp[i] is w[i] times
+    its local model's predictions. Returns (chosen row indices, objective
+    trace); the trace is strictly decreasing by construction.
+    """
     chosen: list[int] = []
     err = float(np.abs(y - default_pred).sum())
     trace = [err]
@@ -256,18 +260,12 @@ def _optimize(cands, y, default_pred, config: CpxrConfig):
         num = np.zeros(len(y))
         den = np.zeros(len(y))
         for i in base_idx:
-            num += cands[i].weight * cands[i].mask * cands[i].predictions
-            den += cands[i].weight * cands[i].mask
-        errs = np.empty(len(pool))
-        for row, c in enumerate(pool):
-            num_c = num + cands[c].weight * cands[c].mask * cands[c].predictions
-            den_c = den + cands[c].weight * cands[c].mask
-            pred = np.where(den_c > 0, num_c / np.where(den_c > 0, den_c, 1.0), default_pred)
-            errs[row] = np.abs(y - pred).sum()
-        return errs
+            num += wp[i]
+            den += w[i]
+        return np.abs(y - _blend(num + wp[pool], den + w[pool], default_pred)).sum(axis=1)
 
     while len(chosen) < config.max_k:
-        pool = [i for i in range(len(cands)) if i not in chosen]
+        pool = [i for i in range(len(w)) if i not in chosen]
         if not pool:
             break
         errs = batch_errors(chosen, pool)
@@ -283,7 +281,7 @@ def _optimize(cands, y, default_pred, config: CpxrConfig):
         swapped = False
         for pos in range(len(chosen)):
             others = chosen[:pos] + chosen[pos + 1 :]
-            pool = [i for i in range(len(cands)) if i not in chosen]
+            pool = [i for i in range(len(w)) if i not in chosen]
             if not pool:
                 break
             errs = batch_errors(others, pool)
@@ -299,32 +297,7 @@ def _optimize(cands, y, default_pred, config: CpxrConfig):
     for a, b in zip(trace, trace[1:]):
         if not b < a:
             raise CpxrError(f"optimizer accepted a non-improving move: {a} -> {b}")
-    return chosen, err, trace
-
-
-def optimize_pattern_set(candidates, X, y, feature_names, baseline: LinearModel,
-                         config: CpxrConfig = CpxrConfig()):
-    """Select up to max_k of the candidate (pattern, model, weight) entries.
-
-    Scoring uses the weighted-mean prediction rule with the baseline as
-    the default model. Returns (chosen entries, objective trace); the
-    trace is strictly decreasing by construction.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    default_pred = baseline.predict_matrix(X, feature_names)
-    cands = [
-        _Candidate(
-            pattern=c.pattern,
-            model=c.model,
-            weight=c.weight,
-            mask=pattern_mask(c.pattern, X, feature_names),
-            predictions=c.model.predict_matrix(X, feature_names),
-        )
-        for c in candidates
-    ]
-    chosen, _, trace = _optimize(cands, y, default_pred, config)
-    return [candidates[i] for i in chosen], trace
+    return chosen, trace
 
 
 def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
@@ -342,7 +315,8 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
     if n < config.min_train:
         raise CpxrError(f"need at least {config.min_train} training rows, got {n}")
 
-    baseline = _fit_global(X, y, names)
+    # the baseline regression gets the same ridge fallback local fits use
+    baseline = fit_local(X, y, feature_names=names)
     base_pred = baseline.predict_matrix(X, names)
     r0 = y - base_pred
     baseline_rmse = float(np.sqrt(np.mean(r0**2)))
@@ -399,7 +373,9 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
     kept = filter_similar_masks(order_keys, full_masks, config.jaccard_max)
 
     min_rows = max(p + 2, 10)
-    candidates: list[_Candidate] = []
+    # the candidate table: one row per candidate, see _optimize
+    candidates: list[PatternLocal] = []
+    w_rows, wp_rows = [], []
     for i in kept:
         mask = full_masks[i]
         if int(mask.sum()) < min_rows:
@@ -412,31 +388,19 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
         ei = float(np.abs(y[mask] - local_pred[mask]).sum())
         if (e0 - ei) / e0 < config.min_reduction:
             continue
-        candidates.append(
-            _Candidate(
-                pattern=mined[i][0],
-                model=local,
-                weight=local_weight(e0, ei, config.weight_floor),
-                mask=mask,
-                predictions=local_pred,
-            )
-        )
+        weight = local_weight(e0, ei, config.weight_floor)
+        candidates.append(PatternLocal(pattern=mined[i][0], model=local, weight=weight))
+        w_rows.append(weight * mask)
+        wp_rows.append(weight * mask * local_pred)
     if not candidates:
         return finalize([], baseline, [float(np.abs(r0).sum())])
 
-    chosen_idx, _, trace = _optimize(candidates, y, base_pred, config)
-    chosen = [candidates[i] for i in chosen_idx]
+    w = np.array(w_rows)
+    chosen, trace = _optimize(w, np.array(wp_rows), y, base_pred, config)
 
     default = baseline
     if chosen:
-        matched = np.logical_or.reduce([c.mask for c in chosen])
-        unmatched = ~matched
+        unmatched = ~(w[chosen] > 0).any(axis=0)
         if int(unmatched.sum()) >= min_rows:
             default = fit_local(X[unmatched], y[unmatched], feature_names=names)
-    pairs = [PatternLocal(pattern=c.pattern, model=c.model, weight=c.weight) for c in chosen]
-    return finalize(pairs, default, trace)
-
-
-def _fit_global(X, y, names) -> LinearModel:
-    # the baseline regression gets the same ridge fallback local fits use
-    return fit_local(X, y, feature_names=names)
+    return finalize([candidates[i] for i in chosen], default, trace)

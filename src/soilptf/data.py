@@ -3,8 +3,9 @@
 The canonical table layout is one row per sample with an ``id`` column,
 basic-property feature columns and any number of numeric target columns.
 Missing entries are empty cells (or na/nan/none/null tokens); any other
-cell must hold a finite number. Lines starting with ``#`` are metadata
-comments and are skipped.
+cell must hold a finite number. Lines starting with ``#`` before the
+header are metadata comments and are skipped; below the header such a
+line is a data row whose sample id starts with ``#``.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import csv
+import itertools
 import math
 
 import numpy as np
 
 # Column names understood as sample properties (model inputs). Anything
-# else in a header, apart from the id column, is treated as a target
-# when no explicit schema is given.
+# else in a header, apart from the id column, is treated as a target.
 KNOWN_FEATURES = (
     "sand",
     "silt",
@@ -42,21 +43,7 @@ TEXTURE_SUM_TOL = 0.5
 
 
 class DataError(ValueError):
-    """Malformed input table, schema violation or unusable selection."""
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Role declaration for the columns of a sample table."""
-
-    features: tuple[str, ...]
-    targets: tuple[str, ...]
-    id_column: str = "id"
-
-    def __post_init__(self):
-        names = (self.id_column,) + self.features + self.targets
-        if len(set(names)) != len(names):
-            raise DataError(f"schema declares duplicate columns: {sorted(names)}")
+    """Malformed input table or unusable selection."""
 
 
 @dataclass
@@ -134,14 +121,14 @@ def validate_dataset(dataset: Dataset) -> list[tuple[int, str]]:
 def read_rows(path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV table as its stripped header and its raw data rows.
 
-    Lines starting with ``#`` are skipped; the data row at index i is
-    called row i + 2 in diagnostics. Raises DataError for a missing or
-    empty file, a repeated column name or a row whose length differs
-    from the header's.
+    Lines starting with ``#`` before the header are skipped; the data row
+    at index i is called row i + 2 in diagnostics. Raises DataError for a
+    missing or empty file, a repeated column name or a row whose length
+    differs from the header's.
     """
     try:
         with open(path, "r", newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+            lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     rows = list(csv.reader(lines))
@@ -200,36 +187,20 @@ def parse_columns(
     return ids, dict(zip(names, values))
 
 
-def infer_schema(header: list[str], id_column: str = "id") -> ColumnSchema:
-    """Classify header columns into features and targets by known names."""
-    if id_column not in header:
-        raise DataError(f"header has no {id_column!r} column: {header}")
-    features = tuple(c for c in header if c in KNOWN_FEATURES)
-    targets = tuple(c for c in header if c != id_column and c not in KNOWN_FEATURES)
-    return ColumnSchema(features=features, targets=targets, id_column=id_column)
-
-
-def load_dataset(path, schema: ColumnSchema | None = None, strict: bool = True) -> Dataset:
+def load_dataset(path, strict: bool = True) -> Dataset:
     """Read a sample table from CSV.
 
-    Raises DataError for a missing file, a header that does not match the
-    schema, duplicate ids, non-numeric or non-finite cells or (with
-    strict=True) sample invariant violations; every diagnostic about a
-    cell names its row.
+    Header columns named in KNOWN_FEATURES are features, in header order;
+    every other column but ``id`` is a target. Raises DataError for a
+    missing file, a header without an ``id`` column, duplicate ids,
+    non-numeric or non-finite cells or (with strict=True) sample invariant
+    violations; every diagnostic about a cell names its row.
     """
     header, rows = read_rows(path)
-    if schema is None:
-        schema = infer_schema(header)
-    declared = {schema.id_column, *schema.features, *schema.targets}
-    missing = declared - set(header)
-    extra = set(header) - declared
-    if missing or extra:
-        raise DataError(
-            f"{path}: header does not match schema "
-            f"(missing {sorted(missing)}, undeclared {sorted(extra)})"
-        )
-    ids, columns = parse_columns(header, rows, schema.features + schema.targets, schema.id_column)
-    dataset = Dataset(ids, columns, list(schema.features), list(schema.targets))
+    features = [c for c in header if c in KNOWN_FEATURES]
+    targets = [c for c in header if c != "id" and c not in KNOWN_FEATURES]
+    ids, columns = parse_columns(header, rows, features + targets)
+    dataset = Dataset(ids, columns, features, targets)
     if strict:
         problems = [f"row {i + 2}: {p}" for i, p in validate_dataset(dataset)]
         if problems:

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import json
+import os
 
 import numpy as np
 
@@ -190,6 +191,16 @@ class EvaluationReport:
         return cls.from_dict(json.loads(text))
 
 
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], spread over min(jobs, len(items),
+    cores) worker processes; with one worker it runs in this process."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _splits_for(k: int, scheme: str):
     if scheme == "paired":
         if k < 3:
@@ -277,6 +288,8 @@ def cross_validate(
     """
     if repetitions < 1:
         raise EvaluationError(f"repetitions must be positive, got {repetitions}")
+    if jobs < 1:
+        raise EvaluationError(f"jobs must be positive, got {jobs}")
     selection = select_columns(dataset, config)
     _splits_for(k, cv_scheme)  # validate early
     payloads = [
@@ -284,11 +297,7 @@ def cross_validate(
          k, cv_scheme, seed, method, cpxr_config, collect_predictions)
         for rep in range(repetitions)
     ]
-    if jobs > 1 and repetitions > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_repetition, payloads))
-    else:
-        chunks = [_run_repetition(p) for p in payloads]
+    chunks = map_jobs(_run_repetition, payloads, jobs)
     records = [rec for chunk in chunks for rec in chunk]
     return EvaluationReport(
         config_id=config.id,

@@ -125,11 +125,6 @@ def derived_water_contents(
 _MAX_ITER = 500
 
 
-def _sigmoid(t):
-    # two-branch form avoids exp overflow for large |t|
-    return special.expit(t)
-
-
 def _logit(q):
     q = min(max(q, 1e-9), 1.0 - 1e-9)
     return math.log(q / (1.0 - q))
@@ -141,8 +136,8 @@ def _unpack(u):
     u = (logit(theta_r/theta_s), logit(theta_s), log alpha, log(n-1)),
     which enforces 0 < theta_r < theta_s < 1, alpha > 0, n > 1.
     """
-    ratio = float(_sigmoid(u[0]))
-    theta_s = float(_sigmoid(u[1]))
+    ratio = float(special.expit(u[0]))
+    theta_s = float(special.expit(u[1]))
     return ratio * theta_s, theta_s, math.exp(u[2]), 1.0 + math.exp(u[3])
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .data import KNOWN_FEATURES, Dataset
 from .hydrology import (
-    PARAMETRIC_TARGETS,
     POINT_TARGETS,
     VgParameters,
     derived_water_contents,
@@ -31,6 +30,13 @@ from .hydrology import (
 
 class SynthError(ValueError):
     pass
+
+
+# Column order of the targets in feature tables written by synth and
+# derive-features.
+TARGET_COLUMNS = tuple(
+    t for t in POINT_TARGETS + ("log_alpha", "log_n", "log_ksat") if t not in KNOWN_FEATURES
+)
 
 
 @dataclass(frozen=True)
@@ -177,13 +183,8 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
     inner = rng.choice(np.asarray(config.id_choices, dtype=float), size=n)
     length = rng.choice(np.asarray(config.length_choices, dtype=float), size=n)
 
-    target_names = [
-        t
-        for t in dict.fromkeys(POINT_TARGETS + PARAMETRIC_TARGETS + ("log_ksat",))
-        if t not in KNOWN_FEATURES
-    ]
     ids = []
-    columns: dict[str, list[float]] = {name: [] for name in KNOWN_FEATURES + tuple(target_names)}
+    columns: dict[str, list[float]] = {name: [] for name in KNOWN_FEATURES + TARGET_COLUMNS}
     regimes: dict[str, str] = {}
     effective: dict[str, dict[str, float]] = {}
     for i in range(n):
@@ -245,7 +246,9 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
             "log_ksat": float(log_ksat),
         }
 
-    dataset = Dataset(ids, columns, feature_names=list(KNOWN_FEATURES), target_names=target_names)
+    dataset = Dataset(
+        ids, columns, feature_names=list(KNOWN_FEATURES), target_names=list(TARGET_COLUMNS)
+    )
     truth = {"config": config.to_dict(), "regimes": regimes, "effective_params": effective}
     return dataset, truth
 

@@ -6,14 +6,17 @@ report comparison, plus exit codes, seed resolution and artifact
 determinism.
 """
 
+import contextlib
 import json
 import math
 import shutil
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soilptf.evaluation
 from soilptf import __version__
 from soilptf.cli import SEED_ENV, TARGET_COLUMNS, main
 from soilptf.cpxr import train_cpxr
@@ -298,6 +301,37 @@ def test_fit_vg_parallel_output_matches_serial(tmp_path):
     assert run(["fit-vg", "--input", table, "--out", tmp_path / "one.csv", "--jobs", "1"]) == 0
     assert run(["fit-vg", "--input", table, "--out", tmp_path / "two.csv", "--jobs", "2"]) == 0
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch):
+    sizes = []
+
+    def pool(max_workers):
+        # records the worker count asked for and maps in this process
+        sizes.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(soilptf.evaluation, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("a", _clean_pairs()), ("b", _clean_pairs(15))])
+    assert run(["fit-vg", "--input", table, "--out", tmp_path / "p.csv", "--jobs", "64"]) == 0
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_one_line_usage_error(synth_big, tmp_path, capsys, jobs):
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("a", _clean_pairs())])
+    for argv in (
+        ["fit-vg", "--input", table, "--out", tmp_path / "p.csv"],
+        ["evaluate", "--features", synth_big / "dataset.csv", "--config", "SHC2",
+         "--methods", "mlr", "--reps", "1", "--k", "3", "--out-dir", tmp_path / "e"],
+    ):
+        assert run(argv + ["--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "e").exists()
 
 
 def test_fit_vg_missing_input_is_usage_error(tmp_path, capsys):

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soilptf.cpxr
 from soilptf.cpxr import (
     CpxrConfig,
     CpxrError,
     ErrorSplit,
     PatternLocal,
     PxrModel,
+    _optimize,
     local_weight,
-    optimize_pattern_set,
     split_le_se,
     train_cpxr,
 )
 from soilptf.discretize import DiscretizationScheme
 from soilptf.linreg import LinearModel
-from soilptf.patterns import Item, Pattern
+from soilptf.patterns import Item, Pattern, pattern_mask
 
 
 def lin(intercept, **coefs):
@@ -263,6 +264,21 @@ def test_model_json_roundtrip():
 # pattern-set optimization
 # ----------------------------------------------------------------------
 
+def _table(cands, X, names):
+    """The candidate table _optimize takes: weight x mask and
+    weight x mask x local prediction, one row per candidate."""
+    masks = [pattern_mask(c.pattern, X, names) for c in cands]
+    w = np.array([c.weight * m for c, m in zip(cands, masks)])
+    wp = np.array([c.weight * m * c.model.predict_matrix(X, names) for c, m in zip(cands, masks)])
+    return w, wp
+
+
+def _select(cands, X, y, names, baseline, config=CpxrConfig()):
+    w, wp = _table(cands, X, names)
+    chosen, trace = _optimize(w, wp, y, baseline.predict_matrix(X, names), config)
+    return [cands[i] for i in chosen], trace
+
+
 def _swap_fixture():
     n = 40
     x = np.arange(n, dtype=float)
@@ -280,18 +296,14 @@ def test_swap_pass_escapes_greedy_choice():
     # greedy forward picks the mediocre catch-all first; only a swap can
     # reach the perfect two-pattern cover
     cands, X, y, baseline = _swap_fixture()
-    chosen, trace = optimize_pattern_set(
-        cands, X, y, ["x", "g"], baseline, CpxrConfig(max_k=2)
-    )
+    chosen, trace = _select(cands, X, y, ["x", "g"], baseline, CpxrConfig(max_k=2))
     assert sorted(str(c.pattern) for c in chosen) == ["g < 0.5", "g >= 0.5"]
     assert trace == [1000.0, 160.0, 120.0, 0.0]
 
 
 def test_forward_only_when_k_is_one():
     cands, X, y, baseline = _swap_fixture()
-    chosen, trace = optimize_pattern_set(
-        cands, X, y, ["x", "g"], baseline, CpxrConfig(max_k=1)
-    )
+    chosen, trace = _select(cands, X, y, ["x", "g"], baseline, CpxrConfig(max_k=1))
     assert [str(c.pattern) for c in chosen] == ["x any"]
     assert trace == [1000.0, 160.0]
 
@@ -299,8 +311,7 @@ def test_forward_only_when_k_is_one():
 def test_trace_strictly_decreasing():
     cands, X, y, baseline = _swap_fixture()
     for k in (1, 2, 3):
-        _, trace = optimize_pattern_set(cands, X, y, ["x", "g"], baseline,
-                                        CpxrConfig(max_k=k))
+        _, trace = _select(cands, X, y, ["x", "g"], baseline, CpxrConfig(max_k=k))
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
 
@@ -311,9 +322,117 @@ def test_no_candidate_helps():
     y = X[:, 0] * 2.0
     baseline = lin(0.0, x=2.0)  # exact
     bad = PatternLocal(Pattern((Item("x"),)), lin(5.0, x=0.0), 1.0)
-    chosen, trace = optimize_pattern_set([bad], X, y, ["x"], baseline)
+    chosen, trace = _select([bad], X, y, ["x"], baseline)
     assert chosen == []
     assert trace == [0.0]
+
+
+def _optimize_reference(cands, y, default_pred, config):
+    """Scalar reference: the per-candidate loop _optimize replaced, over
+    (weight, mask, predictions) triples, one candidate scored at a time."""
+    chosen = []
+    err = float(np.abs(y - default_pred).sum())
+    trace = [err]
+
+    def errors(base_idx, pool):
+        num = np.zeros(len(y))
+        den = np.zeros(len(y))
+        for i in base_idx:
+            weight, mask, pred = cands[i]
+            num += weight * mask * pred
+            den += weight * mask
+        errs = np.empty(len(pool))
+        for row, c in enumerate(pool):
+            weight, mask, pred = cands[c]
+            num_c = num + weight * mask * pred
+            den_c = den + weight * mask
+            blended = np.where(den_c > 0, num_c / np.where(den_c > 0, den_c, 1.0), default_pred)
+            errs[row] = np.abs(y - blended).sum()
+        return errs
+
+    def best_move(base_idx):
+        pool = [i for i in range(len(cands)) if i not in chosen]
+        if not pool:
+            return None
+        errs = errors(base_idx, pool)
+        best = int(np.argmin(errs))
+        return (pool[best], float(errs[best])) if errs[best] < err else None
+
+    while len(chosen) < config.max_k:
+        move = best_move(chosen)
+        if move is None:
+            break
+        chosen.append(move[0])
+        err = move[1]
+        trace.append(err)
+    for _ in range(config.max_passes):
+        swapped = False
+        for pos in range(len(chosen)):
+            move = best_move(chosen[:pos] + chosen[pos + 1:])
+            if move is not None:
+                chosen[pos], err = move
+                trace.append(err)
+                swapped = True
+        if not swapped:
+            break
+    return chosen, trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cands=st.integers(0, 6),
+    n_rows=st.integers(1, 25),
+    max_k=st.integers(1, 4),
+    max_passes=st.integers(1, 3),
+    coarse=st.booleans(),
+)
+def test_optimize_matches_per_candidate_reference(seed, n_cands, n_rows, max_k, max_passes, coarse):
+    rng = np.random.default_rng(seed)
+
+    def values(size):
+        # coarse values make tied errors, where the first best move must win
+        return rng.integers(-3, 4, size).astype(float) if coarse else rng.normal(0, 2, size)
+
+    y = values(n_rows)
+    default = values(n_rows)
+    cands = [
+        (float(rng.choice([0.5, 1.0])) if coarse else float(rng.uniform(1e-6, 1.0)),
+         rng.random(n_rows) < rng.uniform(0.1, 0.9),
+         values(n_rows))
+        for _ in range(n_cands)
+    ]
+    w = np.array([weight * mask for weight, mask, _ in cands]).reshape(n_cands, n_rows)
+    wp = np.array([weight * mask * pred for weight, mask, pred in cands]).reshape(n_cands, n_rows)
+    config = CpxrConfig(max_k=max_k, max_passes=max_passes)
+    chosen, trace = _optimize(w, wp, y, default, config)
+    want_chosen, want_trace = _optimize_reference(cands, y, default, config)
+    assert chosen == want_chosen
+    assert [t.hex() for t in trace] == [t.hex() for t in want_trace]
+
+
+def test_train_passes_one_table_row_per_candidate(monkeypatch):
+    calls = []
+    real = soilptf.cpxr._optimize
+
+    def spy(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(soilptf.cpxr, "_optimize", spy)
+    X, y = _two_regime()
+    model = train_cpxr(X, y, ["x", "z"])
+    assert len(calls) == 1
+    (w, wp, *_), (chosen, trace) = calls[0]
+    assert w.shape == wp.shape == (len(w), len(y)) and len(w) >= model.k >= 1
+    assert model.trace == trace
+    # each chosen row is that model pair's weight on its pattern's rows
+    for i, pair in zip(chosen, model.pairs):
+        mask = pattern_mask(pair.pattern, X, ["x", "z"])
+        assert w[i].tobytes() == (pair.weight * mask).tobytes()
+        pred = pair.model.predict_matrix(X, ["x", "z"])
+        assert wp[i].tobytes() == (pair.weight * mask * pred).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Tables, schema inference, column selection and fold assignment."""
+"""Tables, feature/target inference, column selection and fold assignment."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -11,11 +12,9 @@ from hypothesis import strategies as st
 from soilptf.cli import _dataset_to_rows, _meta, _write_csv
 from soilptf.data import (
     KNOWN_FEATURES,
-    ColumnSchema,
     DataError,
     Dataset,
     assign_folds,
-    infer_schema,
     load_dataset,
     select_columns,
     validate_dataset,
@@ -101,12 +100,6 @@ def test_load_rejects_non_finite_cells(tmp_path, token):
     )
 
 
-def test_load_schema_mismatch(tmp_path):
-    schema = ColumnSchema(features=("sand", "silt"), targets=("theta_10",))
-    with pytest.raises(DataError, match="does not match schema"):
-        load_dataset(write(tmp_path, FOUR_ROWS), schema=schema)
-
-
 def test_load_duplicate_header(tmp_path):
     with pytest.raises(DataError, match="duplicate column"):
         load_dataset(write(tmp_path, "id,sand,sand\n1,2,3\n"))
@@ -117,17 +110,20 @@ def test_load_ragged_row(tmp_path):
         load_dataset(write(tmp_path, "id,sand\n1,5\n2,5,9\n"))
 
 
-def test_infer_schema_split():
-    schema = infer_schema(["id", "sand", "clay", "theta_10", "log_ksat"])
-    assert schema.features == ("sand", "clay")
-    assert schema.targets == ("theta_10", "log_ksat")
+def test_infer_schema_split(tmp_path):
+    # load_dataset infers the roles from the header: known names are features
+    ds = load_dataset(write(tmp_path, "id,theta_10,sand,log_ksat,clay\n"))
+    assert ds.feature_names == ["sand", "clay"]
+    assert ds.target_names == ["theta_10", "log_ksat"]
     with pytest.raises(DataError, match="no 'id' column"):
-        infer_schema(["sand", "clay"])
+        load_dataset(write(tmp_path, "sand,clay\n1,2\n", name="no_id.csv"))
 
 
-def test_schema_duplicate_names():
-    with pytest.raises(DataError):
-        ColumnSchema(features=("sand",), targets=("sand",))
+def test_load_keeps_hash_ids_below_header(tmp_path):
+    text = "# meta\nid,sand,theta_10\na,1,0.1\n#b,2,0.2\n# c,3,0.3\n"
+    ds = load_dataset(write(tmp_path, text), strict=False)
+    assert ds.ids == ["a", "#b", "# c"]
+    assert ds.columns["sand"].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_validate_dataset_rules():
@@ -247,9 +243,10 @@ def test_select_columns_excludes_incomplete(tmp_path):
 
 def csv_oracle(path, features, targets):
     """select_columns rebuilt from the csv module and float(): kept ids, their
-    feature rows and target values, and the excluded ids."""
+    feature rows and target values, and the excluded ids. Only the lines
+    before the header are comments."""
     with open(path, newline="") as fh:
-        header, *body = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header, *body = csv.reader(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
     header = [c.strip() for c in header]
     ids, rows, excluded = [], [], []
     p = len(features)
@@ -284,7 +281,7 @@ def test_select_columns_rejoin_bit_exact(tmp_path):
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _cell_value = st.one_of(_finite, st.sampled_from([-0.0, 5e-324, -1e-310]), st.just(math.nan))
-_ids = st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True), min_size=0, max_size=12,
+_ids = st.lists(st.from_regex(r"[A-Za-z0-9_.#-]{1,8}", fullmatch=True), min_size=0, max_size=12,
                 unique=True)
 _ROUND_TRIP_COLUMNS = (("sand", "bulk_density", "length_cm"), ("theta_10", "log_ksat"))
 

@@ -1,10 +1,13 @@
 """Metrics, rotating-pair cross-validation protocol, method comparison."""
 
+import contextlib
 import math
+import types
 
 import numpy as np
 import pytest
 
+import soilptf.evaluation
 from soilptf.data import Dataset
 from soilptf.evaluation import (
     ComparisonRow,
@@ -15,6 +18,7 @@ from soilptf.evaluation import (
     MetricSet,
     compare,
     cross_validate,
+    map_jobs,
     metrics,
 )
 from soilptf.hydrology import ModelConfig
@@ -173,6 +177,51 @@ def test_parallel_jobs_identical():
     a = cross_validate(ds, cfg, method="mlr", repetitions=3, seed=2, k=5)
     b = cross_validate(ds, cfg, method="mlr", repetitions=3, seed=2, k=5, jobs=2)
     assert a.to_json() == b.to_json()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts asked of ProcessPoolExecutor; the stand-in maps in this
+    process, so no worker is ever started."""
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(soilptf.evaluation, "ProcessPoolExecutor", pool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, tasks, cores, want", [
+    (64, 2, 8, [2]),   # never more workers than tasks
+    (64, 5, 2, [2]),   # never more workers than cores
+    (3, 5, 8, [3]),
+    (4, 1, 8, []),     # one task runs in-process
+    (1, 5, 8, []),
+    (8, 5, None, []),  # unknown core count counts as one
+    (8, 0, 8, []),
+])
+def test_map_jobs_bounds_the_pool(monkeypatch, pool_sizes, jobs, tasks, cores, want):
+    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: cores)
+    assert map_jobs(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
+    assert pool_sizes == want
+
+
+def test_cross_validate_pool_has_one_worker_per_repetition(monkeypatch, pool_sizes):
+    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
+    ds, cfg = _regime_dataset(n=40)
+    report = cross_validate(ds, cfg, method="mlr", repetitions=2, seed=0, k=4, jobs=64)
+    assert pool_sizes == [2]
+    serial = cross_validate(ds, cfg, method="mlr", repetitions=2, seed=0, k=4, jobs=1)
+    assert report.to_json() == serial.to_json()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_cross_validate_rejects_jobs_below_one(jobs):
+    ds, cfg = _regime_dataset(n=40)
+    with pytest.raises(EvaluationError, match="jobs must be positive"):
+        cross_validate(ds, cfg, method="mlr", repetitions=1, seed=0, k=4, jobs=jobs)
 
 
 def test_collected_predictions():
