@@ -169,13 +169,22 @@ def _require_values(path, ids, columns, names):
         raise DataError(f"{path}: sample {gap[0]!r} lacks {gap[1]!r}")
 
 
+def _read_json(path, what: str):
+    """Parsed JSON of a file; text that is not JSON or not UTF-8 is a usage
+    error naming the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: malformed {what} ({exc})") from None
+
+
 def _resolve_hyper(args) -> CpxrConfig:
     """Built-in defaults, overridden by the JSON file, overridden by --set."""
     overrides: dict = {}
     if getattr(args, "hyper", None):
         path = _require_file(args.hyper)
-        with open(path) as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(path, "hyperparameter file")
         if not isinstance(loaded, dict):
             raise UsageError(f"{path}: hyperparameter file must hold a JSON object")
         overrides.update(loaded)
@@ -228,6 +237,8 @@ def _read_retention(path) -> list[tuple[str, list[tuple[float, float]]]]:
     needed = {"id", "tension_cm", "theta"}
     if not needed <= set(header):
         raise DataError(f"{path}: retention table needs columns {sorted(needed)}, has {header}")
+    if not rows:
+        raise DataError(f"{path}: no samples")
     ids, columns = parse_columns(header, rows, ("tension_cm", "theta"))
     _require_values(path, ids, columns, ("tension_cm", "theta"))
     groups: dict[str, list[tuple[float, float]]] = {}
@@ -418,6 +429,8 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in ("mlr", "cpxr"):
             raise UsageError(f"unknown method {m!r}; choose mlr or cpxr")
+    if len(set(methods)) != len(methods):
+        raise UsageError(f"--methods names a method twice: {args.methods}")
     if args.reps < 1:
         raise UsageError(f"repetitions must be positive, got {args.reps}")
     if args.k < 2:
@@ -498,11 +511,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_model_payload(path: Path) -> dict:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: malformed model file ({exc})") from None
+    payload = _read_json(path, "model file")
     if (
         not isinstance(payload, dict)
         or not isinstance(payload.get("model"), dict)
@@ -627,14 +636,15 @@ def cmd_synth(args) -> int:
     config = factory(n_samples=args.n, noise_sd=args.noise_sd, seed=seed)
     settings = {"command": "synth", "kind": args.kind, "seed": seed, "config": config.to_dict()}
     meta = _meta(seed, settings)
-    out_dir = _out_dir(args.out_dir)
 
     dataset, truth = generate(config)
+    if args.retention:  # before anything is written: a bad noise level leaves no files
+        points = generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
+    out_dir = _out_dir(args.out_dir)
     header, rows = _dataset_to_rows(dataset)
     _write_csv(out_dir / "dataset.csv", header, rows, meta)
     _write_json(out_dir / "truth.json", {"meta": meta, "truth": truth})
     if args.retention:
-        points = generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
         _write_csv(
             out_dir / "retention.csv",
             ["id", "tension_cm", "theta"],
@@ -650,8 +660,7 @@ def cmd_synth(args) -> int:
 
 
 def _load_report(path) -> EvaluationReport:
-    with open(_require_file(path)) as fh:
-        payload = json.load(fh)
+    payload = _read_json(_require_file(path), "report file")
     d = payload.get("report", payload) if isinstance(payload, dict) else None
     if d is None:
         raise UsageError(f"{path}: not an evaluation report")

@@ -92,10 +92,6 @@ class ErrorSplit:
     total_abs_error: float
     cum_fraction: float
 
-    def __post_init__(self):
-        if np.intersect1d(self.le_ids, self.se_ids).size:
-            raise CpxrError("error classes overlap")
-
 
 def split_le_se(residuals, rho: float = 0.45) -> ErrorSplit:
     """Partition row indices by descending |residual| at cumulative fraction rho.

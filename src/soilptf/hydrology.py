@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import special
 
 # Tension unit conversion: 1 kPa of suction is 10.197 cm of water head.
 KPA_TO_CM = 10.197
@@ -130,14 +129,22 @@ def _logit(q):
     return math.log(q / (1.0 - q))
 
 
+def _expit(x) -> float:
+    """Logistic 1 / (1 + exp(-x)); 0.0 where exp(-x) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def _unpack(u):
     """Transformed vector -> (theta_r, theta_s, alpha, n).
 
     u = (logit(theta_r/theta_s), logit(theta_s), log alpha, log(n-1)),
     which enforces 0 < theta_r < theta_s < 1, alpha > 0, n > 1.
     """
-    ratio = float(special.expit(u[0]))
-    theta_s = float(special.expit(u[1]))
+    ratio = _expit(u[0])
+    theta_s = _expit(u[1])
     return ratio * theta_s, theta_s, math.exp(u[2]), 1.0 + math.exp(u[3])
 
 
@@ -317,34 +324,3 @@ MODEL_CONFIGS: dict[str, ModelConfig] = {
 
 # Targets whose values live in natural-log space; their RMSE doubles as RMSLE.
 LOG_TARGETS = ("log_alpha", "log_n", "log_ksat")
-
-
-def build_targets(config: ModelConfig, params: VgParameters, ksat: float | None = None) -> dict[str, float]:
-    """Target values for one sample under a model configuration.
-
-    ksat is the saturated hydraulic conductivity in cm/day, required by
-    conductivity configs and stored as its natural log.
-    """
-    out: dict[str, float] = {}
-    need = set(config.targets)
-    if need & set(POINT_TARGETS):
-        points = derived_water_contents(params)
-        out.update({k: v for k, v in points.items() if k in need})
-    if need & set(PARAMETRIC_TARGETS):
-        parametric = {
-            "theta_r": params.theta_r,
-            "theta_s": params.theta_s,
-            "log_alpha": math.log(params.alpha),
-            "log_n": math.log(params.n),
-        }
-        out.update({k: v for k, v in parametric.items() if k in need})
-    if "log_ksat" in need:
-        if ksat is None:
-            raise HydrologyError(f"config {config.id!r} needs a saturated conductivity value")
-        if ksat <= 0:
-            raise HydrologyError(f"saturated conductivity must be positive, got {ksat}")
-        out["log_ksat"] = math.log(ksat)
-    missing = need - set(out)
-    if missing:
-        raise HydrologyError(f"cannot build targets {sorted(missing)} for config {config.id!r}")
-    return out

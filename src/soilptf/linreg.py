@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-import scipy.linalg
 
 
 class FitError(ValueError):
@@ -109,8 +108,9 @@ def _check_xy(X, y):
 def ols_fit(X, y, ridge: float = 0.0, feature_names=None) -> LinearModel:
     """Least-squares fit of y on X plus an intercept.
 
-    With ridge=0 a rank-deficient system raises RankDeficientError naming
-    the dependent columns; any positive ridge makes the solve well posed.
+    With ridge=0 a rank-deficient system (lstsq's rank below the column
+    count) raises RankDeficientError naming every column that takes part
+    in a dependency; any positive ridge makes the solve well posed.
     """
     X, y = _check_xy(X, y)
     n, p = X.shape
@@ -129,8 +129,9 @@ def ols_fit(X, y, ridge: float = 0.0, feature_names=None) -> LinearModel:
     A = np.hstack([np.ones((n, 1)), Xs])
 
     if ridge == 0.0:
-        _require_full_rank(A, names)
-        beta = np.linalg.lstsq(A, y, rcond=None)[0]
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+        if rank < A.shape[1]:
+            raise RankDeficientError(_dependent_columns(A, rank, names))
     else:
         pen = np.hstack([np.zeros((p, 1)), np.sqrt(ridge) * np.eye(p)])
         beta = np.linalg.lstsq(
@@ -148,17 +149,12 @@ def ols_fit(X, y, ridge: float = 0.0, feature_names=None) -> LinearModel:
     )
 
 
-def _require_full_rank(A: np.ndarray, names: list[str]):
-    # Pivoted QR: tiny trailing diagonal entries of R mark dependent columns.
-    _, r, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0:
-        return
-    tol = diag[0] * max(A.shape) * np.finfo(float).eps
-    rank = int((diag > tol).sum())
-    if rank < A.shape[1]:
-        bad = ["intercept" if j == 0 else names[j - 1] for j in piv[rank:]]
-        raise RankDeficientError(sorted(bad))
+def _dependent_columns(A: np.ndarray, rank: int, names: list[str]) -> list[str]:
+    """Sorted names of the columns that carry weight in the null space of A."""
+    null = np.linalg.svd(A)[2][rank:]
+    weight = np.abs(null).max(axis=0)
+    bad = np.flatnonzero(weight > np.sqrt(np.finfo(float).eps))
+    return sorted("intercept" if j == 0 else names[j - 1] for j in bad)
 
 
 def local_ridge(X) -> float:

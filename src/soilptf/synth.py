@@ -99,6 +99,11 @@ def _coarse_regime() -> RegimeSpec:
     )
 
 
+def _check_noise_sd(name: str, value: float):
+    if not (math.isfinite(value) and value >= 0):
+        raise SynthError(f"{name} must be a finite number of at least 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator settings; regimes partition the regime feature's axis at
@@ -121,8 +126,7 @@ class SynthConfig:
             object.__setattr__(self, "regimes", (_fine_regime(), _coarse_regime()))
         if self.n_samples < 1:
             raise SynthError(f"n_samples must be positive, got {self.n_samples}")
-        if self.noise_sd < 0:
-            raise SynthError(f"noise_sd cannot be negative, got {self.noise_sd}")
+        _check_noise_sd("noise_sd", self.noise_sd)
         if len(self.regimes) != len(self.thresholds) + 1:
             raise SynthError(
                 f"{len(self.thresholds)} thresholds need {len(self.thresholds) + 1} regimes, "
@@ -261,6 +265,7 @@ def generate_retention(
 ) -> list[tuple[str, float, float]]:
     """Long-format retention points (id, tension_cm, theta) synthesized
     from the truth record's effective parameters."""
+    _check_noise_sd("retention noise_sd", noise_sd)
     if tensions_cm is None:
         tensions_cm = [0.0] + list(np.geomspace(10.0, 15000.0, 12))
     rng = np.random.default_rng(seed)

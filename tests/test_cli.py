@@ -9,13 +9,17 @@ determinism.
 import contextlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soilptf
 import soilptf.evaluation
 from soilptf import __version__
 from soilptf.cli import SEED_ENV, TARGET_COLUMNS, main
@@ -146,6 +150,22 @@ def test_version_flag(capsys):
     assert f"soilptf {__version__}" in capsys.readouterr().out
 
 
+def test_runtime_never_imports_scipy():
+    # scipy is a test-only dependency: the package and the CLI run on numpy alone
+    code = (
+        "import sys, soilptf, soilptf.cli\n"
+        "try:\n"
+        "    soilptf.cli.main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == [f"soilptf {__version__}", "[]"]
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run([])
@@ -198,6 +218,19 @@ def test_synth_deterministic(work):
     for name in ("dataset.csv", "truth.json", "retention.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     assert (a / "dataset.csv").read_bytes() != (c / "dataset.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--noise-sd", "nan"), ("--noise-sd", "inf"), ("--retention-noise-sd", "-1"),
+     ("--retention-noise-sd", "nan")],
+)
+def test_synth_bad_noise_is_one_line_runtime_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "s"
+    assert run(["synth", "--out-dir", out, "--n", "5", "--retention", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "noise_sd" in err
+    assert not out.exists()
 
 
 def test_synth_out_dir_collision(tmp_path, capsys):
@@ -355,6 +388,14 @@ def test_fit_vg_rejects_bad_tables(tmp_path, capsys):
     wrong.write_text("id,suction,theta\ns1,10.0,0.3\n")
     assert run(["fit-vg", "--input", wrong, "--out", tmp_path / "p.csv"]) == 1
     assert "needs columns" in capsys.readouterr().err
+
+
+def test_fit_vg_header_only_table_has_no_samples(tmp_path, capsys):
+    table = tmp_path / "retention.csv"
+    table.write_text("id,tension_cm,theta\n")
+    assert run(["fit-vg", "--input", table, "--out", tmp_path / "p.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {table}: no samples\n"
+    assert not (tmp_path / "p.csv").exists()
 
 
 # ----------------------------------------------------------------------
@@ -637,19 +678,39 @@ def test_predict_rejects_non_model_json(synth_small, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"model": {"kind": "pxr"}, "target": "t"}\n', '{"model": {"kind": "pxr", "pai'],
-    ids=["missing-key", "truncated"],
+    "command, content",
+    [
+        ("predict", b'{"model": {"kind": "pxr"}, "target": "t"}\n'),
+        ("predict", b'{"model": {"kind": "pxr", "pai'),
+        ("predict", b"\xff\xfe{}"),
+        ("report", b'{"report": {"rec'),
+        ("report", b"\xff\xfe{}"),
+        ("train", b"not json\n"),
+        ("evaluate", b"\xff\xfe{}"),
+    ],
+    ids=["missing-key", "truncated", "predict-not-utf8", "report-truncated", "report-not-utf8",
+         "train-hyper-not-json", "evaluate-hyper-not-utf8"],
 )
 def test_predict_malformed_model_file_is_one_line_usage_error(synth_small, tmp_path, capsys,
-                                                              text):
+                                                              command, content):
+    # every JSON input (model, report, --hyper) that is not JSON or not UTF-8
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    rc = run(["predict", "--model", bad, "--features", synth_small / "dataset.csv",
-              "--out", tmp_path / "p.csv"])
+    bad.write_bytes(content)
+    features = synth_small / "dataset.csv"
+    argv, what = {
+        "predict": (["--model", bad, "--features", features, "--out", tmp_path / "p.csv"],
+                    "model file"),
+        "report": (["--a", bad, "--b", bad], "report file"),
+        "train": (["--features", features, "--config", "SHC2", "--out-dir", tmp_path / "m",
+                   "--hyper", bad], "hyperparameter file"),
+        "evaluate": (["--features", features, "--config", "SHC2", "--out-dir", tmp_path / "e",
+                      "--hyper", bad], "hyperparameter file"),
+    }[command]
+    rc = run([command] + argv)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "bad.json: malformed model file" in err and "Traceback" not in err
+    assert f"bad.json: malformed {what}" in err and "Traceback" not in err
 
 
 def test_predict_reports_first_missing_cell(swrc3_models, tmp_path, capsys):
@@ -776,6 +837,14 @@ def test_evaluate_argument_errors(synth_big, tmp_path, capsys):
     # k=2 passes the parser but the paired scheme needs three folds
     assert run(base + ["--methods", "mlr", "--reps", "1", "--k", "2", "--jobs", "1"]) == 1
     assert "folds" in capsys.readouterr().err
+
+
+def test_evaluate_repeated_method_is_usage_error(synth_big, tmp_path, capsys):
+    rc = run(["evaluate", "--features", synth_big / "dataset.csv", "--config", "SHC2",
+              "--methods", "cpxr,mlr,cpxr", "--out-dir", tmp_path / "e"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --methods names a method twice: cpxr,mlr,cpxr\n"
+    assert not (tmp_path / "e").exists()
 
 
 # ----------------------------------------------------------------------

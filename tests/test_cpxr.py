@@ -9,7 +9,6 @@ import soilptf.cpxr
 from soilptf.cpxr import (
     CpxrConfig,
     CpxrError,
-    ErrorSplit,
     PatternLocal,
     PxrModel,
     _optimize,
@@ -160,12 +159,6 @@ def test_split_matches_scalar_reference(values, rho):
     assert split.se_ids.tolist() == se
     assert split.total_abs_error == total
     assert split.cum_fraction == frac
-
-
-def test_error_split_disjointness_enforced():
-    with pytest.raises(CpxrError, match="overlap"):
-        ErrorSplit(le_ids=np.array([0]), se_ids=np.array([0, 1]), total_abs_error=1.0,
-                   cum_fraction=0.5)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Retention curve math, curve fitting, texture statistics, target assembly."""
+"""Retention curve math, curve fitting, texture statistics, model configurations."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from soilptf.hydrology import (
     BASE_FEATURES,
@@ -20,11 +23,11 @@ from soilptf.hydrology import (
     RetentionPoint,
     VgFitError,
     VgParameters,
-    build_targets,
     derived_water_contents,
     fit_vg,
     inflection_point,
     texture_statistics,
+    _expit,
     vg_theta,
 )
 
@@ -166,6 +169,17 @@ def test_fit_reports_noise_floor():
     assert 0.002 < got.fit_rmse < 0.01
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-800.0, 800.0) | st.floats())
+@example(-709.78)  # exp(709.78) is finite: a subnormal result
+@example(-710.0)  # exp(710.0) overflows
+@example(710.0)
+@example(-746.0)
+def test_expit_matches_scipy_bit_for_bit(x):
+    # scipy serves only as the reference here; the package does not import it
+    assert _expit(x).hex() == float(special.expit(x)).hex()
+
+
 def test_fit_input_requirements():
     with pytest.raises(VgFitError, match="at least 5"):
         fit_vg([(10.0, 0.4)] * 4)
@@ -238,27 +252,3 @@ def test_config_validation():
         ModelConfig("X", ("a", "a"), ("t",))
     with pytest.raises(HydrologyError, match="needs features"):
         ModelConfig("X", (), ("t",))
-
-
-def test_build_targets_point_config():
-    out = build_targets(MODEL_CONFIGS["SWRC1"], LOAM)
-    assert out == derived_water_contents(LOAM)
-
-
-def test_build_targets_parametric_config():
-    out = build_targets(MODEL_CONFIGS["SWRC3"], LOAM)
-    assert out == {
-        "theta_r": 0.1,
-        "theta_s": 0.5,
-        "log_alpha": math.log(0.02),
-        "log_n": math.log(2.0),
-    }
-
-
-def test_build_targets_conductivity():
-    out = build_targets(MODEL_CONFIGS["SHC1"], LOAM, ksat=120.0)
-    assert out == {"log_ksat": math.log(120.0)}
-    with pytest.raises(HydrologyError, match="conductivity"):
-        build_targets(MODEL_CONFIGS["SHC1"], LOAM)
-    with pytest.raises(HydrologyError, match="positive"):
-        build_targets(MODEL_CONFIGS["SHC1"], LOAM, ksat=0.0)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilptf.linreg import (
     FitError,
@@ -73,6 +76,58 @@ def test_duplicate_column_named():
     with pytest.raises(RankDeficientError) as err:
         ols_fit(X, y, feature_names=["a", "a_copy"])
     assert set(err.value.columns) & {"a", "a_copy"}
+
+
+def test_every_dependent_column_named():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(0, 1, (2, 10))
+    X = np.column_stack([a, b, a])
+    with pytest.raises(RankDeficientError) as err:
+        ols_fit(X, rng.normal(0, 1, 10), feature_names=["a", "b", "a_copy"])
+    assert err.value.columns == ["a", "a_copy"]
+
+
+def _qr_rank_deficient(X) -> bool:
+    """scipy's pivoted-QR rank test on the standardized design that ols_fit solves."""
+    scales = X.std(axis=0)
+    scales[scales == 0.0] = 1.0
+    A = np.hstack([np.ones((len(X), 1)), (X - X.mean(axis=0)) / scales])
+    diag = np.abs(np.diag(scipy.linalg.qr(A, mode="economic", pivoting=True)[1]))
+    return int((diag > diag[0] * max(A.shape) * np.finfo(float).eps).sum()) < A.shape[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 12),
+    st.lists(st.sampled_from(["duplicate", "scaled", "summed", "constant"]), max_size=2),
+    st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_deficiency_matches_pivoted_qr(n_base, extra_rows, plants, factor, seed):
+    # scipy serves only as the reference here; the package does not import it
+    rng = np.random.default_rng(seed)
+    n = n_base + len(plants) + 2 + extra_rows
+    columns = {f"x{j}": rng.normal(0.0, 1.0, n) for j in range(n_base)}
+    for k, kind in enumerate(plants):
+        a, b = (columns[f"x{j}"] for j in rng.integers(0, n_base, 2))
+        columns[f"planted{k}"] = {
+            "duplicate": a,
+            "scaled": factor * a,
+            "summed": a + b,
+            "constant": np.full(n, factor),
+        }[kind]
+    names = [list(columns)[j] for j in rng.permutation(len(columns))]
+    X = np.column_stack([columns[c] for c in names])
+    deficient = _qr_rank_deficient(X)
+    assert deficient == bool(plants)
+    try:
+        ols_fit(X, rng.normal(0.0, 1.0, n), feature_names=names)
+    except RankDeficientError as exc:
+        assert deficient
+        assert any(c.startswith("planted") for c in exc.columns)
+    else:
+        assert not deficient
 
 
 def test_constant_column_is_dependent():

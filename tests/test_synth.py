@@ -55,8 +55,9 @@ def test_config_defaults_and_factories():
 def test_config_validation():
     with pytest.raises(SynthError, match="n_samples"):
         SynthConfig(n_samples=0)
-    with pytest.raises(SynthError, match="noise_sd"):
-        SynthConfig(noise_sd=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(SynthError, match="noise_sd"):
+            SynthConfig(noise_sd=bad)
     with pytest.raises(SynthError, match="thresholds need"):
         SynthConfig(thresholds=(40.0, 60.0))  # default pair of regimes
     with pytest.raises(SynthError, match="increase"):
@@ -215,6 +216,13 @@ def test_generate_retention_noise_and_custom_ladder():
                               alpha=p["alpha"], n=p["n"])
         devs.append(theta - vg_theta(params, h))
     assert 0.001 < np.std(devs) < 0.01
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_generate_retention_rejects_bad_noise(bad):
+    _, truth = generate(two_regime_config(n_samples=2, seed=8))
+    with pytest.raises(SynthError, match="retention noise_sd"):
+        generate_retention(truth, noise_sd=bad)
 
 
 def test_config_to_dict_serializable():
