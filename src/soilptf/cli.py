@@ -135,7 +135,7 @@ def _out_dir(path) -> Path:
 
 def _write_text(path, text: str):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -173,7 +173,7 @@ def _read_json(path, what: str):
     """Parsed JSON of a file; text that is not JSON or not UTF-8 is a usage
     error naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: malformed {what} ({exc})") from None

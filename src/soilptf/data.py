@@ -123,14 +123,16 @@ def read_rows(path) -> tuple[list[str], list[list[str]]]:
 
     Lines starting with ``#`` before the header are skipped; the data row
     at index i is called row i + 2 in diagnostics. Raises DataError for a
-    missing or empty file, a repeated column name or a row whose length
-    differs from the header's.
+    missing, empty or non-UTF-8 file, a repeated column name or a row whose
+    length differs from the header's.
     """
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     rows = list(csv.reader(lines))
     if not rows:
         raise DataError(f"{path}: empty file")

@@ -1,8 +1,12 @@
 """Entropy/MDL discretization of numeric features against a binary labeling.
 
-Recursive binary splitting: candidate cuts are midpoints between adjacent
-distinct values whose surrounding label sets differ; a split is kept only
-when its information gain clears the minimum-description-length threshold.
+Recursive binary splitting (Fayyad & Irani 1993): candidate cuts are
+midpoints between adjacent distinct values whose surrounding label sets
+differ; a split is kept only when its information gain clears the
+minimum-description-length threshold. Each column is sorted once and gets
+one prefix table of class counts, so the class counts left of any cut are
+a difference of two table rows, and all candidate cuts of a segment are
+scored in one array expression.
 """
 
 from __future__ import annotations
@@ -113,6 +117,18 @@ def _mdl_accepts(n: int, whole: np.ndarray, left: np.ndarray, right: np.ndarray)
     return gain > (math.log2(n - 1) + delta) / n
 
 
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """_entropy of every row of a count table, bit for bit: the per-class
+    terms are added in class order, an absent class adding 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / counts.sum(axis=1, keepdims=True)
+        terms = np.where(counts > 0, p * np.log2(p), 0.0)
+    h = terms[:, 0]
+    for c in range(1, counts.shape[1]):
+        h = h + terms[:, c]
+    return -h
+
+
 def mdl_discretize(values, labels, feature: str = "", max_depth: int = MAX_DEPTH) -> CutPoints:
     """Split a value axis recursively while the MDL criterion holds.
 
@@ -129,51 +145,39 @@ def mdl_discretize(values, labels, feature: str = "", max_depth: int = MAX_DEPTH
         raise DiscretizeError("values contain NaN")
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
-    labs = labs[order]
-    classes, class_idx = np.unique(labs, return_inverse=True)
+    classes, class_idx = np.unique(labs[order], return_inverse=True)
     k = len(classes)
     cuts: list[float] = []
     if len(vals) >= 2 and k >= 2:
-        _split_segment(vals, class_idx, k, 0, len(vals), 0, max_depth, cuts)
+        # cum[i] holds the class counts of the first i sorted rows.
+        cum = np.zeros((len(vals) + 1, k), dtype=np.int64)
+        np.cumsum(np.eye(k, dtype=np.int64)[class_idx], axis=0, out=cum[1:])
+        _split_segment(vals, cum, 0, len(vals), 0, max_depth, cuts)
     return CutPoints(feature=feature, cuts=tuple(sorted(cuts)))
 
 
-def _split_segment(vals, class_idx, k, start, stop, depth, max_depth, cuts):
+def _split_segment(vals, cum, start, stop, depth, max_depth, cuts):
     if depth >= max_depth or stop - start < 2:
         return
+    # A candidate cut sits at each end of a run of equal values.
+    ends = start + 1 + np.flatnonzero(vals[start : stop - 1] != vals[start + 1 : stop])
+    if not len(ends):
+        return
+    present = np.diff(cum[np.concatenate(([start], ends, [stop]))], axis=0) > 0
+    # Both neighbouring runs pure in the same class: not a boundary.
+    boundary = (present[:-1] | present[1:]).sum(axis=1) >= 2
+    whole = cum[stop] - cum[start]
+    left = cum[ends] - cum[start]
+    right = whole - left
     n = stop - start
-    # Per-distinct-value class counts inside the segment.
-    groups: list[tuple[float, np.ndarray]] = []
-    g_start = start
-    for i in range(start + 1, stop + 1):
-        if i == stop or vals[i] != vals[g_start]:
-            counts = np.bincount(class_idx[g_start:i], minlength=k)
-            groups.append((vals[g_start], counts))
-            g_start = i
-    if len(groups) < 2:
+    weighted = (left.sum(axis=1) * _entropies(left) + right.sum(axis=1) * _entropies(right)) / n
+    best = int(np.argmin(np.where(boundary, weighted, np.inf)))  # first of equal minima
+    if not boundary[best] or not _mdl_accepts(n, whole, left[best], right[best]):
         return
-    whole = np.bincount(class_idx[start:stop], minlength=k)
-
-    best = None  # (weighted entropy, cut value, left counts)
-    left = np.zeros(k, dtype=int)
-    for (v_a, counts_a), (v_b, counts_b) in zip(groups, groups[1:]):
-        left = left + counts_a
-        merged = (counts_a > 0) | (counts_b > 0)
-        if merged.sum() < 2:
-            continue  # both neighbors pure in the same class: not a boundary
-        right = whole - left
-        w = (left.sum() * _entropy(left) + right.sum() * _entropy(right)) / n
-        if best is None or w < best[0]:
-            best = (w, (v_a + v_b) / 2.0, left.copy())
-    if best is None:
-        return
-    _, cut, left_counts = best
-    if not _mdl_accepts(n, whole, left_counts, whole - left_counts):
-        return
-    cuts.append(cut)
-    mid = start + int(left_counts.sum())
-    _split_segment(vals, class_idx, k, start, mid, depth + 1, max_depth, cuts)
-    _split_segment(vals, class_idx, k, mid, stop, depth + 1, max_depth, cuts)
+    mid = int(ends[best])
+    cuts.append((vals[mid - 1] + vals[mid]) / 2.0)
+    _split_segment(vals, cum, start, mid, depth + 1, max_depth, cuts)
+    _split_segment(vals, cum, mid, stop, depth + 1, max_depth, cuts)
 
 
 def build_scheme(

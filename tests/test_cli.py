@@ -7,17 +7,21 @@ determinism.
 """
 
 import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import soilptf
 import soilptf.evaluation
@@ -912,3 +916,92 @@ def test_non_finite_cell_is_one_line_runtime_error(swrc3_models, tmp_path, capsy
     err = capsys.readouterr().err
     assert err == f"error: row {row}: column {column!r} value {token!r} is not a finite number\n"
     assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# broken CSV input, every command that reads one
+# ----------------------------------------------------------------------
+
+_BASIC_TABLE = (
+    "id,sand,silt,clay,bulk_density,internal_diameter_cm,length_cm,ksat_cm_day\n"
+    "s1,40,40,20,1.4,5,10,120\n"
+    "s2,30,30,40,1.3,5,10,80\n"
+)
+_VG_TABLE = "id,theta_r,theta_s,alpha_per_cm,n\ns1,0.05,0.45,0.02,1.6\ns2,0.04,0.4,0.03,1.4\n"
+_CSV_FAULTS = ("truncated", "not-utf8", "non-finite", "duplicate-header", "empty")
+
+
+def _break_table(text, fault, data):
+    """Bytes of a valid table (id first, every column read) with one fault."""
+    lines = text.splitlines()
+    if fault == "empty":
+        return b""
+    if fault == "truncated":
+        # cut a row before its last comma: the file ends in a short row
+        r = data.draw(st.integers(1, len(lines) - 1))
+        cut = data.draw(st.integers(1, lines[r].rindex(",")))
+        return "\n".join(lines[:r] + [lines[r][:cut]]).encode()
+    if fault == "not-utf8":
+        raw = text.encode()
+        at = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3\x28", b"\xed\xa0\x80"]))
+        return raw[:at] + bad + raw[at:]
+    if fault == "non-finite":
+        r = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[r].split(",")
+        cells[data.draw(st.integers(1, len(cells) - 1))] = data.draw(
+            st.sampled_from(["inf", "-inf", "+nan", "-nan", "Infinity", "1e999"])
+        )
+        lines[r] = ",".join(cells)
+    else:
+        header = lines[0].split(",")
+        i, j = data.draw(st.lists(st.integers(0, len(header) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        header[j] = header[i]
+        lines[0] = ",".join(header)
+    return ("\n".join(lines) + "\n").encode()
+
+
+# The autouse fixture only clears an environment variable, the same for
+# every example.
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["train", "evaluate", "predict", "fit-vg", "derive-features"]),
+    fault=st.sampled_from(_CSV_FAULTS),
+    data=st.data(),
+)
+def test_broken_csv_is_one_line_error(synth_small, swrc3_models, command, fault, data):
+    features = "\n".join(data_lines(synth_small / "dataset.csv")[:9]) + "\n"
+    retention = "\n".join(data_lines(synth_small / "retention.csv")[:14]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        tmp = Path(tmp_dir)
+        table = tmp / "in.csv"
+        if command == "fit-vg":
+            table.write_bytes(_break_table(retention, fault, data))
+            argv = ["fit-vg", "--input", table, "--out", tmp / "vg.csv", "--jobs", "1"]
+        elif command == "derive-features":
+            broken_vg = data.draw(st.booleans())
+            basic, vg = tmp / "basic.csv", tmp / "vg.csv"
+            basic.write_text(_BASIC_TABLE)
+            vg.write_text(_VG_TABLE)
+            table = vg if broken_vg else basic
+            table.write_bytes(_break_table(_VG_TABLE if broken_vg else _BASIC_TABLE, fault, data))
+            argv = ["derive-features", "--basic", basic, "--vg", vg, "--out", tmp / "f.csv"]
+        else:
+            table.write_bytes(_break_table(features, fault, data))
+            argv = {
+                "train": ["train", "--features", table, "--config", "SHC2", "--method", "mlr",
+                          "--out-dir", tmp / "models"],
+                "evaluate": ["evaluate", "--features", table, "--config", "SHC2",
+                             "--methods", "mlr", "--reps", "1", "--k", "3", "--jobs", "1",
+                             "--out-dir", tmp / "eval"],
+                "predict": ["predict", "--model", swrc3_models / "SWRC3_mlr_theta_r.json",
+                            "--features", table, "--out", tmp / "pred.csv"],
+            }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(argv)
+    assert rc in (1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()

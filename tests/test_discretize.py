@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soilptf.discretize import (
     CutPoints,
     DiscretizationScheme,
     DiscretizeError,
+    _entropy,
+    _mdl_accepts,
     build_scheme,
     mdl_discretize,
 )
@@ -62,6 +66,95 @@ def brute_force_cuts(values, labels, max_depth=3):
 
     split(pairs, 0)
     return tuple(sorted(out))
+
+
+# ----------------------------------------------------------------------
+# scalar reference: the per-run loop with one _entropy call per cut
+# ----------------------------------------------------------------------
+
+def scalar_reference_cuts(values, labels, max_depth):
+    vals = np.asarray(values, dtype=float)
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    _, class_idx = np.unique(np.asarray(labels)[order], return_inverse=True)
+    k = int(class_idx.max()) + 1 if len(class_idx) else 0
+    cuts = []
+
+    def split(start, stop, depth):
+        if depth >= max_depth or stop - start < 2:
+            return
+        n = stop - start
+        groups = []
+        g_start = start
+        for i in range(start + 1, stop + 1):
+            if i == stop or vals[i] != vals[g_start]:
+                groups.append((vals[g_start], np.bincount(class_idx[g_start:i], minlength=k)))
+                g_start = i
+        if len(groups) < 2:
+            return
+        whole = np.bincount(class_idx[start:stop], minlength=k)
+        best = None
+        left = np.zeros(k, dtype=int)
+        for (v_a, counts_a), (v_b, counts_b) in zip(groups, groups[1:]):
+            left = left + counts_a
+            if ((counts_a > 0) | (counts_b > 0)).sum() < 2:
+                continue
+            right = whole - left
+            w = (left.sum() * _entropy(left) + right.sum() * _entropy(right)) / n
+            if best is None or w < best[0]:
+                best = (w, (v_a + v_b) / 2.0, left.copy())
+        if best is None:
+            return
+        _, cut, left_counts = best
+        if not _mdl_accepts(n, whole, left_counts, whole - left_counts):
+            return
+        cuts.append(cut)
+        mid = start + int(left_counts.sum())
+        split(start, mid, depth + 1)
+        split(mid, stop, depth + 1)
+
+    if len(vals) >= 2 and k >= 2:
+        split(0, len(vals), 0)
+    return tuple(sorted(cuts))
+
+
+@st.composite
+def tied_columns(draw):
+    """A column of few distinct values (heavy ties), a share of its runs of
+    equal values pure in one class, optionally followed by its mirror
+    image with the classes reversed, whose cuts tie with the original's."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 150))
+    distinct = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 3))
+    codes = rng.integers(0, distinct, n)
+    pure = rng.random(distinct) < draw(st.floats(0.0, 1.0))
+    run_class = rng.integers(0, k, distinct)
+    labels = np.where(pure[codes], run_class[codes], rng.integers(0, k, n))
+    if draw(st.booleans()):
+        codes = np.concatenate([codes, 2 * distinct - 1 - codes])
+        labels = np.concatenate([labels, k - 1 - labels])
+    if draw(st.booleans()):
+        labels = np.array(["SE", "LE", "mid"])[labels]
+    values = codes * draw(st.sampled_from([1.0, 0.1, 0.37, -2.5]))
+    return values, labels, draw(st.integers(0, 4))
+
+
+# The best cuts 7.5 and 23.5 tie exactly; the first one wins.
+_EQUAL_TIE = (np.arange(32.0), np.array([0] * 8 + [1] * 16 + [0] * 8), 1)
+# The best cuts 3.5 and 9.5 tie in exact arithmetic; only adding the
+# entropy terms in class order picks 3.5.
+_MIRROR_TIE = (np.arange(14.0), np.array([0, 0, 0, 0, 1, 1, 2, 0, 1, 1, 2, 2, 2, 2]), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@example(_EQUAL_TIE)
+@example(_MIRROR_TIE)
+@given(tied_columns())
+def test_cut_search_matches_scalar_reference(column):
+    values, labels, max_depth = column
+    got = mdl_discretize(values, labels, max_depth=max_depth).cuts
+    assert got == scalar_reference_cuts(values, labels, max_depth)
 
 
 def test_four_point_example():
