@@ -196,7 +196,8 @@ def load_dataset(path, strict: bool = True) -> Dataset:
     every other column but ``id`` is a target. Raises DataError for a
     missing file, a header without an ``id`` column, duplicate ids,
     non-numeric or non-finite cells or (with strict=True) sample invariant
-    violations; every diagnostic about a cell names its row.
+    violations; every diagnostic about a cell names its row, and the
+    invariant violations of all rows share one line.
     """
     header, rows = read_rows(path)
     features = [c for c in header if c in KNOWN_FEATURES]
@@ -204,9 +205,12 @@ def load_dataset(path, strict: bool = True) -> Dataset:
     ids, columns = parse_columns(header, rows, features + targets)
     dataset = Dataset(ids, columns, features, targets)
     if strict:
-        problems = [f"row {i + 2}: {p}" for i, p in validate_dataset(dataset)]
-        if problems:
-            raise DataError(f"{path}: invalid samples:\n  " + "\n  ".join(problems))
+        found = validate_dataset(dataset)
+        if found:
+            bad = len({i for i, _ in found})
+            noun = "sample" if bad == 1 else "samples"
+            listed = "; ".join(f"row {i + 2}: {p}" for i, p in found)
+            raise DataError(f"{path}: {bad} invalid {noun}: {listed}")
     return dataset
 
 

@@ -148,12 +148,6 @@ def _unpack(u):
     return ratio * theta_s, theta_s, math.exp(u[2]), 1.0 + math.exp(u[3])
 
 
-def _pack(theta_r, theta_s, alpha, n):
-    theta_s = min(max(theta_s, 1e-6), 1.0 - 1e-6)
-    ratio = theta_r / theta_s if theta_s > 0 else 0.0
-    return np.array([_logit(ratio), _logit(theta_s), math.log(alpha), math.log(n - 1.0)])
-
-
 def _curve_residuals(u, h, theta_obs):
     theta_r, theta_s, alpha, n = _unpack(u)
     m = 1.0 - 1.0 / n
@@ -164,38 +158,74 @@ def _curve_residuals(u, h, theta_obs):
     return theta_obs - pred
 
 
-def _fit_from_start(u0, h, theta_obs):
-    """Damped Gauss-Newton minimization of the squared residual sum.
+def _curve_jacobian(u, log_h):
+    """Closed-form Jacobian of _curve_residuals with respect to u.
 
-    Returns (u, sse, converged). The damping factor grows until a step
+    log_h holds ln h, -inf at h = 0. Returns the (4, len(h)) array whose
+    row j is d(residual)/d u[j]. With w = (alpha*h)^n, S = (1+w)^-m,
+    q = w/(1+w) and amp = theta_s*(1-ratio), the rows are
+    -theta_s*ratio*(1-ratio)*(1-S), -theta_s*(1-theta_s)*(ratio+(1-ratio)*S),
+    amp*(n-1)*S*q and amp*(n-1)*S*(ln(1+w)/n^2 + m*q*ln(alpha*h)). w is
+    never formed: everything comes from z = ln w, so no row overflows where
+    w does.
+    """
+    ratio = _expit(u[0])
+    theta_s = _expit(u[1])
+    n = 1.0 + math.exp(u[3])
+    m = 1.0 - 1.0 / n
+    log_ah = u[2] + log_h
+    z = n * log_ah
+    log1p_w = np.logaddexp(0.0, z)
+    with np.errstate(over="ignore"):
+        q = 1.0 / (1.0 + np.exp(-z))
+    sat = np.exp(-m * log1p_w)
+    # q = 0 where h = 0, so the q*ln(alpha*h) term is 0 there, not 0*-inf
+    q_log_ah = np.multiply(q, log_ah, out=np.zeros_like(q), where=q > 0.0)
+    amp = theta_s * (1.0 - ratio)
+    scaled = amp * (n - 1.0) * sat  # common factor of the alpha and n rows
+    return np.array([
+        -theta_s * ratio * (1.0 - ratio) * (1.0 - sat),
+        -theta_s * (1.0 - theta_s) * (ratio + (1.0 - ratio) * sat),
+        scaled * q,
+        scaled * (log1p_w / (n * n) + m * q_log_ah),
+    ])
+
+
+def _fit_from_start(u0, h, theta_obs):
+    """Levenberg-Marquardt minimization of the squared residual sum.
+
+    Works in the transformed parameters u of _unpack and takes the
+    Jacobian in closed form (_curve_jacobian), so each trial step costs
+    one residual evaluation. Returns (u, sse, converged). The damping
+    factor, scaled by the diagonal of J'J, grows until a step
     reduces the cost and shrinks after each accepted step.
     """
     u = u0.copy()
+    log_h = np.log(h, out=np.full_like(h, -np.inf), where=h > 0.0)
     r = _curve_residuals(u, h, theta_obs)
     cost = float(r @ r)
     lam = 1e-3
     for _ in range(_MAX_ITER):
-        J = np.empty((len(h), 4))
-        step = 1e-6
-        for j in range(4):
-            up = u.copy()
-            up[j] += step
-            um = u.copy()
-            um[j] -= step
-            J[:, j] = (_curve_residuals(up, h, theta_obs) - _curve_residuals(um, h, theta_obs)) / (2 * step)
+        Jt = _curve_jacobian(u, log_h)
         # residual = obs - model, so the Gauss-Newton step solves (J'J + lam D) d = -J'r
-        g = J.T @ r
-        JtJ = J.T @ J
-        scale = np.diag(JtJ).copy()
+        g = Jt @ r
+        JtJ = Jt @ Jt.T
+        scale = JtJ.diagonal().copy()
         scale[scale <= 0] = 1.0
         accepted = False
         for _try in range(40):
+            A = JtJ.copy()
+            A.flat[::5] += lam * scale  # the 4x4 diagonal
             try:
-                d = np.linalg.solve(JtJ + lam * np.diag(scale), -g)
+                d = np.linalg.solve(A, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new = _curve_residuals(u + d, h, theta_obs)
+            try:
+                r_new = _curve_residuals(u + d, h, theta_obs)
+            except OverflowError:  # alpha or n beyond float range: reject the trial
+                lam *= 10.0
+                continue
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 improvement = cost - cost_new
@@ -217,10 +247,11 @@ def fit_vg(points) -> VgParameters:
     """Least-squares van Genuchten fit to measured retention points.
 
     Requires at least 5 points whose positive tensions span a factor of
-    10 or more. Runs a damped Gauss-Newton minimization in transformed
-    parameters from 5 deterministic starts (alpha in {0.005, 0.05} x
-    n in {1.2, 2.0}, plus a fully data-driven start) and returns the best
-    converged optimum with its fit RMSE.
+    10 or more. Runs a Levenberg-Marquardt minimization (_fit_from_start:
+    transformed parameters, closed-form Jacobian) from 5 deterministic
+    starts (alpha in {0.005, 0.05} x n in {1.2, 2.0}, plus a fully
+    data-driven start) and returns the best converged optimum with its fit
+    RMSE.
     """
     pts = [p if isinstance(p, RetentionPoint) else RetentionPoint(*p) for p in points]
     if len(pts) < 5:

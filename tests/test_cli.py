@@ -1005,3 +1005,28 @@ def test_broken_csv_is_one_line_error(synth_small, swrc3_models, command, fault,
     assert rc in (1, 2)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_invalid_samples_are_one_line_error(tmp_path, capsys, command):
+    table = tmp_path / "in.csv"
+    table.write_text(
+        "id,sand,silt,clay,bulk_density,internal_diameter_cm,length_cm,log_ksat\n"
+        "s1,40,40,20,1.4,5,10,4.8\n"
+        "s2,30,30,30,1.3,5,10,4.4\n"
+        "s3,50,30,30,1.3,5,10,4.1\n"
+    )
+    argv = {
+        "train": ["train", "--features", table, "--config", "SHC2", "--method", "mlr",
+                  "--out-dir", tmp_path / "models"],
+        "evaluate": ["evaluate", "--features", table, "--config", "SHC2", "--methods", "mlr",
+                     "--reps", "1", "--k", "3", "--jobs", "1", "--out-dir", tmp_path / "eval"],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (
+        f"error: {table}: 2 invalid samples: "
+        "row 3: sand+silt+clay = 90, expected 100 +/- 0.5; "
+        "row 4: sand+silt+clay = 110, expected 100 +/- 0.5\n"
+    )

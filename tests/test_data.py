@@ -165,13 +165,16 @@ def test_load_reports_problems_by_row(tmp_path):
         "b,50,30,10,-1,0.3\n"
         "c,50,30,20,1,1.5\n"
     )
+    path = write(tmp_path, "# comment lines do not count\n" + text)
     with pytest.raises(DataError) as exc:
-        load_dataset(write(tmp_path, "# comment lines do not count\n" + text))
-    assert str(exc.value).splitlines()[1:] == [
-        "  row 3: sand+silt+clay = 90, expected 100 +/- 0.5",
-        "  row 3: length_cm = -1 must be positive",
-        "  row 4: theta_10 = 1.5 outside [0, 1]",
-    ]
+        load_dataset(path)
+    # one line: two rows are invalid, row 3 on two counts
+    assert str(exc.value) == (
+        f"{path}: 2 invalid samples: "
+        "row 3: sand+silt+clay = 90, expected 100 +/- 0.5; "
+        "row 3: length_cm = -1 must be positive; "
+        "row 4: theta_10 = 1.5 outside [0, 1]"
+    )
 
 
 def test_dataset_invariants():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from soilptf import hydrology
 from soilptf.hydrology import (
     BASE_FEATURES,
     KPA_TO_CM,
@@ -27,7 +28,10 @@ from soilptf.hydrology import (
     fit_vg,
     inflection_point,
     texture_statistics,
+    _curve_jacobian,
+    _curve_residuals,
     _expit,
+    _logit,
     vg_theta,
 )
 
@@ -178,6 +182,146 @@ def test_fit_reports_noise_floor():
 def test_expit_matches_scipy_bit_for_bit(x):
     # scipy serves only as the reference here; the package does not import it
     assert _expit(x).hex() == float(special.expit(x)).hex()
+
+
+# Tensions of the Jacobian checks: saturation (h = 0) and 15000 cm are
+# always present, the rest are drawn.
+_JAC_TENSIONS = st.lists(st.floats(0.0, 15000.0), min_size=0, max_size=8).map(
+    lambda hs: np.array([0.0, 15000.0] + hs)
+)
+
+
+def _log_tensions(h):
+    return np.log(h, out=np.full_like(h, -np.inf), where=h > 0.0)
+
+
+def _central_differences(u, h, theta_obs, step=1e-6):
+    J = np.empty((4, h.size))
+    for j in range(4):
+        up = u.copy()
+        up[j] += step
+        um = u.copy()
+        um[j] -= step
+        J[j] = (_curve_residuals(up, h, theta_obs) - _curve_residuals(um, h, theta_obs)) / (2 * step)
+    return J
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+    st.floats(-12.0, 2.0),
+    st.floats(-5.0, 3.0),
+    _JAC_TENSIONS,
+)
+def test_curve_jacobian_matches_central_differences(u0, u1, u2, u3, h):
+    # u spans theta_r/theta_s and theta_s from ~2e-9 to 1 - 2e-9,
+    # alpha from 6e-6 to 7.4 per cm and n from 1.007 to 21
+    u = np.array([u0, u1, u2, u3])
+    J = _curve_jacobian(u, _log_tensions(h))
+    assert J.shape == (4, h.size)
+    np.testing.assert_allclose(J, _central_differences(u, h, np.zeros_like(h)), rtol=0.0, atol=1e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.floats(0.0, 10.0), st.floats(4.5, 6.5))
+def test_curve_jacobian_is_finite_where_the_power_overflows(u0, u1, u2, u3):
+    # alpha >= 1/cm and n >= 91 put (alpha*h)^n beyond float range at
+    # 15000 cm; a warning would fail the test, as pytest turns it into an error
+    h = np.array([0.0, 1.0, 15000.0])
+    J = _curve_jacobian(np.array([u0, u1, u2, u3]), _log_tensions(h))
+    assert np.isfinite(J).all()
+    ratio, theta_s = _expit(u0), _expit(u1)
+    # saturated end (w = 0, S = 1) and dry end (S = 0) in closed form
+    assert J[:, 0].tolist() == [0.0, -theta_s * (1.0 - theta_s), 0.0, 0.0]
+    dry = [-theta_s * ratio * (1.0 - ratio), -theta_s * (1.0 - theta_s) * ratio, 0.0, 0.0]
+    np.testing.assert_allclose(J[:, 2], dry, rtol=1e-12, atol=1e-300)
+
+
+def _reference_fit_from_start(u0, h, theta_obs):
+    """_fit_from_start as it ran before the closed form: the Jacobian from
+    central differences, 8 residual evaluations per step. Trials that
+    overflow the parameter transform are rejected, as in the module."""
+    u = u0.copy()
+    r = _curve_residuals(u, h, theta_obs)
+    cost = float(r @ r)
+    lam = 1e-3
+    for _ in range(hydrology._MAX_ITER):
+        J = _central_differences(u, h, theta_obs).T
+        g = J.T @ r
+        JtJ = J.T @ J
+        scale = np.diag(JtJ).copy()
+        scale[scale <= 0] = 1.0
+        accepted = False
+        for _try in range(40):
+            try:
+                d = np.linalg.solve(JtJ + lam * np.diag(scale), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            try:
+                r_new = _curve_residuals(u + d, h, theta_obs)
+            except OverflowError:
+                lam *= 10.0
+                continue
+            cost_new = float(r_new @ r_new)
+            if np.isfinite(cost_new) and cost_new <= cost:
+                improvement = cost - cost_new
+                u = u + d
+                r = r_new
+                cost = cost_new
+                lam = max(lam / 3.0, 1e-12)
+                accepted = True
+                if improvement <= 1e-16 * (1.0 + cost) or float(np.abs(d).max()) < 1e-10:
+                    return u, cost, True
+                break
+            lam *= 10.0
+        if not accepted:
+            return u, cost, True
+    return u, cost, False
+
+
+def _transformed(p):
+    return np.array([_logit(p.theta_r / p.theta_s), _logit(p.theta_s), math.log(p.alpha), math.log(p.n - 1.0)])
+
+
+def test_fit_matches_central_difference_route(monkeypatch):
+    # 50 noisy 13-point curves, fitted once with the closed-form Jacobian
+    # and once with _reference_fit_from_start in its place
+    h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
+    rng = np.random.default_rng(8)
+    curves = []
+    for _ in range(50):
+        theta_r = float(rng.uniform(0.0, 0.2))
+        p = VgParameters(
+            theta_r=theta_r,
+            theta_s=float(rng.uniform(theta_r + 0.2, 0.6)),
+            alpha=float(10 ** rng.uniform(-2.5, -1.0)),
+            n=float(rng.uniform(1.1, 3.0)),
+        )
+        theta = np.clip(vg_theta(p, h) + rng.normal(0.0, 0.005, h.size), 0.0, 1.0)
+        curves.append(list(zip(h.tolist(), theta.tolist())))
+    fits = [fit_vg(pts) for pts in curves]
+    monkeypatch.setattr(hydrology, "_fit_from_start", _reference_fit_from_start)
+    for pts, new in zip(curves, fits):
+        ref = fit_vg(pts)
+        assert new.fit_rmse**2 <= ref.fit_rmse**2 * (1.0 + 1e-9)
+        # the stopping test pins u only as far as the sse feels it: along
+        # the flat logit(theta_r/theta_s) of a near-zero theta_r, to a few 1e-6
+        np.testing.assert_allclose(_transformed(new), _transformed(ref), rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(vg_theta(new, h), vg_theta(ref, h), rtol=0.0, atol=1e-8)
+
+
+def test_fit_rejects_trial_steps_beyond_float_range():
+    # on this sandy curve an early trial step puts log(n - 1) near 4300,
+    # where exp overflows: the trial is rejected, not raised as OverflowError
+    sand = VgParameters(theta_r=0.05, theta_s=0.4, alpha=0.2, n=3.5)
+    h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
+    got = fit_vg([(float(t), vg_theta(sand, float(t))) for t in h])
+    assert got.theta_r == pytest.approx(sand.theta_r, rel=1e-6)
+    assert got.alpha == pytest.approx(sand.alpha, rel=1e-6)
+    assert got.n == pytest.approx(sand.n, rel=1e-6)
+    assert got.fit_rmse < 1e-10
 
 
 def test_fit_input_requirements():
