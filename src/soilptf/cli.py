@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .cpxr import CpxrConfig, CpxrError, PxrModel, train_cpxr
 from .data import (
-    KNOWN_FEATURES,
     DataError,
     Dataset,
     load_dataset,
@@ -44,16 +43,15 @@ from .hydrology import (
     RetentionPoint,
     VgFitError,
     VgParameters,
-    derived_water_contents,
     fit_vg,
-    texture_statistics,
     vg_theta,
 )
 from .linreg import FitError, LinearModel, fit_local
 from .synth import (
-    TARGET_COLUMNS,
     SynthError,
     default_synth_config,
+    derive_row,
+    feature_table,
     generate,
     generate_retention,
     scale_effect_config,
@@ -70,7 +68,8 @@ SEED_ENV = "CPXR_PTF_SEED"
 # Columns derive-features reads. Every fitted sample needs a value in the
 # required basic columns and in every parameter column.
 BASIC_REQUIRED = ("sand", "silt", "clay", "bulk_density")
-BASIC_COLUMNS = BASIC_REQUIRED + ("internal_diameter_cm", "length_cm", "ksat_cm_day")
+MEASURED_COLUMNS = BASIC_REQUIRED + ("internal_diameter_cm", "length_cm")
+BASIC_COLUMNS = MEASURED_COLUMNS + ("ksat_cm_day",)
 VG_COLUMNS = ("theta_r", "theta_s", "alpha_per_cm", "n")
 
 
@@ -319,9 +318,8 @@ def cmd_derive_features(args) -> int:
     _require_values(basic_path, ids, b, BASIC_REQUIRED)
     _require_values(vg_path, ids, v, VG_COLUMNS)
 
-    columns: dict[str, list[float]] = {name: [] for name in KNOWN_FEATURES + TARGET_COLUMNS}
+    samples = []
     for k, sid in enumerate(ids):
-        d_g, sigma_g = texture_statistics(b["sand"][k], b["silt"][k], b["clay"][k])
         params = VgParameters(
             theta_r=v["theta_r"][k],
             theta_s=v["theta_s"][k],
@@ -331,23 +329,10 @@ def cmd_derive_features(args) -> int:
         ksat = b["ksat_cm_day"][k]  # NaN when not measured
         if ksat <= 0:
             raise DataError(f"{basic_path}: sample {sid!r} has non-positive ksat_cm_day")
-        values = {
-            **derived_water_contents(params),
-            **{c: col[k] for c, col in b.items()},
-            "d_g": d_g,
-            "sigma_g": sigma_g,
-            "theta_r": params.theta_r,
-            "theta_s": params.theta_s,
-            "alpha": params.alpha,
-            "n": params.n,
-            "log_alpha": math.log(params.alpha),
-            "log_n": math.log(params.n),
-            "log_ksat": math.log(ksat),
-        }
-        for name, col in columns.items():
-            col.append(values[name])
+        basic_row = {c: b[c][k] for c in MEASURED_COLUMNS}
+        samples.append(derive_row(basic_row, params, math.log(ksat)))
 
-    dataset = Dataset(ids, columns, list(KNOWN_FEATURES), list(TARGET_COLUMNS))
+    dataset = feature_table(ids, samples)
     header, out_rows = _dataset_to_rows(dataset)
     _write_csv(args.out, header, out_rows, meta)
     if skipped:
@@ -518,24 +503,12 @@ def _load_model_payload(path: Path) -> dict:
         or not isinstance(payload.get("target"), str)
     ):
         raise UsageError(f"{path}: not a model file (expected keys 'model' and 'target')")
+    d = payload["model"]
     try:
-        payload["model"] = _model_from_payload(payload)
+        payload["model"] = (PxrModel if d.get("kind") == "pxr" else LinearModel).from_dict(d)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise UsageError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
     return payload
-
-
-def _model_from_payload(payload: dict):
-    d = payload["model"]
-    if d.get("kind") == "pxr":
-        return PxrModel.from_dict(d)
-    model = LinearModel.from_dict(d)
-    config = MODEL_CONFIGS.get(payload.get("config_id"))
-    if config is not None and sorted(config.features) == sorted(model.coefficients):
-        # The file lists coefficients sorted; restore the training column
-        # order so predictions sum in the same order as at training time.
-        model.coefficients = {c: model.coefficients[c] for c in config.features}
-    return model
 
 
 def _model_paths(spec: str) -> list[Path]:
@@ -666,7 +639,7 @@ def _load_report(path) -> EvaluationReport:
         raise UsageError(f"{path}: not an evaluation report")
     try:
         return EvaluationReport.from_dict(d)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise UsageError(f"{path}: not an evaluation report ({exc})") from None
 
 

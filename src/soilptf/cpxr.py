@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import json
 import math
 from numbers import Integral, Real
 
@@ -224,13 +223,6 @@ class PxrModel:
             baseline_rmse=d["baseline_rmse"],
             trace=list(d["trace"]),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PxrModel":
-        return cls.from_dict(json.loads(text))
 
 
 def _blend(num, den, default):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import json
 import math
 
 import numpy as np
@@ -87,13 +86,6 @@ class DiscretizationScheme:
             else:
                 cuts[f] = tuple(spec)
         return cls(cuts=cuts, categorical=cat)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscretizationScheme":
-        return cls.from_dict(json.loads(text))
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
-import json
 import os
+import sys
+from numbers import Real
 
 import numpy as np
 
@@ -40,7 +42,16 @@ class MetricSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricSet":
-        return cls(rmse=d["rmse"], rmsle=d.get("rmsle"), r2=d.get("r2"))
+        """Inverse of to_dict. Raises EvaluationError unless rmse is a
+        finite number and rmsle and r2 are each null or a finite number."""
+        values = {"rmse": d["rmse"], "rmsle": d.get("rmsle"), "r2": d.get("r2")}
+        for name, v in values.items():
+            if v is None and name != "rmse":
+                continue
+            # the bound also rejects NaN and integers past the float range
+            if isinstance(v, bool) or not isinstance(v, Real) or not abs(v) <= sys.float_info.max:
+                raise EvaluationError(f"{name} must be a finite number, got {v!r}")
+        return cls(**values)
 
 
 def metrics(predicted, observed, log_space: bool = False, r2_mode: str = "pearson") -> MetricSet:
@@ -172,7 +183,9 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationReport":
-        return cls(
+        """Inverse of to_dict. Raises EvaluationError for a report without
+        records or with a record that lacks metrics of a target."""
+        report = cls(
             config_id=d["config_id"],
             method=d["method"],
             seed=d["seed"],
@@ -182,13 +195,15 @@ class EvaluationReport:
             target_names=list(d["target_names"]),
             records=[IterationRecord.from_dict(r) for r in d["records"]],
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvaluationReport":
-        return cls.from_dict(json.loads(text))
+        if not report.records:
+            raise EvaluationError("report has no records")
+        for rec in report.records:
+            missing = [t for t in report.target_names if t not in rec.train or t not in rec.test]
+            if missing:
+                raise EvaluationError(
+                    f"repetition {rec.repetition}, split {rec.split} lacks targets {missing}"
+                )
+        return report
 
 
 def map_jobs(fn, items, jobs: int) -> list:
@@ -223,9 +238,8 @@ def _fit_method(method, X_tr, y_tr, names, cpxr_config):
     raise EvaluationError(f"unknown method {method!r}; expected 'mlr' or 'cpxr'")
 
 
-def _run_repetition(args):
-    (rep, ids, X, targets, names, k, scheme, seed, method, cpxr_config,
-     collect_predictions) = args
+def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_predictions, rep):
+    ids, X, names = selection.ids, selection.X, selection.feature_names
     fold = assign_folds(len(ids), k, seed ^ rep)
     records = []
     for split_id, test_folds in _splits_for(k, scheme):
@@ -237,7 +251,7 @@ def _run_repetition(args):
         degraded = False
         train_metrics, test_metrics = {}, {}
         rows = [] if collect_predictions else None
-        for t, y in targets.items():
+        for t, y in selection.targets.items():
             y_tr, y_te = y[train_idx], y[test_idx]
             model, fell_back = _fit_method(method, X_tr, y_tr, names, cpxr_config)
             degraded = degraded or fell_back
@@ -292,12 +306,10 @@ def cross_validate(
         raise EvaluationError(f"jobs must be positive, got {jobs}")
     selection = select_columns(dataset, config)
     _splits_for(k, cv_scheme)  # validate early
-    payloads = [
-        (rep, selection.ids, selection.X, selection.targets, selection.feature_names,
-         k, cv_scheme, seed, method, cpxr_config, collect_predictions)
-        for rep in range(repetitions)
-    ]
-    chunks = map_jobs(_run_repetition, payloads, jobs)
+    run = partial(
+        _run_repetition, selection, k, cv_scheme, seed, method, cpxr_config, collect_predictions
+    )
+    chunks = map_jobs(run, range(repetitions), jobs)
     records = [rec for chunk in chunks for rec in chunk]
     return EvaluationReport(
         config_id=config.id,

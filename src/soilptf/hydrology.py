@@ -333,7 +333,6 @@ class ModelConfig:
     id: str
     features: tuple[str, ...]
     targets: tuple[str, ...]
-    parametric: bool = False
 
     def __post_init__(self):
         if not self.features or not self.targets:
@@ -345,8 +344,8 @@ class ModelConfig:
 MODEL_CONFIGS: dict[str, ModelConfig] = {
     "SWRC1": ModelConfig("SWRC1", BASE_FEATURES, POINT_TARGETS),
     "SWRC2": ModelConfig("SWRC2", BASE_FEATURES + SCALE_FEATURES, POINT_TARGETS),
-    "SWRC3": ModelConfig("SWRC3", BASE_FEATURES, PARAMETRIC_TARGETS, parametric=True),
-    "SWRC4": ModelConfig("SWRC4", BASE_FEATURES + SCALE_FEATURES, PARAMETRIC_TARGETS, parametric=True),
+    "SWRC3": ModelConfig("SWRC3", BASE_FEATURES, PARAMETRIC_TARGETS),
+    "SWRC4": ModelConfig("SWRC4", BASE_FEATURES + SCALE_FEATURES, PARAMETRIC_TARGETS),
     "SHC1": ModelConfig("SHC1", BASE_FEATURES, SHC_TARGETS),
     "SHC2": ModelConfig("SHC2", BASE_FEATURES + SCALE_FEATURES, SHC_TARGETS),
     "SHC3": ModelConfig("SHC3", BASE_FEATURES + VG_FEATURES, SHC_TARGETS),

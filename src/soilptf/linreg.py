@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import json
-
 import numpy as np
 
 
@@ -53,8 +51,8 @@ class LinearModel:
     def predict_matrix(self, X: np.ndarray, feature_names) -> np.ndarray:
         """intercept + X @ beta, with beta taken in the caller's column order.
 
-        The column names must be the model's features, each once; their
-        order may differ from the model's (a loaded model lists them sorted).
+        The column names must be the model's features, each once, in any
+        order.
         """
         names = list(feature_names)
         if len(names) != len(self.coefficients) or set(names) != set(self.coefficients):
@@ -65,8 +63,11 @@ class LinearModel:
         return X @ beta + self.intercept
 
     def to_dict(self) -> dict:
+        """Plain-data form; feature_names keeps the training column order,
+        which JSON written with sorted keys loses from the dicts."""
         return {
             "intercept": self.intercept,
+            "feature_names": self.feature_names,
             "coefficients": dict(self.coefficients),
             "training_count": self.training_count,
             "standardization": {
@@ -77,20 +78,22 @@ class LinearModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearModel":
+        """Inverse of to_dict. Raises FitError for a dict without
+        feature_names (the form of earlier versions) or one whose
+        feature_names are not the coefficient names, each once."""
+        if "feature_names" not in d:
+            raise FitError("no feature_names: a model of an earlier version; retrain it")
+        names, coefs = d["feature_names"], d["coefficients"]
+        if not isinstance(names, list) or len(set(names)) != len(names) or set(names) != set(coefs):
+            raise FitError(f"feature_names {names!r} are not the coefficient names, each once")
+        std = d["standardization"]
         return cls(
             intercept=d["intercept"],
-            coefficients=dict(d["coefficients"]),
+            coefficients={c: coefs[c] for c in names},
             training_count=d["training_count"],
-            feature_means=dict(d["standardization"]["means"]),
-            feature_scales=dict(d["standardization"]["scales"]),
+            feature_means={c: std["means"][c] for c in names},
+            feature_scales={c: std["scales"][c] for c in names},
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearModel":
-        return cls.from_dict(json.loads(text))
 
 
 def _check_xy(X, y):

@@ -8,6 +8,9 @@ is a regime-specific linear function of the features. Sample length
 perturbs the effective retention parameters through the documented scale
 rule, and noise enters the retention targets through small parameter
 jitter so the derived water contents keep their curve invariants.
+
+derive_row and feature_table build the feature/target table, here and
+in derive-features alike.
 """
 
 from __future__ import annotations
@@ -37,6 +40,37 @@ class SynthError(ValueError):
 TARGET_COLUMNS = tuple(
     t for t in POINT_TARGETS + ("log_alpha", "log_n", "log_ksat") if t not in KNOWN_FEATURES
 )
+
+
+def derive_row(basic: dict[str, float], params: VgParameters, log_ksat: float) -> dict[str, float]:
+    """One sample's features and targets.
+
+    basic maps sand, silt, clay (mass percent), bulk_density,
+    internal_diameter_cm and length_cm to their values; log_ksat is NaN
+    where the conductivity was not measured.
+    """
+    d_g, sigma_g = texture_statistics(basic["sand"], basic["silt"], basic["clay"])
+    # the theta_s feature is the parameter, not the curve's value at h = 0
+    return {
+        **derived_water_contents(params),
+        **basic,
+        "d_g": d_g,
+        "sigma_g": sigma_g,
+        "theta_r": params.theta_r,
+        "theta_s": params.theta_s,
+        "alpha": params.alpha,
+        "n": params.n,
+        "log_alpha": math.log(params.alpha),
+        "log_n": math.log(params.n),
+        "log_ksat": log_ksat,
+    }
+
+
+def feature_table(ids, rows) -> Dataset:
+    """The KNOWN_FEATURES + TARGET_COLUMNS table of rows from derive_row,
+    one per id."""
+    columns = {name: [row[name] for row in rows] for name in KNOWN_FEATURES + TARGET_COLUMNS}
+    return Dataset(list(ids), columns, list(KNOWN_FEATURES), list(TARGET_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -187,23 +221,22 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
     inner = rng.choice(np.asarray(config.id_choices, dtype=float), size=n)
     length = rng.choice(np.asarray(config.length_choices, dtype=float), size=n)
 
-    ids = []
-    columns: dict[str, list[float]] = {name: [] for name in KNOWN_FEATURES + TARGET_COLUMNS}
+    ids, rows = [], []
     regimes: dict[str, str] = {}
     effective: dict[str, dict[str, float]] = {}
     for i in range(n):
         sand, silt, clay = texture[i]
-        d_g, sigma_g = texture_statistics(sand, silt, clay)
-        feats = {
+        basic = {
             "sand": float(sand),
             "silt": float(silt),
             "clay": float(clay),
             "bulk_density": float(bulk[i]),
-            "d_g": d_g,
-            "sigma_g": sigma_g,
             "internal_diameter_cm": float(inner[i]),
             "length_cm": float(length[i]),
         }
+        # the regime formulas may read the texture statistics too
+        d_g, sigma_g = texture_statistics(sand, silt, clay)
+        feats = {**basic, "d_g": d_g, "sigma_g": sigma_g}
         regime = config.regime_of(feats[config.regime_feature])
         theta_r = regime.formula("theta_r").evaluate(feats)
         theta_s = regime.formula("theta_s").evaluate(feats)
@@ -228,19 +261,9 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
             alpha=math.exp(log_alpha),
             n=1.0 + math.exp(log_n1),
         )
-        targets: dict[str, float] = derived_water_contents(params)
-        targets["log_alpha"] = math.log(params.alpha)
-        targets["log_n"] = math.log(params.n)
-        targets["log_ksat"] = float(log_ksat)
-
         sid = f"s{i:04d}"
-        feats.update(
-            theta_r=params.theta_r, theta_s=params.theta_s, alpha=params.alpha, n=params.n
-        )
         ids.append(sid)
-        values = {**targets, **feats}
-        for name, col in columns.items():
-            col.append(values[name])
+        rows.append(derive_row(basic, params, float(log_ksat)))
         regimes[sid] = regime.name
         effective[sid] = {
             "theta_r": params.theta_r,
@@ -250,9 +273,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
             "log_ksat": float(log_ksat),
         }
 
-    dataset = Dataset(
-        ids, columns, feature_names=list(KNOWN_FEATURES), target_names=list(TARGET_COLUMNS)
-    )
+    dataset = feature_table(ids, rows)
     truth = {"config": config.to_dict(), "regimes": regimes, "effective_params": effective}
     return dataset, truth
 

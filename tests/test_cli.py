@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import soilptf
 import soilptf.evaluation
 from soilptf import __version__
-from soilptf.cli import SEED_ENV, TARGET_COLUMNS, main
+from soilptf.cli import SEED_ENV, main
 from soilptf.cpxr import train_cpxr
 from soilptf.data import KNOWN_FEATURES, load_dataset, select_columns
 from soilptf.hydrology import (
@@ -37,6 +37,7 @@ from soilptf.hydrology import (
     vg_theta,
 )
 from soilptf.linreg import fit_local
+from soilptf.synth import TARGET_COLUMNS
 
 
 def run(argv):
@@ -681,19 +682,33 @@ def test_predict_rejects_non_model_json(synth_small, tmp_path, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
+def _linear_model_file(feature_names) -> bytes:
+    """A one-feature linear model file; feature_names None leaves the key
+    out, as files of earlier versions do."""
+    model = {"intercept": 1.0, "coefficients": {"sand": 0.5}, "training_count": 3,
+             "standardization": {"means": {"sand": 40.0}, "scales": {"sand": 10.0}}}
+    if feature_names is not None:
+        model["feature_names"] = feature_names
+    return json.dumps({"model": model, "target": "t"}).encode()
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
         ("predict", b'{"model": {"kind": "pxr"}, "target": "t"}\n'),
         ("predict", b'{"model": {"kind": "pxr", "pai'),
         ("predict", b"\xff\xfe{}"),
+        ("predict", _linear_model_file(None)),
+        ("predict", _linear_model_file(["sand", "sand"])),
+        ("predict", _linear_model_file(["clay"])),
         ("report", b'{"report": {"rec'),
         ("report", b"\xff\xfe{}"),
         ("train", b"not json\n"),
         ("evaluate", b"\xff\xfe{}"),
     ],
-    ids=["missing-key", "truncated", "predict-not-utf8", "report-truncated", "report-not-utf8",
-         "train-hyper-not-json", "evaluate-hyper-not-utf8"],
+    ids=["missing-key", "truncated", "predict-not-utf8", "no-feature-names",
+         "feature-named-twice", "feature-names-not-coefficients", "report-truncated",
+         "report-not-utf8", "train-hyper-not-json", "evaluate-hyper-not-utf8"],
 )
 def test_predict_malformed_model_file_is_one_line_usage_error(synth_small, tmp_path, capsys,
                                                               command, content):
@@ -867,7 +882,7 @@ def test_report_matches_evaluate_comparison(eval_dirs, tmp_path, capsys):
     assert meta_lines(out)[0] == f"# soilptf {__version__}"
 
 
-def test_report_rejects_non_reports(synth_small, tmp_path, capsys):
+def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
     rc = run(["report", "--a", tmp_path / "missing.json",
               "--b", synth_small / "truth.json"])
     assert rc == 2
@@ -877,6 +892,24 @@ def test_report_rejects_non_reports(synth_small, tmp_path, capsys):
               "--b", synth_small / "truth.json"])
     assert rc == 2
     assert "not an evaluation report" in capsys.readouterr().err
+
+    # reports whose metrics compare cannot read
+    payload = json.loads((eval_dirs[0] / "report_SHC2_mlr.json").read_text())
+    for name, change in [
+        ("string-rmse", lambda d: d["records"][0]["test"]["log_ksat"].update(rmse="0.5")),
+        ("nan-rmse", lambda d: d["records"][0]["test"]["log_ksat"].update(rmse=math.nan)),
+        ("unknown-target", lambda d: d["target_names"].append("theta_10")),
+        ("no-records", lambda d: d["records"].clear()),
+    ]:
+        doc = json.loads(json.dumps(payload))
+        change(doc["report"])
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(doc))
+        rc = run(["report", "--a", bad, "--b", bad])
+        err = capsys.readouterr().err
+        assert rc == 2, name
+        assert err.startswith(f"error: {bad}: not an evaluation report") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Pattern-aided regression: splitting, weighting, optimization, training."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,14 @@ from soilptf.cpxr import (
     train_cpxr,
 )
 from soilptf.discretize import DiscretizationScheme
-from soilptf.linreg import LinearModel
+from soilptf.linreg import LinearModel, ols_fit
 from soilptf.patterns import Item, Pattern, pattern_mask
+
+
+def _via_json(model):
+    """to_dict, JSON text as the CLI writes it, from_dict."""
+    text = json.dumps(model.to_dict(), sort_keys=True, indent=2)
+    return type(model).from_dict(json.loads(text))
 
 
 def lin(intercept, **coefs):
@@ -246,7 +254,7 @@ def test_model_json_roundtrip():
     m.trace = [10.0, 4.0]
     doc = m.to_dict()
     assert doc["kind"] == "pxr"
-    back = PxrModel.from_json(m.to_json())
+    back = _via_json(m)
     assert back.train_rmse == 0.25 and back.baseline_rmse == 0.5
     assert back.trace == [10.0, 4.0]
     for x in (-1.0, 1.0, 4.0, 10.0):
@@ -498,7 +506,7 @@ def test_train_minimum_rows():
 def test_trained_model_json_roundtrip():
     X, y = _two_regime()
     model = train_cpxr(X, y, ["x", "z"])
-    back = PxrModel.from_json(model.to_json())
+    back = _via_json(model)
     assert back.k == model.k
     assert back.predict_matrix(X, ["x", "z"]).tolist() == (
         model.predict_matrix(X, ["x", "z"]).tolist()
@@ -506,17 +514,53 @@ def test_trained_model_json_roundtrip():
 
 
 def test_trained_model_json_roundtrip_unsorted_names():
-    # feature names out of alphabetical order: the loaded local models list
-    # their coefficients sorted, predictions must stay bit-identical
+    # feature names out of alphabetical order: the loaded local models keep
+    # the training order, predictions must stay bit-identical
     X, y = _two_regime()
     X = X[:, ::-1].copy()
     model = train_cpxr(X, y, ["z", "x"])
     assert model.k >= 1
-    back = PxrModel.from_json(model.to_json())
-    assert back.default_model.feature_names == ["x", "z"]
+    back = _via_json(model)
+    assert back.default_model.feature_names == ["z", "x"]
     assert back.predict_matrix(X, ["z", "x"]).tolist() == (
         model.predict_matrix(X, ["z", "x"]).tolist()
     )
+
+
+def _linear_parts(model):
+    if isinstance(model, LinearModel):
+        return [model]
+    return [model.default_model, model.baseline] + [p.model for p in model.pairs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(["sand", "clay", "d_g", "n", "alpha", "length_cm"]),
+                   min_size=1, max_size=6, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_files_keep_the_training_column_order(names, seed):
+    # JSON with sorted keys loses the order of the coefficient dicts; the
+    # loaded model must still list its features in training order and, fed
+    # columns in that order, give the in-memory model's bits
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (12, len(names)))
+    y = X @ rng.normal(0, 1, len(names)) + rng.normal(0, 0.1, 12)
+    Xp, yp = _two_regime(seed=seed % 1000)
+    Xp = Xp[:, ::-1].copy()
+    cases = [
+        (ols_fit(X, y, feature_names=names), X, names),
+        (train_cpxr(Xp, yp, ["z", "x"]), Xp, ["z", "x"]),
+    ]
+    for model, cols, order in cases:
+        back = _via_json(model)
+        assert back.feature_names == order
+        assert [m.feature_names for m in _linear_parts(back)] == (
+            [m.feature_names for m in _linear_parts(model)]
+        )
+        assert back.predict_matrix(cols, back.feature_names).tobytes() == (
+            model.predict_matrix(cols, order).tobytes()
+        )
 
 
 def _random_pxr(seed):
@@ -558,7 +602,7 @@ def test_one_row_predict_is_predict_matrix(seed, z, x):
     model = _random_pxr(seed)
     sample = {"x": x, "z": z}
     row = np.array([[z, x]])
-    for m in (model, PxrModel.from_json(model.to_json())):
+    for m in (model, _via_json(model)):
         assert m.predict(sample).hex() == float(m.predict_matrix(row, ["z", "x"])[0]).hex()
         assert m.predict(sample).hex() == model.predict(sample).hex()
         lin = m.default_model

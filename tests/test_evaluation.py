@@ -1,6 +1,7 @@
 """Metrics, rotating-pair cross-validation protocol, method comparison."""
 
 import contextlib
+import json
 import math
 import types
 
@@ -172,11 +173,16 @@ def test_small_folds_degrade_cpxr_gracefully():
         assert ra.test["y"].rmse == rb.test["y"].rmse
 
 
+def _json(report):
+    """The report as JSON text, keys sorted as the CLI writes them."""
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
 def test_parallel_jobs_identical():
     ds, cfg = _regime_dataset(n=60)
     a = cross_validate(ds, cfg, method="mlr", repetitions=3, seed=2, k=5)
     b = cross_validate(ds, cfg, method="mlr", repetitions=3, seed=2, k=5, jobs=2)
-    assert a.to_json() == b.to_json()
+    assert _json(a) == _json(b)
 
 
 @pytest.fixture
@@ -214,7 +220,7 @@ def test_cross_validate_pool_has_one_worker_per_repetition(monkeypatch, pool_siz
     report = cross_validate(ds, cfg, method="mlr", repetitions=2, seed=0, k=4, jobs=64)
     assert pool_sizes == [2]
     serial = cross_validate(ds, cfg, method="mlr", repetitions=2, seed=0, k=4, jobs=1)
-    assert report.to_json() == serial.to_json()
+    assert _json(report) == _json(serial)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -253,7 +259,7 @@ def test_report_json_roundtrip():
     ds, cfg = _regime_dataset(n=40)
     report = cross_validate(ds, cfg, method="mlr", repetitions=1, seed=0, k=4,
                             collect_predictions=True)
-    back = EvaluationReport.from_json(report.to_json())
+    back = EvaluationReport.from_dict(json.loads(_json(report)))
     assert back.to_dict() == report.to_dict()
 
 

@@ -384,7 +384,6 @@ def test_config_layouts():
     assert MODEL_CONFIGS["SWRC2"].features == BASE_FEATURES + SCALE_FEATURES
     assert MODEL_CONFIGS["SWRC1"].targets == POINT_TARGETS
     assert MODEL_CONFIGS["SWRC3"].targets == PARAMETRIC_TARGETS
-    assert MODEL_CONFIGS["SWRC3"].parametric and not MODEL_CONFIGS["SWRC1"].parametric
     assert MODEL_CONFIGS["SHC2"].targets == SHC_TARGETS
     assert "internal_diameter_cm" in MODEL_CONFIGS["SHC4"].features
     assert len(POINT_TARGETS) == 10

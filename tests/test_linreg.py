@@ -1,5 +1,7 @@
 """Linear fitting: exact recovery, rank handling, ridge fallback."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -199,13 +201,21 @@ def test_model_finite_guard():
         )
 
 
+def _via_json(model):
+    """to_dict, JSON text as the CLI writes it, from_dict."""
+    text = json.dumps(model.to_dict(), sort_keys=True, indent=2)
+    return LinearModel.from_dict(json.loads(text))
+
+
 def test_model_json_roundtrip():
     m = ols_fit([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [1.0, 2.0, 3.0],
                 feature_names=["a", "b"])
-    back = LinearModel.from_json(m.to_json())
+    back = _via_json(m)
     assert back == m
     doc = m.to_dict()
-    assert set(doc) == {"intercept", "coefficients", "training_count", "standardization"}
+    assert set(doc) == {
+        "intercept", "feature_names", "coefficients", "training_count", "standardization"
+    }
     assert set(doc["standardization"]) == {"means", "scales"}
 
 
@@ -218,14 +228,15 @@ def test_residuals_definition():
 
 
 def test_json_roundtrip_keeps_predictions_for_unsorted_names():
-    # JSON sorts the coefficients; predict_matrix must still follow the
-    # caller's column order, giving the in-memory model's bits
+    # JSON sorts the coefficients; feature_names keeps the training order,
+    # and predict_matrix follows the caller's column order, giving the
+    # in-memory model's bits
     rng = np.random.default_rng(4)
     X = rng.normal(0, 1, (20, 2))
     y = 1.0 + 2.0 * X[:, 0] - 0.5 * X[:, 1] + rng.normal(0, 0.1, 20)
     m = ols_fit(X, y, feature_names=["z", "x"])
-    back = LinearModel.from_json(m.to_json())
-    assert back.feature_names == ["x", "z"]
+    back = _via_json(m)
+    assert back.feature_names == ["z", "x"]
     assert back.predict_matrix(X, ["z", "x"]).tolist() == m.predict_matrix(X, ["z", "x"]).tolist()
     with pytest.raises(FitError, match="feature mismatch"):
         back.predict_matrix(X, ["x", "x"])
