@@ -521,7 +521,17 @@ def _model_paths(spec: str) -> list[Path]:
     return [_require_file(p)]
 
 
-def _clamped_vg(preds: dict) -> VgParameters:
+def _exp_prediction(sid: str, preds: dict, target: str) -> float:
+    try:
+        return math.exp(preds[target])
+    except OverflowError:
+        raise DataError(
+            f"sample {sid!r}: predicted {target} {preds[target]:g} is too large to "
+            "expand into a curve"
+        ) from None
+
+
+def _clamped_vg(sid: str, preds: dict) -> VgParameters:
     # Predictions can land slightly outside the feasible region; nudge
     # them back so the curve stays defined.
     theta_s = min(max(preds["theta_s"], 0.012), 0.99)
@@ -529,8 +539,8 @@ def _clamped_vg(preds: dict) -> VgParameters:
     return VgParameters(
         theta_r=theta_r,
         theta_s=theta_s,
-        alpha=max(math.exp(preds["log_alpha"]), 1e-8),
-        n=max(math.exp(preds["log_n"]), 1.000001),
+        alpha=max(_exp_prediction(sid, preds, "log_alpha"), 1e-8),
+        n=max(_exp_prediction(sid, preds, "log_n"), 1.000001),
     )
 
 
@@ -575,19 +585,22 @@ def cmd_predict(args) -> int:
         [sid] + [_fmt(per_sample[t]) for t in order]
         for sid, per_sample in zip(dataset.ids, predictions)
     ]
-    _write_csv(args.out, ["id"] + list(order), rows, meta)
 
+    # The curves are built before either file is written, so a sample
+    # that cannot be expanded leaves no partial output behind.
+    curve_rows = []
     if args.curve:
         if not set(PARAMETRIC_TARGETS) <= set(order):
             raise UsageError(
                 f"--curve needs models for all of {list(PARAMETRIC_TARGETS)}, have {order}"
             )
         tensions = np.geomspace(1.0, 15000.0, 50)
-        curve_rows = []
         for sid, per_sample in zip(dataset.ids, predictions):
-            params = _clamped_vg(per_sample)
+            params = _clamped_vg(sid, per_sample)
             for h in tensions:
                 curve_rows.append([sid, _fmt(h), _fmt(vg_theta(params, float(h)))])
+    _write_csv(args.out, ["id"] + list(order), rows, meta)
+    if args.curve:
         _write_csv(args.curve, ["id", "tension_cm", "theta"], curve_rows, meta)
     return 0
 

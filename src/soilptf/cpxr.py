@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import math
+import sys
 from numbers import Integral, Real
 
 import numpy as np
@@ -56,7 +56,9 @@ class CpxrConfig:
         for name, f in self.__dataclass_fields__.items():
             value = getattr(self, name)
             kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a finite number")
-            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            # the bound also rejects NaN and integers past the float range
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not abs(value) <= sys.float_info.max):
                 raise CpxrError(f"{name} must be {what}, got {value!r}")
         for name, ok, valid in (
             ("rho", 0 < self.rho < 1, "in (0, 1)"),
@@ -288,8 +290,7 @@ def _optimize(w, wp, y, default_pred, config: CpxrConfig):
     return chosen, trace
 
 
-def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
-               categorical=()) -> PxrModel:
+def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrModel:
     """Fit a pattern-aided regression model on a design matrix.
 
     The result never predicts the training data worse (in RMSE) than the
@@ -333,7 +334,7 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig(),
     le_rows = np.zeros(n, dtype=bool)
     le_rows[split.le_ids] = True
     labels = le_rows.astype(int)
-    scheme = build_scheme(X, labels, names, categorical=categorical, max_depth=config.max_depth)
+    scheme = build_scheme(X, labels, names, max_depth=config.max_depth)
 
     items = scheme.alphabet()
     if not items:

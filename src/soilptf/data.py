@@ -165,7 +165,7 @@ def _parse_cell(token: str, column: str, row: int) -> float:
 
 
 def parse_columns(
-    header: list[str], rows: list[list[str]], names, id_column: str = "id"
+    header: list[str], rows: list[list[str]], names
 ) -> tuple[list[str], dict[str, np.ndarray]]:
     """Parse the ids and the named numeric columns of rows from read_rows.
 
@@ -174,13 +174,13 @@ def parse_columns(
     order.
     """
     at = {c: j for j, c in enumerate(header)}
-    if id_column not in at:
-        raise DataError(f"header has no {id_column!r} column: {header}")
+    if "id" not in at:
+        raise DataError(f"header has no 'id' column: {header}")
     ids = []
     values = np.full((len(names), len(rows)), math.nan)
     present = [(k, name, at[name]) for k, name in enumerate(names) if name in at]
     for i, raw in enumerate(rows):
-        sid = raw[at[id_column]].strip()
+        sid = raw[at["id"]].strip()
         if not sid:
             raise DataError(f"row {i + 2}: empty sample id")
         ids.append(sid)

@@ -31,7 +31,6 @@ class DiscretizeError(ValueError):
 class CutPoints:
     """Strictly increasing cut positions for one numeric feature."""
 
-    feature: str
     cuts: tuple[float, ...]
 
     def __post_init__(self):
@@ -50,10 +49,6 @@ class DiscretizationScheme:
         overlap = set(self.cuts) & set(self.categorical)
         if overlap:
             raise DiscretizeError(f"features both numeric and categorical: {sorted(overlap)}")
-
-    @property
-    def features(self) -> list[str]:
-        return sorted(self.cuts) + sorted(self.categorical)
 
     def alphabet(self) -> list[Item]:
         """All discriminative items: interval items per cut feature plus
@@ -88,19 +83,8 @@ class DiscretizationScheme:
         return cls(cuts=cuts, categorical=cat)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    """Shannon entropy in bits of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
 def _mdl_accepts(n: int, whole: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:
-    h = _entropy(whole)
-    h1 = _entropy(left)
-    h2 = _entropy(right)
+    h, h1, h2 = _entropies(np.stack([whole, left, right])).tolist()
     gain = h - (left.sum() / n) * h1 - (right.sum() / n) * h2
     c = int((whole > 0).sum())
     c1 = int((left > 0).sum())
@@ -110,8 +94,8 @@ def _mdl_accepts(n: int, whole: np.ndarray, left: np.ndarray, right: np.ndarray)
 
 
 def _entropies(counts: np.ndarray) -> np.ndarray:
-    """_entropy of every row of a count table, bit for bit: the per-class
-    terms are added in class order, an absent class adding 0."""
+    """Shannon entropy in bits of every row of a class-count table; the
+    per-class terms are added in class order, an absent class adding 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / counts.sum(axis=1, keepdims=True)
         terms = np.where(counts > 0, p * np.log2(p), 0.0)
@@ -121,7 +105,7 @@ def _entropies(counts: np.ndarray) -> np.ndarray:
     return -h
 
 
-def mdl_discretize(values, labels, feature: str = "", max_depth: int = MAX_DEPTH) -> CutPoints:
+def mdl_discretize(values, labels, max_depth: int = MAX_DEPTH) -> CutPoints:
     """Split a value axis recursively while the MDL criterion holds.
 
     values are one numeric column, labels the parallel class assignment
@@ -145,7 +129,7 @@ def mdl_discretize(values, labels, feature: str = "", max_depth: int = MAX_DEPTH
         cum = np.zeros((len(vals) + 1, k), dtype=np.int64)
         np.cumsum(np.eye(k, dtype=np.int64)[class_idx], axis=0, out=cum[1:])
         _split_segment(vals, cum, 0, len(vals), 0, max_depth, cuts)
-    return CutPoints(feature=feature, cuts=tuple(sorted(cuts)))
+    return CutPoints(cuts=tuple(sorted(cuts)))
 
 
 def _split_segment(vals, cum, start, stop, depth, max_depth, cuts):
@@ -172,25 +156,13 @@ def _split_segment(vals, cum, start, stop, depth, max_depth, cuts):
     _split_segment(vals, cum, mid, stop, depth + 1, max_depth, cuts)
 
 
-def build_scheme(
-    X,
-    labels,
-    feature_names,
-    categorical=(),
-    max_depth: int = MAX_DEPTH,
-) -> DiscretizationScheme:
-    """Discretize every numeric column of a design matrix against labels."""
+def build_scheme(X, labels, feature_names, max_depth: int = MAX_DEPTH) -> DiscretizationScheme:
+    """Discretize every column of a design matrix against labels."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(feature_names):
         raise DiscretizeError(f"matrix shape {X.shape} does not fit {len(feature_names)} features")
-    cat = set(categorical)
-    unknown = cat - set(feature_names)
-    if unknown:
-        raise DiscretizeError(f"categorical features not in matrix: {sorted(unknown)}")
-    cuts, cats = {}, {}
-    for j, name in enumerate(feature_names):
-        if name in cat:
-            cats[name] = tuple(sorted(set(X[:, j].tolist())))
-        else:
-            cuts[name] = mdl_discretize(X[:, j], labels, feature=name, max_depth=max_depth).cuts
-    return DiscretizationScheme(cuts=cuts, categorical=cats)
+    cuts = {
+        name: mdl_discretize(X[:, j], labels, max_depth=max_depth).cuts
+        for j, name in enumerate(feature_names)
+    }
+    return DiscretizationScheme(cuts=cuts)

@@ -54,14 +54,14 @@ class MetricSet:
         return cls(**values)
 
 
-def metrics(predicted, observed, log_space: bool = False, r2_mode: str = "pearson") -> MetricSet:
+def metrics(predicted, observed, log_space: bool = False) -> MetricSet:
     """Error metrics over parallel prediction/observation vectors.
 
     log_space marks values that already live in natural-log space, where
     the plain RMSE doubles as the RMSLE. Otherwise the RMSLE is computed
     over the logs when every value is positive and omitted when not.
-    r2_mode 'pearson' is the squared correlation; 'determination' gives
-    1 - SSE/SST. Either is None when its denominator has no variance.
+    R^2 is the squared correlation, None when either vector has no
+    variance.
     """
     p = np.asarray(predicted, dtype=float)
     o = np.asarray(observed, dtype=float)
@@ -69,8 +69,6 @@ def metrics(predicted, observed, log_space: bool = False, r2_mode: str = "pearso
         raise EvaluationError(f"shape mismatch: {p.shape} vs {o.shape}")
     if len(p) < 2:
         raise EvaluationError(f"need at least 2 values, got {len(p)}")
-    if r2_mode not in ("pearson", "determination"):
-        raise EvaluationError(f"unknown r2_mode {r2_mode!r}")
     rmse = float(np.sqrt(np.mean((p - o) ** 2)))
     if log_space:
         rmsle = rmse
@@ -79,16 +77,11 @@ def metrics(predicted, observed, log_space: bool = False, r2_mode: str = "pearso
     else:
         rmsle = None
     r2 = None
-    sse = float(((o - p) ** 2).sum())
     sst = float(((o - o.mean()) ** 2).sum())
-    if r2_mode == "determination":
-        if sst > 0:
-            r2 = 1.0 - sse / sst
-    else:
-        vp = float(((p - p.mean()) ** 2).sum())
-        if sst > 0 and vp > 0:
-            cov = float(((p - p.mean()) * (o - o.mean())).sum())
-            r2 = cov * cov / (vp * sst)
+    vp = float(((p - p.mean()) ** 2).sum())
+    if sst > 0 and vp > 0:
+        cov = float(((p - p.mean()) * (o - o.mean())).sum())
+        r2 = cov * cov / (vp * sst)
     return MetricSet(rmse=rmse, rmsle=rmsle, r2=r2)
 
 

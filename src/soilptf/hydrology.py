@@ -90,29 +90,21 @@ def vg_theta(params: VgParameters, h):
     return theta
 
 
-def inflection_point(params: VgParameters, on_log_h: bool = False) -> tuple[float, float]:
-    """Tension head and water content at the curve's inflection.
-
-    Default: inflection of theta versus h, at (alpha*h)^n = m. With
-    on_log_h=True: inflection of theta versus ln h, at (alpha*h)^n = 1/m.
-    """
+def inflection_point(params: VgParameters) -> tuple[float, float]:
+    """Tension head and water content at the inflection of theta versus
+    h, where (alpha*h)^n = m."""
     m = params.m
-    u = 1.0 / m if on_log_h else m
-    h_i = u ** (1.0 / params.n) / params.alpha
-    theta_i = params.theta_r + (params.theta_s - params.theta_r) * (1.0 + u) ** (-m)
+    h_i = m ** (1.0 / params.n) / params.alpha
+    theta_i = params.theta_r + (params.theta_s - params.theta_r) * (1.0 + m) ** (-m)
     return h_i, theta_i
 
 
-def derived_water_contents(
-    params: VgParameters,
-    tensions_kpa=TENSION_LADDER_KPA,
-    inflection_on_log_h: bool = False,
-) -> dict[str, float]:
+def derived_water_contents(params: VgParameters) -> dict[str, float]:
     """Point targets from a retention curve: saturation, inflection and
-    the water contents at the tension ladder (kPa)."""
+    the water contents at TENSION_LADDER_KPA."""
     out = {"theta_s": vg_theta(params, 0.0)}
-    out["theta_i"] = inflection_point(params, on_log_h=inflection_on_log_h)[1]
-    for kpa in tensions_kpa:
+    out["theta_i"] = inflection_point(params)[1]
+    for kpa in TENSION_LADDER_KPA:
         out[f"theta_{int(kpa)}"] = vg_theta(params, kpa * KPA_TO_CM)
     return out
 
@@ -292,12 +284,7 @@ def fit_vg(points) -> VgParameters:
 # texture statistics
 # ----------------------------------------------------------------------
 
-def texture_statistics(
-    sand: float,
-    silt: float,
-    clay: float,
-    diameters_mm=(SAND_DIAMETER_MM, SILT_DIAMETER_MM, CLAY_DIAMETER_MM),
-) -> tuple[float, float]:
+def texture_statistics(sand: float, silt: float, clay: float) -> tuple[float, float]:
     """Geometric mean particle diameter d_g (mm) and geometric standard
     deviation sigma_g from sand/silt/clay mass percentages."""
     fractions = np.array([sand, silt, clay], dtype=float) / 100.0
@@ -306,7 +293,7 @@ def texture_statistics(
     total = float(fractions.sum())
     if abs(total - 1.0) > 0.005:
         raise HydrologyError(f"sand+silt+clay = {total * 100:g}%, expected 100 +/- 0.5")
-    log_d = np.log(np.asarray(diameters_mm, dtype=float))
+    log_d = np.log(np.array([SAND_DIAMETER_MM, SILT_DIAMETER_MM, CLAY_DIAMETER_MM]))
     a = float(fractions @ log_d)
     spread = float(fractions @ log_d**2) - a * a
     b = math.sqrt(max(spread, 0.0))

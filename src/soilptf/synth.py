@@ -280,15 +280,14 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
 
 def generate_retention(
     truth: dict,
-    tensions_cm=None,
     noise_sd: float = 0.002,
     seed: int = 0,
 ) -> list[tuple[str, float, float]]:
     """Long-format retention points (id, tension_cm, theta) synthesized
-    from the truth record's effective parameters."""
+    from the truth record's effective parameters, at saturation and 12
+    log-spaced tensions from 10 to 15000 cm."""
     _check_noise_sd("retention noise_sd", noise_sd)
-    if tensions_cm is None:
-        tensions_cm = [0.0] + list(np.geomspace(10.0, 15000.0, 12))
+    tensions_cm = [0.0] + list(np.geomspace(10.0, 15000.0, 12))
     rng = np.random.default_rng(seed)
     rows = []
     for sid, p in truth["effective_params"].items():

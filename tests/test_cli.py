@@ -530,11 +530,18 @@ def test_train_hyper_usage_errors(synth_small, tmp_path, capsys):
     assert run(base + ["--hyper", tmp_path / "missing.json"]) == 2
     assert "no such file" in capsys.readouterr().err
 
+    # an integer past the float range is rejected, not overflowed
+    bad.write_text('{"max_k": ' + "9" * 400 + "}\n")
+    assert run(base + ["--hyper", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_k") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize(
     "spec", ['min_growth="x"', "min_support_le=null", 'jaccard_max="a"', "max_k=true",
              "max_len=2.5", "min_growth=NaN", "jaccard_max=-Infinity", "min_support_le=-0.1",
-             "min_growth=0", "weight_floor=0", "min_count_le=0"],
+             "min_growth=0", "weight_floor=0", "min_count_le=0",
+             pytest.param("max_k=" + "9" * 400, id="max_k=huge-integer")],
 )
 def test_train_malformed_hyperparameter_is_one_line_usage_error(synth_small, tmp_path, capsys,
                                                                  spec):
@@ -599,6 +606,27 @@ def test_predict_expands_retention_curves(swrc3_models, features_csv, tmp_path):
         thetas = [t for _, t in pts]
         assert all(0.0 <= t <= 1.0 for t in thetas)
         assert all(a >= b - 1e-12 for a, b in zip(thetas, thetas[1:]))
+
+
+def test_predict_curve_overflow_is_one_line_and_writes_nothing(swrc3_models, features_csv,
+                                                               tmp_path, capsys):
+    # texture far outside the training range drives the predicted log_n
+    # past the float range of exp
+    lines = read_lines(features_csv)
+    at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    header = lines[at].split(",")
+    row = lines[at + 1].split(",")
+    row[header.index("sand")], row[header.index("clay")] = "50000", "-49900"
+    extreme = tmp_path / "extreme.csv"
+    extreme.write_text("\n".join(lines[: at + 1] + [",".join(row)]) + "\n")
+    out, curve = tmp_path / "preds.csv", tmp_path / "curves.csv"
+    rc = run(["predict", "--model", swrc3_models, "--features", extreme,
+              "--out", out, "--curve", curve])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(row[0]) in err and "log_n" in err and "Traceback" not in err
+    assert not out.exists() and not curve.exists()
 
 
 def test_predict_single_model_file(shc2_cpxr_models, synth_small, tmp_path):

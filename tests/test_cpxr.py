@@ -462,13 +462,6 @@ def test_train_two_regimes_recovers_structure():
     assert float(np.sqrt(np.mean((y - pred) ** 2))) == pytest.approx(model.train_rmse)
 
 
-def test_train_categorical_regime_feature():
-    X, y = _two_regime()
-    model = train_cpxr(X, y, ["x", "z"], categorical=("z",))
-    assert model.k >= 1
-    assert model.train_rmse <= 1e-6
-
-
 def test_train_never_worse_than_baseline():
     for seed in range(5):
         rng = np.random.default_rng(seed)

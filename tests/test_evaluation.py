@@ -38,8 +38,6 @@ def test_perfect_prediction():
     m = metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert m.rmse == 0.0
     assert m.r2 == pytest.approx(1.0)
-    m = metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], r2_mode="determination")
-    assert m.r2 == pytest.approx(1.0)
 
 
 def test_rmsle_in_log_space_is_rmse():
@@ -59,20 +57,9 @@ def test_rmsle_undefined_for_nonpositive():
 
 
 def test_r2_no_variance():
-    # constant observations: both modes undefined
+    # constant observations or constant predictions: correlation undefined
     assert metrics([1.0, 2.0], [3.0, 3.0]).r2 is None
-    assert metrics([1.0, 2.0], [3.0, 3.0], r2_mode="determination").r2 is None
-    # constant predictions: correlation undefined, determination not
     assert metrics([3.0, 3.0], [1.0, 2.0]).r2 is None
-    assert metrics([3.0, 3.0], [1.0, 2.0], r2_mode="determination").r2 is not None
-
-
-def test_r2_modes_differ_under_bias():
-    # a shifted perfect predictor keeps correlation 1 but loses determination
-    o = [1.0, 2.0, 3.0, 4.0]
-    p = [11.0, 12.0, 13.0, 14.0]
-    assert metrics(p, o).r2 == pytest.approx(1.0)
-    assert metrics(p, o, r2_mode="determination").r2 < 0
 
 
 def test_metrics_validation():
@@ -80,8 +67,6 @@ def test_metrics_validation():
         metrics([1.0], [1.0])
     with pytest.raises(EvaluationError, match="shape"):
         metrics([1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(EvaluationError, match="r2_mode"):
-        metrics([1.0, 2.0], [1.0, 2.0], r2_mode="adjusted")
 
 
 def test_metric_set_roundtrip():

@@ -93,15 +93,6 @@ def test_inflection_closed_form():
     assert theta_i == pytest.approx(0.4265986323710904, rel=1e-14)
 
 
-def test_inflection_log_axis():
-    h_i, theta_i = inflection_point(LOAM, on_log_h=True)
-    assert h_i == pytest.approx(math.sqrt(2.0) / 0.02, rel=1e-14)
-    assert theta_i == pytest.approx(0.1 + 0.4 / math.sqrt(3.0), rel=1e-14)
-    # log-axis inflection sits drier and lower on the curve
-    assert h_i > inflection_point(LOAM)[0]
-    assert theta_i < inflection_point(LOAM)[1]
-
-
 def test_inflection_lies_on_curve():
     rng = np.random.default_rng(6)
     for _ in range(25):
@@ -111,9 +102,8 @@ def test_inflection_lies_on_curve():
             alpha=float(10 ** rng.uniform(-2.5, -1.0)),
             n=float(rng.uniform(1.1, 3.0)),
         )
-        for flag in (False, True):
-            h_i, theta_i = inflection_point(p, on_log_h=flag)
-            assert vg_theta(p, h_i) == pytest.approx(theta_i, rel=1e-12)
+        h_i, theta_i = inflection_point(p)
+        assert vg_theta(p, h_i) == pytest.approx(theta_i, rel=1e-12)
 
 
 def test_derived_water_contents_keys_and_values():
@@ -125,15 +115,6 @@ def test_derived_water_contents_keys_and_values():
     assert out["theta_1500"] == vg_theta(LOAM, 1500 * KPA_TO_CM)
     ladder = [out[f"theta_{k}"] for k in TENSION_LADDER_KPA]
     assert all(b < a for a, b in zip(ladder, ladder[1:]))
-
-
-def test_derived_water_contents_log_inflection_flag():
-    default = derived_water_contents(LOAM)
-    logged = derived_water_contents(LOAM, inflection_on_log_h=True)
-    assert logged["theta_i"] != default["theta_i"]
-    assert {k: v for k, v in logged.items() if k != "theta_i"} == {
-        k: v for k, v in default.items() if k != "theta_i"
-    }
 
 
 def test_units():
@@ -367,12 +348,6 @@ def test_texture_sum_tolerance():
         texture_statistics(40.0, 40.0, 20.6)
     with pytest.raises(HydrologyError, match="negative"):
         texture_statistics(103.0, -3.0, 0.0)
-
-
-def test_texture_custom_diameters():
-    d_g, sigma_g = texture_statistics(100.0, 0.0, 0.0, diameters_mm=(2.0, 0.05, 0.002))
-    assert d_g == pytest.approx(2.0, rel=1e-12)
-    assert sigma_g == pytest.approx(1.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

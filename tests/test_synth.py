@@ -203,11 +203,9 @@ def test_generate_retention_rows():
 def test_generate_retention_noise_and_custom_ladder():
     cfg = two_regime_config(n_samples=5, noise_sd=0.0, seed=8)
     _, truth = generate(cfg)
-    rows = generate_retention(truth, tensions_cm=[0.0, 10.0, 100.0, 1000.0],
-                              noise_sd=0.004, seed=1)
-    assert len(rows) == 5 * 4
-    again = generate_retention(truth, tensions_cm=[0.0, 10.0, 100.0, 1000.0],
-                               noise_sd=0.004, seed=1)
+    rows = generate_retention(truth, noise_sd=0.004, seed=1)
+    assert len(rows) == 5 * 13
+    again = generate_retention(truth, noise_sd=0.004, seed=1)
     assert rows == again
     devs = []
     for sid, h, theta in rows:
