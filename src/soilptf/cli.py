@@ -40,7 +40,6 @@ from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
     HydrologyError,
-    RetentionPoint,
     VgFitError,
     VgParameters,
     fit_vg,
@@ -79,16 +78,19 @@ VG_COLUMNS = ("theta_r", "theta_s", "alpha_per_cm", "n")
 
 
 def _resolve_seed(flag_value) -> int:
-    """Explicit flag, then the environment, then 0."""
+    """Explicit flag, then the environment, then 0; a non-negative integer."""
     if flag_value is not None:
+        if flag_value < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {flag_value}")
         return int(flag_value)
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
+    raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        seed = -1  # reported below like a negative value
+    if seed < 0:
+        raise UsageError(f"{SEED_ENV} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _config_hash(settings: dict) -> str:
@@ -249,8 +251,7 @@ def _read_retention(path) -> list[tuple[str, list[tuple[float, float]]]]:
 def _fit_one_sample(item):
     sid, pairs = item
     try:
-        points = [RetentionPoint(tension=h, theta=t) for h, t in pairs]
-        params = fit_vg(points)
+        params = fit_vg(pairs)
     except (HydrologyError, VgFitError) as exc:
         return sid, None, f"fail {sid}: {exc}"
     return (
@@ -663,10 +664,11 @@ def cmd_report(args) -> int:
         table = compare(report_a, report_b, split=args.split)
     except EvaluationError as exc:
         raise UsageError(str(exc)) from None
-    print(table)
-    if args.out:
+    if args.out:  # a bad seed fails before the table is printed
         seed = _resolve_seed(args.seed)
         meta = _meta(seed, {"command": "report", "seed": seed, "split": args.split})
+    print(table)
+    if args.out:
         comment = "\n".join(_meta_comment_lines(meta)) + "\n"
         _write_text(args.out, comment + table.to_csv_text())
     return 0

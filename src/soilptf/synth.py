@@ -2,12 +2,13 @@
 
 Feature space mirrors the measured tables: texture drawn uniformly on the
 simplex, bulk density uniform, core internal diameter and length from
-small discrete menus. A threshold rule on one feature assigns each sample
-to a regime; every generated quantity (retention parameters, conductivity)
-is a regime-specific linear function of the features. Sample length
-perturbs the effective retention parameters through the documented scale
-rule, and noise enters the retention targets through small parameter
-jitter so the derived water contents keep their curve invariants.
+small discrete menus. Sand below 60 % makes a sample fine, sand at or
+above it coarse; every generated quantity (retention parameters,
+conductivity) is a regime-specific linear function of the features.
+Sample length perturbs the effective retention parameters through the
+documented scale rule, and noise enters the retention targets through
+small parameter jitter so the derived water contents keep their curve
+invariants.
 
 derive_row and feature_table build the feature/target table, here and
 in derive-features alike.
@@ -84,21 +85,12 @@ class LinearSpec:
         return self.intercept + sum(c * features[name] for name, c in self.coefs)
 
 
-# Quantities every regime must define.
-REGIME_QUANTITIES = ("theta_r", "theta_s", "log_alpha", "log_n1", "log_ksat")
-
-
 @dataclass(frozen=True)
 class RegimeSpec:
     """Linear generating formulas of one regime."""
 
     name: str
     formulas: tuple[tuple[str, LinearSpec], ...]
-
-    def __post_init__(self):
-        have = {q for q, _ in self.formulas}
-        if have != set(REGIME_QUANTITIES):
-            raise SynthError(f"regime {self.name!r} must define {REGIME_QUANTITIES}, has {sorted(have)}")
 
     def formula(self, quantity: str) -> LinearSpec:
         for q, spec in self.formulas:
@@ -107,30 +99,39 @@ class RegimeSpec:
         raise KeyError(quantity)
 
 
-def _fine_regime() -> RegimeSpec:
-    return RegimeSpec(
-        name="fine",
-        formulas=(
-            ("theta_r", LinearSpec(0.05, (("clay", 0.0012),))),
-            ("theta_s", LinearSpec(0.77, (("bulk_density", -0.20), ("sand", -0.0006)))),
-            ("log_alpha", LinearSpec(-4.6, (("sand", 0.015), ("clay", -0.006)))),
-            ("log_n1", LinearSpec(-1.1, (("sand", 0.010), ("clay", -0.008)))),
-            ("log_ksat", LinearSpec(3.3, (("sand", 0.045), ("clay", -0.035), ("bulk_density", -2.0)))),
-        ),
-    )
+# The two texture regimes. Their formulas read sand, silt, clay (mass
+# percent) and bulk_density only.
+FINE = RegimeSpec(
+    name="fine",
+    formulas=(
+        ("theta_r", LinearSpec(0.05, (("clay", 0.0012),))),
+        ("theta_s", LinearSpec(0.77, (("bulk_density", -0.20), ("sand", -0.0006)))),
+        ("log_alpha", LinearSpec(-4.6, (("sand", 0.015), ("clay", -0.006)))),
+        ("log_n1", LinearSpec(-1.1, (("sand", 0.010), ("clay", -0.008)))),
+        ("log_ksat", LinearSpec(3.3, (("sand", 0.045), ("clay", -0.035), ("bulk_density", -2.0)))),
+    ),
+)
+COARSE = RegimeSpec(
+    name="coarse",
+    formulas=(
+        ("theta_r", LinearSpec(0.02, (("clay", 0.0008),))),
+        ("theta_s", LinearSpec(0.605, (("bulk_density", -0.15), ("silt", 0.0005)))),
+        ("log_alpha", LinearSpec(-5.8, (("sand", 0.020), ("clay", -0.004)))),
+        ("log_n1", LinearSpec(1.0, (("sand", 0.004), ("clay", -0.004)))),
+        ("log_ksat", LinearSpec(13.0, (("silt", -0.030), ("clay", -0.090), ("bulk_density", -6.0)))),
+    ),
+)
+SAND_SPLIT = 60.0  # mass percent sand; a sample at the split is coarse
+
+# Draw menus: core internal diameter and length (cm), bulk density range.
+INTERNAL_DIAMETERS_CM = (5.0, 8.0, 10.0, 20.0, 30.0)
+LENGTHS_CM = (1.0, 5.0, 10.0, 20.0, 100.0)
+BULK_DENSITY_RANGE = (1.1, 1.7)
 
 
-def _coarse_regime() -> RegimeSpec:
-    return RegimeSpec(
-        name="coarse",
-        formulas=(
-            ("theta_r", LinearSpec(0.02, (("clay", 0.0008),))),
-            ("theta_s", LinearSpec(0.605, (("bulk_density", -0.15), ("silt", 0.0005)))),
-            ("log_alpha", LinearSpec(-5.8, (("sand", 0.020), ("clay", -0.004)))),
-            ("log_n1", LinearSpec(1.0, (("sand", 0.004), ("clay", -0.004)))),
-            ("log_ksat", LinearSpec(13.0, (("silt", -0.030), ("clay", -0.090), ("bulk_density", -6.0)))),
-        ),
-    )
+def regime_of(sand: float) -> RegimeSpec:
+    """FINE below SAND_SPLIT percent sand, COARSE at and above it."""
+    return FINE if sand < SAND_SPLIT else COARSE
 
 
 def _check_noise_sd(name: str, value: float):
@@ -140,41 +141,33 @@ def _check_noise_sd(name: str, value: float):
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator settings; regimes partition the regime feature's axis at
-    the thresholds (value below the first threshold is the first regime)."""
+    """Generator settings; the regimes and draw menus are the module
+    constants above."""
 
     n_samples: int = 300
     seed: int = 0
     noise_sd: float = 0.01
-    regime_feature: str = "sand"
-    thresholds: tuple[float, ...] = (60.0,)
-    regimes: tuple[RegimeSpec, ...] = (None, None)  # replaced in __post_init__
     scale_alpha_per_cm: float = -0.004     # d log_alpha per cm of sample length
     scale_theta_s_per_cm: float = -0.0005  # d theta_s per cm of sample length
-    id_choices: tuple[float, ...] = (5.0, 8.0, 10.0, 20.0, 30.0)
-    length_choices: tuple[float, ...] = (1.0, 5.0, 10.0, 20.0, 100.0)
-    bulk_density_range: tuple[float, float] = (1.1, 1.7)
 
     def __post_init__(self):
-        if self.regimes == (None, None):
-            object.__setattr__(self, "regimes", (_fine_regime(), _coarse_regime()))
         if self.n_samples < 1:
             raise SynthError(f"n_samples must be positive, got {self.n_samples}")
         _check_noise_sd("noise_sd", self.noise_sd)
-        if len(self.regimes) != len(self.thresholds) + 1:
-            raise SynthError(
-                f"{len(self.thresholds)} thresholds need {len(self.thresholds) + 1} regimes, "
-                f"got {len(self.regimes)}"
-            )
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise SynthError(f"thresholds must increase: {self.thresholds}")
-
-    def regime_of(self, value: float) -> RegimeSpec:
-        idx = int(np.searchsorted(np.asarray(self.thresholds), value, side="right"))
-        return self.regimes[idx]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # truth.json and the config_hash of every synth artifact are built
+        # from this dict, so it still records the fixed regimes and draw
+        # menus under the keys they had as settings.
+        return {
+            **asdict(self),
+            "regime_feature": "sand",
+            "thresholds": (SAND_SPLIT,),
+            "regimes": (asdict(FINE), asdict(COARSE)),
+            "id_choices": INTERNAL_DIAMETERS_CM,
+            "length_choices": LENGTHS_CM,
+            "bulk_density_range": BULK_DENSITY_RANGE,
+        }
 
 
 def default_synth_config(n_samples: int = 300, noise_sd: float = 0.01, seed: int = 0) -> SynthConfig:
@@ -216,10 +209,9 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
     rng = np.random.default_rng(config.seed)
     n = config.n_samples
     texture = np.round(rng.dirichlet((1.0, 1.0, 1.0), size=n) * 100.0, 2)
-    lo, hi = config.bulk_density_range
-    bulk = np.round(rng.uniform(lo, hi, size=n), 3)
-    inner = rng.choice(np.asarray(config.id_choices, dtype=float), size=n)
-    length = rng.choice(np.asarray(config.length_choices, dtype=float), size=n)
+    bulk = np.round(rng.uniform(*BULK_DENSITY_RANGE, size=n), 3)
+    inner = rng.choice(np.asarray(INTERNAL_DIAMETERS_CM), size=n)
+    length = rng.choice(np.asarray(LENGTHS_CM), size=n)
 
     ids, rows = [], []
     regimes: dict[str, str] = {}
@@ -234,18 +226,15 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
             "internal_diameter_cm": float(inner[i]),
             "length_cm": float(length[i]),
         }
-        # the regime formulas may read the texture statistics too
-        d_g, sigma_g = texture_statistics(sand, silt, clay)
-        feats = {**basic, "d_g": d_g, "sigma_g": sigma_g}
-        regime = config.regime_of(feats[config.regime_feature])
-        theta_r = regime.formula("theta_r").evaluate(feats)
-        theta_s = regime.formula("theta_s").evaluate(feats)
-        log_alpha = regime.formula("log_alpha").evaluate(feats)
-        log_n1 = regime.formula("log_n1").evaluate(feats)
-        log_ksat = regime.formula("log_ksat").evaluate(feats)
+        regime = regime_of(basic["sand"])
+        theta_r = regime.formula("theta_r").evaluate(basic)
+        theta_s = regime.formula("theta_s").evaluate(basic)
+        log_alpha = regime.formula("log_alpha").evaluate(basic)
+        log_n1 = regime.formula("log_n1").evaluate(basic)
+        log_ksat = regime.formula("log_ksat").evaluate(basic)
 
-        log_alpha += config.scale_alpha_per_cm * feats["length_cm"]
-        theta_s += config.scale_theta_s_per_cm * feats["length_cm"]
+        log_alpha += config.scale_alpha_per_cm * basic["length_cm"]
+        theta_s += config.scale_theta_s_per_cm * basic["length_cm"]
 
         if config.noise_sd > 0:
             log_alpha += rng.normal(0.0, _JITTER_LOG_ALPHA * config.noise_sd)

@@ -269,10 +269,25 @@ def test_seed_defaults_to_zero(tmp_path):
 
 
 def test_rejects_non_integer_environment_seed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV, "banana")
-    rc = run(["synth", "--out-dir", tmp_path / "s", "--n", "30"])
-    assert rc == 2
-    assert SEED_ENV in capsys.readouterr().err
+    for raw in ("banana", "-5"):
+        monkeypatch.setenv(SEED_ENV, raw)
+        rc = run(["synth", "--out-dir", tmp_path / "s", "--n", "30"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert SEED_ENV in err and err.count("\n") == 1, raw
+        assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "evaluate"])
+def test_negative_seed_flag_is_one_line_usage_error(command, synth_big, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--n", "30"],
+        "evaluate": ["evaluate", "--features", synth_big / "dataset.csv", "--config", "SHC2"],
+    }[command]
+    assert run(argv + ["--out-dir", out, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

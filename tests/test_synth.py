@@ -1,5 +1,7 @@
 """Synthetic dataset generator: regimes, scale rule, jitter, retention points."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,13 +10,18 @@ import pytest
 from soilptf.data import KNOWN_FEATURES, validate_dataset
 from soilptf.hydrology import KPA_TO_CM, VgParameters, vg_theta
 from soilptf.synth import (
+    COARSE,
+    FINE,
+    INTERNAL_DIAMETERS_CM,
+    LENGTHS_CM,
+    SAND_SPLIT,
     LinearSpec,
-    RegimeSpec,
     SynthConfig,
     SynthError,
     default_synth_config,
     generate,
     generate_retention,
+    regime_of,
     scale_effect_config,
     two_regime_config,
 )
@@ -36,16 +43,11 @@ def test_linear_spec_evaluate():
     assert LinearSpec(7.0).evaluate({}) == 7.0
 
 
-def test_regime_spec_requires_all_quantities():
-    with pytest.raises(SynthError, match="must define"):
-        RegimeSpec(name="half", formulas=(("theta_r", LinearSpec(0.1)),))
-
-
 def test_config_defaults_and_factories():
     c = default_synth_config()
     assert (c.n_samples, c.seed, c.noise_sd) == (300, 0, 0.01)
-    assert c.thresholds == (60.0,)
-    assert [r.name for r in c.regimes] == ["fine", "coarse"]
+    assert SAND_SPLIT == 60.0
+    assert [r.name for r in (FINE, COARSE)] == ["fine", "coarse"]
     assert (c.scale_alpha_per_cm, c.scale_theta_s_per_cm) == (-0.004, -0.0005)
     assert scale_effect_config(n_samples=50, seed=3) == default_synth_config(n_samples=50, seed=3)
     nr = two_regime_config()
@@ -58,20 +60,12 @@ def test_config_validation():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(SynthError, match="noise_sd"):
             SynthConfig(noise_sd=bad)
-    with pytest.raises(SynthError, match="thresholds need"):
-        SynthConfig(thresholds=(40.0, 60.0))  # default pair of regimes
-    with pytest.raises(SynthError, match="increase"):
-        SynthConfig(
-            thresholds=(60.0, 60.0),
-            regimes=(SynthConfig().regimes[0],) * 3,
-        )
 
 
 def test_regime_boundary_belongs_right():
-    c = default_synth_config()
-    assert c.regime_of(59.99).name == "fine"
-    assert c.regime_of(60.0).name == "coarse"
-    assert c.regime_of(95.0).name == "coarse"
+    assert regime_of(59.99) is FINE
+    assert regime_of(60.0) is COARSE
+    assert regime_of(95.0) is COARSE
 
 
 def test_generate_shapes_and_ids():
@@ -99,14 +93,13 @@ def test_generate_deterministic():
 
 def test_generate_samples_are_valid():
     ds, _ = generate(default_synth_config(n_samples=60, seed=2))
-    cfg = default_synth_config()
     assert validate_dataset(ds) == []
     assert not any(np.isnan(col).any() for col in ds.columns.values())
     for _, features, _ in rows(ds):
         assert abs(features["sand"] + features["silt"] + features["clay"] - 100.0) < 0.02
         assert 1.1 <= features["bulk_density"] <= 1.7
-        assert features["internal_diameter_cm"] in cfg.id_choices
-        assert features["length_cm"] in cfg.length_choices
+        assert features["internal_diameter_cm"] in INTERNAL_DIAMETERS_CM
+        assert features["length_cm"] in LENGTHS_CM
 
 
 def test_regime_assignment_follows_sand():
@@ -140,7 +133,7 @@ def test_noise_free_two_regime_is_exact():
     cfg = two_regime_config(n_samples=50, noise_sd=0.0, seed=5)
     ds, truth = generate(cfg)
     for sid, features, _ in rows(ds):
-        regime = cfg.regime_of(features[cfg.regime_feature])
+        regime = regime_of(features["sand"])
         feats = {k: features[k] for k in
                  ("sand", "silt", "clay", "bulk_density", "d_g", "sigma_g",
                   "internal_diameter_cm", "length_cm")}
@@ -157,7 +150,7 @@ def test_scale_rule_shifts_parameters():
     cfg = scale_effect_config(n_samples=50, noise_sd=0.0, seed=6)
     ds, truth = generate(cfg)
     for sid, feats, _ in rows(ds):
-        regime = cfg.regime_of(feats[cfg.regime_feature])
+        regime = regime_of(feats["sand"])
         p = truth["effective_params"][sid]
         length = feats["length_cm"]
         want_log_alpha = regime.formula("log_alpha").evaluate(feats) - 0.004 * length
@@ -172,7 +165,7 @@ def test_jitter_scales_with_noise_sd():
     ds, truth = generate(cfg)
     dev_alpha, dev_ksat = [], []
     for sid, feats, _ in rows(ds):
-        regime = cfg.regime_of(feats[cfg.regime_feature])
+        regime = regime_of(feats["sand"])
         p = truth["effective_params"][sid]
         dev_alpha.append(math.log(p["alpha"]) - regime.formula("log_alpha").evaluate(feats))
         dev_ksat.append(p["log_ksat"] - regime.formula("log_ksat").evaluate(feats))
@@ -224,9 +217,20 @@ def test_generate_retention_rejects_bad_noise(bad):
 
 
 def test_config_to_dict_serializable():
-    import json
-
     doc = default_synth_config().to_dict()
     assert doc["n_samples"] == 300
     assert doc["thresholds"] == (60.0,)
     assert json.dumps(doc)  # nested regime specs stay JSON-friendly
+
+
+def test_config_record_is_pinned():
+    # truth.json and the config_hash of every synth artifact are built from
+    # this record, fixed regimes and draw menus included
+    for factory, digest in (
+        (default_synth_config, "6617efbc624532c5"),
+        (two_regime_config, "192bce240c0d3368"),
+    ):
+        doc = factory(n_samples=300, noise_sd=0.01, seed=7).to_dict()
+        assert len(doc) == 11
+        blob = json.dumps(doc, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest, factory.__name__
