@@ -20,7 +20,7 @@ from .hydrology import (
     texture_statistics,
     vg_theta,
 )
-from .linreg import LinearModel, ols_fit, residuals
+from .linreg import LinearModel, fit_local
 from .patterns import Item, Pattern
 from .synth import SynthConfig, default_synth_config, generate
 
@@ -43,13 +43,12 @@ __all__ = [
     "cross_validate",
     "default_synth_config",
     "derived_water_contents",
+    "fit_local",
     "fit_vg",
     "generate",
     "load_dataset",
     "mdl_discretize",
     "metrics",
-    "ols_fit",
-    "residuals",
     "select_columns",
     "texture_statistics",
     "train_cpxr",

@@ -144,6 +144,16 @@ def _write_json(path, payload: dict):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_comparison(path, table, meta: dict):
+    """Write a method comparison as CSV under its meta comment, then print it.
+
+    The file comes first, so a closed stdout cannot leave it unwritten.
+    """
+    comment = "\n".join(_meta_comment_lines(meta)) + "\n"
+    _write_text(path, comment + table.to_csv_text())
+    print(table)
+
+
 def _write_csv(path, header: list[str], rows, meta: dict):
     buf = io.StringIO()
     for line in _meta_comment_lines(meta):
@@ -485,9 +495,7 @@ def cmd_evaluate(args) -> int:
 
     if len(methods) == 2:
         table = compare(reports[methods[0]], reports[methods[1]], split="test")
-        comment = "\n".join(_meta_comment_lines(meta)) + "\n"
-        _write_text(out_dir / f"comparison_{config.id}.csv", comment + table.to_csv_text())
-        print(table)
+        _write_comparison(out_dir / f"comparison_{config.id}.csv", table, meta)
     return 0
 
 
@@ -664,13 +672,13 @@ def cmd_report(args) -> int:
         table = compare(report_a, report_b, split=args.split)
     except EvaluationError as exc:
         raise UsageError(str(exc)) from None
-    if args.out:  # a bad seed fails before the table is printed
-        seed = _resolve_seed(args.seed)
-        meta = _meta(seed, {"command": "report", "seed": seed, "split": args.split})
-    print(table)
-    if args.out:
-        comment = "\n".join(_meta_comment_lines(meta)) + "\n"
-        _write_text(args.out, comment + table.to_csv_text())
+    if not args.out:
+        print(table)
+        return 0
+    seed = _resolve_seed(args.seed)
+    _write_comparison(
+        args.out, table, _meta(seed, {"command": "report", "seed": seed, "split": args.split})
+    )
     return 0
 
 
@@ -780,7 +788,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader went away after every file was written; point
+        # stdout at devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Ordinary least squares with optional ridge penalty.
+"""Ordinary least squares with a ridge fallback for degenerate systems.
 
 Features are standardized to zero mean and unit variance before solving;
 the returned coefficients are mapped back to the original feature space,
@@ -15,14 +15,6 @@ import numpy as np
 
 class FitError(ValueError):
     pass
-
-
-class RankDeficientError(FitError):
-    """Raised when the design matrix has linearly dependent columns."""
-
-    def __init__(self, columns):
-        self.columns = list(columns)
-        super().__init__(f"design matrix is rank deficient; dependent columns: {self.columns}")
 
 
 @dataclass
@@ -96,7 +88,14 @@ class LinearModel:
         )
 
 
-def _check_xy(X, y):
+def fit_local(X, y, feature_names) -> LinearModel:
+    """Least-squares fit of y on X plus an intercept.
+
+    X is standardized once. A system with fewer rows than coefficients, or
+    one whose lstsq rank falls short of the coefficient count, is solved
+    again with the ridge penalty 1e-8 * trace(Xs'Xs) / p taken from the
+    standardized columns Xs (1e-8 when every column is constant).
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -105,23 +104,10 @@ def _check_xy(X, y):
         raise FitError(f"X has {X.shape[0]} rows but y has shape {y.shape}")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise FitError("X or y contains NaN or infinity")
-    return X, y
-
-
-def ols_fit(X, y, ridge: float = 0.0, feature_names=None) -> LinearModel:
-    """Least-squares fit of y on X plus an intercept.
-
-    With ridge=0 a rank-deficient system (lstsq's rank below the column
-    count) raises RankDeficientError naming every column that takes part
-    in a dependency; any positive ridge makes the solve well posed.
-    """
-    X, y = _check_xy(X, y)
     n, p = X.shape
     if n < 2:
         raise FitError(f"need at least 2 rows to fit, got {n}")
-    if ridge < 0:
-        raise FitError(f"ridge must be non-negative, got {ridge}")
-    names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
+    names = list(feature_names)
     if len(names) != p:
         raise FitError(f"{len(names)} feature names for {p} columns")
 
@@ -131,11 +117,12 @@ def ols_fit(X, y, ridge: float = 0.0, feature_names=None) -> LinearModel:
     Xs = (X - means) / scales
     A = np.hstack([np.ones((n, 1)), Xs])
 
-    if ridge == 0.0:
+    rank = 0
+    if n > p:
         beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-        if rank < A.shape[1]:
-            raise RankDeficientError(_dependent_columns(A, rank, names))
-    else:
+    if rank <= p:
+        t = float((Xs * Xs).sum())
+        ridge = 1e-8 * (t / max(1, p) if t > 0.0 else 1.0)
         pen = np.hstack([np.zeros((p, 1)), np.sqrt(ridge) * np.eye(p)])
         beta = np.linalg.lstsq(
             np.vstack([A, pen]), np.concatenate([y, np.zeros(p)]), rcond=None
@@ -152,39 +139,6 @@ def ols_fit(X, y, ridge: float = 0.0, feature_names=None) -> LinearModel:
     )
 
 
-def _dependent_columns(A: np.ndarray, rank: int, names: list[str]) -> list[str]:
-    """Sorted names of the columns that carry weight in the null space of A."""
-    null = np.linalg.svd(A)[2][rank:]
-    weight = np.abs(null).max(axis=0)
-    bad = np.flatnonzero(weight > np.sqrt(np.finfo(float).eps))
-    return sorted("intercept" if j == 0 else names[j - 1] for j in bad)
-
-
-def local_ridge(X) -> float:
-    """Penalty for degenerate local systems: 1e-8 * trace(X'X) / p in
-    standardized coordinates, floored so all-constant X still gets a
-    positive penalty."""
-    X = np.asarray(X, dtype=float)
-    scales = X.std(axis=0)
-    scales[scales == 0.0] = 1.0
-    Xs = (X - X.mean(axis=0)) / scales
-    p = max(1, X.shape[1])
-    t = float((Xs * Xs).sum())
-    return 1e-8 * (t / p if t > 0.0 else 1.0)
-
-
-def fit_local(X, y, feature_names=None) -> LinearModel:
-    """OLS with an automatic ridge fallback for small or degenerate systems."""
-    X, y = _check_xy(X, y)
-    n, p = X.shape
-    if n < p + 1:
-        return ols_fit(X, y, ridge=local_ridge(X), feature_names=feature_names)
-    try:
-        return ols_fit(X, y, feature_names=feature_names)
-    except RankDeficientError:
-        return ols_fit(X, y, ridge=local_ridge(X), feature_names=feature_names)
-
-
 def one_row(x, feature_names) -> np.ndarray:
     """One sample mapping as a one-row design matrix in the given column order."""
     row = np.empty((1, len(feature_names)))
@@ -197,10 +151,3 @@ def one_row(x, feature_names) -> np.ndarray:
             raise FitError(f"sample has no value for model feature {name!r}")
         row[0, j] = v
     return row
-
-
-def residuals(model: LinearModel, X, y, feature_names=None) -> np.ndarray:
-    """Observed minus predicted for every row."""
-    X, y = _check_xy(X, y)
-    names = list(feature_names) if feature_names is not None else model.feature_names
-    return y - model.predict_matrix(X, names)

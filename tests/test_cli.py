@@ -925,6 +925,39 @@ def test_report_matches_evaluate_comparison(eval_dirs, tmp_path, capsys):
     assert meta_lines(out)[0] == f"# soilptf {__version__}"
 
 
+def _run_with_closed_stdout(argv):
+    """Run the CLI in a child process whose stdout pipe has no reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
+    try:
+        return subprocess.run([sys.executable, "-m", "soilptf", *map(str, argv)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def test_report_with_closed_stdout_still_writes_its_file(eval_dirs, tmp_path):
+    out = tmp_path / "cmp.csv"
+    done = _run_with_closed_stdout(["report", "--a", eval_dirs[0] / "report_SHC2_cpxr.json",
+                                    "--b", eval_dirs[0] / "report_SHC2_mlr.json",
+                                    "--out", out])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert data_lines(out) == data_lines(eval_dirs[0] / "comparison_SHC2.csv")
+
+
+def test_evaluate_with_closed_stdout_is_quiet_success(eval_dirs, synth_big, tmp_path):
+    out = tmp_path / "eval"
+    done = _run_with_closed_stdout(["evaluate", "--features", synth_big / "dataset.csv",
+                                    "--config", "SHC2", "--reps", "1", "--k", "3",
+                                    "--jobs", "1", "--seed", "5", "--out-dir", out])
+    assert (done.returncode, done.stderr) == (0, "")
+    for name in ("report_SHC2_cpxr.json", "report_SHC2_mlr.json",
+                 "summary_SHC2.csv", "comparison_SHC2.csv"):
+        assert (out / name).read_bytes() == (eval_dirs[0] / name).read_bytes()
+
+
 def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
     rc = run(["report", "--a", tmp_path / "missing.json",
               "--b", synth_small / "truth.json"])

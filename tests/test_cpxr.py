@@ -19,7 +19,7 @@ from soilptf.cpxr import (
     train_cpxr,
 )
 from soilptf.discretize import DiscretizationScheme
-from soilptf.linreg import LinearModel, ols_fit
+from soilptf.linreg import LinearModel, fit_local
 from soilptf.patterns import Item, Pattern, pattern_mask
 
 
@@ -542,7 +542,7 @@ def test_model_files_keep_the_training_column_order(names, seed):
     Xp, yp = _two_regime(seed=seed % 1000)
     Xp = Xp[:, ::-1].copy()
     cases = [
-        (ols_fit(X, y, feature_names=names), X, names),
+        (fit_local(X, y, names), X, names),
         (train_cpxr(Xp, yp, ["z", "x"]), Xp, ["z", "x"]),
     ]
     for model, cols, order in cases:

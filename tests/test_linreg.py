@@ -8,21 +8,72 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilptf.linreg import (
-    FitError,
-    LinearModel,
-    RankDeficientError,
-    fit_local,
-    local_ridge,
-    ols_fit,
-    residuals,
-)
+from soilptf.linreg import FitError, LinearModel, fit_local
+
+
+class _RankDeficient(Exception):
+    pass
+
+
+def _reference_solve(X, y, names, ridge):
+    """The two-pass route fit_local replaced: standardize, then solve plain
+    (ridge=0, raising _RankDeficient when lstsq's rank is short) or with
+    the given ridge on every column but the intercept."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    means = X.mean(axis=0)
+    scales = X.std(axis=0)
+    scales[scales == 0.0] = 1.0
+    Xs = (X - means) / scales
+    A = np.hstack([np.ones((n, 1)), Xs])
+    if ridge == 0.0:
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+        if rank < A.shape[1]:
+            raise _RankDeficient
+    else:
+        pen = np.hstack([np.zeros((p, 1)), np.sqrt(ridge) * np.eye(p)])
+        beta = np.linalg.lstsq(
+            np.vstack([A, pen]), np.concatenate([y, np.zeros(p)]), rcond=None
+        )[0]
+    coef = beta[1:] / scales
+    intercept = float(beta[0] - (beta[1:] * means / scales).sum())
+    return LinearModel(
+        intercept=intercept,
+        coefficients={c: float(v) for c, v in zip(names, coef)},
+        training_count=n,
+        feature_means={c: float(v) for c, v in zip(names, means)},
+        feature_scales={c: float(v) for c, v in zip(names, scales)},
+    )
+
+
+def _reference_ridge(X):
+    """1e-8 * trace(Xs'Xs) / p, standardizing X on its own, floored at 1e-8."""
+    X = np.asarray(X, dtype=float)
+    scales = X.std(axis=0)
+    scales[scales == 0.0] = 1.0
+    Xs = (X - X.mean(axis=0)) / scales
+    p = max(1, X.shape[1])
+    t = float((Xs * Xs).sum())
+    return 1e-8 * (t / p if t > 0.0 else 1.0)
+
+
+def reference_fit(X, y, names):
+    """Plain solve, falling back to the ridge solve on too few rows or a
+    rank error."""
+    n, p = np.shape(X)
+    if n < p + 1:
+        return _reference_solve(X, y, names, _reference_ridge(X))
+    try:
+        return _reference_solve(X, y, names, 0.0)
+    except _RankDeficient:
+        return _reference_solve(X, y, names, _reference_ridge(X))
 
 
 def test_exact_line_recovery():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = 2.0 * X[:, 0] + 3.0
-    m = ols_fit(X, y, feature_names=["x"])
+    m = fit_local(X, y, ["x"])
     assert m.intercept == pytest.approx(3.0, abs=1e-10)
     assert m.coefficients["x"] == pytest.approx(2.0, abs=1e-10)
     assert m.training_count == 4
@@ -32,11 +83,11 @@ def test_exact_plane_recovery():
     rng = np.random.default_rng(1)
     X = rng.normal(0, 2, (40, 2))
     y = 1.0 + 2.0 * X[:, 0] - 3.0 * X[:, 1]
-    m = ols_fit(X, y, feature_names=["a", "b"])
+    m = fit_local(X, y, ["a", "b"])
     assert m.intercept == pytest.approx(1.0, abs=1e-9)
     assert m.coefficients["a"] == pytest.approx(2.0, abs=1e-9)
     assert m.coefficients["b"] == pytest.approx(-3.0, abs=1e-9)
-    assert np.max(np.abs(residuals(m, X, y))) < 1e-9
+    assert np.max(np.abs(y - m.predict_matrix(X, ["a", "b"]))) < 1e-9
 
 
 def test_ols_minimizes_sse():
@@ -44,8 +95,9 @@ def test_ols_minimizes_sse():
     rng = np.random.default_rng(2)
     X = rng.normal(0, 1, (50, 3))
     y = X @ np.array([1.0, -2.0, 0.5]) + 0.3 + rng.normal(0, 0.5, 50)
-    m = ols_fit(X, y, feature_names=["a", "b", "c"])
-    base = float((residuals(m, X, y) ** 2).sum())
+    names = ["a", "b", "c"]
+    m = fit_local(X, y, names)
+    base = float(((y - m.predict_matrix(X, names)) ** 2).sum())
     for _ in range(20):
         bumped = LinearModel(
             intercept=m.intercept + rng.normal(0, 0.1),
@@ -54,43 +106,24 @@ def test_ols_minimizes_sse():
             feature_means=m.feature_means,
             feature_scales=m.feature_scales,
         )
-        assert float((residuals(bumped, X, y) ** 2).sum()) >= base
+        assert float(((y - bumped.predict_matrix(X, names)) ** 2).sum()) >= base
 
 
 def test_input_validation():
     with pytest.raises(FitError, match="at least 2 rows"):
-        ols_fit([[1.0]], [1.0])
+        fit_local([[1.0]], [1.0], ["x"])
     with pytest.raises(FitError, match="2-d"):
-        ols_fit([1.0, 2.0], [1.0, 2.0])
+        fit_local([1.0, 2.0], [1.0, 2.0], ["x"])
     with pytest.raises(FitError, match="rows"):
-        ols_fit([[1.0], [2.0]], [1.0])
+        fit_local([[1.0], [2.0]], [1.0], ["x"])
     with pytest.raises(FitError, match="NaN"):
-        ols_fit([[1.0], [float("nan")]], [1.0, 2.0])
-    with pytest.raises(FitError, match="non-negative"):
-        ols_fit([[1.0], [2.0]], [1.0, 2.0], ridge=-1.0)
+        fit_local([[1.0], [float("nan")]], [1.0, 2.0], ["x"])
     with pytest.raises(FitError, match="feature names"):
-        ols_fit([[1.0], [2.0]], [1.0, 2.0], feature_names=["a", "b"])
-
-
-def test_duplicate_column_named():
-    X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(RankDeficientError) as err:
-        ols_fit(X, y, feature_names=["a", "a_copy"])
-    assert set(err.value.columns) & {"a", "a_copy"}
-
-
-def test_every_dependent_column_named():
-    rng = np.random.default_rng(6)
-    a, b = rng.normal(0, 1, (2, 10))
-    X = np.column_stack([a, b, a])
-    with pytest.raises(RankDeficientError) as err:
-        ols_fit(X, rng.normal(0, 1, 10), feature_names=["a", "b", "a_copy"])
-    assert err.value.columns == ["a", "a_copy"]
+        fit_local([[1.0], [2.0]], [1.0, 2.0], ["a", "b"])
 
 
 def _qr_rank_deficient(X) -> bool:
-    """scipy's pivoted-QR rank test on the standardized design that ols_fit solves."""
+    """scipy's pivoted-QR rank test on the standardized design that fit_local solves."""
     scales = X.std(axis=0)
     scales[scales == 0.0] = 1.0
     A = np.hstack([np.ones((len(X), 1)), (X - X.mean(axis=0)) / scales])
@@ -107,7 +140,10 @@ def _qr_rank_deficient(X) -> bool:
     st.integers(0, 2**32 - 1),
 )
 def test_rank_deficiency_matches_pivoted_qr(n_base, extra_rows, plants, factor, seed):
-    # scipy serves only as the reference here; the package does not import it
+    # scipy serves only as the reference here; the package does not import it.
+    # fit_local must take the ridge route exactly when the QR calls the
+    # design deficient: its model equals the reference's ridge solve then,
+    # and the plain solve otherwise
     rng = np.random.default_rng(seed)
     n = n_base + len(plants) + 2 + extra_rows
     columns = {f"x{j}": rng.normal(0.0, 1.0, n) for j in range(n_base)}
@@ -121,45 +157,60 @@ def test_rank_deficiency_matches_pivoted_qr(n_base, extra_rows, plants, factor, 
         }[kind]
     names = [list(columns)[j] for j in rng.permutation(len(columns))]
     X = np.column_stack([columns[c] for c in names])
+    y = rng.normal(0.0, 1.0, n)
     deficient = _qr_rank_deficient(X)
     assert deficient == bool(plants)
+    got = fit_local(X, y, names).to_dict()
     try:
-        ols_fit(X, rng.normal(0.0, 1.0, n), feature_names=names)
-    except RankDeficientError as exc:
+        plain = _reference_solve(X, y, names, 0.0)
+    except _RankDeficient:
         assert deficient
-        assert any(c.startswith("planted") for c in exc.columns)
+        assert got == _reference_solve(X, y, names, _reference_ridge(X)).to_dict()
     else:
         assert not deficient
+        assert got == plain.to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["normal", "duplicate", "scaled", "summed", "constant", "binary"]),
+        max_size=6,
+    ),
+    st.integers(2, 10),
+    st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_local_matches_the_two_pass_reference(kinds, n, factor, seed):
+    # p from 0 to 6 and n from 2 to 10: full-rank, rank-deficient and
+    # underdetermined designs all come up, and each must give the
+    # reference's model field for field
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind in ("duplicate", "scaled", "summed") and j > 0:
+            a, b = X[:, rng.integers(0, j, 2)].T
+            X[:, j] = {"duplicate": a, "scaled": factor * a, "summed": a + b}[kind]
+        elif kind == "constant":
+            X[:, j] = factor
+        elif kind == "binary":
+            X[:, j] = rng.integers(0, 2, n)
+        else:
+            X[:, j] = rng.normal(0.0, abs(factor), n)
+    y = rng.normal(0.0, 1.0, n)
+    names = [f"x{j}" for j in range(len(kinds))]
+    assert fit_local(X, y, names).to_dict() == reference_fit(X, y, names).to_dict()
 
 
 def test_constant_column_is_dependent():
-    # constant column duplicates the intercept once standardized
+    # constant column duplicates the intercept once standardized, so the
+    # fit takes the ridge route, and still predicts the line
     X = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0], [4.0, 7.0]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(RankDeficientError):
-        ols_fit(X, y, feature_names=["x", "const"])
-    # ridge resolves it and still predicts the line
-    m = ols_fit(X, y, ridge=1e-8, feature_names=["x", "const"])
+    names = ["x", "const"]
+    m = fit_local(X, y, names)
+    assert m.to_dict() == _reference_solve(X, y, names, _reference_ridge(X)).to_dict()
     assert m.predict({"x": 2.5, "const": 7.0}) == pytest.approx(2.5, abs=1e-3)
-
-
-def test_ridge_shrinks_toward_zero():
-    rng = np.random.default_rng(3)
-    X = rng.normal(0, 1, (60, 2))
-    y = X @ np.array([3.0, -1.5]) + rng.normal(0, 0.1, 60)
-    loose = ols_fit(X, y, feature_names=["a", "b"])
-    tight = ols_fit(X, y, ridge=1e6, feature_names=["a", "b"])
-    for k in ("a", "b"):
-        assert abs(tight.coefficients[k]) < abs(loose.coefficients[k])
-    assert abs(tight.coefficients["a"]) < 0.01
-
-
-def test_local_ridge_scale():
-    X = np.random.default_rng(4).normal(0, 5, (30, 3))
-    r = local_ridge(X)
-    assert 0 < r < 1e-5
-    # standardized columns have unit variance, so trace/p is about n
-    assert r == pytest.approx(1e-8 * 30, rel=0.05)
 
 
 def test_fit_local_underdetermined():
@@ -169,7 +220,7 @@ def test_fit_local_underdetermined():
     y = np.array([1.0, 2.0, 3.0])
     m = fit_local(X, y, feature_names=list("abcd"))
     assert np.all(np.isfinite(list(m.coefficients.values())))
-    assert np.max(np.abs(residuals(m, X, y))) < 0.1  # near-interpolation
+    assert np.max(np.abs(y - m.predict_matrix(X, list("abcd")))) < 0.1  # near-interpolation
 
 
 def test_fit_local_rank_deficient_fallback():
@@ -181,7 +232,7 @@ def test_fit_local_rank_deficient_fallback():
 
 
 def test_predict_paths_agree():
-    m = ols_fit([[0.0], [1.0], [2.0]], [3.0, 5.0, 7.0], feature_names=["x"])
+    m = fit_local([[0.0], [1.0], [2.0]], [3.0, 5.0, 7.0], ["x"])
     assert m.predict({"x": 10.0}) == pytest.approx(23.0, abs=1e-9)
     got = m.predict_matrix(np.array([[10.0], [0.0]]), ["x"])
     assert got == pytest.approx([23.0, 3.0], abs=1e-9)
@@ -208,8 +259,7 @@ def _via_json(model):
 
 
 def test_model_json_roundtrip():
-    m = ols_fit([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [1.0, 2.0, 3.0],
-                feature_names=["a", "b"])
+    m = fit_local([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [1.0, 2.0, 3.0], ["a", "b"])
     back = _via_json(m)
     assert back == m
     doc = m.to_dict()
@@ -219,14 +269,6 @@ def test_model_json_roundtrip():
     assert set(doc["standardization"]) == {"means", "scales"}
 
 
-def test_residuals_definition():
-    m = ols_fit([[0.0], [1.0]], [1.0, 3.0], feature_names=["x"])
-    X = np.array([[0.0], [1.0], [2.0]])
-    y = np.array([2.0, 3.0, 4.0])
-    # observed minus predicted, with prediction 1 + 2x
-    assert residuals(m, X, y) == pytest.approx([1.0, 0.0, -1.0], abs=1e-9)
-
-
 def test_json_roundtrip_keeps_predictions_for_unsorted_names():
     # JSON sorts the coefficients; feature_names keeps the training order,
     # and predict_matrix follows the caller's column order, giving the
@@ -234,7 +276,7 @@ def test_json_roundtrip_keeps_predictions_for_unsorted_names():
     rng = np.random.default_rng(4)
     X = rng.normal(0, 1, (20, 2))
     y = 1.0 + 2.0 * X[:, 0] - 0.5 * X[:, 1] + rng.normal(0, 0.1, 20)
-    m = ols_fit(X, y, feature_names=["z", "x"])
+    m = fit_local(X, y, ["z", "x"])
     back = _via_json(m)
     assert back.feature_names == ["z", "x"]
     assert back.predict_matrix(X, ["z", "x"]).tolist() == m.predict_matrix(X, ["z", "x"]).tolist()
