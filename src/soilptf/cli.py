@@ -149,8 +149,11 @@ def _write_comparison(path, table, meta: dict):
 
     The file comes first, so a closed stdout cannot leave it unwritten.
     """
-    comment = "\n".join(_meta_comment_lines(meta)) + "\n"
-    _write_text(path, comment + table.to_csv_text())
+    rows = [
+        [r.target, r.metric, _fmt(r.value_a), _fmt(r.value_b), _fmt(r.pct_change)]
+        for r in table.rows
+    ]
+    _write_csv(path, ["target", "metric", table.method_a, table.method_b, "pct_change"], rows, meta)
     print(table)
 
 
@@ -164,18 +167,18 @@ def _write_csv(path, header: list[str], rows, meta: dict):
     _write_text(path, buf.getvalue())
 
 
-def _first_gap(ids, names, matrix) -> tuple[str, str] | None:
-    """(sample id, column name) of the first NaN of matrix in row-major order."""
-    gaps = np.argwhere(np.isnan(matrix))
-    if not len(gaps):
+def _first_cell(ids, names, mask) -> tuple[str, str] | None:
+    """(sample id, column name) of the first True cell of mask in row-major order."""
+    cells = np.argwhere(mask)
+    if not len(cells):
         return None
-    i, j = gaps[0]
+    i, j = cells[0]
     return ids[i], names[j]
 
 
 def _require_values(path, ids, columns, names):
     """Raise DataError naming the first missing cell of the named columns."""
-    gap = _first_gap(ids, names, np.column_stack([columns[c] for c in names]))
+    gap = _first_cell(ids, names, np.isnan(np.column_stack([columns[c] for c in names])))
     if gap is not None:
         raise DataError(f"{path}: sample {gap[0]!r} lacks {gap[1]!r}")
 
@@ -585,10 +588,16 @@ def cmd_predict(args) -> int:
     names = {t: tuple(by_target[t].feature_names) for t in order}
     matrices = {cols: dataset.matrix(cols) for cols in names.values()}
     flat = [f for cols in matrices for f in cols]
-    gap = _first_gap(dataset.ids, flat, dataset.matrix(flat))
+    gap = _first_cell(dataset.ids, flat, np.isnan(dataset.matrix(flat)))
     if gap is not None:
         raise DataError(f"sample {gap[0]!r} lacks a value for feature {gap[1]!r}")
-    columns = {t: by_target[t].predict_matrix(matrices[names[t]], names[t]) for t in order}
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = {t: by_target[t].predict_matrix(matrices[names[t]], names[t]) for t in order}
+    # Checked before either file is written, like the curves below.
+    stacked = np.column_stack([columns[t] for t in order])
+    bad = _first_cell(dataset.ids, order, ~np.isfinite(stacked))
+    if bad is not None:
+        raise DataError(f"sample {bad[0]!r}: predicted {bad[1]} is not a finite number")
     predictions = [{t: float(columns[t][i]) for t in order} for i in range(len(dataset))]
     rows = [
         [sid] + [_fmt(per_sample[t]) for t in order]
@@ -786,8 +795,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            # --help and --version print, then exit inside parse_args
+            sys.stdout.flush()
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -109,9 +109,10 @@ def mdl_discretize(values, labels, max_depth: int = MAX_DEPTH) -> CutPoints:
     """Split a value axis recursively while the MDL criterion holds.
 
     values are one numeric column, labels the parallel class assignment
-    (any hashable labels; here large-error vs small-error). Returns cut
-    positions strictly inside the observed range; degenerate input
-    (fewer than 2 rows, constant values, one class) yields no cuts.
+    (any hashable labels; here large-error vs small-error). Each cut lies
+    in (lo, hi] for the adjacent distinct values lo < hi it separates, so
+    `v < cut` splits the rows as scored; degenerate input (fewer than 2
+    rows, constant values, one class) yields no cuts.
     """
     vals = np.asarray(values, dtype=float)
     labs = np.asarray(labels)
@@ -151,7 +152,12 @@ def _split_segment(vals, cum, start, stop, depth, max_depth, cuts):
     if not boundary[best] or not _mdl_accepts(n, whole, left[best], right[best]):
         return
     mid = int(ends[best])
-    cuts.append((vals[mid - 1] + vals[mid]) / 2.0)
+    lo, hi = vals[mid - 1], vals[mid]
+    # Halving first keeps a cut between huge values finite; between adjacent
+    # doubles the midpoint rounds onto lo or hi, and hi is the one that
+    # still puts lo on the left of `v < cut`.
+    cut = lo / 2 + hi / 2
+    cuts.append(cut if cut > lo else hi)
     _split_segment(vals, cum, start, mid, depth + 1, max_depth, cuts)
     _split_segment(vals, cum, mid, stop, depth + 1, max_depth, cuts)
 

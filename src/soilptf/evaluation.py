@@ -37,21 +37,18 @@ class MetricSet:
     rmsle: float | None = None
     r2: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"rmse": self.rmse, "rmsle": self.rmsle, "r2": self.r2}
-
     @classmethod
     def from_dict(cls, d: dict) -> "MetricSet":
-        """Inverse of to_dict. Raises EvaluationError unless rmse is a
-        finite number and rmsle and r2 are each null or a finite number."""
-        values = {"rmse": d["rmse"], "rmsle": d.get("rmsle"), "r2": d.get("r2")}
-        for name, v in values.items():
+        """Raises EvaluationError unless rmse is a finite number and rmsle
+        and r2 are each null or a finite number."""
+        metric_set = cls(**d)
+        for name, v in vars(metric_set).items():
             if v is None and name != "rmse":
                 continue
             # the bound also rejects NaN and integers past the float range
             if isinstance(v, bool) or not isinstance(v, Real) or not abs(v) <= sys.float_info.max:
                 raise EvaluationError(f"{name} must be a finite number, got {v!r}")
-        return cls(**values)
+        return metric_set
 
 
 def metrics(predicted, observed, log_space: bool = False) -> MetricSet:
@@ -99,32 +96,13 @@ class IterationRecord:
     test: dict[str, MetricSet]
     predictions: list | None = None  # (id, target, observed, predicted) rows
 
-    def to_dict(self) -> dict:
-        return {
-            "repetition": self.repetition,
-            "split": self.split,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "test_ids": list(self.test_ids),
-            "degraded": self.degraded,
-            "train": {t: m.to_dict() for t, m in self.train.items()},
-            "test": {t: m.to_dict() for t, m in self.test.items()},
-            "predictions": self.predictions,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "IterationRecord":
-        return cls(
-            repetition=d["repetition"],
-            split=d["split"],
-            n_train=d["n_train"],
-            n_test=d["n_test"],
-            test_ids=list(d["test_ids"]),
-            degraded=d["degraded"],
-            train={t: MetricSet.from_dict(m) for t, m in d["train"].items()},
-            test={t: MetricSet.from_dict(m) for t, m in d["test"].items()},
-            predictions=d.get("predictions"),
-        )
+        return cls(**{
+            **d,
+            "train": {t: MetricSet.from_dict(m) for t, m in d["train"].items()},
+            "test": {t: MetricSet.from_dict(m) for t, m in d["test"].items()},
+        })
 
 
 @dataclass
@@ -163,31 +141,22 @@ class EvaluationReport:
         return out
 
     def to_dict(self) -> dict:
+        """The fields as plain data, records and metric sets as dicts.
+        Lists (prediction rows among them) are shared, not copied."""
         return {
-            "config_id": self.config_id,
-            "method": self.method,
-            "seed": self.seed,
-            "repetitions": self.repetitions,
-            "k": self.k,
-            "cv_scheme": self.cv_scheme,
-            "target_names": list(self.target_names),
-            "records": [r.to_dict() for r in self.records],
+            **vars(self),
+            "records": [
+                {**vars(r), "train": _plain(r.train), "test": _plain(r.test)}
+                for r in self.records
+            ],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationReport":
-        """Inverse of to_dict. Raises EvaluationError for a report without
-        records or with a record that lacks metrics of a target."""
-        report = cls(
-            config_id=d["config_id"],
-            method=d["method"],
-            seed=d["seed"],
-            repetitions=d["repetitions"],
-            k=d["k"],
-            cv_scheme=d["cv_scheme"],
-            target_names=list(d["target_names"]),
-            records=[IterationRecord.from_dict(r) for r in d["records"]],
-        )
+        """Inverse of to_dict. Raises TypeError for a key that is not a
+        field, and EvaluationError for a report without records or with a
+        record that lacks metrics of a target."""
+        report = cls(**{**d, "records": [IterationRecord.from_dict(r) for r in d["records"]]})
         if not report.records:
             raise EvaluationError("report has no records")
         for rec in report.records:
@@ -197,6 +166,10 @@ class EvaluationReport:
                     f"repetition {rec.repetition}, split {rec.split} lacks targets {missing}"
                 )
         return report
+
+
+def _plain(metric_sets: dict[str, MetricSet]) -> dict[str, dict]:
+    return {t: vars(m).copy() for t, m in metric_sets.items()}
 
 
 def map_jobs(fn, items, jobs: int) -> list:
@@ -340,14 +313,6 @@ class ComparisonTable:
                 f"{r.target:<12} {r.metric:<6} {r.value_a:>12.4f} {r.value_b:>12.4f} {r.pct_change:>8.1f}%"
             )
         return "\n".join(lines)
-
-    def to_csv_text(self) -> str:
-        lines = ["target,metric," + f"{self.method_a},{self.method_b},pct_change"]
-        for r in self.rows:
-            lines.append(
-                f"{r.target},{r.metric},{r.value_a!r},{r.value_b!r},{r.pct_change!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def compare(report_a: EvaluationReport, report_b: EvaluationReport, split: str = "test") -> ComparisonTable:

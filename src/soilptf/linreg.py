@@ -94,7 +94,8 @@ def fit_local(X, y, feature_names) -> LinearModel:
     X is standardized once. A system with fewer rows than coefficients, or
     one whose lstsq rank falls short of the coefficient count, is solved
     again with the ridge penalty 1e-8 * trace(Xs'Xs) / p taken from the
-    standardized columns Xs (1e-8 when every column is constant).
+    standardized columns Xs (1e-8 when every column is constant). A column
+    whose mean or standard deviation overflows raises FitError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -111,8 +112,12 @@ def fit_local(X, y, feature_names) -> LinearModel:
     if len(names) != p:
         raise FitError(f"{len(names)} feature names for {p} columns")
 
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        scales = X.std(axis=0)
+    bad = ~(np.isfinite(means) & np.isfinite(scales))
+    if bad.any():
+        raise FitError(f"column {names[int(np.argmax(bad))]!r} is too large to standardize")
     scales[scales == 0.0] = 1.0  # constant column standardizes to all zeros
     Xs = (X - means) / scales
     A = np.hstack([np.ones((n, 1)), Xs])

@@ -929,7 +929,9 @@ def _run_with_closed_stdout(argv):
     """Run the CLI in a child process whose stdout pipe has no reader."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
+    # an unbuffered stdout would hide writes that only fail at the final flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(soilptf.__file__).parents[1])
     try:
         return subprocess.run([sys.executable, "-m", "soilptf", *map(str, argv)],
                               stdout=write_end, stderr=subprocess.PIPE, text=True,
@@ -958,6 +960,18 @@ def test_evaluate_with_closed_stdout_is_quiet_success(eval_dirs, synth_big, tmp_
         assert (out / name).read_bytes() == (eval_dirs[0] / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["report", "--help"]])
+def test_parser_output_with_closed_stdout_is_quiet_success(argv):
+    done = _run_with_closed_stdout(argv)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_usage_error_with_closed_stdout_still_prints_usage():
+    done = _run_with_closed_stdout(["train"])
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: soilptf train")
+
+
 def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
     rc = run(["report", "--a", tmp_path / "missing.json",
               "--b", synth_small / "truth.json"])
@@ -976,6 +990,8 @@ def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
         ("nan-rmse", lambda d: d["records"][0]["test"]["log_ksat"].update(rmse=math.nan)),
         ("unknown-target", lambda d: d["target_names"].append("theta_10")),
         ("no-records", lambda d: d["records"].clear()),
+        ("extra-key", lambda d: d.update(source="elsewhere")),
+        ("extra-record-key", lambda d: d["records"][0].update(weight=1.0)),
     ]:
         doc = json.loads(json.dumps(payload))
         change(doc["report"])
@@ -1139,3 +1155,74 @@ def test_invalid_samples_are_one_line_error(tmp_path, capsys, command):
         "row 3: sand+silt+clay = 90, expected 100 +/- 0.5; "
         "row 4: sand+silt+clay = 110, expected 100 +/- 0.5\n"
     )
+
+
+# ----------------------------------------------------------------------
+# extreme feature values
+# ----------------------------------------------------------------------
+
+# Five adjacent doubles around 1.0: the plain midpoint of two of them
+# rounds onto one of the two.
+ADJACENT_BULK_DENSITY = np.repeat(
+    [0.9999999999999998, 0.9999999999999999, 1.0, 1.0000000000000002, 1.0000000000000004],
+    [20, 10, 18, 12, 10],
+)
+# Finite values whose column mean and standard deviation overflow.
+HUGE_BULK_DENSITY = np.tile([1e308, 1.7e308], 35)
+
+
+def _extreme_table(path, bulk_density):
+    """An SHC2 table with ordinary texture and scale columns around the
+    given bulk densities; log_ksat is 5 where bulk_density is 1.0, else 0."""
+    rng = np.random.default_rng(0)
+    n = len(bulk_density)
+    sand = rng.uniform(10, 60, n)
+    clay = rng.uniform(5, 30, n)
+    log_ksat = np.where(bulk_density == 1.0, 5.0, 0.0) + rng.normal(0, 0.01, n)
+    lines = ["id,sand,silt,clay,bulk_density,d_g,sigma_g,internal_diameter_cm,length_cm,log_ksat"]
+    for i in range(n):
+        cells = [sand[i], 100.0 - sand[i] - clay[i], clay[i], bulk_density[i], 0.05, 10.0,
+                 5.0, 5.0, log_ksat[i]]
+        lines.append(",".join([f"s{i:02d}"] + [repr(float(v)) for v in cells]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_adjacent_doubles_train_and_evaluate(tmp_path, capsys):
+    table = _extreme_table(tmp_path / "adjacent.csv", ADJACENT_BULK_DENSITY)
+    models = tmp_path / "models"
+    assert run(["train", "--features", table, "--config", "SHC2", "--method", "cpxr",
+                "--out-dir", models]) == 0
+    model = json.loads((models / "SHC2_cpxr_log_ksat.json").read_text())["model"]
+    assert model["scheme"]["bulk_density"] == [1.0, 1.0000000000000002]
+    summary = json.loads((models / "SHC2_cpxr_training.json").read_text())["targets"]
+    assert summary["log_ksat"]["patterns"] == 1
+    assert summary["log_ksat"]["train_rmse"] < 0.1 < summary["log_ksat"]["baseline_rmse"]
+    assert run(["evaluate", "--features", table, "--config", "SHC2", "--reps", "1",
+                "--k", "5", "--jobs", "1", "--out-dir", tmp_path / "eval"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["cpxr", "mlr", "evaluate"])
+def test_overflowing_column_is_one_line_runtime_error(tmp_path, capsys, command):
+    table = _extreme_table(tmp_path / "huge.csv", HUGE_BULK_DENSITY)
+    if command == "evaluate":
+        argv = ["evaluate", "--features", table, "--config", "SHC2", "--reps", "1",
+                "--k", "5", "--jobs", "1", "--out-dir", tmp_path / "eval"]
+    else:
+        argv = ["train", "--features", table, "--config", "SHC2", "--method", command,
+                "--out-dir", tmp_path / "models"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: column 'bulk_density' is too large to standardize\n"
+
+
+def test_predict_non_finite_prediction_is_one_line_and_writes_nothing(shc2_cpxr_models,
+                                                                      tmp_path, capsys):
+    table = _extreme_table(tmp_path / "huge.csv", HUGE_BULK_DENSITY)
+    out = tmp_path / "preds.csv"
+    rc = run(["predict", "--model", shc2_cpxr_models, "--features", table, "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: sample 's00': predicted log_ksat is not a finite number\n"
+    )
+    assert not out.exists()

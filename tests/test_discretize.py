@@ -165,6 +165,52 @@ def test_cut_search_matches_scalar_reference(column):
     assert got == scalar_reference_cuts(values, labels, max_depth)
 
 
+def _ladder(x, below, above):
+    """x with `below` adjacent doubles under it and `above` over it."""
+    down = [x]
+    for _ in range(below):
+        down.append(math.nextafter(down[-1], -math.inf))
+    up = [x]
+    for _ in range(above):
+        up.append(math.nextafter(up[-1], math.inf))
+    return down[:0:-1] + up
+
+
+@st.composite
+def extreme_columns(draw):
+    """A column of a few adjacent doubles near 1.0 or near +-1.7e308, where
+    the plain midpoint (lo + hi) / 2 rounds onto an end or overflows, with
+    labels that often make the MDL criterion accept splits."""
+    pool = draw(st.sampled_from([
+        _ladder(1.0, 2, 2),
+        _ladder(1.7e308, 3, 3),
+        _ladder(-1.7e308, 3, 3),
+        [-1.7e308, -1e308, 1e308, 1.7e308],
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 80))
+    codes = rng.integers(0, len(pool), n)
+    pure = rng.random(len(pool)) < draw(st.floats(0.5, 1.0))
+    labels = np.where(pure[codes], rng.integers(0, 2, len(pool))[codes], rng.integers(0, 2, n))
+    return np.array(pool)[codes], labels, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_columns())
+def test_cuts_between_extreme_values_split_as_scored(column):
+    values, labels, max_depth = column
+    cuts = mdl_discretize(values, labels, max_depth=max_depth).cuts
+    # MDL sees only the order of the values, so the cuts of the ranks name
+    # the pair of adjacent distinct values each cut has to separate
+    distinct, ranks = np.unique(values, return_inverse=True)
+    rank_cuts = scalar_reference_cuts(ranks.astype(float), labels, max_depth)
+    assert len(cuts) == len(rank_cuts)
+    assert all(a < b for a, b in zip(cuts, cuts[1:]))
+    for cut, r in zip(cuts, rank_cuts):
+        lo, hi = distinct[int(r - 0.5)], distinct[int(r + 0.5)]
+        assert math.isfinite(cut) and lo < cut <= hi
+
+
 def test_four_point_example():
     got = mdl_discretize([1, 2, 3, 4], ["SE", "SE", "LE", "LE"])
     assert got.cuts == (2.5,)

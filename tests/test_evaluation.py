@@ -7,7 +7,10 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import soilptf.cli
 import soilptf.evaluation
 from soilptf.data import Dataset
 from soilptf.evaluation import (
@@ -71,7 +74,10 @@ def test_metrics_validation():
 
 def test_metric_set_roundtrip():
     m = MetricSet(rmse=0.5, rmsle=None, r2=0.9)
-    assert MetricSet.from_dict(m.to_dict()) == m
+    assert MetricSet.from_dict(json.loads(json.dumps(vars(m)))) == m
+    assert MetricSet.from_dict({"rmse": 0.5}) == MetricSet(rmse=0.5)
+    with pytest.raises(TypeError, match="mae"):
+        MetricSet.from_dict({"rmse": 0.5, "mae": 0.4})
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +254,85 @@ def test_report_json_roundtrip():
     assert back.to_dict() == report.to_dict()
 
 
+def _reference_to_dict(report):
+    """The report dict written field by field, as earlier versions did."""
+
+    def metric_set(m):
+        return {"rmse": m.rmse, "rmsle": m.rmsle, "r2": m.r2}
+
+    def record(r):
+        return {
+            "repetition": r.repetition,
+            "split": r.split,
+            "n_train": r.n_train,
+            "n_test": r.n_test,
+            "test_ids": list(r.test_ids),
+            "degraded": r.degraded,
+            "train": {t: metric_set(m) for t, m in r.train.items()},
+            "test": {t: metric_set(m) for t, m in r.test.items()},
+            "predictions": r.predictions,
+        }
+
+    return {
+        "config_id": report.config_id,
+        "method": report.method,
+        "seed": report.seed,
+        "repetitions": report.repetitions,
+        "k": report.k,
+        "cv_scheme": report.cv_scheme,
+        "target_names": list(report.target_names),
+        "records": [record(r) for r in report.records],
+    }
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_names = st.text("abcxyz_0", min_size=1, max_size=4)
+
+
+@st.composite
+def reports(draw):
+    targets = draw(st.lists(st.sampled_from(["theta_10", "theta_30", "log_ksat"]),
+                            min_size=1, max_size=3, unique=True))
+    metric_sets = st.dictionaries(
+        st.sampled_from(targets),
+        st.builds(MetricSet, rmse=_finite, rmsle=st.none() | _finite, r2=st.none() | _finite),
+        min_size=len(targets),
+    )
+    rows = st.lists(st.tuples(_names, st.sampled_from(targets), _finite, _finite).map(list),
+                    max_size=4)
+    records = [
+        IterationRecord(
+            repetition=draw(st.integers(0, 9)),
+            split=draw(st.integers(0, 9)),
+            n_train=draw(st.integers(0, 500)),
+            n_test=draw(st.integers(0, 500)),
+            test_ids=draw(st.lists(_names, max_size=4)),
+            degraded=draw(st.booleans()),
+            train=draw(metric_sets),
+            test=draw(metric_sets),
+            predictions=draw(st.none() | rows),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return EvaluationReport(
+        config_id=draw(_names), method=draw(st.sampled_from(["mlr", "cpxr"])),
+        seed=draw(st.integers(0, 2**63)), repetitions=draw(st.integers(1, 10)),
+        k=draw(st.integers(3, 10)), cv_scheme=draw(st.sampled_from(["paired", "classic"])),
+        target_names=targets, records=records,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports())
+def test_report_dict_is_the_fields_and_round_trips(report):
+    d = report.to_dict()
+    assert d == _reference_to_dict(report)
+    for rec, rec_d in zip(report.records, d["records"]):
+        assert rec_d["predictions"] is rec.predictions  # rows are passed on, not copied
+    back = EvaluationReport.from_dict(json.loads(json.dumps(d, sort_keys=True)))
+    assert back.to_dict() == d
+
+
 def test_cpxr_beats_mlr_on_regime_structure():
     ds, cfg = _regime_dataset()
     mlr = cross_validate(ds, cfg, method="mlr", repetitions=1, seed=0, k=5)
@@ -314,14 +399,21 @@ def test_compare_mismatches():
         compare(a, c)
 
 
-def test_table_text_and_csv():
-    table = ComparisonTable(
-        method_a="mlr", method_b="cpxr", split="test",
-        rows=[ComparisonRow("theta_10", "rmse", 1.0, 0.75, 25.0)],
-    )
-    text = str(table)
+_TABLE = ComparisonTable(
+    method_a="mlr", method_b="cpxr", split="test",
+    rows=[ComparisonRow("theta_10", "rmse", 1.0, 0.75, 25.0)],
+)
+
+
+def test_table_text():
+    text = str(_TABLE)
     assert "change %" in text and "theta_10" in text
-    csv = table.to_csv_text()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "target,metric,mlr,cpxr,pct_change"
-    assert lines[1] == "theta_10,rmse,1.0,0.75,25.0"
+
+
+def test_comparison_csv_lines(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    meta = {"tool": "soilptf", "version": "0", "seed": 0, "config_hash": "0"}
+    soilptf.cli._write_comparison(out, _TABLE, meta)
+    assert capsys.readouterr().out == str(_TABLE) + "\n"
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines == ["target,metric,mlr,cpxr,pct_change", "theta_10,rmse,1.0,0.75,25.0"]
