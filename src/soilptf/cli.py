@@ -35,7 +35,7 @@ from .data import (
     read_rows,
     select_columns,
 )
-from .evaluation import EvaluationError, EvaluationReport, compare, cross_validate, map_jobs
+from .evaluation import MAX_REPETITIONS, EvaluationError, EvaluationReport, compare, cross_validate, map_jobs
 from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
@@ -363,12 +363,6 @@ def cmd_derive_features(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _train_one(method: str, X, y, names, hyper: CpxrConfig):
-    if method == "mlr":
-        return fit_local(X, y, names)
-    return train_cpxr(X, y, names, hyper)
-
-
 def cmd_train(args) -> int:
     features_path = _require_file(args.features)
     config = _model_config(args.config)
@@ -383,20 +377,24 @@ def cmd_train(args) -> int:
         "hyper": hyper.__dict__,
     }
     meta = _meta(seed, settings)
-    out_dir = _out_dir(args.out_dir)
 
     dataset = load_dataset(features_path)
     selection = select_columns(dataset, config)
-    training = {}
+    X, names = selection.X, selection.feature_names
+    models, training = {}, {}
     for target in config.targets:
         y = selection.targets[target]
-        model = _train_one(method, selection.X, y, selection.feature_names, hyper)
-        pred = model.predict_matrix(selection.X, selection.feature_names)
+        model = fit_local(X, y, names) if method == "mlr" else train_cpxr(X, y, names, hyper)
+        pred = model.predict_matrix(X, names)
         entry = {"train_rmse": float(np.sqrt(np.mean((pred - y) ** 2))), "n_train": len(y)}
         if isinstance(model, PxrModel):
             entry["patterns"] = model.k
             entry["baseline_rmse"] = model.baseline_rmse
         training[target] = entry
+        models[target] = model
+    # every target trains before the output directory exists: a failure leaves no partial model set
+    out_dir = _out_dir(args.out_dir)
+    for target, model in models.items():
         payload = {
             "meta": meta,
             "config_id": config.id,
@@ -430,10 +428,12 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"unknown method {m!r}; choose mlr or cpxr")
     if len(set(methods)) != len(methods):
         raise UsageError(f"--methods names a method twice: {args.methods}")
-    if args.reps < 1:
-        raise UsageError(f"repetitions must be positive, got {args.reps}")
+    if not 1 <= args.reps <= MAX_REPETITIONS:
+        raise UsageError(f"repetitions must be from 1 to {MAX_REPETITIONS}, got {args.reps}")
     if args.k < 2:
         raise UsageError(f"need at least 2 folds, got {args.k}")
+    if args.k < 3 and args.cv_scheme == "paired":
+        raise UsageError(f"--cv-scheme paired needs at least 3 folds, got {args.k}")
     jobs = _jobs(args)
     seed = _resolve_seed(args.seed)
     hyper = _resolve_hyper(args)
@@ -448,12 +448,11 @@ def cmd_evaluate(args) -> int:
         "hyper": hyper.__dict__,
     }
     meta = _meta(seed, settings)
-    out_dir = _out_dir(args.out_dir)
     dataset = load_dataset(features_path)
 
-    reports = {}
-    for method in methods:
-        report = cross_validate(
+    # every method runs before the output directory exists: a failure leaves no partial report
+    reports = {
+        method: cross_validate(
             dataset,
             config,
             method=method,
@@ -465,7 +464,10 @@ def cmd_evaluate(args) -> int:
             jobs=jobs,
             collect_predictions=args.dump_predictions,
         )
-        reports[method] = report
+        for method in methods
+    }
+    out_dir = _out_dir(args.out_dir)
+    for method, report in reports.items():
         _write_json(
             out_dir / f"report_{config.id}_{method}.json",
             {"meta": meta, "report": report.to_dict()},

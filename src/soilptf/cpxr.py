@@ -162,6 +162,9 @@ class PxrModel:
         texts = [str(p.pattern) for p in self.pairs]
         if len(set(texts)) != len(texts):
             raise CpxrError("duplicate patterns in model")
+        unknown = {f for p in self.pairs for f in p.pattern.features} - set(self.feature_names)
+        if unknown:
+            raise CpxrError(f"patterns name features the model lacks: {sorted(unknown)}")
 
     @property
     def k(self) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -29,58 +30,49 @@ class DiscretizeError(ValueError):
 
 @dataclass(frozen=True)
 class CutPoints:
-    """Strictly increasing cut positions for one numeric feature."""
+    """Strictly increasing, finite cut positions for one numeric feature."""
 
     cuts: tuple[float, ...]
 
     def __post_init__(self):
+        if not isinstance(self.cuts, tuple) or not all(
+            isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c)
+            for c in self.cuts
+        ):
+            raise DiscretizeError(f"cuts must be a list of finite numbers, got {self.cuts!r}")
         if any(b <= a for a, b in zip(self.cuts, self.cuts[1:])):
             raise DiscretizeError(f"cuts not strictly increasing: {self.cuts}")
 
 
 @dataclass
 class DiscretizationScheme:
-    """Per-feature cut points plus pass-through categorical features."""
+    """Per-feature cut points, each a valid CutPoints tuple."""
 
     cuts: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    categorical: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        overlap = set(self.cuts) & set(self.categorical)
-        if overlap:
-            raise DiscretizeError(f"features both numeric and categorical: {sorted(overlap)}")
+        for cuts in self.cuts.values():
+            CutPoints(cuts)
 
     def alphabet(self) -> list[Item]:
-        """All discriminative items: interval items per cut feature plus
-        equality items per categorical feature. Features without cuts
-        contribute nothing (their single item covers every value)."""
+        """One interval item per bin of every feature with cuts. Features
+        without cuts contribute nothing (their single item covers every
+        value)."""
         items = []
-        for feature in sorted(self.cuts):
-            cuts = self.cuts[feature]
-            if not cuts:
-                continue
-            edges = (-math.inf, *cuts, math.inf)
-            items.extend(
-                Item(feature=feature, lo=lo, hi=hi) for lo, hi in zip(edges, edges[1:])
-            )
-        for feature in sorted(self.categorical):
-            items.extend(Item(feature=feature, value=v) for v in self.categorical[feature])
+        for feature, cuts in sorted(self.cuts.items()):
+            if cuts:
+                edges = (-math.inf, *cuts, math.inf)
+                items.extend(Item(feature, lo, hi) for lo, hi in zip(edges, edges[1:]))
         return items
 
     def to_dict(self) -> dict:
-        doc = {f: list(c) for f, c in sorted(self.cuts.items())}
-        doc.update({f: {"values": list(v)} for f, v in sorted(self.categorical.items())})
-        return doc
+        return {f: list(c) for f, c in sorted(self.cuts.items())}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DiscretizationScheme":
-        cuts, cat = {}, {}
-        for f, spec in doc.items():
-            if isinstance(spec, dict):
-                cat[f] = tuple(spec["values"])
-            else:
-                cuts[f] = tuple(spec)
-        return cls(cuts=cuts, categorical=cat)
+        """Inverse of to_dict; raises DiscretizeError unless every entry is
+        a list of finite, strictly increasing numbers."""
+        return cls(cuts={f: tuple(c) if isinstance(c, list) else c for f, c in doc.items()})
 
 
 def _mdl_accepts(n: int, whole: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:

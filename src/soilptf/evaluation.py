@@ -29,6 +29,9 @@ class EvaluationError(ValueError):
     pass
 
 
+MAX_REPETITIONS = 1000  # a hundred times the ten of the usual protocol
+
+
 @dataclass(frozen=True)
 class MetricSet:
     """RMSE plus (when defined) RMSLE and the squared Pearson correlation."""
@@ -266,12 +269,14 @@ def cross_validate(
     support the pattern trainer fall back to the baseline regression and
     are flagged degraded rather than failing.
     """
-    if repetitions < 1:
-        raise EvaluationError(f"repetitions must be positive, got {repetitions}")
+    if not 1 <= repetitions <= MAX_REPETITIONS:
+        raise EvaluationError(f"repetitions must be from 1 to {MAX_REPETITIONS}, got {repetitions}")
     if jobs < 1:
         raise EvaluationError(f"jobs must be positive, got {jobs}")
     selection = select_columns(dataset, config)
-    _splits_for(k, cv_scheme)  # validate early
+    # validate early, k against the sample count before k splits are listed
+    assign_folds(len(selection.ids), k, seed)
+    _splits_for(k, cv_scheme)
     run = partial(
         _run_repetition, selection, k, cv_scheme, seed, method, cpxr_config, collect_predictions
     )

@@ -95,7 +95,9 @@ def fit_local(X, y, feature_names) -> LinearModel:
     one whose lstsq rank falls short of the coefficient count, is solved
     again with the ridge penalty 1e-8 * trace(Xs'Xs) / p taken from the
     standardized columns Xs (1e-8 when every column is constant). A column
-    whose mean or standard deviation overflows raises FitError.
+    whose values are all equal takes its value as mean and 1 as scale, so
+    it standardizes to exact zeros. A column whose mean or standard
+    deviation overflows raises FitError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -115,10 +117,11 @@ def fit_local(X, y, feature_names) -> LinearModel:
     with np.errstate(over="ignore", invalid="ignore"):
         means = X.mean(axis=0)
         scales = X.std(axis=0)
+    const = X.min(axis=0) == X.max(axis=0)  # standardizes to exact zeros, whatever its mean
+    means[const], scales[const] = X[0, const], 1.0
     bad = ~(np.isfinite(means) & np.isfinite(scales))
     if bad.any():
         raise FitError(f"column {names[int(np.argmax(bad))]!r} is too large to standardize")
-    scales[scales == 0.0] = 1.0  # constant column standardizes to all zeros
     Xs = (X - means) / scales
     A = np.hstack([np.ones((n, 1)), Xs])
 

@@ -1,8 +1,9 @@
 """Contrast patterns over discretized features.
 
-A pattern is a conjunction of items, each either a half-open interval
-condition on a numeric feature or an equality condition on a categorical
-one, with at most one item per feature. Contrast patterns are those much
+A pattern is a conjunction of items, each a half-open interval condition
+lo <= feature < hi on a numeric feature, with at most one item per feature.
+An item serializes as {"feature", "lo", "hi"}, null for an open end, and
+parses back from exactly those keys. Contrast patterns are those much
 more frequent in the large-error class than in the small-error class.
 """
 
@@ -23,33 +24,20 @@ class PatternError(ValueError):
 
 @dataclass(frozen=True)
 class Item:
-    """One condition: lo <= feature < hi, or feature == value."""
+    """One condition: lo <= feature < hi."""
 
     feature: str
     lo: float = -INF
     hi: float = INF
-    value: float | None = None
 
     def __post_init__(self):
-        if self.value is None and not self.lo < self.hi:
+        if not self.lo < self.hi:
             raise PatternError(f"empty interval [{self.lo}, {self.hi}) on {self.feature!r}")
 
-    @property
-    def is_equality(self) -> bool:
-        return self.value is not None
-
     def covers_array(self, col: np.ndarray) -> np.ndarray:
-        if self.value is not None:
-            return col == self.value
         return (col >= self.lo) & (col < self.hi)
 
-    def sort_key(self):
-        return (self.feature, self.is_equality, self.lo, self.hi,
-                0.0 if self.value is None else self.value)
-
     def __str__(self) -> str:
-        if self.value is not None:
-            return f"{self.feature} = {self.value:g}"
         if self.lo == -INF and self.hi == INF:
             return f"{self.feature} any"
         if self.lo == -INF:
@@ -59,8 +47,6 @@ class Item:
         return f"{self.lo:g} <= {self.feature} < {self.hi:g}"
 
     def to_dict(self) -> dict:
-        if self.value is not None:
-            return {"feature": self.feature, "value": self.value}
         return {
             "feature": self.feature,
             "lo": None if self.lo == -INF else self.lo,
@@ -69,10 +55,12 @@ class Item:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Item":
-        if "value" in d:
-            return cls(feature=d["feature"], value=d["value"])
-        lo = -INF if d.get("lo") is None else d["lo"]
-        hi = INF if d.get("hi") is None else d["hi"]
+        """Inverse of to_dict; raises PatternError unless d has exactly the
+        keys feature, lo and hi."""
+        if set(d) != {"feature", "lo", "hi"}:
+            raise PatternError(f"pattern item {d!r} needs exactly the keys feature, lo and hi")
+        lo = -INF if d["lo"] is None else d["lo"]
+        hi = INF if d["hi"] is None else d["hi"]
         return cls(feature=d["feature"], lo=lo, hi=hi)
 
 
@@ -88,7 +76,7 @@ class Pattern:
         feats = [it.feature for it in self.items]
         if len(set(feats)) != len(feats):
             raise PatternError(f"more than one item on a feature: {feats}")
-        ordered = tuple(sorted(self.items, key=Item.sort_key))
+        ordered = tuple(sorted(self.items, key=lambda it: it.feature))
         object.__setattr__(self, "items", ordered)
 
     def __len__(self) -> int:

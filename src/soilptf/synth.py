@@ -128,6 +128,10 @@ INTERNAL_DIAMETERS_CM = (5.0, 8.0, 10.0, 20.0, 30.0)
 LENGTHS_CM = (1.0, 5.0, 10.0, 20.0, 100.0)
 BULK_DENSITY_RANGE = (1.1, 1.7)
 
+# Most samples one dataset holds, far above the few thousand the pipeline
+# is built for; a larger n is refused before anything is allocated.
+MAX_SAMPLES = 100_000
+
 
 def regime_of(sand: float) -> RegimeSpec:
     """FINE below SAND_SPLIT percent sand, COARSE at and above it."""
@@ -151,8 +155,8 @@ class SynthConfig:
     scale_theta_s_per_cm: float = -0.0005  # d theta_s per cm of sample length
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise SynthError(f"n_samples must be positive, got {self.n_samples}")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise SynthError(f"n_samples must be from 1 to {MAX_SAMPLES}, got {self.n_samples}")
         _check_noise_sd("noise_sd", self.noise_sd)
 
     def to_dict(self) -> dict:

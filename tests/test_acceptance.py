@@ -79,7 +79,10 @@ def _rand_item(rng, feature: str) -> Item:
         return Item(feature, hi=float(rng.normal()))
     if kind == 2:
         return Item(feature, lo=float(rng.normal()))
-    return Item(feature, value=float(rng.integers(-2, 3)))
+    # a unit bin around an integer: on the integer column w it holds
+    # exactly the rows equal to that integer
+    v = float(rng.integers(-2, 3))
+    return Item(feature, lo=v - 0.5, hi=v + 0.5)
 
 
 def _rand_model(rng) -> PxrModel:
@@ -104,13 +107,7 @@ def _manual_linear(model: LinearModel, x: dict) -> float:
 def _manual_weighted_mean(model: PxrModel, x: dict) -> float:
     num = den = 0.0
     for pair in model.pairs:
-        hit = True
-        for it in pair.pattern.items:
-            v = x[it.feature]
-            hit = (v == it.value) if it.value is not None else (it.lo <= v < it.hi)
-            if not hit:
-                break
-        if hit:
+        if all(it.lo <= x[it.feature] < it.hi for it in pair.pattern.items):
             num += pair.weight * _manual_linear(pair.model, x)
             den += pair.weight
     return num / den if den > 0.0 else _manual_linear(model.default_model, x)
@@ -128,8 +125,7 @@ def test_criterion_01_weighted_mean_prediction_oracle():
         want = _manual_weighted_mean(model, x)
         worst = max(worst, abs(got - want) / max(1.0, abs(got), abs(want)))
         matched += any(
-            all((x[i.feature] == i.value) if i.value is not None else (i.lo <= x[i.feature] < i.hi)
-                for i in p.pattern.items)
+            all(i.lo <= x[i.feature] < i.hi for i in p.pattern.items)
             for p in model.pairs
         )
     elapsed = time.perf_counter() - started
@@ -171,13 +167,15 @@ def test_criterion_03_mining_oracle():
         for name in ("x", "y"):
             k = int(rng.integers(0, 3))
             cuts[name] = tuple(sorted(rng.choice([0.5, 1.5, 2.5, 3.5, 4.5], k, replace=False)))
-        categorical = {"g": (0.0, 1.0)} if trial % 3 == 0 else {}
-        scheme = DiscretizationScheme(cuts=cuts, categorical=categorical)
-        names = ["x", "y"] + (["g"] if categorical else [])
+        with_g = trial % 3 == 0
+        if with_g:
+            cuts["g"] = (0.5,)  # g is drawn from {0, 1}
+        scheme = DiscretizationScheme(cuts=cuts)
+        names = ["x", "y"] + (["g"] if with_g else [])
 
         def draw(count):
             cols = [rng.integers(0, 6, count), rng.integers(0, 6, count)]
-            if categorical:
+            if with_g:
                 cols.append(rng.integers(0, 2, count))
             return np.column_stack(cols)
 

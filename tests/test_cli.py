@@ -775,6 +775,76 @@ def test_predict_malformed_model_file_is_one_line_usage_error(synth_small, tmp_p
     assert f"bad.json: malformed {what}" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def swrc2_cpxr_models(work, synth_big):
+    out = work / "models_swrc2_cpxr_format"
+    assert run(["train", "--features", synth_big / "dataset.csv", "--config", "SWRC2",
+                "--method", "cpxr", "--out-dir", out]) == 0
+    return out
+
+
+def _set_item_key(key, value):
+    def mutate(model):
+        model["pairs"][0]["pattern"][0][key] = value
+    return mutate
+
+
+def _drop_item_key(key):
+    def mutate(model):
+        del model["pairs"][0]["pattern"][0][key]
+    return mutate
+
+
+def _set_scheme_entry(entry):
+    def mutate(model):
+        model["scheme"]["sand"] = entry
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set_item_key("value", 1.0),
+        _drop_item_key("lo"),
+        _set_item_key("note", "extra"),
+        _set_item_key("feature", "porosity"),
+        _set_scheme_entry({"values": [0, 1]}),
+        _set_scheme_entry(["47.5"]),
+        _set_scheme_entry([68.5, 47.5]),
+        _set_scheme_entry([47.5, math.nan]),
+    ],
+    ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
+         "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
+         "scheme-nan-cut"],
+)
+def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
+                                                            tmp_path, capsys, mutate):
+    payload = json.loads((swrc2_cpxr_models / "SWRC2_cpxr_theta_100.json").read_text())
+    assert payload["model"]["pairs"] and len(payload["model"]["scheme"]["sand"]) > 1
+    mutate(payload["model"])
+    bad = tmp_path / "mutated.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "p.csv"
+    rc = run(["predict", "--model", bad, "--features", synth_small / "dataset.csv",
+              "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed model file (") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_trained_model_files_round_trip_byte_for_byte(swrc2_cpxr_models, swrc3_models, tmp_path):
+    paths = [p for d in (swrc2_cpxr_models, swrc3_models) for p in sorted(d.glob("*.json"))
+             if not p.name.endswith("_training.json")]
+    assert len(paths) == 10 + 4
+    for path in paths:
+        payload = soilptf.cli._load_model_payload(path)
+        payload["model"] = payload["model"].to_dict()
+        copy = tmp_path / path.name
+        soilptf.cli._write_json(copy, payload)
+        assert copy.read_bytes() == path.read_bytes(), path.name
+
+
 def test_predict_reports_first_missing_cell(swrc3_models, tmp_path, capsys):
     # gaps in both samples and in several columns: the first one met in
     # (sample, model feature) order is reported
@@ -897,8 +967,39 @@ def test_evaluate_argument_errors(synth_big, tmp_path, capsys):
     assert "at least 2 folds" in capsys.readouterr().err
 
     # k=2 passes the parser but the paired scheme needs three folds
-    assert run(base + ["--methods", "mlr", "--reps", "1", "--k", "2", "--jobs", "1"]) == 1
-    assert "folds" in capsys.readouterr().err
+    assert run(base + ["--methods", "mlr", "--reps", "1", "--k", "2", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --cv-scheme paired needs at least 3 folds, got 2\n"
+    )
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--reps", "1000000000000000000000"], 2,
+         "repetitions must be from 1 to 1000, got 1000000000000000000000"),
+        (["--k", "121"], 1, "cannot split 120 samples into 121 folds"),
+    ],
+    ids=["huge-reps", "more-folds-than-samples"],
+)
+def test_evaluate_failure_is_one_line_and_leaves_no_out_dir(synth_big, tmp_path, capsys,
+                                                            argv, code, message):
+    out = tmp_path / "e"
+    rc = run(["evaluate", "--features", synth_big / "dataset.csv", "--config", "SHC2",
+              "--methods", "mlr", "--jobs", "1", "--out-dir", out] + argv)
+    assert rc == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_huge_n_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run(["synth", "--out-dir", out, "--n", "1000000000000000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: n_samples must be from 1 to 100000, got 1000000000000000\n"
+    )
+    assert not out.exists()
 
 
 def test_evaluate_repeated_method_is_usage_error(synth_big, tmp_path, capsys):
@@ -1206,14 +1307,16 @@ def test_adjacent_doubles_train_and_evaluate(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["cpxr", "mlr", "evaluate"])
 def test_overflowing_column_is_one_line_runtime_error(tmp_path, capsys, command):
     table = _extreme_table(tmp_path / "huge.csv", HUGE_BULK_DENSITY)
+    out = tmp_path / "out"
     if command == "evaluate":
         argv = ["evaluate", "--features", table, "--config", "SHC2", "--reps", "1",
-                "--k", "5", "--jobs", "1", "--out-dir", tmp_path / "eval"]
+                "--k", "5", "--jobs", "1", "--out-dir", out]
     else:
         argv = ["train", "--features", table, "--config", "SHC2", "--method", command,
-                "--out-dir", tmp_path / "models"]
+                "--out-dir", out]
     assert run(argv) == 1
     assert capsys.readouterr().err == "error: column 'bulk_density' is too large to standardize\n"
+    assert not out.exists()  # the output directory is made only after every fit
 
 
 def test_predict_non_finite_prediction_is_one_line_and_writes_nothing(shc2_cpxr_models,

@@ -573,9 +573,11 @@ def _random_pxr(seed):
     for _ in range(int(rng.integers(0, 4))):
         f = names[int(rng.integers(2))]
         lo = float(rng.normal())
-        item = Item(f, value=float(rng.integers(-1, 2))) if rng.random() < 0.3 else (
-            Item(f, lo=lo, hi=lo + float(rng.uniform(0.1, 2.0)))
-        )
+        if rng.random() < 0.3:  # a unit bin around an integer
+            v = float(rng.integers(-1, 2))
+            item = Item(f, lo=v - 0.5, hi=v + 0.5)
+        else:
+            item = Item(f, lo=lo, hi=lo + float(rng.uniform(0.1, 2.0)))
         pattern = Pattern((item,))
         if str(pattern) not in seen:
             seen.add(str(pattern))

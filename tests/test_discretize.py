@@ -312,13 +312,25 @@ def test_build_scheme_and_categorical():
 
 
 def test_scheme_serialization_roundtrip():
-    scheme = DiscretizationScheme(cuts={"x": (2.5, 7.0), "y": ()}, categorical={"g": (0.0, 1.0)})
+    scheme = DiscretizationScheme(cuts={"x": (2.5, 7.0), "y": ()})
     back = DiscretizationScheme.from_dict(json.loads(json.dumps(scheme.to_dict(), sort_keys=True)))
     assert back.cuts == scheme.cuts
-    assert back.categorical == scheme.categorical
-    assert scheme.to_dict()["x"] == [2.5, 7.0]
+    assert scheme.to_dict() == {"x": [2.5, 7.0], "y": []}
 
 
-def test_scheme_feature_role_overlap():
-    with pytest.raises(DiscretizeError):
-        DiscretizationScheme(cuts={"x": (1.0,)}, categorical={"x": (0.0,)})
+@pytest.mark.parametrize("entry, message", [
+    ({"values": [0, 1]}, "list of finite numbers"),
+    ("2.5", "list of finite numbers"),
+    (2.5, "list of finite numbers"),
+    (None, "list of finite numbers"),
+    (["2.5"], "list of finite numbers"),
+    ([True], "list of finite numbers"),
+    ([1.0, math.nan], "list of finite numbers"),
+    ([math.inf], "list of finite numbers"),
+    ([7.0, 2.5], "not strictly increasing"),
+    ([2.5, 2.5], "not strictly increasing"),
+], ids=["values-dict", "string", "number", "null", "string-cut", "bool-cut", "nan-cut",
+        "inf-cut", "decreasing", "repeated"])
+def test_scheme_entry_must_be_finite_increasing_numbers(entry, message):
+    with pytest.raises(DiscretizeError, match=message):
+        DiscretizationScheme.from_dict({"x": [1.0], "g": entry})

@@ -15,6 +15,17 @@ class _RankDeficient(Exception):
     pass
 
 
+def _reference_scales(X):
+    """Column means and standard deviations, except that a column whose
+    values are all equal takes its value as mean and 1 as scale."""
+    means = X.mean(axis=0)
+    scales = X.std(axis=0)
+    for j in range(X.shape[1]):
+        if np.all(X[:, j] == X[0, j]):
+            means[j], scales[j] = X[0, j], 1.0
+    return means, scales
+
+
 def _reference_solve(X, y, names, ridge):
     """The two-pass route fit_local replaced: standardize, then solve plain
     (ridge=0, raising _RankDeficient when lstsq's rank is short) or with
@@ -22,9 +33,7 @@ def _reference_solve(X, y, names, ridge):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
-    scales[scales == 0.0] = 1.0
+    means, scales = _reference_scales(X)
     Xs = (X - means) / scales
     A = np.hstack([np.ones((n, 1)), Xs])
     if ridge == 0.0:
@@ -50,9 +59,8 @@ def _reference_solve(X, y, names, ridge):
 def _reference_ridge(X):
     """1e-8 * trace(Xs'Xs) / p, standardizing X on its own, floored at 1e-8."""
     X = np.asarray(X, dtype=float)
-    scales = X.std(axis=0)
-    scales[scales == 0.0] = 1.0
-    Xs = (X - X.mean(axis=0)) / scales
+    means, scales = _reference_scales(X)
+    Xs = (X - means) / scales
     p = max(1, X.shape[1])
     t = float((Xs * Xs).sum())
     return 1e-8 * (t / p if t > 0.0 else 1.0)
@@ -124,9 +132,8 @@ def test_input_validation():
 
 def _qr_rank_deficient(X) -> bool:
     """scipy's pivoted-QR rank test on the standardized design that fit_local solves."""
-    scales = X.std(axis=0)
-    scales[scales == 0.0] = 1.0
-    A = np.hstack([np.ones((len(X), 1)), (X - X.mean(axis=0)) / scales])
+    means, scales = _reference_scales(X)
+    A = np.hstack([np.ones((len(X), 1)), (X - means) / scales])
     diag = np.abs(np.diag(scipy.linalg.qr(A, mode="economic", pivoting=True)[1]))
     return int((diag > diag[0] * max(A.shape) * np.finfo(float).eps).sum()) < A.shape[1]
 
@@ -211,6 +218,21 @@ def test_constant_column_is_dependent():
     m = fit_local(X, y, names)
     assert m.to_dict() == _reference_solve(X, y, names, _reference_ridge(X)).to_dict()
     assert m.predict({"x": 2.5, "const": 7.0}) == pytest.approx(2.5, abs=1e-3)
+
+
+def test_constant_column_with_inexact_mean_standardizes_to_zeros():
+    # 0.05 in every row, but the float mean of the column is not 0.05 and
+    # its standard deviation is about 2e-17: the column must still count
+    # as constant, take the ridge route and get no weight
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 1.0, 70)
+    X = np.column_stack([x, np.full(70, 0.05)])
+    assert X[:, 1].mean() != 0.05 and X[:, 1].std() > 0.0
+    y = 1.0 + 0.5 * x + rng.normal(0.0, 0.1, 70)
+    m = fit_local(X, y, ["x", "c"])
+    assert (m.feature_means["c"], m.feature_scales["c"], m.coefficients["c"]) == (0.05, 1.0, 0.0)
+    assert m.to_dict() == _reference_solve(X, y, ["x", "c"], _reference_ridge(X)).to_dict()
+    assert m.predict({"x": 0.0, "c": 0.06}) == m.predict({"x": 0.0, "c": 0.05})
 
 
 def test_fit_local_underdetermined():

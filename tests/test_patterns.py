@@ -22,7 +22,6 @@ from soilptf.patterns import (
 
 def test_item_text_forms():
     assert str(Item("Sand", lo=82.0, hi=86.0)) == "82 <= Sand < 86"
-    assert str(Item("Clay", value=3.0)) == "Clay = 3"
     assert str(Item("Silt", hi=20.0)) == "Silt < 20"
     assert str(Item("x", lo=2.5)) == "x >= 2.5"
     assert str(Item("x")) == "x any"
@@ -30,7 +29,7 @@ def test_item_text_forms():
 
 def _covers(it, x):
     """Scalar reference for Item.covers_array."""
-    return x == it.value if it.value is not None else it.lo <= x < it.hi
+    return it.lo <= x < it.hi
 
 
 def test_item_covers_half_open():
@@ -38,15 +37,13 @@ def test_item_covers_half_open():
     assert it.covers_array(np.array([2.0, 4.999, 5.0, 1.999])).tolist() == [
         True, True, False, False,
     ]
-    eq = Item("g", value=1.0)
-    assert eq.covers_array(np.array([1.0, 1.0001])).tolist() == [True, False]
     assert Item("x").covers_array(np.array([-1e300, 1e300])).all()
 
 
 def test_item_covers_array_matches_scalar():
     rng = np.random.default_rng(5)
     xs = rng.normal(0, 3, 200)
-    for it in (Item("x", lo=-1.0, hi=2.0), Item("x", hi=0.0), Item("x", value=float(xs[0]))):
+    for it in (Item("x", lo=-1.0, hi=2.0), Item("x", hi=0.0), Item("x", lo=float(xs[0]))):
         mask = it.covers_array(xs)
         assert mask.tolist() == [_covers(it, float(x)) for x in xs]
 
@@ -57,10 +54,21 @@ def test_item_empty_interval_rejected():
 
 
 def test_item_dict_roundtrip():
-    for it in (Item("x", lo=1.0, hi=2.0), Item("x", hi=2.0), Item("x", lo=1.0),
-               Item("x"), Item("g", value=3.0)):
+    for it in (Item("x", lo=1.0, hi=2.0), Item("x", hi=2.0), Item("x", lo=1.0), Item("x")):
         assert Item.from_dict(it.to_dict()) == it
     assert Item("x", hi=2.0).to_dict() == {"feature": "x", "lo": None, "hi": 2.0}
+
+
+@pytest.mark.parametrize("d", [
+    {"feature": "x"},
+    {"feature": "x", "lo": 1.0},
+    {"feature": "x", "value": 3.0},
+    {"feature": "x", "lo": None, "hi": None, "value": 3.0},
+    {"feature": "x", "lo": 1.0, "hi": 2.0, "note": ""},
+], ids=["feature-only", "no-hi", "equality", "equality-plus-bounds", "extra-key"])
+def test_item_from_dict_takes_exactly_its_keys(d):
+    with pytest.raises(PatternError, match="exactly the keys feature, lo and hi"):
+        Item.from_dict(d)
 
 
 def test_pattern_canonical_order():
@@ -81,7 +89,7 @@ def test_pattern_rejects_duplicates_and_empty():
 
 
 def test_pattern_dict_roundtrip():
-    p = Pattern((Item("x", lo=1.0, hi=2.0), Item("g", value=0.0)))
+    p = Pattern((Item("x", lo=1.0, hi=2.0), Item("g", lo=-0.5, hi=0.5)))
     assert Pattern.from_dict(p.to_dict()) == p
 
 
@@ -211,14 +219,16 @@ def test_mine_agrees_with_exhaustive_oracle():
         for name in ("x", "y"):
             k = int(rng.integers(0, 3))
             cuts[name] = tuple(sorted(rng.choice([0.5, 1.5, 2.5, 3.5, 4.5], k, replace=False)))
-        categorical = {"g": (0.0, 1.0)} if trial % 3 == 0 else {}
-        scheme = DiscretizationScheme(cuts=cuts, categorical=categorical)
-        names = ["x", "y"] + (["g"] if categorical else [])
+        with_g = trial % 3 == 0
+        if with_g:
+            cuts["g"] = (0.5,)  # g is drawn from {0, 1}
+        scheme = DiscretizationScheme(cuts=cuts)
+        names = ["x", "y"] + (["g"] if with_g else [])
         n_le = int(rng.integers(2, 21))
         n_se = int(rng.integers(2, 21))
         draw = lambda n: np.column_stack(
             [rng.integers(0, 6, n), rng.integers(0, 6, n)]
-            + ([rng.integers(0, 2, n)] if categorical else [])
+            + ([rng.integers(0, 2, n)] if with_g else [])
         )
         le, se = draw(n_le), draw(n_se)
         got = _mine(le, se, names, scheme, min_support_le=0.1, min_growth=1.5, max_len=3,
