@@ -17,6 +17,7 @@ from .hydrology import (
     VgParameters,
     derived_water_contents,
     fit_vg,
+    fit_vg_curves,
     texture_statistics,
     vg_theta,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "derived_water_contents",
     "fit_local",
     "fit_vg",
+    "fit_vg_curves",
     "generate",
     "load_dataset",
     "mdl_discretize",

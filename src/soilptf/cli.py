@@ -40,9 +40,9 @@ from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
     HydrologyError,
-    VgFitError,
     VgParameters,
-    fit_vg,
+    fit_vg,  # not called here; benchmark/trace_child.py spans soilptf.cli.fit_vg
+    fit_vg_curves,
     vg_theta,
 )
 from .linreg import FitError, LinearModel, fit_local
@@ -261,23 +261,23 @@ def _read_retention(path) -> list[tuple[str, list[tuple[float, float]]]]:
     return list(groups.items())
 
 
-def _fit_one_sample(item):
-    sid, pairs = item
-    try:
-        params = fit_vg(pairs)
-    except (HydrologyError, VgFitError) as exc:
-        return sid, None, f"fail {sid}: {exc}"
-    return (
-        sid,
-        {
-            "theta_r": params.theta_r,
-            "theta_s": params.theta_s,
-            "alpha_per_cm": params.alpha,
-            "n": params.n,
-            "fit_rmse": params.fit_rmse,
-        },
-        f"ok {sid}: rmse={params.fit_rmse:.6g} over {len(pairs)} points",
-    )
+def _fit_part(samples):
+    """(id, parameter dict or None, log line) per sample of one part, from
+    one batched fit_vg_curves call."""
+    out = []
+    for (sid, pairs), fit in zip(samples, fit_vg_curves([pairs for _, pairs in samples])):
+        if isinstance(fit, HydrologyError):
+            out.append((sid, None, f"fail {sid}: {fit}"))
+            continue
+        params = {
+            "theta_r": fit.theta_r,
+            "theta_s": fit.theta_s,
+            "alpha_per_cm": fit.alpha,
+            "n": fit.n,
+            "fit_rmse": fit.fit_rmse,
+        }
+        out.append((sid, params, f"ok {sid}: rmse={fit.fit_rmse:.6g} over {len(pairs)} points"))
+    return out
 
 
 def cmd_fit_vg(args) -> int:
@@ -287,7 +287,12 @@ def cmd_fit_vg(args) -> int:
     settings = {"command": "fit-vg", "seed": seed}
     meta = _meta(seed, settings)
 
-    results = map_jobs(_fit_one_sample, _read_retention(path), jobs)
+    samples = _read_retention(path)
+    # a sample's fit does not depend on the others, so the contiguous parts
+    # give the same bytes for every --jobs
+    k = min(jobs, len(samples))
+    parts = [samples[i * len(samples) // k:(i + 1) * len(samples) // k] for i in range(k)]
+    results = [row for part in map_jobs(_fit_part, parts, jobs) for row in part]
 
     header = ["id", "theta_r", "theta_s", "alpha_per_cm", "n", "fit_rmse"]
     rows = [

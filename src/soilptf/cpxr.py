@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import math
 import sys
 from numbers import Integral, Real
 
@@ -140,8 +141,8 @@ class PatternLocal:
     weight: float
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise CpxrError(f"pattern weight must be positive, got {self.weight}")
+        if isinstance(self.weight, bool) or not (self.weight > 0 and math.isfinite(self.weight)):
+            raise CpxrError(f"pattern weight must be a positive finite number, got {self.weight!r}")
 
 
 @dataclass

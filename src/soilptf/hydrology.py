@@ -114,6 +114,13 @@ def derived_water_contents(params: VgParameters) -> dict[str, float]:
 # ----------------------------------------------------------------------
 
 _MAX_ITER = 500
+_N_STARTS = 5
+# Samples per _fit_lanes call. A call's temporaries grow with its lanes,
+# about 3 KB per lane at 13 points, so one call of 64 samples x 5 starts
+# peaks near 1 MB however many curves are fitted. Larger calls run faster
+# but peak higher.
+_BATCH_SAMPLES = 64
+_DIAG = np.arange(4)
 
 
 def _logit(q):
@@ -121,51 +128,67 @@ def _logit(q):
     return math.log(q / (1.0 - q))
 
 
-def _expit(x) -> float:
-    """Logistic 1 / (1 + exp(-x)); 0.0 where exp(-x) overflows."""
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
+def _expit(x):
+    """Logistic 1 / (1 + exp(-x)); 0.0 where exp(-x) overflows.
+
+    A scalar goes through math.exp, which keeps it bit for bit equal to
+    scipy.special.expit; an array goes through np.exp elementwise, which
+    can differ from math.exp in the last bit.
+    """
+    if np.ndim(x) == 0:
+        try:
+            return 1.0 / (1.0 + math.exp(-x))
+        except OverflowError:
+            return 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _unpack(u):
-    """Transformed vector -> (theta_r, theta_s, alpha, n).
+    """Transformed vectors (..., 4) -> (theta_r, theta_s, alpha, n), each of
+    shape u.shape[:-1].
 
     u = (logit(theta_r/theta_s), logit(theta_s), log alpha, log(n-1)),
-    which enforces 0 < theta_r < theta_s < 1, alpha > 0, n > 1.
+    which enforces 0 < theta_r < theta_s < 1, alpha > 0, n > 1. alpha or n
+    is inf where its exp overflows.
     """
-    ratio = _expit(u[0])
-    theta_s = _expit(u[1])
-    return ratio * theta_s, theta_s, math.exp(u[2]), 1.0 + math.exp(u[3])
+    ratio = _expit(u[..., 0])
+    theta_s = _expit(u[..., 1])
+    with np.errstate(over="ignore"):
+        alpha = np.exp(u[..., 2])
+        n = 1.0 + np.exp(u[..., 3])
+    return ratio * theta_s, theta_s, alpha, n
 
 
 def _curve_residuals(u, h, theta_obs):
-    theta_r, theta_s, alpha, n = _unpack(u)
+    """theta_obs - theta(h) for one lane (u of shape (4,), h of shape (P,))
+    or for B lanes (u (B, 4), h and theta_obs (B, P)). A lane whose alpha
+    or n lies beyond float range has NaN residuals."""
+    theta_r, theta_s, alpha, n = (np.expand_dims(p, -1) for p in _unpack(u))
     m = 1.0 - 1.0 / n
     # extreme trial parameters overflow (alpha*h)^n; inf collapses to
     # theta_r under the outer power, which is the correct dry limit
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         pred = theta_r + (theta_s - theta_r) * np.power(1.0 + np.power(alpha * h, n), -m)
-    return theta_obs - pred
+    return np.where(np.isfinite(alpha) & np.isfinite(n), theta_obs - pred, np.nan)
 
 
 def _curve_jacobian(u, log_h):
     """Closed-form Jacobian of _curve_residuals with respect to u.
 
-    log_h holds ln h, -inf at h = 0. Returns the (4, len(h)) array whose
-    row j is d(residual)/d u[j]. With w = (alpha*h)^n, S = (1+w)^-m,
-    q = w/(1+w) and amp = theta_s*(1-ratio), the rows are
-    -theta_s*ratio*(1-ratio)*(1-S), -theta_s*(1-theta_s)*(ratio+(1-ratio)*S),
-    amp*(n-1)*S*q and amp*(n-1)*S*(ln(1+w)/n^2 + m*q*ln(alpha*h)). w is
-    never formed: everything comes from z = ln w, so no row overflows where
-    w does.
+    log_h holds ln h, -inf at h = 0, with the shape of h. Returns the
+    (..., 4, P) array whose row j is d(residual)/d u[..., j]. With
+    w = (alpha*h)^n, S = (1+w)^-m, q = w/(1+w) and amp = theta_s*(1-ratio),
+    the rows are -theta_s*ratio*(1-ratio)*(1-S),
+    -theta_s*(1-theta_s)*(ratio+(1-ratio)*S), amp*(n-1)*S*q and
+    amp*(n-1)*S*(ln(1+w)/n^2 + m*q*ln(alpha*h)). w is never formed:
+    everything comes from z = ln w, so no row overflows where w does.
     """
-    ratio = _expit(u[0])
-    theta_s = _expit(u[1])
-    n = 1.0 + math.exp(u[3])
+    ratio = np.expand_dims(_expit(u[..., 0]), -1)
+    theta_s = np.expand_dims(_expit(u[..., 1]), -1)
+    n = 1.0 + np.exp(u[..., 3:])
     m = 1.0 - 1.0 / n
-    log_ah = u[2] + log_h
+    log_ah = u[..., 2:3] + log_h
     z = n * log_ah
     log1p_w = np.logaddexp(0.0, z)
     with np.errstate(over="ignore"):
@@ -175,76 +198,118 @@ def _curve_jacobian(u, log_h):
     q_log_ah = np.multiply(q, log_ah, out=np.zeros_like(q), where=q > 0.0)
     amp = theta_s * (1.0 - ratio)
     scaled = amp * (n - 1.0) * sat  # common factor of the alpha and n rows
-    return np.array([
+    return np.stack([
         -theta_s * ratio * (1.0 - ratio) * (1.0 - sat),
         -theta_s * (1.0 - theta_s) * (ratio + (1.0 - ratio) * sat),
         scaled * q,
         scaled * (log1p_w / (n * n) + m * q_log_ah),
-    ])
+    ], axis=-2)
 
 
-def _fit_from_start(u0, h, theta_obs):
-    """Levenberg-Marquardt minimization of the squared residual sum.
+def _normal_equations(u, r, log_h):
+    """J'r (B, 4) and J'J (B, 4, 4) of B lanes at u with residuals r, J
+    their closed-form Jacobians (_curve_jacobian)."""
+    J = _curve_jacobian(u, log_h)
+    JtJ = np.stack([(J[:, i, None, :] * J).sum(axis=-1) for i in range(4)], axis=1)
+    return (J * r[:, None, :]).sum(axis=-1), JtJ
 
-    Works in the transformed parameters u of _unpack and takes the
-    Jacobian in closed form (_curve_jacobian), so each trial step costs
-    one residual evaluation. Returns (u, sse, converged). The damping
-    factor, scaled by the diagonal of J'J, grows until a step
-    reduces the cost and shrinks after each accepted step.
+
+def _solve_lanes(A, b):
+    """Solutions of the stacked systems A x = b, (B, 4, 4) and (B, 4); a
+    lane whose matrix is singular gets NaN."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, np.nan)
+        for i in range(len(A)):
+            try:
+                x[i] = np.linalg.solve(A[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _fit_lanes(u0, h, theta_obs):
+    """Levenberg-Marquardt minimization of each lane's squared residual sum,
+    all lanes at once.
+
+    u0 holds B start vectors (B, 4) in the transformed parameters of
+    _unpack; h and theta_obs hold each lane's points (B, P). Returns
+    (u, sse, converged) as arrays over the lanes. Each lane runs its own
+    loop: its damping factor, scaled by the diagonal of its J'J, is
+    multiplied by 10 when a trial step does not reduce the cost (or its
+    system is singular, or alpha or n leaves float range) and divided by 3,
+    floored at 1e-12, after each accepted step. After 40 failed trials in
+    a row, or an accepted step that improves the cost by at most
+    1e-16*(1+cost) or moves no parameter by 1e-10, the lane has converged;
+    after _MAX_ITER accepted steps without that, it has not. Each round
+    takes one trial step in every lane still running: one stacked solve and
+    one residual evaluation, plus the closed-form Jacobian (_curve_jacobian)
+    of the lanes that moved. Every operation acts on each lane alone, so a
+    lane's result does not depend on which other lanes share the call.
     """
+    lanes = len(u0)
     u = u0.copy()
     log_h = np.log(h, out=np.full_like(h, -np.inf), where=h > 0.0)
     r = _curve_residuals(u, h, theta_obs)
-    cost = float(r @ r)
-    lam = 1e-3
-    for _ in range(_MAX_ITER):
-        Jt = _curve_jacobian(u, log_h)
-        # residual = obs - model, so the Gauss-Newton step solves (J'J + lam D) d = -J'r
-        g = Jt @ r
-        JtJ = Jt @ Jt.T
-        scale = JtJ.diagonal().copy()
-        scale[scale <= 0] = 1.0
-        accepted = False
-        for _try in range(40):
-            A = JtJ.copy()
-            A.flat[::5] += lam * scale  # the 4x4 diagonal
-            try:
-                d = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            try:
-                r_new = _curve_residuals(u + d, h, theta_obs)
-            except OverflowError:  # alpha or n beyond float range: reject the trial
-                lam *= 10.0
-                continue
-            cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                improvement = cost - cost_new
-                u = u + d
-                r = r_new
-                cost = cost_new
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if improvement <= 1e-16 * (1.0 + cost) or float(np.abs(d).max()) < 1e-10:
-                    return u, cost, True
-                break
-            lam *= 10.0
-        if not accepted:
-            return u, cost, True  # damping exhausted: stationary point
-    return u, cost, False
+    cost = (r * r).sum(axis=-1)
+    lam = np.full(lanes, 1e-3)
+    steps = np.zeros(lanes, dtype=int)  # accepted steps
+    tries = np.zeros(lanes, dtype=int)  # failed trials since the last Jacobian
+    converged = np.zeros(lanes, dtype=bool)
+    g = np.empty((lanes, 4))
+    JtJ = np.empty((lanes, 4, 4))
+    scale = np.empty((lanes, 4))
+    live = np.arange(lanes)
+    moved = live
+    while live.size:
+        if moved.size:
+            # residual = obs - model, so the Gauss-Newton step solves (J'J + lam D) d = -J'r
+            g[moved], JtJ[moved] = _normal_equations(u[moved], r[moved], log_h[moved])
+            diag = JtJ[moved][:, _DIAG, _DIAG]
+            scale[moved] = np.where(diag <= 0, 1.0, diag)
+            tries[moved] = 0
+        A = JtJ[live]
+        A[:, _DIAG, _DIAG] += lam[live, None] * scale[live]
+        d = _solve_lanes(A, -g[live])
+        trial = u[live] + d
+        r_new = _curve_residuals(trial, h[live], theta_obs[live])
+        cost_new = (r_new * r_new).sum(axis=-1)
+        ok = np.isfinite(cost_new) & (cost_new <= cost[live])
+
+        acc = live[ok]
+        improvement = cost[acc] - cost_new[ok]
+        u[acc] = trial[ok]
+        r[acc] = r_new[ok]
+        cost[acc] = cost_new[ok]
+        lam[acc] = np.maximum(lam[acc] / 3.0, 1e-12)
+        steps[acc] += 1
+        stop = (improvement <= 1e-16 * (1.0 + cost_new[ok])) | (np.abs(d[ok]).max(axis=-1) < 1e-10)
+        rej = live[~ok]
+        lam[rej] *= 10.0
+        tries[rej] += 1
+        exhausted = tries[rej] == 40  # damping exhausted: stationary point
+        converged[acc[stop]] = True
+        converged[rej[exhausted]] = True
+        running = np.empty(live.size, dtype=bool)
+        running[ok] = ~stop & (steps[acc] < _MAX_ITER)
+        running[~ok] = ~exhausted
+        moved = live[ok & running]
+        live = live[running]
+    return u, cost, converged
 
 
-def fit_vg(points) -> VgParameters:
-    """Least-squares van Genuchten fit to measured retention points.
+def _fit_from_start(u0, h, theta_obs):
+    """One lane of _fit_lanes: the Levenberg-Marquardt fit from the start
+    u0 (4,) to the points h, theta_obs (P,). Returns (u, sse, converged)
+    with converged a plain bool."""
+    u, sse, converged = _fit_lanes(u0[None], h[None], theta_obs[None])
+    return u[0], float(sse[0]), bool(converged[0])
 
-    Requires at least 5 points whose positive tensions span a factor of
-    10 or more. Runs a Levenberg-Marquardt minimization (_fit_from_start:
-    transformed parameters, closed-form Jacobian) from 5 deterministic
-    starts (alpha in {0.005, 0.05} x n in {1.2, 2.0}, plus a fully
-    data-driven start) and returns the best converged optimum with its fit
-    RMSE.
-    """
+
+def _fit_input(points) -> tuple[np.ndarray, np.ndarray]:
+    """Tensions and water contents of one sample's points, checked: at
+    least 5 points whose positive tensions span a factor of 10 or more."""
     pts = [p if isinstance(p, RetentionPoint) else RetentionPoint(*p) for p in points]
     if len(pts) < 5:
         raise VgFitError(f"need at least 5 retention points, got {len(pts)}")
@@ -253,31 +318,88 @@ def fit_vg(points) -> VgParameters:
     positive = h[h > 0]
     if positive.size == 0 or positive.max() / positive.min() < 10.0:
         raise VgFitError("retention points must span at least a decade of tension")
+    return h, theta_obs
 
+
+def _starts(h, theta_obs) -> np.ndarray:
+    """The _N_STARTS deterministic start vectors (_N_STARTS, 4) of one sample:
+    alpha in {0.005, 0.05} x n in {1.2, 2.0}, plus a fully data-driven
+    start (alpha = 1 / median positive tension, n = 1.5), all with theta_s
+    and theta_r/theta_s taken from the observed range."""
     theta_max = float(theta_obs.max())
     theta_min = float(theta_obs.min())
     theta_s0 = min(max(theta_max, 0.05), 0.99)
     ratio0 = min(max(theta_min / theta_s0 if theta_s0 > 0 else 0.1, 0.02), 0.9)
-    starts = [
-        np.array([_logit(ratio0), _logit(theta_s0), math.log(a), math.log(n0 - 1.0)])
-        for a in (0.005, 0.05)
-        for n0 in (1.2, 2.0)
-    ]
-    h_mid = float(np.median(positive))
-    starts.append(np.array([_logit(ratio0), _logit(theta_s0), math.log(1.0 / h_mid), math.log(0.5)]))
+    h_mid = float(np.median(h[h > 0]))
+    shapes = [(math.log(a), math.log(n0 - 1.0)) for a in (0.005, 0.05) for n0 in (1.2, 2.0)]
+    shapes.append((math.log(1.0 / h_mid), math.log(0.5)))
+    return np.array([[_logit(ratio0), _logit(theta_s0), la, ln] for la, ln in shapes])
 
-    best = None
-    for u0 in starts:
-        u, sse, ok = _fit_from_start(u0, h, theta_obs)
-        if not ok:
+
+def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
+    """Least-squares van Genuchten fits of many samples in one batched loop.
+
+    samples is a sequence of point lists, each of RetentionPoint or
+    (tension, theta) pairs. Returns, per sample in order, its VgParameters
+    with the fit RMSE, or the HydrologyError (a VgFitError where the fit
+    itself fails) that rules it out. Each sample needs at least 5 points
+    whose positive tensions span a factor of 10 or more. Samples with the
+    same point count are fitted together, _BATCH_SAMPLES at a time: each
+    (sample, start) of the _N_STARTS starts (_starts) is one lane of
+    _fit_lanes, and a sample takes the converged lane of lowest cost, the
+    earlier start on a tie. A sample's result does not depend on the other
+    samples.
+    """
+    results: list = [None] * len(samples)
+    groups: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for i, points in enumerate(samples):
+        try:
+            h, theta_obs = _fit_input(points)
+        except HydrologyError as exc:
+            results[i] = exc
             continue
-        if best is None or sse < best[1]:
-            best = (u, sse)
-    if best is None:
-        raise VgFitError(f"no start converged within {_MAX_ITER} iterations")
-    theta_r, theta_s, alpha, n = _unpack(best[0])
-    rmse = math.sqrt(best[1] / len(pts))
-    return VgParameters(theta_r=theta_r, theta_s=theta_s, alpha=alpha, n=n, fit_rmse=rmse)
+        groups.setdefault(h.size, []).append((i, h, theta_obs))
+    batches = [
+        members[k:k + _BATCH_SAMPLES]
+        for members in groups.values()
+        for k in range(0, len(members), _BATCH_SAMPLES)
+    ]
+    for members in batches:
+        h = np.repeat(np.array([m[1] for m in members]), _N_STARTS, axis=0)
+        theta_obs = np.repeat(np.array([m[2] for m in members]), _N_STARTS, axis=0)
+        u0 = np.concatenate([_starts(m[1], m[2]) for m in members])
+        u, sse, converged = _fit_lanes(u0, h, theta_obs)
+        theta_r, theta_s, alpha, n = _unpack(u)
+        for k, (i, h_i, _) in enumerate(members):
+            best = None
+            for lane in range(k * _N_STARTS, (k + 1) * _N_STARTS):
+                if converged[lane] and (best is None or sse[lane] < sse[best]):
+                    best = lane
+            if best is None:
+                results[i] = VgFitError(f"no start converged within {_MAX_ITER} iterations")
+                continue
+            try:
+                results[i] = VgParameters(
+                    theta_r=float(theta_r[best]),
+                    theta_s=float(theta_s[best]),
+                    alpha=float(alpha[best]),
+                    n=float(n[best]),
+                    fit_rmse=math.sqrt(float(sse[best]) / h_i.size),
+                )
+            except HydrologyError as exc:
+                results[i] = exc
+    return results
+
+
+def fit_vg(points) -> VgParameters:
+    """Least-squares van Genuchten fit to one sample's retention points: the
+    one-sample call of fit_vg_curves, whose batched Levenberg-Marquardt loop
+    runs the _N_STARTS starts of the sample as lanes. Raises its
+    HydrologyError (VgFitError where the fit fails)."""
+    (result,) = fit_vg_curves([points])
+    if isinstance(result, HydrologyError):
+        raise result
+    return result
 
 
 # ----------------------------------------------------------------------

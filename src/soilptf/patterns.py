@@ -31,6 +31,9 @@ class Item:
     hi: float = INF
 
     def __post_init__(self):
+        if isinstance(self.lo, bool) or isinstance(self.hi, bool):
+            raise PatternError(f"interval bounds on {self.feature!r} must be numbers, "
+                               f"got {self.lo!r}, {self.hi!r}")
         if not self.lo < self.hi:
             raise PatternError(f"empty interval [{self.lo}, {self.hi}) on {self.feature!r}")
 

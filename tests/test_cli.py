@@ -349,11 +349,30 @@ def test_fit_vg_fails_on_majority(tmp_path):
 
 
 def test_fit_vg_parallel_output_matches_serial(tmp_path):
+    # 9-, 13- and 15-point samples, noisy and clean, and one that fails:
+    # each --jobs value cuts the batches differently
+    rng = np.random.default_rng(15)
+    samples = []
+    for i, n_points in enumerate([13, 9, 15, 13, 9, 15, 13, 15]):
+        params = VgParameters(theta_r=float(rng.uniform(0.0, 0.15)),
+                              theta_s=float(rng.uniform(0.35, 0.55)),
+                              alpha=float(10 ** rng.uniform(-2.5, -1.0)),
+                              n=float(rng.uniform(1.2, 3.0)))
+        tensions = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, n_points - 1)])
+        theta = vg_theta(params, tensions) + (i % 2) * rng.normal(0.0, 0.005, n_points)
+        samples.append((f"s{i}", [(float(h), float(np.clip(t, 0.0, 1.0)))
+                                  for h, t in zip(tensions, theta)]))
+    samples.insert(4, ("s_few", _clean_pairs()[:3]))
     table = tmp_path / "retention.csv"
-    _write_retention(table, [("a", _clean_pairs()), ("b", _clean_pairs(15))])
-    assert run(["fit-vg", "--input", table, "--out", tmp_path / "one.csv", "--jobs", "1"]) == 0
-    assert run(["fit-vg", "--input", table, "--out", tmp_path / "two.csv", "--jobs", "2"]) == 0
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+    _write_retention(table, samples)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"vg{jobs}.csv"
+        assert run(["fit-vg", "--input", table, "--out", out, "--jobs", jobs]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".log").read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert b"fail s_few: need at least 5 retention points, got 3" in outputs[0][1]
+    assert outputs[0][1].count(b"\nok ") == 8
 
 
 def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch):
@@ -801,6 +820,26 @@ def _set_scheme_entry(entry):
     return mutate
 
 
+def _set_weight(value):
+    def mutate(model):
+        model["pairs"][0]["weight"] = value
+    return mutate
+
+
+def _set_bound_true(key):
+    # JSON true as bound `key` of the first item where true (== 1) still
+    # passes lo < hi
+    def mutate(model):
+        for item in (i for pair in model["pairs"] for i in pair["pattern"]):
+            lo = -math.inf if item["lo"] is None else item["lo"]
+            hi = math.inf if item["hi"] is None else item["hi"]
+            if (1 < hi) if key == "lo" else (lo < 1):
+                item[key] = True
+                return
+        raise AssertionError(f"no item takes {key} = true in order")
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -812,10 +851,16 @@ def _set_scheme_entry(entry):
         _set_scheme_entry(["47.5"]),
         _set_scheme_entry([68.5, 47.5]),
         _set_scheme_entry([47.5, math.nan]),
+        _set_weight(True),
+        _set_weight(math.inf),
+        _set_weight(math.nan),
+        _set_bound_true("lo"),
+        _set_bound_true("hi"),
     ],
     ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
          "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
-         "scheme-nan-cut"],
+         "scheme-nan-cut", "pair-true-weight", "pair-inf-weight", "pair-nan-weight",
+         "item-true-lo", "item-true-hi"],
 )
 def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
                                                             tmp_path, capsys, mutate):

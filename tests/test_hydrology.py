@@ -240,11 +240,7 @@ def _reference_fit_from_start(u0, h, theta_obs):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            try:
-                r_new = _curve_residuals(u + d, h, theta_obs)
-            except OverflowError:
-                lam *= 10.0
-                continue
+            r_new = _curve_residuals(u + d, h, theta_obs)  # NaN where alpha or n overflows
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 improvement = cost - cost_new
@@ -266,9 +262,23 @@ def _transformed(p):
     return np.array([_logit(p.theta_r / p.theta_s), _logit(p.theta_s), math.log(p.alpha), math.log(p.n - 1.0)])
 
 
-def test_fit_matches_central_difference_route(monkeypatch):
-    # 50 noisy 13-point curves, fitted once with the closed-form Jacobian
-    # and once with _reference_fit_from_start in its place
+def _reference_fit_vg(h, theta_obs):
+    """fit_vg's choice among the starts, each fitted by
+    _reference_fit_from_start: the converged start of lowest sse, the
+    earlier one on a tie."""
+    best = None
+    for u0 in hydrology._starts(h, theta_obs):
+        u, sse, ok = _reference_fit_from_start(u0, h, theta_obs)
+        if ok and (best is None or sse < best[1]):
+            best = (u, sse)
+    theta_r, theta_s, alpha, n = hydrology._unpack(best[0])
+    return VgParameters(theta_r=float(theta_r), theta_s=float(theta_s), alpha=float(alpha),
+                        n=float(n), fit_rmse=math.sqrt(best[1] / h.size))
+
+
+def test_fit_matches_central_difference_route():
+    # 50 noisy 13-point curves, fitted once by fit_vg (batched lanes,
+    # closed-form Jacobian) and once start by start by _reference_fit_from_start
     h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
     rng = np.random.default_rng(8)
     curves = []
@@ -281,11 +291,10 @@ def test_fit_matches_central_difference_route(monkeypatch):
             n=float(rng.uniform(1.1, 3.0)),
         )
         theta = np.clip(vg_theta(p, h) + rng.normal(0.0, 0.005, h.size), 0.0, 1.0)
-        curves.append(list(zip(h.tolist(), theta.tolist())))
-    fits = [fit_vg(pts) for pts in curves]
-    monkeypatch.setattr(hydrology, "_fit_from_start", _reference_fit_from_start)
-    for pts, new in zip(curves, fits):
-        ref = fit_vg(pts)
+        curves.append(theta)
+    for theta in curves:
+        new = fit_vg(list(zip(h.tolist(), theta.tolist())))
+        ref = _reference_fit_vg(h, theta)
         assert new.fit_rmse**2 <= ref.fit_rmse**2 * (1.0 + 1e-9)
         # the stopping test pins u only as far as the sse feels it: along
         # the flat logit(theta_r/theta_s) of a near-zero theta_r, to a few 1e-6
@@ -293,16 +302,110 @@ def test_fit_matches_central_difference_route(monkeypatch):
         np.testing.assert_allclose(vg_theta(new, h), vg_theta(ref, h), rtol=0.0, atol=1e-8)
 
 
+# On this sandy curve an early trial step puts log(n - 1) near 4300, where
+# exp overflows.
+_SAND = VgParameters(theta_r=0.05, theta_s=0.4, alpha=0.2, n=3.5)
+
+
+def _bits(result):
+    """A fit result bit for bit: the parameters' hex forms, or the error."""
+    if isinstance(result, HydrologyError):
+        return type(result).__name__, str(result)
+    return tuple(float(getattr(result, f)).hex()
+                 for f in ("theta_r", "theta_s", "alpha", "n", "fit_rmse"))
+
+
 def test_fit_rejects_trial_steps_beyond_float_range():
-    # on this sandy curve an early trial step puts log(n - 1) near 4300,
-    # where exp overflows: the trial is rejected, not raised as OverflowError
-    sand = VgParameters(theta_r=0.05, theta_s=0.4, alpha=0.2, n=3.5)
+    # the overflowing trial is rejected, not raised as OverflowError
     h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
-    got = fit_vg([(float(t), vg_theta(sand, float(t))) for t in h])
-    assert got.theta_r == pytest.approx(sand.theta_r, rel=1e-6)
-    assert got.alpha == pytest.approx(sand.alpha, rel=1e-6)
-    assert got.n == pytest.approx(sand.n, rel=1e-6)
+    got = fit_vg([(float(t), vg_theta(_SAND, float(t))) for t in h])
+    assert got.theta_r == pytest.approx(_SAND.theta_r, rel=1e-6)
+    assert got.alpha == pytest.approx(_SAND.alpha, rel=1e-6)
+    assert got.n == pytest.approx(_SAND.n, rel=1e-6)
     assert got.fit_rmse < 1e-10
+
+
+def test_fit_rejects_overflowing_trials_lane_by_lane(monkeypatch):
+    # the sandy curve above, in one batch with ordinary 13- and 9-point
+    # curves: its overflowing trials are rejected in its own lanes only
+    nan_lanes = []
+
+    def residuals(u, h, theta_obs):
+        r = _curve_residuals(u, h, theta_obs)
+        nan_lanes.append(int(np.isnan(r).all(axis=-1).sum()))
+        return r
+
+    rng = np.random.default_rng(21)
+    h13 = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
+    curves = [[(float(t), vg_theta(_SAND, float(t))) for t in h13]]
+    for h in (h13, h13, np.geomspace(1.0, 15000.0, 9)):
+        theta = np.clip(vg_theta(LOAM, h) + rng.normal(0.0, 0.004, h.size), 0.0, 1.0)
+        curves.append(list(zip(h.tolist(), theta.tolist())))
+    solo = [fit_vg(pts) for pts in curves]
+    monkeypatch.setattr(hydrology, "_curve_residuals", residuals)
+    got = hydrology.fit_vg_curves(curves)
+    assert sum(nan_lanes) > 0
+    assert [_bits(r) for r in got] == [_bits(r) for r in solo]
+    assert got[0].theta_r == pytest.approx(_SAND.theta_r, rel=1e-6)
+    assert got[0].alpha == pytest.approx(_SAND.alpha, rel=1e-6)
+    assert got[0].n == pytest.approx(_SAND.n, rel=1e-6)
+
+
+_CURVES = st.lists(
+    st.tuples(
+        st.floats(0.0, 0.2),  # theta_r
+        st.floats(0.1, 0.5),  # theta_s - theta_r
+        st.floats(-3.0, -0.5),  # log10 alpha
+        st.floats(1.05, 4.0),  # n
+        st.integers(5, 20),  # points
+        st.sampled_from([0.0, 0.002, 0.01]),  # noise sd
+        st.integers(0, 2**16),  # noise seed
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CURVES)
+def test_batched_fit_matches_each_fit_alone(curves):
+    samples = []
+    for theta_r, span, log_alpha, n, points, sd, seed in curves:
+        p = VgParameters(theta_r=theta_r, theta_s=theta_r + span, alpha=10**log_alpha, n=n)
+        h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, points - 1)])
+        noise = np.random.default_rng(seed).normal(0.0, sd, points) if sd else 0.0
+        theta = np.clip(vg_theta(p, h) + noise, 0.0, 1.0)
+        samples.append(list(zip(h.tolist(), theta.tolist())))
+    alone = []
+    for pts in samples:
+        try:
+            alone.append(fit_vg(pts))
+        except HydrologyError as exc:
+            alone.append(exc)
+    assert [_bits(r) for r in hydrology.fit_vg_curves(samples)] == [_bits(r) for r in alone]
+
+
+def test_one_lane_fit_is_a_lane_of_the_batch():
+    h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
+    theta = vg_theta(LOAM, h)
+    starts = hydrology._starts(h, theta)
+    u, sse, converged = hydrology._fit_lanes(starts, np.tile(h, (5, 1)), np.tile(theta, (5, 1)))
+    for k, u0 in enumerate(starts):
+        one = hydrology._fit_from_start(u0, h, theta)
+        assert type(one[2]) is bool and one[2] == converged[k]
+        assert one[0].tolist() == u[k].tolist() and one[1] == sse[k]
+
+
+def test_singular_system_fails_only_its_own_lane():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(4, 4, 4)) + 4.0 * np.eye(4)
+    A[2] = 0.0
+    b = rng.normal(size=(4, 4))
+    x = hydrology._solve_lanes(A, b)
+    assert np.isnan(x[2]).all()
+    for i in (0, 1, 3):
+        assert x[i].tolist() == hydrology._solve_lanes(A[i:i + 1], b[i:i + 1])[0].tolist()
+        np.testing.assert_allclose(A[i] @ x[i], b[i], rtol=0.0, atol=1e-12)
 
 
 def test_fit_input_requirements():
