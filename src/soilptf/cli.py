@@ -43,7 +43,7 @@ from .hydrology import (
     VgParameters,
     fit_vg,  # not called here; benchmark/trace_child.py spans soilptf.cli.fit_vg
     fit_vg_curves,
-    vg_theta,
+    vg_curve,
 )
 from .linreg import FitError, LinearModel, fit_local
 from .synth import (
@@ -540,27 +540,25 @@ def _model_paths(spec: str) -> list[Path]:
     return [_require_file(p)]
 
 
-def _exp_prediction(sid: str, preds: dict, target: str) -> float:
+def _exp_prediction(sid: str, target: str, value: float) -> float:
     try:
-        return math.exp(preds[target])
+        return math.exp(value)
     except OverflowError:
         raise DataError(
-            f"sample {sid!r}: predicted {target} {preds[target]:g} is too large to "
+            f"sample {sid!r}: predicted {target} {value:g} is too large to "
             "expand into a curve"
         ) from None
 
 
-def _clamped_vg(sid: str, preds: dict) -> VgParameters:
-    # Predictions can land slightly outside the feasible region; nudge
-    # them back so the curve stays defined.
-    theta_s = min(max(preds["theta_s"], 0.012), 0.99)
-    theta_r = min(max(preds["theta_r"], 0.0), theta_s - 0.01)
-    return VgParameters(
-        theta_r=theta_r,
-        theta_s=theta_s,
-        alpha=max(_exp_prediction(sid, preds, "log_alpha"), 1e-8),
-        n=max(_exp_prediction(sid, preds, "log_n"), 1.000001),
-    )
+def _clamped_vg(sid: str, theta_r: float, theta_s: float, log_alpha: float,
+                log_n: float) -> tuple[float, float, float, float]:
+    """(theta_r, theta_s, alpha, n) of one sample's predicted PARAMETRIC_TARGETS.
+    Predictions can land slightly outside the feasible region; nudge them
+    back so the curve stays defined."""
+    theta_s = min(max(theta_s, 0.012), 0.99)
+    theta_r = min(max(theta_r, 0.0), theta_s - 0.01)
+    alpha = max(_exp_prediction(sid, "log_alpha", log_alpha), 1e-8)
+    return theta_r, theta_s, alpha, max(_exp_prediction(sid, "log_n", log_n), 1.000001)
 
 
 def cmd_predict(args) -> int:
@@ -605,11 +603,7 @@ def cmd_predict(args) -> int:
     bad = _first_cell(dataset.ids, order, ~np.isfinite(stacked))
     if bad is not None:
         raise DataError(f"sample {bad[0]!r}: predicted {bad[1]} is not a finite number")
-    predictions = [{t: float(columns[t][i]) for t in order} for i in range(len(dataset))]
-    rows = [
-        [sid] + [_fmt(per_sample[t]) for t in order]
-        for sid, per_sample in zip(dataset.ids, predictions)
-    ]
+    rows = [[sid] + [_fmt(v) for v in values] for sid, values in zip(dataset.ids, stacked.tolist())]
 
     # The curves are built before either file is written, so a sample
     # that cannot be expanded leaves no partial output behind.
@@ -619,11 +613,15 @@ def cmd_predict(args) -> int:
             raise UsageError(
                 f"--curve needs models for all of {list(PARAMETRIC_TARGETS)}, have {order}"
             )
+        predicted = stacked[:, [order.index(t) for t in PARAMETRIC_TARGETS]].tolist()
+        params = np.array([_clamped_vg(sid, *p) for sid, p in zip(dataset.ids, predicted)])
         tensions = np.geomspace(1.0, 15000.0, 50)
-        for sid, per_sample in zip(dataset.ids, predictions):
-            params = _clamped_vg(sid, per_sample)
-            for h in tensions:
-                curve_rows.append([sid, _fmt(h), _fmt(vg_theta(params, float(h)))])
+        # reshape: an empty table gives shape (0,), not (0, 4)
+        theta = vg_curve(*params.reshape(-1, 4).T[:, :, None], tensions)  # (samples, tensions)
+        h_text = [_fmt(h) for h in tensions]
+        # repr(float) is the text _fmt gives
+        curve_rows = [[sid, h, repr(t)] for sid, curve in zip(dataset.ids, theta.tolist())
+                      for h, t in zip(h_text, curve)]
     _write_csv(args.out, ["id"] + list(order), rows, meta)
     if args.curve:
         _write_csv(args.curve, ["id", "tension_cm", "theta"], curve_rows, meta)

@@ -9,7 +9,6 @@ assignments through a shared seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -180,6 +179,7 @@ def map_jobs(fn, items, jobs: int) -> list:
     cores) worker processes; with one worker it runs in this process."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: not a start-up cost
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

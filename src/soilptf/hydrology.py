@@ -2,7 +2,8 @@
 
 Retention model: theta(h) = theta_r + (theta_s - theta_r) * \
 (1 + (alpha*h)^n)^(-m) with m = 1 - 1/n, h the tension head in cm,
-alpha in 1/cm. Water contents are volumetric fractions. Texture summary
+alpha in 1/cm; vg_curve is its one copy, which every curve evaluation
+calls. Water contents are volumetric fractions. Texture summary
 statistics follow the geometric-mean particle diameter formulation with
 representative diameters clay 0.001 mm, silt 0.026 mm, sand 1.025 mm.
 """
@@ -78,16 +79,20 @@ class RetentionPoint:
             raise HydrologyError(f"theta must lie in [0, 1], got {self.theta}")
 
 
+def vg_curve(theta_r, theta_s, alpha, n, h):
+    """theta(h), broadcast over its arguments and unchecked: parameters
+    (S, 1) and tensions h (P,) give the (S, P) curves."""
+    m = 1.0 - 1.0 / n
+    return theta_r + (theta_s - theta_r) * np.power(1.0 + np.power(alpha * h, n), -m)
+
+
 def vg_theta(params: VgParameters, h):
     """Water content at tension head h (cm); h may be a scalar or array."""
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise HydrologyError("tension head must be >= 0")
-    u = np.power(params.alpha * h_arr, params.n)
-    theta = params.theta_r + (params.theta_s - params.theta_r) * np.power(1.0 + u, -params.m)
-    if np.isscalar(h) or h_arr.ndim == 0:
-        return float(theta)
-    return theta
+    theta = vg_curve(params.theta_r, params.theta_s, params.alpha, params.n, h_arr)
+    return float(theta) if h_arr.ndim == 0 else theta
 
 
 def inflection_point(params: VgParameters) -> tuple[float, float]:
@@ -102,10 +107,9 @@ def inflection_point(params: VgParameters) -> tuple[float, float]:
 def derived_water_contents(params: VgParameters) -> dict[str, float]:
     """Point targets from a retention curve: saturation, inflection and
     the water contents at TENSION_LADDER_KPA."""
-    out = {"theta_s": vg_theta(params, 0.0)}
-    out["theta_i"] = inflection_point(params)[1]
-    for kpa in TENSION_LADDER_KPA:
-        out[f"theta_{int(kpa)}"] = vg_theta(params, kpa * KPA_TO_CM)
+    theta = vg_theta(params, (0.0,) + tuple(kpa * KPA_TO_CM for kpa in TENSION_LADDER_KPA))
+    out = {"theta_s": float(theta[0]), "theta_i": inflection_point(params)[1]}
+    out.update((f"theta_{int(kpa)}", float(t)) for kpa, t in zip(TENSION_LADDER_KPA, theta[1:]))
     return out
 
 
@@ -165,14 +169,14 @@ def _curve_residuals(u, h, theta_obs):
     or for B lanes (u (B, 4), h and theta_obs (B, P)). A lane whose alpha
     or n lies beyond float range has NaN residuals."""
     theta_r, theta_s, alpha, n = (np.expand_dims(p, -1) for p in _unpack(u))
-    m = 1.0 - 1.0 / n
     # extreme trial parameters overflow (alpha*h)^n; inf collapses to
     # theta_r under the outer power, which is the correct dry limit
     with np.errstate(over="ignore", invalid="ignore"):
-        pred = theta_r + (theta_s - theta_r) * np.power(1.0 + np.power(alpha * h, n), -m)
+        pred = vg_curve(theta_r, theta_s, alpha, n, h)
     return np.where(np.isfinite(alpha) & np.isfinite(n), theta_obs - pred, np.nan)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _curve_jacobian(u, log_h):
     """Closed-form Jacobian of _curve_residuals with respect to u.
 
@@ -182,7 +186,8 @@ def _curve_jacobian(u, log_h):
     the rows are -theta_s*ratio*(1-ratio)*(1-S),
     -theta_s*(1-theta_s)*(ratio+(1-ratio)*S), amp*(n-1)*S*q and
     amp*(n-1)*S*(ln(1+w)/n^2 + m*q*ln(alpha*h)). w is never formed:
-    everything comes from z = ln w, so no row overflows where w does.
+    everything comes from z = ln w, so no row overflows where w does. A
+    lane whose n nears float range overflows n*n instead, without a warning.
     """
     ratio = np.expand_dims(_expit(u[..., 0]), -1)
     theta_s = np.expand_dims(_expit(u[..., 1]), -1)
@@ -191,8 +196,7 @@ def _curve_jacobian(u, log_h):
     log_ah = u[..., 2:3] + log_h
     z = n * log_ah
     log1p_w = np.logaddexp(0.0, z)
-    with np.errstate(over="ignore"):
-        q = 1.0 / (1.0 + np.exp(-z))
+    q = 1.0 / (1.0 + np.exp(-z))
     sat = np.exp(-m * log1p_w)
     # q = 0 where h = 0, so the q*ln(alpha*h) term is 0 there, not 0*-inf
     q_log_ah = np.multiply(q, log_ah, out=np.zeros_like(q), where=q > 0.0)

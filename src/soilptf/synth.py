@@ -28,7 +28,7 @@ from .hydrology import (
     VgParameters,
     derived_water_contents,
     texture_statistics,
-    vg_theta,
+    vg_curve,
 )
 
 
@@ -280,16 +280,13 @@ def generate_retention(
     from the truth record's effective parameters, at saturation and 12
     log-spaced tensions from 10 to 15000 cm."""
     _check_noise_sd("retention noise_sd", noise_sd)
-    tensions_cm = [0.0] + list(np.geomspace(10.0, 15000.0, 12))
-    rng = np.random.default_rng(seed)
-    rows = []
-    for sid, p in truth["effective_params"].items():
-        params = VgParameters(
-            theta_r=p["theta_r"], theta_s=p["theta_s"], alpha=p["alpha"], n=p["n"]
-        )
-        for h in tensions_cm:
-            theta = vg_theta(params, float(h))
-            if noise_sd > 0:
-                theta += rng.normal(0.0, noise_sd)
-            rows.append((sid, float(h), float(np.clip(theta, 0.0, 1.0))))
-    return rows
+    tensions_cm = np.concatenate([[0.0], np.geomspace(10.0, 15000.0, 12)])
+    effective = truth["effective_params"]
+    params = [VgParameters(p["theta_r"], p["theta_s"], p["alpha"], p["n"]) for p in effective.values()]
+    columns = np.array([(p.theta_r, p.theta_s, p.alpha, p.n) for p in params]).reshape(-1, 4)
+    theta = vg_curve(*columns.T[:, :, None], tensions_cm)  # (samples, tensions)
+    if noise_sd > 0:  # drawn row-major, the order of the points in the output
+        theta = theta + np.random.default_rng(seed).normal(0.0, noise_sd, size=theta.shape)
+    tensions = tensions_cm.tolist()
+    return [(sid, h, t) for sid, curve in zip(effective, np.clip(theta, 0.0, 1.0).tolist())
+            for h, t in zip(tensions, curve)]

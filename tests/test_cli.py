@@ -6,6 +6,7 @@ report comparison, plus exit codes, seed resolution and artifact
 determinism.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 import soilptf
 import soilptf.evaluation
 from soilptf import __version__
-from soilptf.cli import SEED_ENV, main
+from soilptf.cli import SEED_ENV, _clamped_vg, main
 from soilptf.cpxr import train_cpxr
 from soilptf.data import KNOWN_FEATURES, load_dataset, select_columns
 from soilptf.hydrology import (
@@ -169,6 +170,15 @@ def test_runtime_never_imports_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.splitlines() == [f"soilptf {__version__}", "[]"]
+
+
+def test_startup_defers_the_process_pool():
+    # map_jobs imports the pool only when it starts workers
+    code = "import sys, soilptf.cli\nprint('concurrent.futures.process' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_missing_subcommand_is_usage_error():
@@ -323,6 +333,23 @@ def _clean_pairs(n_points=13):
     return [(float(h), float(vg_theta(params, float(h)))) for h in tensions]
 
 
+def test_fit_vg_start_drifting_past_float_range_warns_nothing(tmp_path):
+    # one start of this noise-free curve drifts to theta_r -> 0 and n near
+    # the float range, where the Jacobian overflows
+    params = VgParameters(theta_r=0.0, theta_s=0.25, alpha=10 ** -0.5, n=2.015625)
+    tensions = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 15)])
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("s0", [(h, vg_theta(params, h)) for h in tensions.tolist()])])
+    out = tmp_path / "vg.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "soilptf", "fit-vg", "--input", str(table),
+                           "--out", str(out), "--jobs", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    _, rows = parse_csv(out)
+    assert float(rows[0]["n"]) == pytest.approx(params.n, rel=1e-6)
+
+
 def test_fit_vg_reports_partial_failures(tmp_path, capsys):
     table = tmp_path / "retention.csv"
     _write_retention(table, [("s_good", _clean_pairs()), ("s_few", _clean_pairs()[:3])])
@@ -383,7 +410,7 @@ def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch):
         sizes.append(max_workers)
         return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-    monkeypatch.setattr(soilptf.evaluation, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
     table = tmp_path / "retention.csv"
     _write_retention(table, [("a", _clean_pairs()), ("b", _clean_pairs(15))])
@@ -641,6 +668,16 @@ def test_predict_expands_retention_curves(swrc3_models, features_csv, tmp_path):
         assert all(0.0 <= t <= 1.0 for t in thetas)
         assert all(a >= b - 1e-12 for a, b in zip(thetas, thetas[1:]))
 
+    # bit for bit the reference route: one vg_theta call per (sample, tension)
+    _, preds = parse_csv(out)
+    want = []
+    for r in preds:
+        clamped = _clamped_vg(r["id"], *(float(r[t]) for t in PARAMETRIC_TARGETS))
+        params = VgParameters(*clamped)
+        for h in np.geomspace(1.0, 15000.0, 50).tolist():
+            want.append([r["id"], repr(h), repr(vg_theta(params, h))])
+    assert [ln.split(",") for ln in data_lines(curve)[1:]] == want
+
 
 def test_predict_curve_overflow_is_one_line_and_writes_nothing(swrc3_models, features_csv,
                                                                tmp_path, capsys):
@@ -733,6 +770,11 @@ def test_predict_empty_table_writes_header_only(swrc3_models, tmp_path):
     assert run(["predict", "--model", swrc3_models / "SWRC3_mlr_theta_r.json",
                 "--features", table, "--out", out]) == 0
     assert data_lines(out) == ["id,theta_r"]
+    curve = tmp_path / "c.csv"
+    assert run(["predict", "--model", swrc3_models, "--features", table, "--out", out,
+                "--curve", curve]) == 0
+    assert data_lines(out) == [",".join(["id", *PARAMETRIC_TARGETS])]
+    assert data_lines(curve) == ["id,tension_cm,theta"]
 
 
 def test_predict_rejects_non_model_json(synth_small, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Metrics, rotating-pair cross-validation protocol, method comparison."""
 
+import concurrent.futures
 import contextlib
 import json
 import math
@@ -186,7 +187,7 @@ def pool_sizes(monkeypatch):
         sizes.append(max_workers)
         return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-    monkeypatch.setattr(soilptf.evaluation, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     return sizes
 
 

@@ -209,6 +209,30 @@ def test_generate_retention_noise_and_custom_ladder():
     assert 0.001 < np.std(devs) < 0.01
 
 
+def _retention_point_by_point(truth, noise_sd, seed):
+    """The reference of generate_retention: one vg_theta call and one
+    normal draw per point."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for sid, p in truth["effective_params"].items():
+        params = VgParameters(theta_r=p["theta_r"], theta_s=p["theta_s"],
+                              alpha=p["alpha"], n=p["n"])
+        for h in [0.0] + list(np.geomspace(10.0, 15000.0, 12)):
+            theta = vg_theta(params, float(h))
+            if noise_sd > 0:
+                theta += rng.normal(0.0, noise_sd)
+            rows.append((sid, float(h), float(np.clip(theta, 0.0, 1.0))))
+    return rows
+
+
+@pytest.mark.parametrize("noise_sd, seed", [(0.0, 0), (0.002, 1), (0.004, 11), (0.05, 13)])
+def test_generate_retention_matches_point_by_point(noise_sd, seed):
+    # noise_sd 0.05 clips some dry points to 0
+    _, truth = generate(two_regime_config(n_samples=30, noise_sd=0.1, seed=seed))
+    rows = generate_retention(truth, noise_sd=noise_sd, seed=seed)
+    assert rows == _retention_point_by_point(truth, noise_sd, seed)
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_generate_retention_rejects_bad_noise(bad):
     _, truth = generate(two_regime_config(n_samples=2, seed=8))
