@@ -49,7 +49,7 @@ class CpxrConfig:
     min_reduction: float = 0.05    # required local error reduction vs baseline
     max_k: int = 7                 # patterns kept in the final model
     max_passes: int = 20           # swap-pass limit
-    max_depth: int = 3             # discretization recursion depth
+    max_depth: int = 3             # number of MDL splitting levels
     weight_floor: float = 1e-6
     min_train: int = 30
 

@@ -2,20 +2,25 @@
 
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from soilptf.cpxr import CpxrConfig, split_le_se, train_cpxr
+from soilptf.data import select_columns
 from soilptf.discretize import (
     CutPoints,
     DiscretizationScheme,
     DiscretizeError,
-    _mdl_accepts,
     build_scheme,
     mdl_discretize,
 )
+from soilptf.hydrology import MODEL_CONFIGS
+from soilptf.synth import generate, two_regime_config
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +83,16 @@ def _entropy(counts):
         return 0.0
     p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
+
+
+def _mdl_accepts(n, whole, left, right):
+    """Fayyad-Irani acceptance of one split of n rows into class counts
+    left and right, evaluated scalar by scalar."""
+    h, h1, h2 = (_entropy(counts) for counts in (whole, left, right))
+    gain = h - (left.sum() / n) * h1 - (right.sum() / n) * h2
+    c, c1, c2 = (int((counts > 0).sum()) for counts in (whole, left, right))
+    delta = math.log2(3**c - 2) - (c * h - c1 * h1 - c2 * h2)
+    return gain > (math.log2(n - 1) + delta) / n
 
 
 def scalar_reference_cuts(values, labels, max_depth):
@@ -165,6 +180,69 @@ def test_cut_search_matches_scalar_reference(column):
     assert got == scalar_reference_cuts(values, labels, max_depth)
 
 
+@st.composite
+def scheme_matrices(draw):
+    """A design matrix of 1-6 columns sharing one labeling: a tied_columns
+    column, plus heavy-tie columns of the same labels (a row takes one of
+    its class's own values or one shared by all classes), constant columns
+    and columns whose runs are pure and grouped by class, which run out of
+    class boundaries after a cut per class change while others still split."""
+    values, labels, _ = draw(tied_columns())
+    n = len(values)
+    _, codes = np.unique(labels, return_inverse=True)
+    k = int(codes.max()) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [values]
+    for kind in draw(st.lists(st.sampled_from(["tied", "constant", "grouped"]), max_size=5)):
+        if kind == "tied":
+            distinct = draw(st.integers(1, 20))
+            own = rng.random(n) < draw(st.floats(0.0, 1.0))
+            shared = rng.integers(0, distinct, n)
+            column = np.where(own, (codes + 1) * distinct + shared, shared)
+            column = rng.permutation((k + 1) * distinct)[column].astype(float)
+        elif kind == "constant":
+            column = np.full(n, draw(st.sampled_from([0.0, 1.0, 1e300])))
+        else:
+            column = codes * 10.0 + rng.integers(0, 3, n)
+        columns.append(column * draw(st.sampled_from([1.0, 0.1, 0.37, -2.5])))
+    order = draw(st.permutations(range(len(columns))))
+    return np.column_stack([columns[j] for j in order]), labels, draw(st.integers(0, 5))
+
+
+def _hex(cuts):
+    return [float(c).hex() for c in cuts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme_matrices())
+def test_scheme_matches_scalar_reference_per_column(matrix):
+    X, labels, max_depth = matrix
+    names = [f"x{j}" for j in range(X.shape[1])]
+    scheme = build_scheme(X, labels, names, max_depth=max_depth)
+    assert list(scheme.cuts) == names
+    for j, name in enumerate(names):
+        assert _hex(scheme.cuts[name]) == _hex(scalar_reference_cuts(X[:, j], labels, max_depth))
+
+
+def test_trained_schemes_match_scalar_reference_on_le_labels():
+    # the labels a CPXR training discretizes against: the large-error rows
+    # of its baseline's residuals
+    dataset, _ = generate(two_regime_config(n_samples=120, noise_sd=0.01, seed=7))
+    selection = select_columns(dataset, MODEL_CONFIGS["SWRC2"])
+    X, names = selection.X, selection.feature_names
+    config = CpxrConfig()
+    total = 0
+    for target, y in selection.targets.items():
+        model = train_cpxr(X, y, names, config)
+        labels = np.zeros(len(y), dtype=int)
+        labels[split_le_se(y - model.baseline.predict_matrix(X, names), config.rho).le_ids] = 1
+        for j, name in enumerate(names):
+            expected = scalar_reference_cuts(X[:, j], labels, config.max_depth)
+            assert _hex(model.scheme.cuts[name]) == _hex(expected), (target, name)
+            total += len(expected)
+    assert total > 0
+
+
 def _ladder(x, below, above):
     """x with `below` adjacent doubles under it and `above` over it."""
     down = [x]
@@ -228,10 +306,27 @@ def test_degenerate_inputs_yield_no_cuts():
 
 
 def test_shape_and_nan_errors():
-    with pytest.raises(DiscretizeError):
+    with pytest.raises(DiscretizeError, match=re.escape("values/labels shape mismatch: (3,) vs (2,)")):
         mdl_discretize([1, 2, 3], ["LE", "SE"])
-    with pytest.raises(DiscretizeError):
+    with pytest.raises(DiscretizeError, match="^values contain NaN$"):
         mdl_discretize([1, float("nan")], ["LE", "SE"])
+    X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.nan]])
+    with pytest.raises(DiscretizeError, match="^values contain NaN$"):
+        build_scheme(X, [0, 1, 0], ["a", "b"])
+
+
+def test_unbounded_depth_stops_when_no_segment_splits():
+    # 16 alternating bands of 16 rows: splitting goes on for several levels
+    # and ends when no segment passes the MDL test
+    values = np.arange(256.0)
+    X = np.column_stack([values, values[::-1], values % 7])
+    labels = (values // 16) % 2
+    names = ["up", "down", "mod"]
+    began = time.perf_counter()
+    unbounded = build_scheme(X, labels, names, max_depth=10**9)
+    assert time.perf_counter() - began < 10
+    assert unbounded.cuts == build_scheme(X, labels, names, max_depth=len(values)).cuts
+    assert len(unbounded.cuts["up"]) > len(build_scheme(X, labels, names).cuts["up"])
 
 
 def test_shift_invariance():
