@@ -715,11 +715,11 @@ def _add_hyper(p):
     )
 
 
-def _add_jobs(p):
+def _add_jobs(p, default: int):
     p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
+        "--jobs", type=int, default=default,
         help="parallel worker processes, at least 1; never more than the tasks or "
-        "the cores (default: all cores)",
+        "the cores (default: %(default)s)",
     )
 
 
@@ -737,7 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output parameter CSV")
     p.add_argument("--log", help="fit log path (default: output with .log suffix)")
     _add_seed(p)
-    _add_jobs(p)
+    # the batched fit of a few hundred curves takes less time than starting a pool
+    _add_jobs(p, 1)
     p.set_defaults(func=cmd_fit_vg)
 
     p = sub.add_parser("derive-features", help="merge basic properties with fitted parameters")
@@ -767,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     _add_seed(p)
     _add_hyper(p)
-    _add_jobs(p)
+    _add_jobs(p, os.cpu_count() or 1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="apply trained models to new samples")

@@ -314,16 +314,7 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
     r0 = y - base_pred
     baseline_rmse = float(np.sqrt(np.mean(r0**2)))
 
-    def finalize(pairs, default, err_trace):
-        if pairs:
-            model = PxrModel(
-                pairs=pairs, default_model=default, baseline=baseline, scheme=scheme,
-                feature_names=names, baseline_rmse=baseline_rmse, trace=err_trace,
-            )
-            pred = model.predict_matrix(X, names)
-            model.train_rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
-            if model.train_rmse <= baseline_rmse:
-                return model
+    def baseline_only(err_trace):
         return PxrModel(
             pairs=[], default_model=baseline, baseline=baseline, scheme=scheme,
             feature_names=names, train_rmse=baseline_rmse, baseline_rmse=baseline_rmse,
@@ -333,7 +324,7 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
     scheme = DiscretizationScheme()
     split = split_le_se(r0, config.rho)
     if split.le_ids.size == 0:
-        return finalize([], baseline, [float(np.abs(r0).sum())])
+        return baseline_only([float(np.abs(r0).sum())])
 
     le_rows = np.zeros(n, dtype=bool)
     le_rows[split.le_ids] = True
@@ -342,7 +333,7 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
 
     items = scheme.alphabet()
     if not items:
-        return finalize([], baseline, [float(np.abs(r0).sum())])
+        return baseline_only([float(np.abs(r0).sum())])
     col = {name: j for j, name in enumerate(names)}
     item_masks = np.array([it.covers_array(X[:, col[it.feature]]) for it in items])
     mined = _mine_masks(
@@ -355,13 +346,15 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
         config.min_count_le,
     )
     if not mined:
-        return finalize([], baseline, [float(np.abs(r0).sum())])
+        return baseline_only([float(np.abs(r0).sum())])
 
+    # each pattern's item rows, padded with an all-true row, ANDed in one gather
     item_index = {it: j for j, it in enumerate(items)}
-    full_masks = np.array(
-        [np.logical_and.reduce(item_masks[[item_index[it] for it in pat.items]])
-         for pat, _ in mined]
-    )
+    width = max(len(pat) for pat, _ in mined)
+    table = np.full((len(mined), width), len(items))
+    for r, (pat, _) in enumerate(mined):
+        table[r, : len(pat)] = [item_index[it] for it in pat.items]
+    full_masks = np.vstack([item_masks, np.ones((1, n), dtype=bool)])[table].all(axis=1)
     order_keys = [_pattern_order_key(pat, st) for pat, st in mined]
     kept = filter_similar_masks(order_keys, full_masks, config.jaccard_max)
 
@@ -386,14 +379,29 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
         w_rows.append(weight * mask)
         wp_rows.append(weight * mask * local_pred)
     if not candidates:
-        return finalize([], baseline, [float(np.abs(r0).sum())])
+        return baseline_only([float(np.abs(r0).sum())])
 
-    w = np.array(w_rows)
-    chosen, trace = _optimize(w, np.array(wp_rows), y, base_pred, config)
+    w, wp = np.array(w_rows), np.array(wp_rows)
+    chosen, trace = _optimize(w, wp, y, base_pred, config)
+    if not chosen:
+        return baseline_only(trace)
 
     default = baseline
-    if chosen:
-        unmatched = ~(w[chosen] > 0).any(axis=0)
-        if int(unmatched.sum()) >= min_rows:
-            default = fit_local(X[unmatched], y[unmatched], feature_names=names)
-    return finalize([candidates[i] for i in chosen], default, trace)
+    unmatched = ~(w[chosen] > 0).any(axis=0)
+    if int(unmatched.sum()) >= min_rows:
+        default = fit_local(X[unmatched], y[unmatched], feature_names=names)
+    # the training prediction is PxrModel.predict_matrix's sum, taken from the
+    # candidate table: the same rows added in the same order
+    num, den = np.zeros(n), np.zeros(n)
+    for i in chosen:
+        num += wp[i]
+        den += w[i]
+    pred = _blend(num, den, default.predict_matrix(X, names))
+    train_rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
+    if train_rmse > baseline_rmse:
+        return baseline_only(trace)
+    return PxrModel(
+        pairs=[candidates[i] for i in chosen], default_model=default, baseline=baseline,
+        scheme=scheme, feature_names=names, train_rmse=train_rmse,
+        baseline_rmse=baseline_rmse, trace=trace,
+    )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import sys
+
 import numpy as np
 
 
@@ -29,7 +31,8 @@ class LinearModel:
 
     def __post_init__(self):
         values = [self.intercept, *self.coefficients.values()]
-        if not np.all(np.isfinite(values)):
+        # the bound also rejects NaN and integers past the float range
+        if not all(abs(v) <= sys.float_info.max for v in values):
             raise FitError(f"non-finite model coefficients: {values}")
 
     @property
@@ -98,6 +101,10 @@ def fit_local(X, y, feature_names) -> LinearModel:
     whose values are all equal takes its value as mean and 1 as scale, so
     it standardizes to exact zeros. A column whose mean or standard
     deviation overflows raises FitError.
+
+    The means and scales are X.mean(axis=0) and X.std(axis=0), computed as
+    numpy computes them from one centred copy of X, and the design matrix
+    [1, Xs] is written in place, so a fit costs little beyond its lstsq.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -105,7 +112,7 @@ def fit_local(X, y, feature_names) -> LinearModel:
         raise FitError(f"X must be 2-d, got shape {X.shape}")
     if y.shape != (X.shape[0],):
         raise FitError(f"X has {X.shape[0]} rows but y has shape {y.shape}")
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+    if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise FitError("X or y contains NaN or infinity")
     n, p = X.shape
     if n < 2:
@@ -115,15 +122,20 @@ def fit_local(X, y, feature_names) -> LinearModel:
         raise FitError(f"{len(names)} feature names for {p} columns")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        means = X.mean(axis=0)
-        scales = X.std(axis=0)
+        # the operations of X.mean(axis=0) and X.std(axis=0)
+        means = X.sum(axis=0) / n
+        d = X - means
+        scales = np.sqrt((d * d).sum(axis=0) / n)
     const = X.min(axis=0) == X.max(axis=0)  # standardizes to exact zeros, whatever its mean
-    means[const], scales[const] = X[0, const], 1.0
+    if const.any():
+        means[const], scales[const] = X[0, const], 1.0
     bad = ~(np.isfinite(means) & np.isfinite(scales))
     if bad.any():
         raise FitError(f"column {names[int(np.argmax(bad))]!r} is too large to standardize")
-    Xs = (X - means) / scales
-    A = np.hstack([np.ones((n, 1)), Xs])
+    A = np.empty((n, p + 1))
+    A[:, 0] = 1.0
+    Xs = np.subtract(X, means, out=A[:, 1:])
+    Xs /= scales
 
     rank = 0
     if n > p:
@@ -140,10 +152,10 @@ def fit_local(X, y, feature_names) -> LinearModel:
     intercept = float(beta[0] - (beta[1:] * means / scales).sum())
     return LinearModel(
         intercept=intercept,
-        coefficients={c: float(v) for c, v in zip(names, coef)},
+        coefficients=dict(zip(names, coef.tolist())),
         training_count=n,
-        feature_means={c: float(v) for c, v in zip(names, means)},
-        feature_scales={c: float(v) for c, v in zip(names, scales)},
+        feature_means=dict(zip(names, means.tolist())),
+        feature_scales=dict(zip(names, scales.tolist())),
     )
 
 

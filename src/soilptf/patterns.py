@@ -5,6 +5,11 @@ lo <= feature < hi on a numeric feature, with at most one item per feature.
 An item serializes as {"feature", "lo", "hi"}, null for an open end, and
 parses back from exactly those keys. Contrast patterns are those much
 more frequent in the large-error class than in the small-error class.
+
+Mining and the similarity filter count supports on vertical row sets
+(Zaki 2000, Eclat): each item or pattern is a boolean row mask, and the
+counts of a whole level come from one 0/1 matrix product in float64,
+exact for counts below 2**53, instead of one small array call per pattern.
 """
 
 from __future__ import annotations
@@ -150,7 +155,14 @@ def _mine_masks(
     at least min_growth and it has at most max_len items. Support is
     anti-monotone, so candidates are pruned on it alone; growth is checked
     at emission. Patterns come out level by level, not in
-    _pattern_order_key order.
+    _pattern_order_key order; within a level, pattern by pattern of the
+    level before, each extended by every later item of another feature in
+    item order.
+
+    A level's extensions are counted at once: the frontier's LE masks times
+    the items' LE masks give every extension's LE count, the allowed pairs
+    become the next frontier by one gather-AND, and its SE counts are one
+    row sum.
     """
     if min_support_le <= 0 or min_growth <= 0 or max_len < 1:
         raise PatternError("mining thresholds must be positive")
@@ -165,49 +177,50 @@ def _mine_masks(
         raise PatternError("large-error class is empty")
     min_cnt = max(min_count_le, math.ceil(min_support_le * n_le))
 
-    def stats_for(mask_le, mask_se) -> ContrastStats:
-        c_le = int(mask_le.sum())
-        c_se = int(mask_se.sum())
-        return ContrastStats(
+    feature_of: dict[str, int] = {}
+    feat = np.array([feature_of.setdefault(it.feature, len(feature_of)) for it in items],
+                    dtype=np.intp)
+    after = np.arange(len(items))
+    items_le = masks_le.T.astype(float)  # (n_le, items): counts are exact float sums
+
+    # the frontier: item index tuples, their row masks on both classes, the
+    # LE counts, each pattern's last item and the features it uses
+    counts = masks_le.sum(axis=1)
+    rows = np.flatnonzero(counts >= min_cnt)
+    idxs = [(j,) for j in rows.tolist()]
+    f_le, f_se, c_le, last = masks_le[rows], masks_se[rows], counts[rows], rows
+    used = np.zeros((len(rows), len(feature_of)), dtype=bool)
+    used[np.arange(len(rows)), feat[rows]] = True
+    results: list[tuple[Pattern, ContrastStats]] = []
+    _emit(results, items, idxs, c_le, f_se.sum(axis=1), n_le, n_se, min_growth)
+
+    for _level in range(2, max_len + 1):
+        if not idxs:
+            break
+        # LE count of every (frontier pattern, item) extension in one product;
+        # nonzero walks the allowed pairs frontier-major, item-minor
+        ext = f_le.astype(float) @ items_le
+        allowed = (after > last[:, None]) & ~used[:, feat] & (ext >= min_cnt)
+        fi, ji = np.nonzero(allowed)
+        idxs = [idxs[f] + (j,) for f, j in zip(fi.tolist(), ji.tolist())]
+        f_le, f_se, c_le, last = f_le[fi] & masks_le[ji], f_se[fi] & masks_se[ji], ext[fi, ji], ji
+        used = used[fi]
+        used[np.arange(len(ji)), feat[ji]] = True
+        _emit(results, items, idxs, c_le, f_se.sum(axis=1), n_le, n_se, min_growth)
+    return results
+
+
+def _emit(results, items, idxs, counts_le, counts_se, n_le, n_se, min_growth):
+    """Append each frontier pattern whose growth rate reaches min_growth."""
+    for js, c_le, c_se in zip(idxs, counts_le.astype(int).tolist(), counts_se.tolist()):
+        st = ContrastStats(
             support_le=c_le / n_le,
             support_se=c_se / n_se if n_se else 0.0,
             count_le=c_le,
             count_se=c_se,
         )
-
-    results = []
-    # frontier entries: (item indices, mask_le, mask_se)
-    frontier = []
-    for j, it in enumerate(items):
-        m_le = masks_le[j]
-        if int(m_le.sum()) < min_cnt:
-            continue
-        frontier.append(((j,), m_le, masks_se[j]))
-    _emit(results, items, frontier, stats_for, min_growth)
-
-    for _level in range(2, max_len + 1):
-        nxt = []
-        for idxs, m_le, m_se in frontier:
-            used = {items[j].feature for j in idxs}
-            for j in range(idxs[-1] + 1, len(items)):
-                if items[j].feature in used:
-                    continue
-                ext_le = m_le & masks_le[j]
-                if int(ext_le.sum()) < min_cnt:
-                    continue
-                nxt.append((idxs + (j,), ext_le, m_se & masks_se[j]))
-        _emit(results, items, nxt, stats_for, min_growth)
-        frontier = nxt
-        if not frontier:
-            break
-    return results
-
-
-def _emit(results, items, frontier, stats_for, min_growth):
-    for idxs, m_le, m_se in frontier:
-        st = stats_for(m_le, m_se)
         if st.growth >= min_growth:
-            results.append((Pattern(tuple(items[j] for j in idxs)), st))
+            results.append((Pattern(tuple(items[j] for j in js)), st))
 
 
 def filter_similar_masks(order_keys, masks: np.ndarray, jaccard_max: float) -> list[int]:
@@ -219,18 +232,20 @@ def filter_similar_masks(order_keys, masks: np.ndarray, jaccard_max: float) -> l
     A candidate is dropped when the Jaccard similarity of its rows with
     any kept candidate's exceeds jaccard_max; two empty row sets count as
     identical. Returns the kept indices in scan order.
+
+    Every pairwise intersection comes from one Gram product of the 0/1
+    masks, exact in float64 below 2**53 rows; the quotient of these exact
+    counts is correctly rounded, so it is the int / int of a pairwise loop.
     """
-    ranked = sorted(range(len(order_keys)), key=lambda i: order_keys[i])
+    m = np.asarray(masks, dtype=float)
+    inter = m @ m.T
+    sizes = m.sum(axis=1)
+    union = sizes[:, None] + sizes[None, :] - inter
+    sim = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)
+    similar = (sim > jaccard_max).tolist()
     kept: list[int] = []
-    for i in ranked:
-        m = masks[i]
-        ok = True
-        for j in kept:
-            inter = int((m & masks[j]).sum())
-            union = int((m | masks[j]).sum())
-            if (1.0 if union == 0 else inter / union) > jaccard_max:
-                ok = False
-                break
-        if ok:
+    for i in sorted(range(len(order_keys)), key=lambda i: order_keys[i]):
+        row = similar[i]
+        if not any(row[j] for j in kept):
             kept.append(i)
     return kept

@@ -6,7 +6,6 @@ report comparison, plus exit codes, seed resolution and artifact
 determinism.
 """
 
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -16,7 +15,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 import numpy as np
@@ -402,20 +400,24 @@ def test_fit_vg_parallel_output_matches_serial(tmp_path):
     assert outputs[0][1].count(b"\nok ") == 8
 
 
-def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch):
-    sizes = []
-
-    def pool(max_workers):
-        # records the worker count asked for and maps in this process
-        sizes.append(max_workers)
-        return contextlib.nullcontext(types.SimpleNamespace(map=map))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch, pool_sizes):
     monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
     table = tmp_path / "retention.csv"
     _write_retention(table, [("a", _clean_pairs()), ("b", _clean_pairs(15))])
     assert run(["fit-vg", "--input", table, "--out", tmp_path / "p.csv", "--jobs", "64"]) == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_fit_vg_runs_in_process_by_default(tmp_path, monkeypatch, pool_sizes):
+    # on 8 cores with 3 samples, a pool would get 3 workers; without
+    # --jobs none starts
+    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("a", _clean_pairs()), ("b", _clean_pairs(15)), ("c", _clean_pairs())])
+    assert run(["fit-vg", "--input", table, "--out", tmp_path / "p.csv"]) == 0
+    assert pool_sizes == []
+    assert run(["fit-vg", "--input", table, "--out", tmp_path / "q.csv", "--jobs", "3"]) == 0
+    assert pool_sizes == [3]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -786,10 +788,10 @@ def test_predict_rejects_non_model_json(synth_small, tmp_path, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
-def _linear_model_file(feature_names) -> bytes:
+def _linear_model_file(feature_names, coefficient=0.5) -> bytes:
     """A one-feature linear model file; feature_names None leaves the key
     out, as files of earlier versions do."""
-    model = {"intercept": 1.0, "coefficients": {"sand": 0.5}, "training_count": 3,
+    model = {"intercept": 1.0, "coefficients": {"sand": coefficient}, "training_count": 3,
              "standardization": {"means": {"sand": 40.0}, "scales": {"sand": 10.0}}}
     if feature_names is not None:
         model["feature_names"] = feature_names
@@ -805,13 +807,15 @@ def _linear_model_file(feature_names) -> bytes:
         ("predict", _linear_model_file(None)),
         ("predict", _linear_model_file(["sand", "sand"])),
         ("predict", _linear_model_file(["clay"])),
+        ("predict", _linear_model_file(["sand"], 10**400)),
         ("report", b'{"report": {"rec'),
         ("report", b"\xff\xfe{}"),
         ("train", b"not json\n"),
         ("evaluate", b"\xff\xfe{}"),
     ],
     ids=["missing-key", "truncated", "predict-not-utf8", "no-feature-names",
-         "feature-named-twice", "feature-names-not-coefficients", "report-truncated",
+         "feature-named-twice", "feature-names-not-coefficients",
+         "coefficient-past-float-range", "report-truncated",
          "report-not-utf8", "train-hyper-not-json", "evaluate-hyper-not-utf8"],
 )
 def test_predict_malformed_model_file_is_one_line_usage_error(synth_small, tmp_path, capsys,

@@ -18,9 +18,12 @@ from soilptf.cpxr import (
     split_le_se,
     train_cpxr,
 )
+from soilptf.data import select_columns
 from soilptf.discretize import DiscretizationScheme
+from soilptf.hydrology import MODEL_CONFIGS
 from soilptf.linreg import LinearModel, fit_local
 from soilptf.patterns import Item, Pattern, pattern_mask
+from soilptf.synth import generate, two_regime_config
 
 
 def _via_json(model):
@@ -471,6 +474,22 @@ def test_train_never_worse_than_baseline():
         assert model.train_rmse <= model.baseline_rmse
         if model.k == 0:
             assert model.train_rmse == model.baseline_rmse
+
+
+def test_train_rmse_is_the_rmse_of_predict_matrix():
+    # train_rmse comes from the candidate table, not from predict_matrix:
+    # for every SWRC2 target of a two-regime table the two must agree
+    # exactly, and the model must not lose to its baseline
+    dataset, _ = generate(two_regime_config(n_samples=120, noise_sd=0.01, seed=7))
+    sel = select_columns(dataset, MODEL_CONFIGS["SWRC2"])
+    ks = []
+    for target, y in sel.targets.items():
+        model = train_cpxr(sel.X, y, sel.feature_names)
+        pred = model.predict_matrix(sel.X, sel.feature_names)
+        assert model.train_rmse == float(np.sqrt(np.mean((y - pred) ** 2))), target
+        assert model.train_rmse <= model.baseline_rmse, target
+        ks.append(model.k)
+    assert max(ks) > 0  # the pattern route ran
 
 
 def test_train_exact_linear_falls_back_to_baseline():

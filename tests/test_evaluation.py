@@ -1,10 +1,7 @@
 """Metrics, rotating-pair cross-validation protocol, method comparison."""
 
-import concurrent.futures
-import contextlib
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -175,20 +172,6 @@ def test_parallel_jobs_identical():
     a = cross_validate(ds, cfg, method="mlr", repetitions=3, seed=2, k=5)
     b = cross_validate(ds, cfg, method="mlr", repetitions=3, seed=2, k=5, jobs=2)
     assert _json(a) == _json(b)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Worker counts asked of ProcessPoolExecutor; the stand-in maps in this
-    process, so no worker is ever started."""
-    sizes = []
-
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return contextlib.nullcontext(types.SimpleNamespace(map=map))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    return sizes
 
 
 @pytest.mark.parametrize("jobs, tasks, cores, want", [

@@ -209,6 +209,100 @@ def test_fit_local_matches_the_two_pass_reference(kinds, n, factor, seed):
     assert fit_local(X, y, names).to_dict() == reference_fit(X, y, names).to_dict()
 
 
+def reference_fit_local(X, y, feature_names):
+    """fit_local as first written: np.mean and np.std, the min == max
+    constant rule, an hstacked design and per-value float() dicts."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise FitError(f"X must be 2-d, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise FitError(f"X has {X.shape[0]} rows but y has shape {y.shape}")
+    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+        raise FitError("X or y contains NaN or infinity")
+    n, p = X.shape
+    if n < 2:
+        raise FitError(f"need at least 2 rows to fit, got {n}")
+    names = list(feature_names)
+    if len(names) != p:
+        raise FitError(f"{len(names)} feature names for {p} columns")
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        scales = X.std(axis=0)
+    const = X.min(axis=0) == X.max(axis=0)
+    means[const], scales[const] = X[0, const], 1.0
+    bad = ~(np.isfinite(means) & np.isfinite(scales))
+    if bad.any():
+        raise FitError(f"column {names[int(np.argmax(bad))]!r} is too large to standardize")
+    Xs = (X - means) / scales
+    A = np.hstack([np.ones((n, 1)), Xs])
+    rank = 0
+    if n > p:
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank <= p:
+        t = float((Xs * Xs).sum())
+        ridge = 1e-8 * (t / max(1, p) if t > 0.0 else 1.0)
+        pen = np.hstack([np.zeros((p, 1)), np.sqrt(ridge) * np.eye(p)])
+        beta = np.linalg.lstsq(
+            np.vstack([A, pen]), np.concatenate([y, np.zeros(p)]), rcond=None
+        )[0]
+    coef = beta[1:] / scales
+    intercept = float(beta[0] - (beta[1:] * means / scales).sum())
+    return LinearModel(
+        intercept=intercept,
+        coefficients={c: float(v) for c, v in zip(names, coef)},
+        training_count=n,
+        feature_means={c: float(v) for c, v in zip(names, means)},
+        feature_scales={c: float(v) for c, v in zip(names, scales)},
+    )
+
+
+def _outcome(fit, X, y, names):
+    """The model's JSON text (repr keeps every bit, and the sign of zero) or
+    the FitError text."""
+    try:
+        return json.dumps(fit(X, y, names).to_dict())
+    except FitError as exc:
+        return f"FitError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["normal", "duplicate", "scaled", "summed", "constant", "signed_zero",
+                         "huge", "wide"]),
+        max_size=6,
+    ),
+    st.integers(2, 12),
+    st.floats(0.01, 100.0) | st.floats(-100.0, -0.01) | st.sampled_from([0.0, -0.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_local_matches_the_first_formula_bit_for_bit(kinds, n, factor, seed):
+    # constant columns (0.0 and -0.0 among them), columns of mixed signed
+    # zeros, collinear columns, n <= p (the ridge path), values whose mean or
+    # spread overflows (the FitError text) and values near it that do not
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind in ("duplicate", "scaled", "summed") and j > 0:
+            a, b = X[:, rng.integers(0, j, 2)].T
+            with np.errstate(over="ignore", invalid="ignore"):
+                X[:, j] = {"duplicate": a, "scaled": factor * a, "summed": a + b}[kind]
+        elif kind == "constant":
+            X[:, j] = factor
+        elif kind == "signed_zero":
+            X[:, j] = rng.choice([0.0, -0.0], n)
+        elif kind == "huge":
+            X[:, j] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5e308, 1.7e308, n)
+        elif kind == "wide":
+            X[:, j] = rng.uniform(-1e153, 1e153, n)
+        else:
+            X[:, j] = rng.normal(0.0, abs(factor) + 0.1, n)
+    y = rng.normal(0.0, 1.0, n)
+    names = [f"x{j}" for j in range(len(kinds))]
+    assert _outcome(fit_local, X, y, names) == _outcome(reference_fit_local, X, y, names)
+
+
 def test_constant_column_is_dependent():
     # constant column duplicates the intercept once standardized, so the
     # fit takes the ridge route, and still predicts the line

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soilptf.discretize import DiscretizationScheme
 from soilptf.patterns import (
@@ -241,6 +243,88 @@ def test_mine_agrees_with_exhaustive_oracle():
         assert flat(got) == flat(want), f"trial {trial}"
 
 
+def reference_mine_masks(items, masks_le, masks_se, min_support_le, min_growth, max_len,
+                         min_count_le):
+    """The nested-loop miner _mine_masks replaced: one array call per
+    extension, in the same level, frontier and item order."""
+    n_le, n_se = masks_le.shape[1], masks_se.shape[1]
+    min_cnt = max(min_count_le, math.ceil(min_support_le * n_le))
+
+    def emit(frontier):
+        for idxs, m_le, m_se in frontier:
+            c_le, c_se = int(m_le.sum()), int(m_se.sum())
+            st_ = ContrastStats(c_le / n_le, c_se / n_se if n_se else 0.0, c_le, c_se)
+            if st_.growth >= min_growth:
+                results.append((Pattern(tuple(items[j] for j in idxs)), st_))
+
+    results = []
+    frontier = [((j,), masks_le[j], masks_se[j]) for j in range(len(items))
+                if int(masks_le[j].sum()) >= min_cnt]
+    emit(frontier)
+    for _level in range(2, max_len + 1):
+        nxt = []
+        for idxs, m_le, m_se in frontier:
+            used = {items[j].feature for j in idxs}
+            for j in range(idxs[-1] + 1, len(items)):
+                if items[j].feature in used:
+                    continue
+                ext_le = m_le & masks_le[j]
+                if int(ext_le.sum()) < min_cnt:
+                    continue
+                nxt.append((idxs + (j,), ext_le, m_se & masks_se[j]))
+        emit(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bins=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    n_le=st.integers(1, 40),
+    n_se=st.integers(0, 40),
+    min_support_le=st.sampled_from([0.01, 0.1, 0.25, 0.5, 1.0]),
+    min_growth=st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]),
+    max_len=st.integers(1, 4),
+    min_count_le=st.integers(1, 45),
+    free_masks=st.booleans(),
+)
+@example(seed=1, bins=[2, 3, 2], n_le=12, n_se=0, min_support_le=0.1, min_growth=2.0,
+         max_len=3, min_count_le=2, free_masks=False)  # empty SE class: every growth is infinite
+@example(seed=2, bins=[3, 3], n_le=10, n_se=10, min_support_le=0.1, min_growth=1.0,
+         max_len=4, min_count_le=11, free_masks=False)  # no item survives level 1
+@example(seed=3, bins=[4, 4, 4, 4, 4], n_le=30, n_se=30, min_support_le=0.01,
+         min_growth=0.5, max_len=4, min_count_le=1, free_masks=True)  # deep levels
+def test_mine_masks_matches_nested_loop_reference(seed, bins, n_le, n_se, min_support_le,
+                                                  min_growth, max_len, min_count_le, free_masks):
+    # same list, same emission order, same ContrastStats with int counts;
+    # the masks cover the rows by each item's interval, or freely, so that
+    # two items of one feature can overlap and only the feature rule keeps
+    # them out of one pattern
+    rng = np.random.default_rng(seed)
+    names = [f"f{i}" for i in range(len(bins))]
+    scheme = DiscretizationScheme(cuts={
+        name: tuple(sorted(rng.choice([0.5, 1.5, 2.5, 3.5], b - 1, replace=False).tolist()))
+        for name, b in zip(names, bins)
+    })
+    items = scheme.alphabet()
+    col = {name: j for j, name in enumerate(names)}
+    X = rng.integers(0, 5, (n_le + n_se, len(names))).astype(float)
+    masks = np.array([it.covers_array(X[:, col[it.feature]]) for it in items], dtype=bool)
+    masks = masks.reshape(len(items), len(X))
+    if free_masks:
+        masks = rng.random(masks.shape) < rng.uniform(0.2, 0.9)
+    masks_le, masks_se = masks[:, :n_le], masks[:, n_le:]
+    args = (min_support_le, min_growth, max_len, min_count_le)
+    got = _mine_masks(items, masks_le, masks_se, *args)
+    assert got == reference_mine_masks(items, masks_le, masks_se, *args)
+    for _, st_ in got:
+        assert type(st_.count_le) is int and type(st_.count_se) is int
+        assert type(st_.support_le) is float and type(st_.support_se) is float
+
+
 # ----------------------------------------------------------------------
 # redundancy filtering
 # ----------------------------------------------------------------------
@@ -290,19 +374,53 @@ def _jaccard(a: set, b: set) -> float:
     return 1.0 if not a and not b else len(a & b) / len(a | b)
 
 
+def set_route_filter(keys, masks, cap):
+    """Reference: the greedy scan over row-id sets with int / int Jaccard."""
+    kept, kept_sets = [], []
+    for i in sorted(range(len(keys)), key=lambda i: keys[i]):
+        rows = set(np.flatnonzero(masks[i]).tolist())
+        if any(_jaccard(rows, other) > cap for other in kept_sets):
+            continue
+        kept.append(i)
+        kept_sets.append(rows)
+    return kept
+
+
 def test_filter_similar_masks_matches_set_route():
-    # reference: the same greedy scan over row-id sets
     rng = np.random.default_rng(21)
     for trial in range(200):
         n_cand, n_rows = int(rng.integers(1, 9)), int(rng.integers(0, 12))
         masks = rng.random((n_cand, n_rows)) < rng.uniform(0.1, 0.9)
         keys = [(float(rng.integers(0, 3)), i) for i in range(n_cand)]
         cap = float(rng.choice([0.0, 0.3, 0.5, 0.8, 0.9, 1.0]))
-        want, kept_sets = [], []
-        for i in sorted(range(n_cand), key=lambda i: keys[i]):
-            rows = set(np.flatnonzero(masks[i]).tolist())
-            if any(_jaccard(rows, other) > cap for other in kept_sets):
-                continue
-            want.append(i)
-            kept_sets.append(rows)
+        want = set_route_filter(keys, masks, cap)
         assert filter_similar_masks(keys, masks, cap) == want, f"trial {trial}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cand=st.integers(0, 40),
+    n_rows=st.integers(0, 300),
+    kinds=st.lists(st.sampled_from(["random", "duplicate", "empty", "subset"]), max_size=40),
+    cap_from_pair=st.booleans(),
+    cap=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+)
+def test_filter_similar_masks_matches_set_route_on_generated_masks(seed, n_cand, n_rows, kinds,
+                                                                   cap_from_pair, cap):
+    # up to 300 rows, duplicate, empty and nested masks, and caps equal to
+    # the exact similarity of some pair, where "exceeds" must stay strict
+    rng = np.random.default_rng(seed)
+    masks = rng.random((n_cand, n_rows)) < rng.uniform(0.05, 0.95, (n_cand, 1))
+    for i, kind in enumerate(kinds[:n_cand]):
+        if kind == "empty":
+            masks[i] = False
+        elif kind in ("duplicate", "subset") and i > 0:
+            masks[i] = masks[rng.integers(0, i)]
+            if kind == "subset":
+                masks[i] &= rng.random(n_rows) < 0.9
+    if cap_from_pair and n_cand >= 2:
+        a, b = (set(np.flatnonzero(masks[i]).tolist()) for i in rng.choice(n_cand, 2, False))
+        cap = _jaccard(a, b)
+    keys = [(float(rng.integers(0, 4)), i) for i in range(n_cand)]
+    assert filter_similar_masks(keys, masks, cap) == set_route_filter(keys, masks, cap)

@@ -1,0 +1,97 @@
+"""Run the standard seed-7 soilptf pipeline and print the sha256 of every artifact.
+
+Usage:
+    python3 tools/pipeline_digests.py [--src DIR] > digests.json
+
+The pipeline runs `python -m soilptf` from DIR (default: the `src` directory
+of the checkout holding this script) in a fresh temporary directory:
+
+    synth two-regime n=300 --retention, fit-vg, derive-features,
+    train SWRC2, SWRC4 and SHC2 cpxr and SWRC3 mlr,
+    evaluate SWRC2 cpxr,mlr --reps 1 --k 5, predict SWRC4 --curve, report
+
+It prints one JSON object mapping each artifact's path (relative to the run
+directory) to its sha256; each step's exit code, stdout and stderr count as
+one more artifact, `<step>.out`. Run it for two checkouts on one machine and
+diff the outputs: equal objects mean byte-identical artifacts. Uses only the
+standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = "7"
+
+STEPS = [
+    ("synth", ["synth", "--out-dir", "data", "--kind", "two-regime", "--n", "300",
+               "--retention"]),
+    ("fit-vg", ["fit-vg", "--input", "data/retention.csv", "--out", "vg.csv",
+                "--jobs", "1"]),
+    ("derive", ["derive-features", "--basic", "data/dataset.csv", "--vg", "vg.csv",
+                "--out", "features.csv"]),
+    ("train-SWRC2-cpxr", ["train", "--features", "features.csv", "--config", "SWRC2",
+                          "--method", "cpxr", "--out-dir", "models/SWRC2_cpxr"]),
+    ("train-SWRC4-cpxr", ["train", "--features", "features.csv", "--config", "SWRC4",
+                          "--method", "cpxr", "--out-dir", "models/SWRC4_cpxr"]),
+    ("train-SHC2-cpxr", ["train", "--features", "data/dataset.csv", "--config", "SHC2",
+                         "--method", "cpxr", "--out-dir", "models/SHC2_cpxr"]),
+    ("train-SWRC3-mlr", ["train", "--features", "features.csv", "--config", "SWRC3",
+                         "--method", "mlr", "--out-dir", "models/SWRC3_mlr"]),
+    ("evaluate", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
+                  "--methods", "cpxr,mlr", "--reps", "1", "--k", "5", "--jobs", "1",
+                  "--out-dir", "eval"]),
+    ("predict", ["predict", "--model", "models/SWRC4_cpxr", "--features", "features.csv",
+                 "--out", "pred.csv", "--curve", "curve.csv"]),
+    ("report", ["report", "--a", "eval/report_SWRC2_cpxr.json",
+                "--b", "eval/report_SWRC2_mlr.json", "--split", "test",
+                "--out", "comparison.csv"]),
+]
+
+
+def run_pipeline(src: Path, work: Path) -> dict[str, str]:
+    """Run every step in work with soilptf imported from src; return the
+    {relative path: sha256} of every file left in work."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("CPXR_PTF_SEED", None)
+    for name, args in STEPS:
+        done = subprocess.run(
+            [sys.executable, "-m", "soilptf", *args, "--seed", SEED],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        record = f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+        (work / f"{name}.out").write_text(record, encoding="utf-8")
+        if done.returncode != 0:
+            sys.exit(f"step {name} exited {done.returncode}:\n{done.stderr}")
+    return {
+        path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(work.rglob("*"))
+        if path.is_file()
+    }
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parent.parent
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=here / "src",
+                        help="directory holding the soilptf package (default: %(default)s)")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "soilptf" / "__init__.py").is_file():
+        parser.error(f"{src} holds no soilptf package")
+    with tempfile.TemporaryDirectory(prefix="soilptf-digests-") as tmp:
+        digests = run_pipeline(src, Path(tmp))
+    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
