@@ -176,6 +176,13 @@ def _first_cell(ids, names, mask) -> tuple[str, str] | None:
     return ids[i], names[j]
 
 
+def _require_distinct(name_a, path_a, name_b, path_b):
+    """UsageError when two outputs of one command resolve to one file, where
+    the second written would replace the first."""
+    if os.path.realpath(path_a) == os.path.realpath(path_b):
+        raise UsageError(f"{name_a} and {name_b} name the same file: {path_b}")
+
+
 def _require_values(path, ids, columns, names):
     """Raise DataError naming the first missing cell of the named columns."""
     gap = _first_cell(ids, names, np.isnan(np.column_stack([columns[c] for c in names])))
@@ -246,7 +253,9 @@ def _dataset_to_rows(dataset: Dataset) -> tuple[list[str], list[list[str]]]:
 # ----------------------------------------------------------------------
 
 
-def _read_retention(path) -> list[tuple[str, list[tuple[float, float]]]]:
+def _read_retention(path) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(id, tensions, water contents) per sample, in first-appearance order
+    of the ids; a sample's rows need not be adjacent."""
     header, rows = read_rows(path)
     needed = {"id", "tension_cm", "theta"}
     if not needed <= set(header):
@@ -255,17 +264,18 @@ def _read_retention(path) -> list[tuple[str, list[tuple[float, float]]]]:
         raise DataError(f"{path}: no samples")
     ids, columns = parse_columns(header, rows, ("tension_cm", "theta"))
     _require_values(path, ids, columns, ("tension_cm", "theta"))
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for sid, h, theta in zip(ids, columns["tension_cm"].tolist(), columns["theta"].tolist()):
-        groups.setdefault(sid, []).append((h, theta))
-    return list(groups.items())
+    members: dict[str, list[int]] = {}
+    for i, sid in enumerate(ids):
+        members.setdefault(sid, []).append(i)
+    h, theta = columns["tension_cm"], columns["theta"]
+    return [(sid, h[idx], theta[idx]) for sid, idx in members.items()]
 
 
 def _fit_part(samples):
     """(id, parameter dict or None, log line) per sample of one part, from
     one batched fit_vg_curves call."""
     out = []
-    for (sid, pairs), fit in zip(samples, fit_vg_curves([pairs for _, pairs in samples])):
+    for (sid, h, _), fit in zip(samples, fit_vg_curves([(h, theta) for _, h, theta in samples])):
         if isinstance(fit, HydrologyError):
             out.append((sid, None, f"fail {sid}: {fit}"))
             continue
@@ -276,11 +286,16 @@ def _fit_part(samples):
             "n": fit.n,
             "fit_rmse": fit.fit_rmse,
         }
-        out.append((sid, params, f"ok {sid}: rmse={fit.fit_rmse:.6g} over {len(pairs)} points"))
+        out.append((sid, params, f"ok {sid}: rmse={fit.fit_rmse:.6g} over {h.size} points"))
     return out
 
 
 def cmd_fit_vg(args) -> int:
+    try:
+        log_path = args.log or str(Path(args.out).with_suffix(".log"))
+    except ValueError:  # Path("."), say, has no name to put a suffix on
+        raise UsageError(f"--out {args.out!r} names no file") from None
+    _require_distinct("--out", args.out, "the log" if args.log is None else "--log", log_path)
     path = _require_file(args.input)
     jobs = _jobs(args)
     seed = _resolve_seed(args.seed)
@@ -301,7 +316,6 @@ def cmd_fit_vg(args) -> int:
         if params is not None
     ]
     _write_csv(args.out, header, rows, meta)
-    log_path = args.log or str(Path(args.out).with_suffix(".log"))
     log_lines = _meta_comment_lines(meta) + [msg for _, _, msg in results]
     _write_text(log_path, "\n".join(log_lines) + "\n")
 
@@ -562,6 +576,8 @@ def _clamped_vg(sid: str, theta_r: float, theta_s: float, log_alpha: float,
 
 
 def cmd_predict(args) -> int:
+    if args.curve:
+        _require_distinct("--out", args.out, "--curve", args.curve)
     features_path = _require_file(args.features)
     seed = _resolve_seed(args.seed)
 

@@ -25,7 +25,6 @@ from .linreg import LinearModel, fit_local, one_row
 from .patterns import (
     Pattern,
     _mine_masks,
-    _pattern_order_key,
     filter_similar_masks,
     pattern_mask,
 )
@@ -348,14 +347,18 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
     if not mined:
         return baseline_only([float(np.abs(r0).sum())])
 
-    # each pattern's item rows, padded with an all-true row, ANDed in one gather
+    # each pattern's item rows, padded with an all-true row, ANDed in one gather;
+    # its _pattern_order_key from the item texts, each formatted once
     item_index = {it: j for j, it in enumerate(items)}
+    item_text = [str(it) for it in items]
     width = max(len(pat) for pat, _ in mined)
     table = np.full((len(mined), width), len(items))
-    for r, (pat, _) in enumerate(mined):
-        table[r, : len(pat)] = [item_index[it] for it in pat.items]
+    order_keys = []
+    for r, (pat, st) in enumerate(mined):
+        js = [item_index[it] for it in pat.items]
+        table[r, : len(js)] = js
+        order_keys.append((-st.growth, -st.support_le, len(js), " & ".join(item_text[j] for j in js)))
     full_masks = np.vstack([item_masks, np.ones((1, n), dtype=bool)])[table].all(axis=1)
-    order_keys = [_pattern_order_key(pat, st) for pat, st in mined]
     kept = filter_similar_masks(order_keys, full_masks, config.jaccard_max)
 
     min_rows = max(p + 2, 10)

@@ -3,7 +3,14 @@
 Retention model: theta(h) = theta_r + (theta_s - theta_r) * \
 (1 + (alpha*h)^n)^(-m) with m = 1 - 1/n, h the tension head in cm,
 alpha in 1/cm; vg_curve is its one copy, which every curve evaluation
-calls. Water contents are volumetric fractions. Texture summary
+calls. Water contents are volumetric fractions.
+
+Curve fitting takes each sample's points as one pair of arrays (tensions,
+water contents) and works on the (samples, points) matrices of all
+samples with one point count: the checks, the start values and the
+Levenberg-Marquardt lanes (fit_vg_curves). RetentionPoint is the
+one-point type of the fit_vg API and holds the point checks' texts; the
+fit builds none per point. Texture summary
 statistics follow the geometric-mean particle diameter formulation with
 representative diameters clay 0.001 mm, silt 0.026 mm, sand 1.025 mm.
 """
@@ -168,7 +175,9 @@ def _curve_residuals(u, h, theta_obs):
     """theta_obs - theta(h) for one lane (u of shape (4,), h of shape (P,))
     or for B lanes (u (B, 4), h and theta_obs (B, P)). A lane whose alpha
     or n lies beyond float range has NaN residuals."""
-    theta_r, theta_s, alpha, n = (np.expand_dims(p, -1) for p in _unpack(u))
+    # a trailing axis against the points; asarray, as one lane's theta_r and
+    # theta_s are Python floats
+    theta_r, theta_s, alpha, n = (np.asarray(p)[..., None] for p in _unpack(u))
     # extreme trial parameters overflow (alpha*h)^n; inf collapses to
     # theta_r under the outer power, which is the correct dry limit
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,8 +198,8 @@ def _curve_jacobian(u, log_h):
     everything comes from z = ln w, so no row overflows where w does. A
     lane whose n nears float range overflows n*n instead, without a warning.
     """
-    ratio = np.expand_dims(_expit(u[..., 0]), -1)
-    theta_s = np.expand_dims(_expit(u[..., 1]), -1)
+    ratio = np.asarray(_expit(u[..., 0]))[..., None]
+    theta_s = np.asarray(_expit(u[..., 1]))[..., None]
     n = 1.0 + np.exp(u[..., 3:])
     m = 1.0 - 1.0 / n
     log_ah = u[..., 2:3] + log_h
@@ -311,96 +320,148 @@ def _fit_from_start(u0, h, theta_obs):
     return u[0], float(sse[0]), bool(converged[0])
 
 
-def _fit_input(points) -> tuple[np.ndarray, np.ndarray]:
-    """Tensions and water contents of one sample's points, checked: at
-    least 5 points whose positive tensions span a factor of 10 or more."""
-    pts = [p if isinstance(p, RetentionPoint) else RetentionPoint(*p) for p in points]
-    if len(pts) < 5:
-        raise VgFitError(f"need at least 5 retention points, got {len(pts)}")
-    h = np.array([p.tension for p in pts], dtype=float)
-    theta_obs = np.array([p.theta for p in pts], dtype=float)
-    positive = h[h > 0]
-    if positive.size == 0 or positive.max() / positive.min() < 10.0:
-        raise VgFitError("retention points must span at least a decade of tension")
-    return h, theta_obs
+def _check_points(h, theta_obs) -> list[HydrologyError | None]:
+    """What rules out each of S samples with the points h, theta_obs (S, P),
+    or None: the first point that is no RetentionPoint (a negative tension,
+    or a water content outside [0, 1] or NaN; the tension is checked
+    first), then fewer than 5 points, then positive tensions that span less
+    than a factor of 10."""
+    errors: list[HydrologyError | None] = [None] * len(h)
+    bad = (h < 0.0) | ~((0.0 <= theta_obs) & (theta_obs <= 1.0))
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        try:  # the first bad point raises, with RetentionPoint's text
+            for point in zip(h[i].tolist(), theta_obs[i].tolist()):
+                RetentionPoint(*point)
+        except HydrologyError as exc:
+            errors[i] = exc
+    if h.shape[1] < 5:
+        few = VgFitError(f"need at least 5 retention points, got {h.shape[1]}")
+        return [few if err is None else err for err in errors]
+    positive = h > 0.0
+    spread = positive.any(axis=1)
+    span = np.divide(np.where(positive, h, -np.inf).max(axis=1),
+                     np.where(positive, h, np.inf).min(axis=1),
+                     out=np.zeros(len(h)), where=spread)
+    for i in np.flatnonzero(~spread | (span < 10.0)).tolist():
+        if errors[i] is None:
+            errors[i] = VgFitError("retention points must span at least a decade of tension")
+    return errors
+
+
+# (log alpha, log(n - 1)) of the four fixed starts, alpha in {0.005, 0.05}
+# x n in {1.2, 2.0}, and log(n - 1) of the data-driven start, n = 1.5
+_FIXED_SHAPES = [(math.log(a), math.log(n0 - 1.0)) for a in (0.005, 0.05) for n0 in (1.2, 2.0)]
+_LOG_HALF = math.log(0.5)
 
 
 def _starts(h, theta_obs) -> np.ndarray:
-    """The _N_STARTS deterministic start vectors (_N_STARTS, 4) of one sample:
-    alpha in {0.005, 0.05} x n in {1.2, 2.0}, plus a fully data-driven
-    start (alpha = 1 / median positive tension, n = 1.5), all with theta_s
-    and theta_r/theta_s taken from the observed range."""
-    theta_max = float(theta_obs.max())
-    theta_min = float(theta_obs.min())
-    theta_s0 = min(max(theta_max, 0.05), 0.99)
-    ratio0 = min(max(theta_min / theta_s0 if theta_s0 > 0 else 0.1, 0.02), 0.9)
-    h_mid = float(np.median(h[h > 0]))
-    shapes = [(math.log(a), math.log(n0 - 1.0)) for a in (0.005, 0.05) for n0 in (1.2, 2.0)]
-    shapes.append((math.log(1.0 / h_mid), math.log(0.5)))
-    return np.array([[_logit(ratio0), _logit(theta_s0), la, ln] for la, ln in shapes])
+    """The _N_STARTS deterministic start vectors of each of S samples with
+    the points h, theta_obs (S, P), as (S * _N_STARTS, 4) lanes, sample by
+    sample: the four fixed shapes, then a data-driven one (alpha = 1 /
+    median positive tension, n = 1.5), all with theta_s and
+    theta_r/theta_s taken from the observed range. The median is the middle
+    positive tension, or the mean of the middle two, as np.median gives it;
+    the logarithms are math.log's."""
+    positive = h > 0.0
+    count = positive.sum(axis=1)
+    ordered = np.sort(np.where(positive, h, np.inf), axis=1)
+    rows = np.arange(len(h))
+    lower = ordered[rows, (count - 1) // 2].tolist()
+    upper = ordered[rows, count // 2].tolist()
+    u0 = []
+    for t_max, t_min, c, lo, hi in zip(theta_obs.max(axis=1).tolist(), theta_obs.min(axis=1).tolist(),
+                                       count.tolist(), lower, upper):
+        theta_s0 = min(max(t_max, 0.05), 0.99)
+        head = (_logit(min(max(t_min / theta_s0, 0.02), 0.9)), _logit(theta_s0))
+        u0.extend(head + shape for shape in _FIXED_SHAPES)
+        h_mid = lo if c % 2 else (lo + hi) / 2
+        u0.append(head + (math.log(1.0 / h_mid), _LOG_HALF))
+    return np.array(u0)
 
 
 def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
     """Least-squares van Genuchten fits of many samples in one batched loop.
 
-    samples is a sequence of point lists, each of RetentionPoint or
-    (tension, theta) pairs. Returns, per sample in order, its VgParameters
-    with the fit RMSE, or the HydrologyError (a VgFitError where the fit
-    itself fails) that rules it out. Each sample needs at least 5 points
-    whose positive tensions span a factor of 10 or more. Samples with the
-    same point count are fitted together, _BATCH_SAMPLES at a time: each
+    samples is a sequence of (h, theta) pairs, each two 1-D float arrays of
+    one sample's tensions [cm] and water contents [-]. Returns, per sample
+    in order, its VgParameters with the fit RMSE, or the HydrologyError (a
+    VgFitError where the fit itself fails) that rules it out: a point that
+    is no RetentionPoint, fewer than 5 points, or positive tensions that
+    span less than a factor of 10 (_check_points). Samples with the same
+    point count are checked and started as one (S, P) matrix, and fitted
+    _BATCH_SAMPLES at a time in the order of their first valid sample: each
     (sample, start) of the _N_STARTS starts (_starts) is one lane of
-    _fit_lanes, and a sample takes the converged lane of lowest cost, the
-    earlier start on a tie. A sample's result does not depend on the other
-    samples.
+    _fit_lanes, and a sample takes its first converged lane, replaced only
+    by a later one of strictly lower cost. A sample's result does not
+    depend on the other samples.
     """
     results: list = [None] * len(samples)
-    groups: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for i, points in enumerate(samples):
-        try:
-            h, theta_obs = _fit_input(points)
-        except HydrologyError as exc:
-            results[i] = exc
+    groups: dict[int, list[int]] = {}
+    for i, (h, _) in enumerate(samples):
+        groups.setdefault(len(h), []).append(i)
+    valid = []
+    for size, members in groups.items():
+        h = np.array([samples[i][0] for i in members], dtype=float).reshape(len(members), size)
+        theta_obs = np.array([samples[i][1] for i in members], dtype=float).reshape(h.shape)
+        errors = _check_points(h, theta_obs)
+        for i, err in zip(members, errors):
+            results[i] = err
+        keep = [k for k, err in enumerate(errors) if err is None]
+        if keep:
+            valid.append(([members[k] for k in keep], h[keep], theta_obs[keep]))
+    valid.sort(key=lambda group: group[0][0])
+    for members, h_all, theta_all in valid:
+        for k in range(0, len(members), _BATCH_SAMPLES):
+            h, theta_obs = h_all[k:k + _BATCH_SAMPLES], theta_all[k:k + _BATCH_SAMPLES]
+            u, sse, converged = _fit_lanes(_starts(h, theta_obs),
+                                           np.repeat(h, _N_STARTS, axis=0),
+                                           np.repeat(theta_obs, _N_STARTS, axis=0))
+            fits = _pick_lanes(u, sse, converged, h.shape[1])
+            for i, fit in zip(members[k:k + _BATCH_SAMPLES], fits):
+                results[i] = fit
+    return results
+
+
+def _pick_lanes(u, sse, converged, size) -> list[VgParameters | HydrologyError]:
+    """Each sample's result from its _N_STARTS consecutive lanes of a
+    _fit_lanes call over its size points: the first converged lane,
+    replaced only by a later one of strictly lower sse (a NaN sse neither
+    replaces nor is replaced)."""
+    sse = sse.reshape(-1, _N_STARTS)
+    converged = converged.reshape(-1, _N_STARTS)
+    best = np.full(len(sse), -1)
+    best_sse = np.full(len(sse), np.nan)
+    for k in range(_N_STARTS):
+        take = converged[:, k] & ((best < 0) | (sse[:, k] < best_sse))
+        best[take] = k
+        best_sse[take] = sse[take, k]
+    found = np.flatnonzero(best >= 0)
+    params = zip(*(p.tolist() for p in _unpack(u[found * _N_STARTS + best[found]])),
+                 best_sse[found].tolist())
+    fits = dict(zip(found.tolist(), params))
+    results: list = []
+    for row in range(len(sse)):
+        if row not in fits:
+            results.append(VgFitError(f"no start converged within {_MAX_ITER} iterations"))
             continue
-        groups.setdefault(h.size, []).append((i, h, theta_obs))
-    batches = [
-        members[k:k + _BATCH_SAMPLES]
-        for members in groups.values()
-        for k in range(0, len(members), _BATCH_SAMPLES)
-    ]
-    for members in batches:
-        h = np.repeat(np.array([m[1] for m in members]), _N_STARTS, axis=0)
-        theta_obs = np.repeat(np.array([m[2] for m in members]), _N_STARTS, axis=0)
-        u0 = np.concatenate([_starts(m[1], m[2]) for m in members])
-        u, sse, converged = _fit_lanes(u0, h, theta_obs)
-        theta_r, theta_s, alpha, n = _unpack(u)
-        for k, (i, h_i, _) in enumerate(members):
-            best = None
-            for lane in range(k * _N_STARTS, (k + 1) * _N_STARTS):
-                if converged[lane] and (best is None or sse[lane] < sse[best]):
-                    best = lane
-            if best is None:
-                results[i] = VgFitError(f"no start converged within {_MAX_ITER} iterations")
-                continue
-            try:
-                results[i] = VgParameters(
-                    theta_r=float(theta_r[best]),
-                    theta_s=float(theta_s[best]),
-                    alpha=float(alpha[best]),
-                    n=float(n[best]),
-                    fit_rmse=math.sqrt(float(sse[best]) / h_i.size),
-                )
-            except HydrologyError as exc:
-                results[i] = exc
+        theta_r, theta_s, alpha, n, cost = fits[row]
+        try:
+            results.append(VgParameters(theta_r=theta_r, theta_s=theta_s, alpha=alpha, n=n,
+                                        fit_rmse=math.sqrt(cost / size)))
+        except HydrologyError as exc:
+            results.append(exc)
     return results
 
 
 def fit_vg(points) -> VgParameters:
-    """Least-squares van Genuchten fit to one sample's retention points: the
-    one-sample call of fit_vg_curves, whose batched Levenberg-Marquardt loop
-    runs the _N_STARTS starts of the sample as lanes. Raises its
-    HydrologyError (VgFitError where the fit fails)."""
-    (result,) = fit_vg_curves([points])
+    """Least-squares van Genuchten fit to one sample's retention points,
+    RetentionPoints or (tension, theta) pairs: the one-sample call of
+    fit_vg_curves, whose batched Levenberg-Marquardt loop runs the
+    _N_STARTS starts of the sample as lanes. Raises its HydrologyError
+    (VgFitError where the fit fails)."""
+    pairs = np.array([(p.tension, p.theta) if isinstance(p, RetentionPoint) else p for p in points],
+                     dtype=float).reshape(-1, 2)
+    (result,) = fit_vg_curves([(pairs[:, 0], pairs[:, 1])])
     if isinstance(result, HydrologyError):
         raise result
     return result

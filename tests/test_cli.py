@@ -435,6 +435,21 @@ def test_jobs_below_one_is_one_line_usage_error(synth_big, tmp_path, capsys, job
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("outputs", [["--out", "d/vg.log"], ["--out", "d/vg.csv", "--log", "d/./vg.csv"]],
+                         ids=["out-is-the-default-log", "log-is-out"])
+def test_fit_vg_outputs_naming_one_file_are_usage_error(tmp_path, capsys, outputs):
+    # the second write would replace the first: nothing is fitted or written
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("a", _clean_pairs())])
+    (tmp_path / "d").mkdir()
+    argv = ["fit-vg", "--input", table] + [str(tmp_path / a) if a.startswith("d/") else a
+                                           for a in outputs]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "name the same file" in err and err.count("\n") == 1
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 def test_fit_vg_missing_input_is_usage_error(tmp_path, capsys):
     rc = run(["fit-vg", "--input", tmp_path / "nope.csv", "--out", tmp_path / "p.csv"])
     assert rc == 2
@@ -709,6 +724,14 @@ def test_predict_single_model_file(shc2_cpxr_models, synth_small, tmp_path):
     header, rows = parse_csv(out)
     assert header == ["id", "log_ksat"]
     assert len(rows) == 40
+
+
+def test_predict_curve_naming_out_is_usage_error(swrc3_models, features_csv, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", swrc3_models, "--features", features_csv,
+                "--out", out, "--curve", f"{tmp_path}/./p.csv"]) == 2
+    assert capsys.readouterr().err == f"error: --out and --curve name the same file: {tmp_path}/./p.csv\n"
+    assert not out.exists()
 
 
 def test_predict_curve_needs_parametric_models(shc2_cpxr_models, synth_small, tmp_path, capsys):

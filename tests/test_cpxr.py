@@ -22,7 +22,14 @@ from soilptf.data import select_columns
 from soilptf.discretize import DiscretizationScheme
 from soilptf.hydrology import MODEL_CONFIGS
 from soilptf.linreg import LinearModel, fit_local
-from soilptf.patterns import Item, Pattern, pattern_mask
+from soilptf.patterns import (
+    Item,
+    Pattern,
+    _mine_masks,
+    _pattern_order_key,
+    filter_similar_masks,
+    pattern_mask,
+)
 from soilptf.synth import generate, two_regime_config
 
 
@@ -474,6 +481,60 @@ def test_train_never_worse_than_baseline():
         assert model.train_rmse <= model.baseline_rmse
         if model.k == 0:
             assert model.train_rmse == model.baseline_rmse
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["two-regime", "noise"]),
+    st.integers(40, 80),  # rows
+    st.integers(0, 2**16),  # table seed
+    st.sampled_from(MODEL_CONFIGS["SWRC2"].targets),  # two-regime target
+    st.floats(0.05, 0.95),  # rho
+    st.integers(1, 7),  # max_k
+    st.floats(0.0, 0.5),  # min_reduction
+    st.floats(0.0, 1.0),  # jaccard_max
+    st.integers(1, 4),  # max_len
+)
+def test_train_never_worse_under_generated_hyperparameters(
+        kind, n, seed, target, rho, max_k, min_reduction, jaccard_max, max_len):
+    if kind == "two-regime":
+        dataset, _ = generate(two_regime_config(n_samples=n, noise_sd=0.01, seed=seed))
+        sel = select_columns(dataset, MODEL_CONFIGS["SWRC2"])
+        X, y, names = sel.X, sel.targets[target], sel.feature_names
+    else:
+        rng = np.random.default_rng(seed)
+        X, y, names = rng.normal(0, 1, (n, 3)), rng.normal(0, 1, n), ["a", "b", "c"]
+    config = CpxrConfig(rho=rho, max_k=max_k, min_reduction=min_reduction,
+                        jaccard_max=jaccard_max, max_len=max_len)
+    model = train_cpxr(X, y, names, config)
+    assert model.train_rmse <= model.baseline_rmse
+    if model.k == 0:
+        assert model.train_rmse == model.baseline_rmse
+
+
+def test_order_keys_are_the_pattern_order_keys(monkeypatch):
+    # the keys train_cpxr builds from item texts formatted once are the
+    # tuples _pattern_order_key gives each mined pattern
+    mined, keys = [], []
+
+    def mine(*args):
+        found = _mine_masks(*args)
+        mined.extend(found)
+        return found
+
+    def keep(order_keys, masks, jaccard_max):
+        keys.extend(order_keys)
+        return filter_similar_masks(order_keys, masks, jaccard_max)
+
+    monkeypatch.setattr(soilptf.cpxr, "_mine_masks", mine)
+    monkeypatch.setattr(soilptf.cpxr, "filter_similar_masks", keep)
+    dataset, _ = generate(two_regime_config(n_samples=300, noise_sd=0.01, seed=7))
+    sel = select_columns(dataset, MODEL_CONFIGS["SWRC2"])
+    for y in sel.targets.values():
+        train_cpxr(sel.X, y, sel.feature_names)
+    assert len(mined) > 100 and max(len(pat) for pat, _ in mined) > 2
+    assert keys == [_pattern_order_key(pat, st) for pat, st in mined]
+    assert keys == [(-st.growth, -st.support_le, len(pat), str(pat)) for pat, st in mined]
 
 
 def test_train_rmse_is_the_rmse_of_predict_matrix():

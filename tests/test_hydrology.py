@@ -287,7 +287,7 @@ def _reference_fit_vg(h, theta_obs):
     _reference_fit_from_start: the converged start of lowest sse, the
     earlier one on a tie."""
     best = None
-    for u0 in hydrology._starts(h, theta_obs):
+    for u0 in hydrology._starts(h[None], theta_obs[None]):
         u, sse, ok = _reference_fit_from_start(u0, h, theta_obs)
         if ok and (best is None or sse < best[1]):
             best = (u, sse)
@@ -335,6 +335,12 @@ def _bits(result):
                  for f in ("theta_r", "theta_s", "alpha", "n", "fit_rmse"))
 
 
+def _arrays(pairs):
+    """One sample's (tension, theta) pairs as fit_vg_curves takes them."""
+    return (np.array([h for h, _ in pairs], dtype=float),
+            np.array([t for _, t in pairs], dtype=float))
+
+
 def test_fit_rejects_trial_steps_beyond_float_range():
     # the overflowing trial is rejected, not raised as OverflowError
     h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
@@ -363,7 +369,7 @@ def test_fit_rejects_overflowing_trials_lane_by_lane(monkeypatch):
         curves.append(list(zip(h.tolist(), theta.tolist())))
     solo = [fit_vg(pts) for pts in curves]
     monkeypatch.setattr(hydrology, "_curve_residuals", residuals)
-    got = hydrology.fit_vg_curves(curves)
+    got = hydrology.fit_vg_curves([_arrays(pts) for pts in curves])
     assert sum(nan_lanes) > 0
     assert [_bits(r) for r in got] == [_bits(r) for r in solo]
     assert got[0].theta_r == pytest.approx(_SAND.theta_r, rel=1e-6)
@@ -405,13 +411,14 @@ def test_batched_fit_matches_each_fit_alone(curves):
             alone.append(fit_vg(pts))
         except HydrologyError as exc:
             alone.append(exc)
-    assert [_bits(r) for r in hydrology.fit_vg_curves(samples)] == [_bits(r) for r in alone]
+    got = hydrology.fit_vg_curves([_arrays(pts) for pts in samples])
+    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
 
 
 def test_one_lane_fit_is_a_lane_of_the_batch():
     h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
     theta = vg_theta(LOAM, h)
-    starts = hydrology._starts(h, theta)
+    starts = hydrology._starts(h[None], theta[None])
     u, sse, converged = hydrology._fit_lanes(starts, np.tile(h, (5, 1)), np.tile(theta, (5, 1)))
     for k, u0 in enumerate(starts):
         one = hydrology._fit_from_start(u0, h, theta)
@@ -439,6 +446,205 @@ def test_fit_input_requirements():
         fit_vg(narrow)
     with pytest.raises(HydrologyError, match="tension"):
         fit_vg([(-1.0, 0.4)] * 5)
+
+
+def _reference_fit_input(points):
+    """The per-sample check fit_vg_curves made before the array route: one
+    RetentionPoint per point, then the count, then the decade."""
+    pts = [p if isinstance(p, RetentionPoint) else RetentionPoint(*p) for p in points]
+    if len(pts) < 5:
+        raise VgFitError(f"need at least 5 retention points, got {len(pts)}")
+    h = np.array([p.tension for p in pts], dtype=float)
+    theta_obs = np.array([p.theta for p in pts], dtype=float)
+    positive = h[h > 0]
+    if positive.size == 0 or positive.max() / positive.min() < 10.0:
+        raise VgFitError("retention points must span at least a decade of tension")
+    return h, theta_obs
+
+
+def _reference_starts(h, theta_obs):
+    """The per-sample starts of one sample's points (P,) before the array
+    route, with np.median."""
+    theta_max = float(theta_obs.max())
+    theta_min = float(theta_obs.min())
+    theta_s0 = min(max(theta_max, 0.05), 0.99)
+    ratio0 = min(max(theta_min / theta_s0 if theta_s0 > 0 else 0.1, 0.02), 0.9)
+    h_mid = float(np.median(h[h > 0]))
+    shapes = [(math.log(a), math.log(n0 - 1.0)) for a in (0.005, 0.05) for n0 in (1.2, 2.0)]
+    shapes.append((math.log(1.0 / h_mid), math.log(0.5)))
+    return np.array([[_logit(ratio0), _logit(theta_s0), la, ln] for la, ln in shapes])
+
+
+def _reference_pick(sse, converged):
+    """The start a sample took before the array route: the first converged
+    one, replaced only by a later one of strictly lower sse."""
+    best = None
+    for lane in range(len(sse)):
+        if converged[lane] and (best is None or sse[lane] < sse[best]):
+            best = lane
+    return best
+
+
+def _reference_fit_vg_curves(samples):
+    """fit_vg_curves before the array route, sample by sample: each sample's
+    points checked through RetentionPoint, its starts from
+    _reference_starts, its lanes fitted alone."""
+    results = []
+    for points in samples:
+        try:
+            h, theta_obs = _reference_fit_input(points)
+        except HydrologyError as exc:
+            results.append(exc)
+            continue
+        starts = _reference_starts(h, theta_obs)
+        u, sse, converged = hydrology._fit_lanes(
+            starts, np.tile(h, (len(starts), 1)), np.tile(theta_obs, (len(starts), 1)))
+        best = _reference_pick(sse, converged)
+        if best is None:
+            results.append(VgFitError(f"no start converged within {hydrology._MAX_ITER} iterations"))
+            continue
+        theta_r, theta_s, alpha, n = hydrology._unpack(u)
+        try:
+            results.append(VgParameters(
+                theta_r=float(theta_r[best]), theta_s=float(theta_s[best]),
+                alpha=float(alpha[best]), n=float(n[best]),
+                fit_rmse=math.sqrt(float(sse[best]) / h.size),
+            ))
+        except HydrologyError as exc:
+            results.append(exc)
+    return results
+
+
+# Faults of a sample: (kind, position as a fraction of the points, value).
+# Several may hit one sample; the first bad point in point order decides,
+# and at one point the tension is checked before theta.
+_FAULTS = st.lists(
+    st.tuples(
+        st.sampled_from(["tension", "theta", "tension_nan"]),
+        st.floats(0.0, 0.999),
+        st.sampled_from([-1.0, -1e-300, -0.0, 0.0, 1.0, 1.0 + 2**-52, 1.5, math.nan]),
+    ),
+    max_size=3,
+)
+
+_SAMPLES = st.lists(
+    st.tuples(
+        st.sampled_from([0, 3, 4, 5, 9, 13, 15]),  # points
+        st.sampled_from(["ladder", "zero_first", "decade", "narrow", "all_zero"]),  # tensions
+        st.floats(0.0, 0.2),  # theta_r
+        st.floats(0.1, 0.5),  # theta_s - theta_r
+        st.floats(-3.0, -0.5),  # log10 alpha
+        st.floats(1.05, 4.0),  # n
+        st.integers(0, 2**16),  # noise seed
+        _FAULTS,
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _sample_points(points, tensions, theta_r, span, log_alpha, n, seed, faults):
+    rng = np.random.default_rng(seed)
+    if tensions == "ladder":  # all positive: an odd or even count
+        h = np.geomspace(1.0, 15000.0, points)
+    elif tensions == "zero_first":  # saturation plus points - 1 positive
+        h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, max(points - 1, 0))])
+    elif tensions == "decade":  # exactly a decade
+        h = np.geomspace(10.0, 100.0, points)
+    elif tensions == "narrow":  # under a decade
+        h = np.geomspace(10.0, 95.0, points)
+    else:
+        h = np.zeros(points)
+    p = VgParameters(theta_r=theta_r, theta_s=theta_r + span, alpha=10**log_alpha, n=n)
+    theta = np.clip(vg_theta(p, h) + rng.normal(0.0, 0.004, points), 0.0, 1.0)
+    pairs = list(zip(h.tolist(), theta.tolist()))
+    for kind, where, value in faults:
+        if not pairs:
+            break
+        j = int(where * len(pairs))
+        tension, water = pairs[j]
+        if kind == "tension":
+            pairs[j] = (value, water)
+        elif kind == "theta":
+            pairs[j] = (tension, value)
+        else:  # a NaN tension passes RetentionPoint and is no positive tension
+            pairs[j] = (math.nan, water)
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SAMPLES)
+@example([(13, "zero_first", 0.05, 0.4, -1.7, 1.6, 1, []),
+          (9, "ladder", 0.05, 0.4, -1.7, 1.6, 2, [("theta", 0.5, 1.5), ("tension", 0.9, -1.0)]),
+          (5, "ladder", 0.05, 0.4, -1.7, 1.6, 3, [("theta", 0.2, math.nan)]),
+          (4, "ladder", 0.05, 0.4, -1.7, 1.6, 4, []),
+          (13, "narrow", 0.05, 0.4, -1.7, 1.6, 5, []),
+          (9, "all_zero", 0.05, 0.4, -1.7, 1.6, 6, []),
+          (13, "zero_first", 0.05, 0.4, -1.7, 1.6, 7, [("tension_nan", 0.5, 0.0)]),
+          (15, "ladder", 0.05, 0.4, -1.7, 1.6, 8, [("tension", 0.3, -1.0), ("theta", 0.3, 1.5)])])
+@example([(9, "decade", 0.05, 0.4, -1.7, 1.6, 9, [("theta", 0.2, 0.0), ("theta", 0.6, 1.0)]),
+          (13, "zero_first", 0.05, 0.4, -1.7, 1.6, 10, [("tension", 0.5, -0.0)])])
+def test_fit_vg_curves_matches_the_per_sample_route(samples):
+    # valid and invalid samples of several point counts, as array pairs:
+    # every result and every error text as the RetentionPoint route gives it
+    pairs = [_sample_points(*spec) for spec in samples]
+    got = hydrology.fit_vg_curves([_arrays(pts) for pts in pairs])
+    assert [_bits(r) for r in got] == [_bits(r) for r in _reference_fit_vg_curves(pairs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1e-3, 2e-3, 0.5, math.inf, math.nan]), st.booleans()),
+                min_size=hydrology._N_STARTS, max_size=hydrology._N_STARTS))
+def test_best_lane_is_the_per_sample_choice(lanes):
+    # lane k of the one sample holds alpha = k + 1, so the result names
+    # the lane; NaN and inf costs, ties and unconverged lanes included
+    sse = np.array([c for c, _ in lanes])
+    converged = np.array([ok for _, ok in lanes])
+    u = np.array([[0.0, 0.0, math.log(k + 1.0), 0.0] for k in range(len(lanes))])
+    results = hydrology._pick_lanes(u, sse, converged, 4)
+    best = _reference_pick(sse, converged)
+    if best is None:
+        assert _bits(results[0]) == ("VgFitError", "no start converged within 500 iterations")
+    else:
+        assert round(results[0].alpha) == best + 1
+
+
+def test_starts_of_a_group_are_each_samples_own():
+    # odd and even positive counts, unsorted tensions and a NaN tension;
+    # in the last row the median is a tension whose inverse np.log, on an
+    # array, takes to another double than math.log
+    rng = np.random.default_rng(5)
+    h = rng.uniform(0.0, 15000.0, (200, 9))
+    h[::2, 0] = 0.0
+    h[1, 4] = math.nan
+    h[-1] = [12000.0, 1.0, 10.0, 100.0, 6169.112880375168, 8000.0, 9000.0, 1000.0, 10000.0]
+    theta = rng.uniform(0.0, 1.0, h.shape)
+    got = hydrology._starts(h, theta)
+    want = np.concatenate([_reference_starts(h[i], theta[i]) for i in range(len(h))])
+    assert got.tolist() == want.tolist()
+
+
+
+def test_batches_follow_the_first_valid_sample_of_each_point_count(monkeypatch):
+    # a failing 9-point sample comes first, so the 13-point group is fitted
+    # first; each group in batches of _BATCH_SAMPLES samples in row order
+    calls = []
+
+    def fit_lanes(u0, h, theta_obs):
+        calls.append((h.shape, theta_obs[::hydrology._N_STARTS, 0].tolist()))
+        return hydrology_fit_lanes(u0, h, theta_obs)
+
+    hydrology_fit_lanes = hydrology._fit_lanes
+    monkeypatch.setattr(hydrology, "_fit_lanes", fit_lanes)
+    monkeypatch.setattr(hydrology, "_BATCH_SAMPLES", 2)
+    h9, h13 = np.geomspace(1.0, 15000.0, 9), np.geomspace(1.0, 15000.0, 13)
+    samples = [(h9, np.full(9, 1.5))] + [(h13, vg_theta(LOAM, h13))]
+    samples += [(h9, np.clip(vg_theta(LOAM, h9) + k / 100, 0.0, 1.0)) for k in range(5)]
+    got = hydrology.fit_vg_curves(samples)
+    assert isinstance(got[0], HydrologyError) and all(isinstance(r, VgParameters) for r in got[1:])
+    first = [theta[0] for _, theta in samples]
+    assert calls == [((5, 13), first[1:2]), ((10, 9), first[2:4]), ((10, 9), first[4:6]),
+                     ((5, 9), first[6:7])]
 
 
 # ----------------------------------------------------------------------

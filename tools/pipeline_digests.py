@@ -8,7 +8,10 @@ of the checkout holding this script) in a fresh temporary directory:
 
     synth two-regime n=300 --retention, fit-vg, derive-features,
     train SWRC2, SWRC4 and SHC2 cpxr and SWRC3 mlr,
-    evaluate SWRC2 cpxr,mlr --reps 1 --k 5, predict SWRC4 --curve, report
+    evaluate SWRC2 cpxr,mlr --reps 1 --k 5, predict SWRC4 --curve, report,
+    and fit-vg on a mixed retention table the script writes itself
+    (MIXED_SAMPLES: 9-, 13- and 15-point samples and a minority that
+    fails, so the grouping by point count and the fail lines are hashed)
 
 It prints one JSON object mapping each artifact's path (relative to the run
 directory) to its sha256; each step's exit code, stdout and stderr count as
@@ -23,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -53,7 +57,43 @@ STEPS = [
     ("report", ["report", "--a", "eval/report_SWRC2_cpxr.json",
                 "--b", "eval/report_SWRC2_mlr.json", "--split", "test",
                 "--out", "comparison.csv"]),
+    ("fit-vg-mixed", ["fit-vg", "--input", "mixed/retention.csv", "--out", "mixed/vg.csv",
+                      "--jobs", "1"]),
 ]
+
+# The mixed table: (id, points, fault) per sample, in row order. A fault
+# makes the sample fail: a negative tension, a theta above 1, only 4
+# points, or tensions spanning less than a decade.
+MIXED_SAMPLES = [
+    ("m00", 13, None), ("m01", 9, None), ("m02", 15, None), ("m03", 13, "negative"),
+    ("m04", 9, None), ("m05", 15, None), ("m06", 4, "few"), ("m07", 13, None),
+    ("m08", 15, "theta"), ("m09", 9, None), ("m10", 13, "narrow"), ("m11", 15, None),
+    ("m12", 9, None), ("m13", 13, None),
+]
+
+
+def mixed_retention_csv() -> str:
+    """The mixed retention table's CSV text: each sample a van Genuchten
+    curve (theta_r, theta_s, alpha, n drawn from random.Random(7)) at
+    saturation and geometrically spaced tensions up to 15000 cm, with
+    N(0, 0.003) noise, clipped to [0, 1]; then its fault applied."""
+    rng = random.Random(7)
+    lines = ["id,tension_cm,theta"]
+    for sid, points, fault in MIXED_SAMPLES:
+        theta_r, theta_s = rng.uniform(0.0, 0.15), rng.uniform(0.35, 0.55)
+        alpha, n = 10 ** rng.uniform(-2.5, -1.0), rng.uniform(1.2, 3.0)
+        top, low = (95.0, 10.0) if fault == "narrow" else (15000.0, 1.0)
+        tensions = [0.0] + [low * (top / low) ** (k / (points - 2)) for k in range(points - 1)]
+        rows = []
+        for h in tensions:
+            curve = theta_r + (theta_s - theta_r) * (1.0 + (alpha * h) ** n) ** (1.0 / n - 1.0)
+            rows.append([h, min(max(curve + rng.gauss(0.0, 0.003), 0.0), 1.0)])
+        if fault == "negative":
+            rows[3][0] = -5.0
+        elif fault == "theta":
+            rows[5][1] = 1.2
+        lines.extend(f"{sid},{h!r},{t!r}" for h, t in rows)
+    return "\n".join(lines) + "\n"
 
 
 def run_pipeline(src: Path, work: Path) -> dict[str, str]:
@@ -61,6 +101,8 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     {relative path: sha256} of every file left in work."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("CPXR_PTF_SEED", None)
+    (work / "mixed").mkdir()
+    (work / "mixed" / "retention.csv").write_text(mixed_retention_csv(), encoding="utf-8")
     for name, args in STEPS:
         done = subprocess.run(
             [sys.executable, "-m", "soilptf", *args, "--seed", SEED],
