@@ -253,9 +253,10 @@ def _dataset_to_rows(dataset: Dataset) -> tuple[list[str], list[list[str]]]:
 # ----------------------------------------------------------------------
 
 
-def _read_retention(path) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """(id, tensions, water contents) per sample, in first-appearance order
-    of the ids; a sample's rows need not be adjacent."""
+def _read_retention(path) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
+    """The sample ids in first-appearance order, and each sample's
+    (tensions, water contents) arrays; a sample's rows need not be
+    adjacent."""
     header, rows = read_rows(path)
     needed = {"id", "tension_cm", "theta"}
     if not needed <= set(header):
@@ -268,26 +269,7 @@ def _read_retention(path) -> list[tuple[str, np.ndarray, np.ndarray]]:
     for i, sid in enumerate(ids):
         members.setdefault(sid, []).append(i)
     h, theta = columns["tension_cm"], columns["theta"]
-    return [(sid, h[idx], theta[idx]) for sid, idx in members.items()]
-
-
-def _fit_part(samples):
-    """(id, parameter dict or None, log line) per sample of one part, from
-    one batched fit_vg_curves call."""
-    out = []
-    for (sid, h, _), fit in zip(samples, fit_vg_curves([(h, theta) for _, h, theta in samples])):
-        if isinstance(fit, HydrologyError):
-            out.append((sid, None, f"fail {sid}: {fit}"))
-            continue
-        params = {
-            "theta_r": fit.theta_r,
-            "theta_s": fit.theta_s,
-            "alpha_per_cm": fit.alpha,
-            "n": fit.n,
-            "fit_rmse": fit.fit_rmse,
-        }
-        out.append((sid, params, f"ok {sid}: rmse={fit.fit_rmse:.6g} over {h.size} points"))
-    return out
+    return list(members), [(h[idx], theta[idx]) for idx in members.values()]
 
 
 def cmd_fit_vg(args) -> int:
@@ -302,27 +284,29 @@ def cmd_fit_vg(args) -> int:
     settings = {"command": "fit-vg", "seed": seed}
     meta = _meta(seed, settings)
 
-    samples = _read_retention(path)
+    ids, samples = _read_retention(path)
     # a sample's fit does not depend on the others, so the contiguous parts
     # give the same bytes for every --jobs
     k = min(jobs, len(samples))
-    parts = [samples[i * len(samples) // k:(i + 1) * len(samples) // k] for i in range(k)]
-    results = [row for part in map_jobs(_fit_part, parts, jobs) for row in part]
+    cuts = [i * len(samples) // k for i in range(k + 1)]
+    parts = [samples[a:b] for a, b in zip(cuts, cuts[1:])]
+    fits = [fit for part in map_jobs(fit_vg_curves, parts, jobs) for fit in part]
 
+    rows, log_lines = [], _meta_comment_lines(meta)
+    for sid, (h, _), fit in zip(ids, samples, fits):
+        if isinstance(fit, HydrologyError):
+            log_lines.append(f"fail {sid}: {fit}")
+            continue
+        rows.append([sid, *map(_fmt, (fit.theta_r, fit.theta_s, fit.alpha, fit.n, fit.fit_rmse))])
+        log_lines.append(f"ok {sid}: rmse={fit.fit_rmse:.6g} over {h.size} points")
     header = ["id", "theta_r", "theta_s", "alpha_per_cm", "n", "fit_rmse"]
-    rows = [
-        [sid] + [_fmt(params[c]) for c in header[1:]]
-        for sid, params, _ in results
-        if params is not None
-    ]
     _write_csv(args.out, header, rows, meta)
-    log_lines = _meta_comment_lines(meta) + [msg for _, _, msg in results]
     _write_text(log_path, "\n".join(log_lines) + "\n")
 
-    failures = sum(1 for _, params, _ in results if params is None)
+    failures = len(ids) - len(rows)
     if failures:
-        print(f"fit-vg: {failures} of {len(results)} samples failed; see {log_path}", file=sys.stderr)
-    if 2 * failures > len(results):
+        print(f"fit-vg: {failures} of {len(ids)} samples failed; see {log_path}", file=sys.stderr)
+    if 2 * failures > len(ids):
         return 1
     return 0
 

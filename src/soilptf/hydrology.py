@@ -8,9 +8,8 @@ calls. Water contents are volumetric fractions.
 Curve fitting takes each sample's points as one pair of arrays (tensions,
 water contents) and works on the (samples, points) matrices of all
 samples with one point count: the checks, the start values and the
-Levenberg-Marquardt lanes (fit_vg_curves). RetentionPoint is the
-one-point type of the fit_vg API and holds the point checks' texts; the
-fit builds none per point. Texture summary
+Levenberg-Marquardt lanes (fit_vg_curves); a tension must be a finite
+number >= 0 cm and a water content lie in [0, 1]. Texture summary
 statistics follow the geometric-mean particle diameter formulation with
 representative diameters clay 0.001 mm, silt 0.026 mm, sand 1.025 mm.
 """
@@ -72,23 +71,11 @@ class VgParameters:
         return 1.0 - 1.0 / self.n
 
 
-@dataclass(frozen=True)
-class RetentionPoint:
-    """One measured retention point: tension head [cm], water content [-]."""
-
-    tension: float
-    theta: float
-
-    def __post_init__(self):
-        if self.tension < 0:
-            raise HydrologyError(f"tension must be >= 0 cm, got {self.tension}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise HydrologyError(f"theta must lie in [0, 1], got {self.theta}")
-
-
+@np.errstate(over="ignore")
 def vg_curve(theta_r, theta_s, alpha, n, h):
     """theta(h), broadcast over its arguments and unchecked: parameters
-    (S, 1) and tensions h (P,) give the (S, P) curves."""
+    (S, 1) and tensions h (P,) give the (S, P) curves. Where (alpha*h)^n
+    overflows, the outer power takes its inf to theta_r, the dry limit."""
     m = 1.0 - 1.0 / n
     return theta_r + (theta_s - theta_r) * np.power(1.0 + np.power(alpha * h, n), -m)
 
@@ -178,9 +165,9 @@ def _curve_residuals(u, h, theta_obs):
     # a trailing axis against the points; asarray, as one lane's theta_r and
     # theta_s are Python floats
     theta_r, theta_s, alpha, n = (np.asarray(p)[..., None] for p in _unpack(u))
-    # extreme trial parameters overflow (alpha*h)^n; inf collapses to
-    # theta_r under the outer power, which is the correct dry limit
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a lane whose alpha or n is inf may give NaN (inf * 0 at h = 0); np.where
+    # sets all its residuals to NaN
+    with np.errstate(invalid="ignore"):
         pred = vg_curve(theta_r, theta_s, alpha, n, h)
     return np.where(np.isfinite(alpha) & np.isfinite(n), theta_obs - pred, np.nan)
 
@@ -322,18 +309,22 @@ def _fit_from_start(u0, h, theta_obs):
 
 def _check_points(h, theta_obs) -> list[HydrologyError | None]:
     """What rules out each of S samples with the points h, theta_obs (S, P),
-    or None: the first point that is no RetentionPoint (a negative tension,
-    or a water content outside [0, 1] or NaN; the tension is checked
-    first), then fewer than 5 points, then positive tensions that span less
-    than a factor of 10."""
+    or None: the first bad point (a tension that is not finite or is
+    negative, or a water content outside [0, 1] or NaN; at one point the
+    tension is checked first), then fewer than 5 points, then positive
+    tensions that span less than a factor of 10."""
     errors: list[HydrologyError | None] = [None] * len(h)
-    bad = (h < 0.0) | ~((0.0 <= theta_obs) & (theta_obs <= 1.0))
-    for i in np.flatnonzero(bad.any(axis=1)).tolist():
-        try:  # the first bad point raises, with RetentionPoint's text
-            for point in zip(h[i].tolist(), theta_obs[i].tolist()):
-                RetentionPoint(*point)
-        except HydrologyError as exc:
-            errors[i] = exc
+    bad = ~((0.0 <= h) & (h < math.inf) & (0.0 <= theta_obs) & (theta_obs <= 1.0))
+    refused = bad.any(axis=1)
+    for i in np.flatnonzero(refused).tolist():
+        j = bad[i].argmax()
+        tension, theta = h[i, j].item(), theta_obs[i, j].item()
+        if not math.isfinite(tension):
+            errors[i] = HydrologyError(f"tension must be a finite number, got {tension}")
+        elif tension < 0:
+            errors[i] = HydrologyError(f"tension must be >= 0 cm, got {tension}")
+        else:
+            errors[i] = HydrologyError(f"theta must lie in [0, 1], got {theta}")
     if h.shape[1] < 5:
         few = VgFitError(f"need at least 5 retention points, got {h.shape[1]}")
         return [few if err is None else err for err in errors]
@@ -341,10 +332,9 @@ def _check_points(h, theta_obs) -> list[HydrologyError | None]:
     spread = positive.any(axis=1)
     span = np.divide(np.where(positive, h, -np.inf).max(axis=1),
                      np.where(positive, h, np.inf).min(axis=1),
-                     out=np.zeros(len(h)), where=spread)
-    for i in np.flatnonzero(~spread | (span < 10.0)).tolist():
-        if errors[i] is None:
-            errors[i] = VgFitError("retention points must span at least a decade of tension")
+                     out=np.zeros(len(h)), where=spread & ~refused)
+    for i in np.flatnonzero(~refused & (~spread | (span < 10.0))).tolist():
+        errors[i] = VgFitError("retention points must span at least a decade of tension")
     return errors
 
 
@@ -385,9 +375,9 @@ def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
     samples is a sequence of (h, theta) pairs, each two 1-D float arrays of
     one sample's tensions [cm] and water contents [-]. Returns, per sample
     in order, its VgParameters with the fit RMSE, or the HydrologyError (a
-    VgFitError where the fit itself fails) that rules it out: a point that
-    is no RetentionPoint, fewer than 5 points, or positive tensions that
-    span less than a factor of 10 (_check_points). Samples with the same
+    VgFitError where the fit itself fails) that rules it out: a bad point,
+    fewer than 5 points, or positive tensions that span less than a factor
+    of 10 (_check_points). Samples with the same
     point count are checked and started as one (S, P) matrix, and fitted
     _BATCH_SAMPLES at a time in the order of their first valid sample: each
     (sample, start) of the _N_STARTS starts (_starts) is one lane of
@@ -435,16 +425,15 @@ def _pick_lanes(u, sse, converged, size) -> list[VgParameters | HydrologyError]:
         take = converged[:, k] & ((best < 0) | (sse[:, k] < best_sse))
         best[take] = k
         best_sse[take] = sse[take, k]
-    found = np.flatnonzero(best >= 0)
-    params = zip(*(p.tolist() for p in _unpack(u[found * _N_STARTS + best[found]])),
-                 best_sse[found].tolist())
-    fits = dict(zip(found.tolist(), params))
+    # one lane per row; a row without a converged lane takes lane 0 and is skipped
+    lanes = np.arange(len(sse)) * _N_STARTS + np.maximum(best, 0)
     results: list = []
-    for row in range(len(sse)):
-        if row not in fits:
+    for theta_r, theta_s, alpha, n, cost, found in zip(
+        *(p.tolist() for p in _unpack(u[lanes])), best_sse.tolist(), (best >= 0).tolist()
+    ):
+        if not found:
             results.append(VgFitError(f"no start converged within {_MAX_ITER} iterations"))
             continue
-        theta_r, theta_s, alpha, n, cost = fits[row]
         try:
             results.append(VgParameters(theta_r=theta_r, theta_s=theta_s, alpha=alpha, n=n,
                                         fit_rmse=math.sqrt(cost / size)))
@@ -455,12 +444,11 @@ def _pick_lanes(u, sse, converged, size) -> list[VgParameters | HydrologyError]:
 
 def fit_vg(points) -> VgParameters:
     """Least-squares van Genuchten fit to one sample's retention points,
-    RetentionPoints or (tension, theta) pairs: the one-sample call of
-    fit_vg_curves, whose batched Levenberg-Marquardt loop runs the
-    _N_STARTS starts of the sample as lanes. Raises its HydrologyError
-    (VgFitError where the fit fails)."""
-    pairs = np.array([(p.tension, p.theta) if isinstance(p, RetentionPoint) else p for p in points],
-                     dtype=float).reshape(-1, 2)
+    (tension [cm], theta [-]) pairs: the one-sample call of fit_vg_curves,
+    whose batched Levenberg-Marquardt loop runs the _N_STARTS starts of the
+    sample as lanes. Raises its HydrologyError (VgFitError where the fit
+    fails)."""
+    pairs = np.array(points, dtype=float).reshape(-1, 2)
     (result,) = fit_vg_curves([(pairs[:, 0], pairs[:, 1])])
     if isinstance(result, HydrologyError):
         raise result

@@ -10,7 +10,10 @@ documented scale rule, and noise enters the retention targets through
 small parameter jitter so the derived water contents keep their curve
 invariants.
 
-derive_row and feature_table build the feature/target table, here and
+generate evaluates each regime's formulas, the scale rule, the jitter and
+the clipping over whole columns; alpha, n and derive_row stay per sample,
+as their math.exp, math.log and ** can differ from numpy's in the last
+bit. derive_row and feature_table build the feature/target table, here and
 in derive-features alike.
 """
 
@@ -76,12 +79,13 @@ def feature_table(ids, rows) -> Dataset:
 
 @dataclass(frozen=True)
 class LinearSpec:
-    """intercept + sum(coef * feature) over named features."""
+    """intercept + sum(coef * feature) over named features; the features
+    may be floats or columns of one length."""
 
     intercept: float
     coefs: tuple[tuple[str, float], ...] = ()
 
-    def evaluate(self, features: dict[str, float]) -> float:
+    def evaluate(self, features: dict):
         return self.intercept + sum(c * features[name] for name, c in self.coefs)
 
 
@@ -93,10 +97,7 @@ class RegimeSpec:
     formulas: tuple[tuple[str, LinearSpec], ...]
 
     def formula(self, quantity: str) -> LinearSpec:
-        for q, spec in self.formulas:
-            if q == quantity:
-                return spec
-        raise KeyError(quantity)
+        return dict(self.formulas)[quantity]
 
 
 # The two texture regimes. Their formulas read sand, silt, clay (mass
@@ -131,11 +132,6 @@ BULK_DENSITY_RANGE = (1.1, 1.7)
 # Most samples one dataset holds, far above the few thousand the pipeline
 # is built for; a larger n is refused before anything is allocated.
 MAX_SAMPLES = 100_000
-
-
-def regime_of(sand: float) -> RegimeSpec:
-    """FINE below SAND_SPLIT percent sand, COARSE at and above it."""
-    return FINE if sand < SAND_SPLIT else COARSE
 
 
 def _check_noise_sd(name: str, value: float):
@@ -195,11 +191,10 @@ def two_regime_config(n_samples: int = 300, noise_sd: float = 0.01, seed: int = 
     )
 
 
-# Relative sizes of the parameter jitter mapping noise_sd to an
-# approximate water-content noise scale.
-_JITTER_LOG_ALPHA = 5.0
-_JITTER_LOG_N1 = 2.0
-_JITTER_THETA_S = 0.5
+# Standard deviations of the jitter of log_alpha, log_n1, theta_s and
+# log_ksat per unit of noise_sd, which maps noise_sd to an approximate
+# water-content noise scale.
+_JITTER = (5.0, 2.0, 0.5, 1.0)
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, dict]:
@@ -213,62 +208,55 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
     rng = np.random.default_rng(config.seed)
     n = config.n_samples
     texture = np.round(rng.dirichlet((1.0, 1.0, 1.0), size=n) * 100.0, 2)
-    bulk = np.round(rng.uniform(*BULK_DENSITY_RANGE, size=n), 3)
-    inner = rng.choice(np.asarray(INTERNAL_DIAMETERS_CM), size=n)
-    length = rng.choice(np.asarray(LENGTHS_CM), size=n)
+    basic = {
+        "sand": texture[:, 0],
+        "silt": texture[:, 1],
+        "clay": texture[:, 2],
+        "bulk_density": np.round(rng.uniform(*BULK_DENSITY_RANGE, size=n), 3),
+        "internal_diameter_cm": rng.choice(np.asarray(INTERNAL_DIAMETERS_CM), size=n),
+        "length_cm": rng.choice(np.asarray(LENGTHS_CM), size=n),
+    }
+    fine = basic["sand"] < SAND_SPLIT
+    theta_r, theta_s, log_alpha, log_n1, log_ksat = (
+        np.where(fine, FINE.formula(q).evaluate(basic), COARSE.formula(q).evaluate(basic))
+        for q in ("theta_r", "theta_s", "log_alpha", "log_n1", "log_ksat")
+    )
+    log_alpha = log_alpha + config.scale_alpha_per_cm * basic["length_cm"]
+    theta_s = theta_s + config.scale_theta_s_per_cm * basic["length_cm"]
+    if config.noise_sd > 0:  # drawn row-major: sample by sample, in this order
+        noise = rng.normal(0.0, [j * config.noise_sd for j in _JITTER], size=(n, 4))
+        jittered = np.stack([log_alpha, log_n1, theta_s, log_ksat]) + noise.T
+        log_alpha, log_n1, theta_s, log_ksat = jittered
+    theta_r = np.clip(theta_r, 0.0, 0.3)
+    theta_s = np.clip(theta_s, theta_r + 0.02, 0.99)
 
-    ids, rows = [], []
-    regimes: dict[str, str] = {}
-    effective: dict[str, dict[str, float]] = {}
-    for i in range(n):
-        sand, silt, clay = texture[i]
-        basic = {
-            "sand": float(sand),
-            "silt": float(silt),
-            "clay": float(clay),
-            "bulk_density": float(bulk[i]),
-            "internal_diameter_cm": float(inner[i]),
-            "length_cm": float(length[i]),
-        }
-        regime = regime_of(basic["sand"])
-        theta_r = regime.formula("theta_r").evaluate(basic)
-        theta_s = regime.formula("theta_s").evaluate(basic)
-        log_alpha = regime.formula("log_alpha").evaluate(basic)
-        log_n1 = regime.formula("log_n1").evaluate(basic)
-        log_ksat = regime.formula("log_ksat").evaluate(basic)
-
-        log_alpha += config.scale_alpha_per_cm * basic["length_cm"]
-        theta_s += config.scale_theta_s_per_cm * basic["length_cm"]
-
-        if config.noise_sd > 0:
-            log_alpha += rng.normal(0.0, _JITTER_LOG_ALPHA * config.noise_sd)
-            log_n1 += rng.normal(0.0, _JITTER_LOG_N1 * config.noise_sd)
-            theta_s += rng.normal(0.0, _JITTER_THETA_S * config.noise_sd)
-            log_ksat += rng.normal(0.0, config.noise_sd)
-
-        theta_r = float(np.clip(theta_r, 0.0, 0.3))
-        theta_s = float(np.clip(theta_s, theta_r + 0.02, 0.99))
-        params = VgParameters(
-            theta_r=theta_r,
-            theta_s=theta_s,
-            alpha=math.exp(log_alpha),
-            n=1.0 + math.exp(log_n1),
-        )
-        sid = f"s{i:04d}"
-        ids.append(sid)
-        rows.append(derive_row(basic, params, float(log_ksat)))
-        regimes[sid] = regime.name
-        effective[sid] = {
-            "theta_r": params.theta_r,
-            "theta_s": params.theta_s,
-            "alpha": params.alpha,
-            "n": params.n,
-            "log_ksat": float(log_ksat),
-        }
+    ids = [f"s{i:04d}" for i in range(n)]
+    regimes = dict(zip(ids, np.where(fine, FINE.name, COARSE.name).tolist()))
+    basic_rows = [dict(zip(basic, values)) for values in zip(*(c.tolist() for c in basic.values()))]
+    rows, effective = [], {}
+    columns = (c.tolist() for c in (theta_r, theta_s, log_alpha, log_n1, log_ksat))
+    for sid, features, tr, ts, la, ln1, lk in zip(ids, basic_rows, *columns):
+        params = VgParameters(theta_r=tr, theta_s=ts, alpha=_exp(sid, "alpha", la),
+                              n=1.0 + _exp(sid, "n - 1", ln1))
+        rows.append(derive_row(features, params, lk))
+        effective[sid] = {"theta_r": tr, "theta_s": ts, "alpha": params.alpha, "n": params.n,
+                          "log_ksat": lk}
 
     dataset = feature_table(ids, rows)
     truth = {"config": config.to_dict(), "regimes": regimes, "effective_params": effective}
     return dataset, truth
+
+
+def _exp(sid: str, name: str, value: float) -> float:
+    """math.exp(value); a SynthError naming the sample and quantity where
+    that is no finite number."""
+    try:
+        result = math.exp(value)
+        if result < math.inf:
+            return result
+    except OverflowError:
+        pass
+    raise SynthError(f"sample {sid}: {name} = exp({value!r}) lies beyond float range")
 
 
 def generate_retention(

@@ -34,7 +34,6 @@ from soilptf.hydrology import (
     MODEL_CONFIGS,
     SCALE_FEATURES,
     ModelConfig,
-    RetentionPoint,
     VgParameters,
     fit_vg,
     inflection_point,
@@ -222,8 +221,7 @@ def test_criterion_04_parameter_recovery():
     worst_clean = 0.0
     for _ in range(50):
         p = _random_params(rng)
-        points = [RetentionPoint(tension=float(h), theta=float(vg_theta(p, float(h))))
-                  for h in _TENSIONS_40]
+        points = [(float(h), float(vg_theta(p, float(h)))) for h in _TENSIONS_40]
         worst_clean = max(worst_clean, _worst_rel_error(p, fit_vg(points)))
 
     rng = np.random.default_rng(2024)
@@ -232,8 +230,7 @@ def test_criterion_04_parameter_recovery():
         p = _random_params(rng)
         theta = np.array([vg_theta(p, float(h)) for h in _TENSIONS_40])
         noisy = theta + rng.normal(0.0, 0.01 * theta)
-        points = [RetentionPoint(tension=float(h), theta=float(t))
-                  for h, t in zip(_TENSIONS_40, noisy)]
+        points = [(float(h), float(t)) for h, t in zip(_TENSIONS_40, noisy)]
         try:
             hits += _worst_rel_error(p, fit_vg(points)) <= 0.05
         except Exception:

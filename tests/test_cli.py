@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import soilptf
@@ -244,6 +244,42 @@ def test_synth_bad_noise_is_one_line_runtime_error(tmp_path, capsys, flag, value
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "noise_sd" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["2", "3"])
+def test_synth_exp_overflow_is_one_line_runtime_error(tmp_path, capsys, seed):
+    # a log alpha jitter of sd 5e300 leaves the range of math.exp
+    out = tmp_path / "d"
+    assert run(["synth", "--out-dir", out, "--n", "5", "--noise-sd", "1e300", "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample s0000: alpha = exp(") and err.count("\n") == 1
+    assert err.endswith(") lies beyond float range\n")
+    assert not out.exists()
+
+
+_NOISE = st.sampled_from([1e300, math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1e308]) | st.floats()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_NOISE, _NOISE, st.integers(0, 20), st.integers(1, 8))
+@example(1e308, 1e300, 0, 1)  # a jitter sd of 5e308 is inf, and so is exp(inf)
+def test_synth_noise_sweep_ends_cleanly(noise_sd, retention_noise_sd, seed, n):
+    # whatever the noise levels: exit 0, 1 or 2 without a traceback, and a
+    # failure writes nothing
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "s"
+        argv = ["synth", "--out-dir", out, "--n", n, "--seed", seed, "--retention",
+                f"--noise-sd={noise_sd!r}", f"--retention-noise-sd={retention_noise_sd!r}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                rc = run(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            assert not out.exists()
 
 
 def test_synth_out_dir_collision(tmp_path, capsys):

@@ -21,7 +21,6 @@ from soilptf.hydrology import (
     TENSION_LADDER_KPA,
     HydrologyError,
     ModelConfig,
-    RetentionPoint,
     VgFitError,
     VgParameters,
     derived_water_contents,
@@ -99,11 +98,18 @@ def test_parameter_validation():
 
 
 def test_retention_point_validation():
-    RetentionPoint(tension=0.0, theta=0.0)
-    with pytest.raises(HydrologyError, match="tension"):
-        RetentionPoint(tension=-1.0, theta=0.3)
-    with pytest.raises(HydrologyError, match="theta"):
-        RetentionPoint(tension=10.0, theta=1.2)
+    # the three cases at the fifth point of a clean 13-point curve; the
+    # point (0, 0) is valid, and the sample is fitted
+    h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
+    samples = []
+    for tension, theta in ((0.0, 0.0), (-1.0, 0.3), (10.0, 1.2)):
+        h_k, theta_k = h.copy(), vg_theta(LOAM, h)
+        h_k[4], theta_k[4] = tension, theta
+        samples.append((h_k, theta_k))
+    ok, negative, wet = hydrology.fit_vg_curves(samples)
+    assert isinstance(ok, VgParameters)
+    assert _bits(negative) == ("HydrologyError", "tension must be >= 0 cm, got -1.0")
+    assert _bits(wet) == ("HydrologyError", "theta must lie in [0, 1], got 1.2")
 
 
 def test_inflection_closed_form():
@@ -159,7 +165,7 @@ def test_fit_recovers_noise_free_curve():
 
 def test_fit_accepts_retention_points_and_is_deterministic():
     h = np.geomspace(3.0, 8000.0, 9)
-    pts = [RetentionPoint(float(t), vg_theta(LOAM, float(t))) for t in h]
+    pts = [(float(t), vg_theta(LOAM, float(t))) for t in h]
     a = fit_vg(pts)
     b = fit_vg(pts)
     assert (a.theta_r, a.theta_s, a.alpha, a.n) == (b.theta_r, b.theta_s, b.alpha, b.n)
@@ -448,14 +454,39 @@ def test_fit_input_requirements():
         fit_vg([(-1.0, 0.4)] * 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_refuses_non_finite_tensions(bad):
+    h = [0.0, 1.0, 10.0, 100.0, 1000.0, 15000.0]
+    pts = [(t, vg_theta(LOAM, t)) for t in h]
+    pts[3] = (bad, pts[3][1])
+    with pytest.raises(HydrologyError, match=f"^tension must be a finite number, got {bad}$"):
+        fit_vg(pts)
+    # an infinite median of the positive tensions, which no start could use
+    pts = [(t, vg_theta(LOAM, t)) for t in h] + [(math.inf, LOAM.theta_r)] * 5
+    with pytest.raises(HydrologyError, match="^tension must be a finite number, got inf$"):
+        fit_vg(pts)
+
+
+def _reference_point(tension, theta):
+    """The per-point check: a finite tension >= 0 cm, then theta in [0, 1]."""
+    if not math.isfinite(tension):
+        raise HydrologyError(f"tension must be a finite number, got {tension}")
+    if tension < 0:
+        raise HydrologyError(f"tension must be >= 0 cm, got {tension}")
+    if not 0.0 <= theta <= 1.0:
+        raise HydrologyError(f"theta must lie in [0, 1], got {theta}")
+
+
 def _reference_fit_input(points):
-    """The per-sample check fit_vg_curves made before the array route: one
-    RetentionPoint per point, then the count, then the decade."""
-    pts = [p if isinstance(p, RetentionPoint) else RetentionPoint(*p) for p in points]
-    if len(pts) < 5:
-        raise VgFitError(f"need at least 5 retention points, got {len(pts)}")
-    h = np.array([p.tension for p in pts], dtype=float)
-    theta_obs = np.array([p.theta for p in pts], dtype=float)
+    """One sample's checks, one after another as fit_vg_curves made them
+    before the array route: each point in turn (_reference_point), then the
+    count, then the decade."""
+    for point in points:
+        _reference_point(*point)
+    if len(points) < 5:
+        raise VgFitError(f"need at least 5 retention points, got {len(points)}")
+    h = np.array([t for t, _ in points], dtype=float)
+    theta_obs = np.array([w for _, w in points], dtype=float)
     positive = h[h > 0]
     if positive.size == 0 or positive.max() / positive.min() < 10.0:
         raise VgFitError("retention points must span at least a decade of tension")
@@ -487,7 +518,7 @@ def _reference_pick(sse, converged):
 
 def _reference_fit_vg_curves(samples):
     """fit_vg_curves before the array route, sample by sample: each sample's
-    points checked through RetentionPoint, its starts from
+    points checked by _reference_fit_input, its starts from
     _reference_starts, its lanes fitted alone."""
     results = []
     for points in samples:
@@ -522,7 +553,8 @@ _FAULTS = st.lists(
     st.tuples(
         st.sampled_from(["tension", "theta", "tension_nan"]),
         st.floats(0.0, 0.999),
-        st.sampled_from([-1.0, -1e-300, -0.0, 0.0, 1.0, 1.0 + 2**-52, 1.5, math.nan]),
+        st.sampled_from([-1.0, -1e-300, -0.0, 0.0, 1.0, 1.0 + 2**-52, 1.5, math.nan, math.inf,
+                         -math.inf]),
     ),
     max_size=3,
 )
@@ -567,7 +599,7 @@ def _sample_points(points, tensions, theta_r, span, log_alpha, n, seed, faults):
             pairs[j] = (value, water)
         elif kind == "theta":
             pairs[j] = (tension, value)
-        else:  # a NaN tension passes RetentionPoint and is no positive tension
+        else:  # a NaN tension is refused, as no finite number
             pairs[j] = (math.nan, water)
     return pairs
 
@@ -584,9 +616,10 @@ def _sample_points(points, tensions, theta_r, span, log_alpha, n, seed, faults):
           (15, "ladder", 0.05, 0.4, -1.7, 1.6, 8, [("tension", 0.3, -1.0), ("theta", 0.3, 1.5)])])
 @example([(9, "decade", 0.05, 0.4, -1.7, 1.6, 9, [("theta", 0.2, 0.0), ("theta", 0.6, 1.0)]),
           (13, "zero_first", 0.05, 0.4, -1.7, 1.6, 10, [("tension", 0.5, -0.0)])])
+@example([(5, "all_zero", 0.0, 0.5, -1.0, 2.0, 0, [("tension", 0.0, math.inf)])])
 def test_fit_vg_curves_matches_the_per_sample_route(samples):
     # valid and invalid samples of several point counts, as array pairs:
-    # every result and every error text as the RetentionPoint route gives it
+    # every result and every error text as the per-sample route gives it
     pairs = [_sample_points(*spec) for spec in samples]
     got = hydrology.fit_vg_curves([_arrays(pts) for pts in pairs])
     assert [_bits(r) for r in got] == [_bits(r) for r in _reference_fit_vg_curves(pairs)]

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilptf.data import KNOWN_FEATURES, validate_dataset
-from soilptf.hydrology import KPA_TO_CM, VgParameters, vg_theta
+from soilptf.hydrology import KPA_TO_CM, HydrologyError, VgParameters, vg_theta
 from soilptf.synth import (
+    BULK_DENSITY_RANGE,
     COARSE,
     FINE,
     INTERNAL_DIAMETERS_CM,
@@ -19,12 +22,18 @@ from soilptf.synth import (
     SynthConfig,
     SynthError,
     default_synth_config,
+    derive_row,
+    feature_table,
     generate,
     generate_retention,
-    regime_of,
     scale_effect_config,
     two_regime_config,
 )
+
+
+def regime_of(sand):
+    """FINE below SAND_SPLIT percent sand, COARSE at and above it."""
+    return FINE if sand < SAND_SPLIT else COARSE
 
 
 def rows(ds):
@@ -63,9 +72,12 @@ def test_config_validation():
 
 
 def test_regime_boundary_belongs_right():
-    assert regime_of(59.99) is FINE
-    assert regime_of(60.0) is COARSE
-    assert regime_of(95.0) is COARSE
+    # seed 18 draws sand of exactly 60.0 % once and 59.99 % twice
+    ds, truth = generate(two_regime_config(n_samples=2000, seed=18))
+    sand = ds.columns["sand"]
+    at, below = np.flatnonzero(sand == 60.0).tolist(), np.flatnonzero(sand == 59.99).tolist()
+    assert (at, below) == ([1385], [265, 679])
+    assert [truth["regimes"][ds.ids[i]] for i in at + below] == ["coarse", "fine", "fine"]
 
 
 def test_generate_shapes_and_ids():
@@ -172,6 +184,65 @@ def test_jitter_scales_with_noise_sd():
     assert np.std(dev_alpha) == pytest.approx(5.0 * noise_sd, rel=0.35)
     assert np.std(dev_ksat) == pytest.approx(noise_sd, rel=0.35)
     assert abs(np.mean(dev_alpha)) < 0.02
+
+
+def _reference_generate(config):
+    """generate sample by sample, as it was before its columnar form: one
+    regime lookup, five formula evaluations and four jitter draws per
+    sample."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n_samples
+    texture = np.round(rng.dirichlet((1.0, 1.0, 1.0), size=n) * 100.0, 2)
+    bulk = np.round(rng.uniform(*BULK_DENSITY_RANGE, size=n), 3)
+    inner = rng.choice(np.asarray(INTERNAL_DIAMETERS_CM), size=n)
+    length = rng.choice(np.asarray(LENGTHS_CM), size=n)
+    ids, rows, regimes, effective = [], [], {}, {}
+    for i in range(n):
+        sand, silt, clay = texture[i]
+        basic = {"sand": float(sand), "silt": float(silt), "clay": float(clay),
+                 "bulk_density": float(bulk[i]), "internal_diameter_cm": float(inner[i]),
+                 "length_cm": float(length[i])}
+        regime = regime_of(basic["sand"])
+        theta_r, theta_s, log_alpha, log_n1, log_ksat = (
+            regime.formula(q).evaluate(basic)
+            for q in ("theta_r", "theta_s", "log_alpha", "log_n1", "log_ksat"))
+        log_alpha += config.scale_alpha_per_cm * basic["length_cm"]
+        theta_s += config.scale_theta_s_per_cm * basic["length_cm"]
+        if config.noise_sd > 0:
+            log_alpha += rng.normal(0.0, 5.0 * config.noise_sd)
+            log_n1 += rng.normal(0.0, 2.0 * config.noise_sd)
+            theta_s += rng.normal(0.0, 0.5 * config.noise_sd)
+            log_ksat += rng.normal(0.0, config.noise_sd)
+        theta_r = float(np.clip(theta_r, 0.0, 0.3))
+        theta_s = float(np.clip(theta_s, theta_r + 0.02, 0.99))
+        params = VgParameters(theta_r=theta_r, theta_s=theta_s, alpha=math.exp(log_alpha),
+                              n=1.0 + math.exp(log_n1))
+        sid = f"s{i:04d}"
+        ids.append(sid)
+        rows.append(derive_row(basic, params, float(log_ksat)))
+        regimes[sid] = regime.name
+        effective[sid] = {"theta_r": params.theta_r, "theta_s": params.theta_s,
+                          "alpha": params.alpha, "n": params.n, "log_ksat": float(log_ksat)}
+    truth = {"config": config.to_dict(), "regimes": regimes, "effective_params": effective}
+    return feature_table(ids, rows), truth
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([default_synth_config, two_regime_config, scale_effect_config]),
+       st.integers(1, 60), st.integers(0, 2**32), st.sampled_from([0.0, 0.01, 0.05, 1.0]))
+def test_generate_matches_the_per_sample_route(factory, n, seed, noise_sd):
+    # the dataset columns bit for bit, and truth as truth.json writes it
+    config = factory(n_samples=n, noise_sd=noise_sd, seed=seed)
+    outcomes = []
+    for route in (generate, _reference_generate):
+        try:
+            ds, truth = route(config)
+        except HydrologyError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+            continue
+        columns = {c: col.tobytes() for c, col in ds.columns.items()}
+        outcomes.append((ds.ids, columns, json.dumps(truth, sort_keys=True)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_generate_retention_rows():

@@ -6,7 +6,8 @@ Usage:
 The pipeline runs `python -m soilptf` from DIR (default: the `src` directory
 of the checkout holding this script) in a fresh temporary directory:
 
-    synth two-regime n=300 --retention, fit-vg, derive-features,
+    synth two-regime n=300 --retention, synth default n=120 --noise-sd 0
+    (the scale rule without jitter), fit-vg, derive-features,
     train SWRC2, SWRC4 and SHC2 cpxr and SWRC3 mlr,
     evaluate SWRC2 cpxr,mlr --reps 1 --k 5, predict SWRC4 --curve, report,
     and fit-vg on a mixed retention table the script writes itself
@@ -37,6 +38,8 @@ SEED = "7"
 STEPS = [
     ("synth", ["synth", "--out-dir", "data", "--kind", "two-regime", "--n", "300",
                "--retention"]),
+    ("synth-default-noise0", ["synth", "--out-dir", "default0", "--kind", "default",
+                              "--noise-sd", "0", "--n", "120"]),
     ("fit-vg", ["fit-vg", "--input", "data/retention.csv", "--out", "vg.csv",
                 "--jobs", "1"]),
     ("derive", ["derive-features", "--basic", "data/dataset.csv", "--vg", "vg.csv",
