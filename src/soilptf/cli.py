@@ -39,18 +39,20 @@ from .evaluation import MAX_REPETITIONS, EvaluationError, EvaluationReport, comp
 from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
+    VG_FEATURES,
     HydrologyError,
-    VgParameters,
+    each,
     fit_vg,  # not called here; benchmark/trace_child.py spans soilptf.cli.fit_vg
     fit_vg_curves,
+    parameter_faults,
+    texture_faults,
     vg_curve,
 )
 from .linreg import FitError, LinearModel, fit_local
 from .synth import (
     SynthError,
     default_synth_config,
-    derive_row,
-    feature_table,
+    derive_columns,
     generate,
     generate_retention,
     scale_effect_config,
@@ -330,26 +332,22 @@ def cmd_derive_features(args) -> int:
     if not rows:
         raise DataError(f"no sample of {basic_path} has fitted parameters in {vg_path}")
     ids = [basic_ids[i] for i in rows]
-    b = {c: basic[c][rows].tolist() for c in BASIC_COLUMNS}
-    v = {c: vg[c][[vg_row[sid] for sid in ids]].tolist() for c in VG_COLUMNS}
+    b = {c: basic[c][rows] for c in BASIC_COLUMNS}
+    v = {c: vg[c][[vg_row[sid] for sid in ids]] for c in VG_COLUMNS}
     _require_values(basic_path, ids, b, BASIC_REQUIRED)
     _require_values(vg_path, ids, v, VG_COLUMNS)
 
-    samples = []
-    for k, sid in enumerate(ids):
-        params = VgParameters(
-            theta_r=v["theta_r"][k],
-            theta_s=v["theta_s"][k],
-            alpha=v["alpha_per_cm"][k],
-            n=v["n"][k],
-        )
-        ksat = b["ksat_cm_day"][k]  # NaN when not measured
-        if ksat <= 0:
-            raise DataError(f"{basic_path}: sample {sid!r} has non-positive ksat_cm_day")
-        basic_row = {c: b[c][k] for c in MEASURED_COLUMNS}
-        samples.append(derive_row(basic_row, params, math.log(ksat)))
-
-    dataset = feature_table(ids, samples)
+    # a sample's parameters are checked first, then its ksat, then its texture
+    ksat = b["ksat_cm_day"]  # NaN when not measured
+    params = dict(zip(VG_FEATURES, v.values()))
+    faults = [(i, f"{vg_path}: sample {ids[i]!r}: {p}") for i, p in parameter_faults(**params)]
+    faults += [(i, f"{basic_path}: sample {ids[i]!r} has non-positive ksat_cm_day")
+               for i in np.flatnonzero(ksat <= 0).tolist()]
+    faults += [(i, f"{basic_path}: sample {ids[i]!r}: {p}")
+               for i, p in texture_faults(b["sand"], b["silt"], b["clay"])]
+    if faults:  # the lowest row's first problem
+        raise DataError(min(faults, key=lambda fault: fault[0])[1])
+    dataset = derive_columns(ids, {c: b[c] for c in MEASURED_COLUMNS}, params, each(math.log, ksat))
     header, out_rows = _dataset_to_rows(dataset)
     _write_csv(args.out, header, out_rows, meta)
     if skipped:
@@ -538,27 +536,6 @@ def _model_paths(spec: str) -> list[Path]:
     return [_require_file(p)]
 
 
-def _exp_prediction(sid: str, target: str, value: float) -> float:
-    try:
-        return math.exp(value)
-    except OverflowError:
-        raise DataError(
-            f"sample {sid!r}: predicted {target} {value:g} is too large to "
-            "expand into a curve"
-        ) from None
-
-
-def _clamped_vg(sid: str, theta_r: float, theta_s: float, log_alpha: float,
-                log_n: float) -> tuple[float, float, float, float]:
-    """(theta_r, theta_s, alpha, n) of one sample's predicted PARAMETRIC_TARGETS.
-    Predictions can land slightly outside the feasible region; nudge them
-    back so the curve stays defined."""
-    theta_s = min(max(theta_s, 0.012), 0.99)
-    theta_r = min(max(theta_r, 0.0), theta_s - 0.01)
-    alpha = max(_exp_prediction(sid, "log_alpha", log_alpha), 1e-8)
-    return theta_r, theta_s, alpha, max(_exp_prediction(sid, "log_n", log_n), 1.000001)
-
-
 def cmd_predict(args) -> int:
     if args.curve:
         _require_distinct("--out", args.out, "--curve", args.curve)
@@ -613,11 +590,18 @@ def cmd_predict(args) -> int:
             raise UsageError(
                 f"--curve needs models for all of {list(PARAMETRIC_TARGETS)}, have {order}"
             )
-        predicted = stacked[:, [order.index(t) for t in PARAMETRIC_TARGETS]].tolist()
-        params = np.array([_clamped_vg(sid, *p) for sid, p in zip(dataset.ids, predicted)])
+        theta_r, theta_s, log_alpha, log_n = stacked[:, [order.index(t) for t in PARAMETRIC_TARGETS]].T
+        alpha, n = each(math.exp, log_alpha), each(math.exp, log_n)
+        for i in np.flatnonzero((alpha == math.inf) | (n == math.inf))[:1].tolist():
+            target, value = ("log_alpha", log_alpha[i]) if alpha[i] == math.inf else ("log_n", log_n[i])
+            raise DataError(f"sample {dataset.ids[i]!r}: predicted {target} {value:g} is too large "
+                            "to expand into a curve")
+        # nudge predictions outside the feasible region back, so the curve stays defined
+        theta_s = np.minimum(np.maximum(theta_s, 0.012), 0.99)
+        params = (np.minimum(np.maximum(theta_r, 0.0), theta_s - 0.01), theta_s,
+                  np.maximum(alpha, 1e-8), np.maximum(n, 1.000001))
         tensions = np.geomspace(1.0, 15000.0, 50)
-        # reshape: an empty table gives shape (0,), not (0, 4)
-        theta = vg_curve(*params.reshape(-1, 4).T[:, :, None], tensions)  # (samples, tensions)
+        theta = vg_curve(*(p[:, None] for p in params), tensions)  # (samples, tensions)
         h_text = [_fmt(h) for h in tensions]
         # repr(float) is the text _fmt gives
         curve_rows = [[sid, h, repr(t)] for sid, curve in zip(dataset.ids, theta.tolist())

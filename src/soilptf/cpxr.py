@@ -348,7 +348,8 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
         return baseline_only([float(np.abs(r0).sum())])
 
     # each pattern's item rows, padded with an all-true row, ANDed in one gather;
-    # its _pattern_order_key from the item texts, each formatted once
+    # its order key, (-growth, -support_le, length, text), from the item texts,
+    # each formatted once
     item_index = {it: j for j, it in enumerate(items)}
     item_text = [str(it) for it in items]
     width = max(len(pat) for pat, _ in mined)

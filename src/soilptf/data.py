@@ -95,6 +95,14 @@ class Dataset:
         return out
 
 
+@np.errstate(over="ignore")  # an inf sum is refused like any other
+def texture_sum_faults(sand, silt, clay) -> list[tuple[int, str]]:
+    """(row index, problem) of each row whose texture is not 100 +/- TEXTURE_SUM_TOL."""
+    total = sand + silt + clay
+    return [(i, f"sand+silt+clay = {total[i]:g}, expected 100 +/- {TEXTURE_SUM_TOL}")
+            for i in np.flatnonzero(np.abs(total - 100.0) > TEXTURE_SUM_TOL).tolist()]
+
+
 def validate_dataset(dataset: Dataset) -> list[tuple[int, str]]:
     """Return (row index, problem) pairs for invariant violations, in row
     order and, within a row, in rule order; empty if the data are clean."""
@@ -102,9 +110,7 @@ def validate_dataset(dataset: Dataset) -> list[tuple[int, str]]:
     features = set(dataset.feature_names)
     found = []
     if {"sand", "silt", "clay"} <= features:
-        total = cols["sand"] + cols["silt"] + cols["clay"]
-        for i in np.flatnonzero(np.abs(total - 100.0) > TEXTURE_SUM_TOL):
-            found.append((i, f"sand+silt+clay = {total[i]:g}, expected 100 +/- {TEXTURE_SUM_TOL}"))
+        found.extend(texture_sum_faults(cols["sand"], cols["silt"], cols["clay"]))
     for name in ("internal_diameter_cm", "length_cm"):
         if name in features:
             for i in np.flatnonzero(cols[name] <= 0):

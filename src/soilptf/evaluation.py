@@ -120,10 +120,6 @@ class EvaluationReport:
     target_names: list[str]
     records: list[IterationRecord] = field(default_factory=list)
 
-    @property
-    def iteration_count(self) -> int:
-        return len(self.records)
-
     def summary(self, split: str = "test") -> dict[str, MetricSet]:
         """Per-target metrics averaged over iterations; r2 and rmsle are
         averaged over the iterations where they are defined."""

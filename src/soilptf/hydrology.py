@@ -12,6 +12,9 @@ Levenberg-Marquardt lanes (fit_vg_curves); a tension must be a finite
 number >= 0 cm and a water content lie in [0, 1]. Texture summary
 statistics follow the geometric-mean particle diameter formulation with
 representative diameters clay 0.001 mm, silt 0.026 mm, sand 1.025 mm.
+Water contents, texture statistics and their checks run over columns;
+derived_water_contents, texture_statistics and VgParameters call them on
+one row.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+
+from .data import texture_sum_faults
 
 # Tension unit conversion: 1 kPa of suction is 10.197 cm of water head.
 KPA_TO_CM = 10.197
@@ -57,18 +62,36 @@ class VgParameters:
     fit_rmse: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_r < self.theta_s <= 1.0:
-            raise HydrologyError(
-                f"need 0 <= theta_r < theta_s <= 1, got {self.theta_r}, {self.theta_s}"
-            )
-        if self.alpha <= 0:
-            raise HydrologyError(f"alpha must be positive, got {self.alpha}")
-        if self.n <= 1:
-            raise HydrologyError(f"n must exceed 1, got {self.n}")
+        faults = parameter_faults(*(np.array([v]) for v in (self.theta_r, self.theta_s, self.alpha, self.n)))
+        if faults:
+            raise HydrologyError(faults[0][1])
 
     @property
     def m(self) -> float:
         return 1.0 - 1.0 / self.n
+
+
+def parameter_faults(theta_r, theta_s, alpha, n) -> list[tuple[int, str]]:
+    """(row index, problem) of each rule that a row of the parameter columns
+    breaks, rule by rule in VgParameters' order."""
+    rules = ((~((0.0 <= theta_r) & (theta_r < theta_s) & (theta_s <= 1.0)),
+              "need 0 <= theta_r < theta_s <= 1, got {0}, {1}"),
+             (alpha <= 0, "alpha must be positive, got {2}"),
+             (n <= 1, "n must exceed 1, got {3}"))
+    return [(i, text.format(*(c[i].item() for c in (theta_r, theta_s, alpha, n))))
+            for bad, text in rules for i in np.flatnonzero(bad).tolist()]
+
+
+def each(f, column) -> np.ndarray:
+    """f of each value of column as a Python float, inf where f overflows:
+    math.exp, math.log and ** can differ from numpy's in the last bit."""
+    out = []
+    for x in np.asarray(column).tolist():
+        try:
+            out.append(f(x))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, dtype=float)
 
 
 @np.errstate(over="ignore")
@@ -92,19 +115,24 @@ def vg_theta(params: VgParameters, h):
 def inflection_point(params: VgParameters) -> tuple[float, float]:
     """Tension head and water content at the inflection of theta versus
     h, where (alpha*h)^n = m."""
-    m = params.m
-    h_i = m ** (1.0 / params.n) / params.alpha
-    theta_i = params.theta_r + (params.theta_s - params.theta_r) * (1.0 + m) ** (-m)
-    return h_i, theta_i
+    return params.m ** (1.0 / params.n) / params.alpha, derived_water_contents(params)["theta_i"]
+
+
+def water_content_columns(theta_r, theta_s, alpha, n) -> dict[str, np.ndarray]:
+    """derived_water_contents over parameter columns, unchecked
+    (parameter_faults); the ladder from one vg_curve call."""
+    h = np.array((0.0,) + tuple(kpa * KPA_TO_CM for kpa in TENSION_LADDER_KPA))
+    theta = vg_curve(*(c[:, None] for c in (theta_r, theta_s, alpha, n)), h)
+    theta_i = theta_r + (theta_s - theta_r) * each(lambda m: (1.0 + m) ** -m, 1.0 - 1.0 / n)
+    return {"theta_s": theta[:, 0], "theta_i": theta_i,
+            **{f"theta_{kpa}": theta[:, k] for k, kpa in enumerate(TENSION_LADDER_KPA, 1)}}
 
 
 def derived_water_contents(params: VgParameters) -> dict[str, float]:
     """Point targets from a retention curve: saturation, inflection and
     the water contents at TENSION_LADDER_KPA."""
-    theta = vg_theta(params, (0.0,) + tuple(kpa * KPA_TO_CM for kpa in TENSION_LADDER_KPA))
-    out = {"theta_s": float(theta[0]), "theta_i": inflection_point(params)[1]}
-    out.update((f"theta_{int(kpa)}", float(t)) for kpa, t in zip(TENSION_LADDER_KPA, theta[1:]))
-    return out
+    columns = (np.array([v]) for v in (params.theta_r, params.theta_s, params.alpha, params.n))
+    return {name: column.item() for name, column in water_content_columns(*columns).items()}
 
 
 # ----------------------------------------------------------------------
@@ -459,20 +487,32 @@ def fit_vg(points) -> VgParameters:
 # texture statistics
 # ----------------------------------------------------------------------
 
+def texture_faults(sand, silt, clay) -> list[tuple[int, str]]:
+    """(row index, problem) of each rule that a row of the texture columns
+    breaks, rule by rule: no negative fraction, then texture_sum_faults."""
+    negative = (np.column_stack([sand, silt, clay]) / 100.0 < 0).any(axis=1)
+    return [(i, f"negative texture fraction: {sand[i].item()}, {silt[i].item()}, {clay[i].item()}")
+            for i in np.flatnonzero(negative).tolist()] + texture_sum_faults(sand, silt, clay)
+
+
+def texture_columns(sand, silt, clay) -> tuple[np.ndarray, np.ndarray]:
+    """texture_statistics over columns, unchecked (texture_faults). vecdot
+    gives each row's dot as a 1-D dot does; F @ v can differ in the last bit."""
+    fractions = np.column_stack([sand, silt, clay]) / 100.0
+    log_d = np.log(np.array([SAND_DIAMETER_MM, SILT_DIAMETER_MM, CLAY_DIAMETER_MM]))
+    a = np.vecdot(fractions, log_d)
+    b = np.sqrt(np.maximum(np.vecdot(fractions, log_d**2) - a * a, 0.0))
+    return each(math.exp, a), each(math.exp, b)
+
+
 def texture_statistics(sand: float, silt: float, clay: float) -> tuple[float, float]:
     """Geometric mean particle diameter d_g (mm) and geometric standard
     deviation sigma_g from sand/silt/clay mass percentages."""
-    fractions = np.array([sand, silt, clay], dtype=float) / 100.0
-    if np.any(fractions < 0):
-        raise HydrologyError(f"negative texture fraction: {sand}, {silt}, {clay}")
-    total = float(fractions.sum())
-    if abs(total - 1.0) > 0.005:
-        raise HydrologyError(f"sand+silt+clay = {total * 100:g}%, expected 100 +/- 0.5")
-    log_d = np.log(np.array([SAND_DIAMETER_MM, SILT_DIAMETER_MM, CLAY_DIAMETER_MM]))
-    a = float(fractions @ log_d)
-    spread = float(fractions @ log_d**2) - a * a
-    b = math.sqrt(max(spread, 0.0))
-    return math.exp(a), math.exp(b)
+    columns = [np.array([v]) for v in (sand, silt, clay)]
+    faults = texture_faults(*columns)
+    if faults:
+        raise HydrologyError(faults[0][1])
+    return tuple(column.item() for column in texture_columns(*columns))
 
 
 # ----------------------------------------------------------------------

@@ -132,11 +132,6 @@ class ContrastStats:
         return self.support_le / self.support_se
 
 
-def _pattern_order_key(pattern: Pattern, stats: ContrastStats):
-    # descending growth, then descending support_le, then shorter, then text
-    return (-stats.growth, -stats.support_le, len(pattern), str(pattern))
-
-
 def _mine_masks(
     items: list[Item],
     masks_le: np.ndarray,
@@ -154,8 +149,8 @@ def _mine_masks(
     min_support_le (and at least min_count_le samples), its growth rate is
     at least min_growth and it has at most max_len items. Support is
     anti-monotone, so candidates are pruned on it alone; growth is checked
-    at emission. Patterns come out level by level, not in
-    _pattern_order_key order; within a level, pattern by pattern of the
+    at emission. Patterns come out level by level, not in the order
+    train_cpxr scans them in; within a level, pattern by pattern of the
     level before, each extended by every later item of another feature in
     item order.
 
@@ -227,8 +222,8 @@ def filter_similar_masks(order_keys, masks: np.ndarray, jaccard_max: float) -> l
     """Drop candidates whose matching rows nearly duplicate a kept one's.
 
     Greedy scan in ascending order_keys order (for mined patterns,
-    _pattern_order_key: descending growth, then descending support_le,
-    then shorter, then text); masks holds one boolean row per candidate.
+    train_cpxr's (-growth, -support_le, length, text) tuples); masks holds
+    one boolean row per candidate.
     A candidate is dropped when the Jaccard similarity of its rows with
     any kept candidate's exceeds jaccard_max; two empty row sets count as
     identical. Returns the kept indices in scan order.

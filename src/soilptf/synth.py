@@ -11,10 +11,8 @@ small parameter jitter so the derived water contents keep their curve
 invariants.
 
 generate evaluates each regime's formulas, the scale rule, the jitter and
-the clipping over whole columns; alpha, n and derive_row stay per sample,
-as their math.exp, math.log and ** can differ from numpy's in the last
-bit. derive_row and feature_table build the feature/target table, here and
-in derive-features alike.
+the clipping over whole columns, and derive_columns builds the
+feature/target table from columns, here and in derive-features alike.
 """
 
 from __future__ import annotations
@@ -28,10 +26,12 @@ import numpy as np
 from .data import KNOWN_FEATURES, Dataset
 from .hydrology import (
     POINT_TARGETS,
-    VgParameters,
-    derived_water_contents,
-    texture_statistics,
+    VG_FEATURES,
+    each,
+    parameter_faults,
+    texture_columns,
     vg_curve,
+    water_content_columns,
 )
 
 
@@ -46,35 +46,25 @@ TARGET_COLUMNS = tuple(
 )
 
 
-def derive_row(basic: dict[str, float], params: VgParameters, log_ksat: float) -> dict[str, float]:
-    """One sample's features and targets.
-
-    basic maps sand, silt, clay (mass percent), bulk_density,
-    internal_diameter_cm and length_cm to their values; log_ksat is NaN
-    where the conductivity was not measured.
-    """
-    d_g, sigma_g = texture_statistics(basic["sand"], basic["silt"], basic["clay"])
+def derive_columns(ids, basic_columns: dict, vg_columns: dict, log_ksat) -> Dataset:
+    """The KNOWN_FEATURES + TARGET_COLUMNS table of the samples ids,
+    unchecked (texture_faults, parameter_faults). basic_columns maps the six
+    basic columns, sand to length_cm, and vg_columns theta_r, theta_s, alpha
+    and n; log_ksat is NaN where the conductivity was not measured."""
+    d_g, sigma_g = texture_columns(*(basic_columns[c] for c in ("sand", "silt", "clay")))
     # the theta_s feature is the parameter, not the curve's value at h = 0
-    return {
-        **derived_water_contents(params),
-        **basic,
+    columns = {
+        **water_content_columns(**vg_columns),
+        **basic_columns,
         "d_g": d_g,
         "sigma_g": sigma_g,
-        "theta_r": params.theta_r,
-        "theta_s": params.theta_s,
-        "alpha": params.alpha,
-        "n": params.n,
-        "log_alpha": math.log(params.alpha),
-        "log_n": math.log(params.n),
+        **vg_columns,
+        "log_alpha": each(math.log, vg_columns["alpha"]),
+        "log_n": each(math.log, vg_columns["n"]),
         "log_ksat": log_ksat,
     }
-
-
-def feature_table(ids, rows) -> Dataset:
-    """The KNOWN_FEATURES + TARGET_COLUMNS table of rows from derive_row,
-    one per id."""
-    columns = {name: [row[name] for row in rows] for name in KNOWN_FEATURES + TARGET_COLUMNS}
-    return Dataset(list(ids), columns, list(KNOWN_FEATURES), list(TARGET_COLUMNS))
+    return Dataset(list(ids), {name: columns[name] for name in KNOWN_FEATURES + TARGET_COLUMNS},
+                   list(KNOWN_FEATURES), list(TARGET_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -231,32 +221,21 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
     theta_s = np.clip(theta_s, theta_r + 0.02, 0.99)
 
     ids = [f"s{i:04d}" for i in range(n)]
-    regimes = dict(zip(ids, np.where(fine, FINE.name, COARSE.name).tolist()))
-    basic_rows = [dict(zip(basic, values)) for values in zip(*(c.tolist() for c in basic.values()))]
-    rows, effective = [], {}
-    columns = (c.tolist() for c in (theta_r, theta_s, log_alpha, log_n1, log_ksat))
-    for sid, features, tr, ts, la, ln1, lk in zip(ids, basic_rows, *columns):
-        params = VgParameters(theta_r=tr, theta_s=ts, alpha=_exp(sid, "alpha", la),
-                              n=1.0 + _exp(sid, "n - 1", ln1))
-        rows.append(derive_row(features, params, lk))
-        effective[sid] = {"theta_r": tr, "theta_s": ts, "alpha": params.alpha, "n": params.n,
-                          "log_ksat": lk}
+    alpha, n_1 = each(math.exp, log_alpha), each(math.exp, log_n1)
+    vg = {"theta_r": theta_r, "theta_s": theta_s, "alpha": alpha, "n": 1.0 + n_1}
+    faults = [(i, f"{name} = exp({x[i].item()!r}) lies beyond float range")
+              for name, x, y in (("alpha", log_alpha, alpha), ("n - 1", log_n1, n_1))
+              for i in np.flatnonzero(~(y < math.inf)).tolist()] + parameter_faults(**vg)
+    if faults:  # the lowest row's first: alpha, then n - 1, then the parameters
+        i, problem = min(faults, key=lambda fault: fault[0])
+        raise SynthError(f"sample {ids[i]}: {problem}")
 
-    dataset = feature_table(ids, rows)
+    dataset = derive_columns(ids, basic, vg, log_ksat)
+    regimes = dict(zip(ids, np.where(fine, FINE.name, COARSE.name).tolist()))
+    effective = {sid: dict(zip(("theta_r", "theta_s", "alpha", "n", "log_ksat"), values))
+                 for sid, values in zip(ids, zip(*(c.tolist() for c in (*vg.values(), log_ksat))))}
     truth = {"config": config.to_dict(), "regimes": regimes, "effective_params": effective}
     return dataset, truth
-
-
-def _exp(sid: str, name: str, value: float) -> float:
-    """math.exp(value); a SynthError naming the sample and quantity where
-    that is no finite number."""
-    try:
-        result = math.exp(value)
-        if result < math.inf:
-            return result
-    except OverflowError:
-        pass
-    raise SynthError(f"sample {sid}: {name} = exp({value!r}) lies beyond float range")
 
 
 def generate_retention(
@@ -270,8 +249,7 @@ def generate_retention(
     _check_noise_sd("retention noise_sd", noise_sd)
     tensions_cm = np.concatenate([[0.0], np.geomspace(10.0, 15000.0, 12)])
     effective = truth["effective_params"]
-    params = [VgParameters(p["theta_r"], p["theta_s"], p["alpha"], p["n"]) for p in effective.values()]
-    columns = np.array([(p.theta_r, p.theta_s, p.alpha, p.n) for p in params]).reshape(-1, 4)
+    columns = np.array([[p[k] for k in VG_FEATURES] for p in effective.values()]).reshape(-1, 4)
     theta = vg_curve(*columns.T[:, :, None], tensions_cm)  # (samples, tensions)
     if noise_sd > 0:  # drawn row-major, the order of the points in the output
         theta = theta + np.random.default_rng(seed).normal(0.0, noise_sd, size=theta.shape)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import soilptf
 import soilptf.evaluation
 from soilptf import __version__
-from soilptf.cli import SEED_ENV, _clamped_vg, main
+from soilptf.cli import SEED_ENV, main
 from soilptf.cpxr import train_cpxr
 from soilptf.data import KNOWN_FEATURES, load_dataset, select_columns
 from soilptf.hydrology import (
@@ -243,6 +243,20 @@ def test_synth_bad_noise_is_one_line_runtime_error(tmp_path, capsys, flag, value
     assert run(["synth", "--out-dir", out, "--n", "5", "--retention", flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "noise_sd" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise_sd, seed, line", [
+    # exp of the jittered log(n - 1) falls below an ulp of 1 at s0001
+    ("100", "0", "sample s0001: n must exceed 1, got 1.0"),
+    # exp of the jittered log alpha underflows to 0
+    ("1000", "1", "sample s0000: alpha must be positive, got 0.0"),
+])
+def test_synth_parameter_error_names_its_sample(tmp_path, capsys, noise_sd, seed, line):
+    out = tmp_path / "d"
+    argv = ["synth", "--out-dir", out, "--n", "50", "--noise-sd", noise_sd, "--seed", seed]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert not out.exists()
 
 
@@ -580,6 +594,58 @@ def test_derive_features_rejects_nonpositive_conductivity(tmp_path, capsys):
     assert "non-positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order, culprit", [("abc", "b"), ("acb", "c"), ("cab", "c")])
+def test_derive_features_reports_the_first_faulty_sample(tmp_path, capsys, order, culprit):
+    # b's texture sums to 99 and c's theta_r exceeds its theta_s; the lower
+    # row of the basic table is reported, with its file and sample
+    basic, vg, out = tmp_path / "b.csv", tmp_path / "v.csv", tmp_path / "f.csv"
+    texture = {"a": "40,40,20", "b": "40,40,19", "c": "30,30,40"}
+    _basic_table(basic, [f"{sid},{texture[sid]},1.4,120" for sid in order])
+    vg.write_text("id,theta_r,theta_s,alpha_per_cm,n\n"
+                  + "".join(f"{sid},{'0.5,0.4' if sid == 'c' else '0.05,0.45'},0.02,1.6\n"
+                            for sid in "abc"))
+    assert run(["derive-features", "--basic", basic, "--vg", vg, "--out", out]) == 1
+    expected = {
+        "b": f"{basic}: sample 'b': sand+silt+clay = 99, expected 100 +/- 0.5",
+        "c": f"{vg}: sample 'c': need 0 <= theta_r < theta_s <= 1, got 0.5, 0.4",
+    }
+    assert capsys.readouterr().err == f"error: {expected[culprit]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("40,40,19,1.4,-5", "sample 's1' has non-positive ksat_cm_day"),  # ksat before texture
+    ("-3,83,20,1.4,120", "sample 's1': negative texture fraction: -3.0, 83.0, 20.0"),
+    # a sum beyond float range is refused without an overflow warning
+    ("1e308,1e308,0,1.4,120", "sample 's1': sand+silt+clay = inf, expected 100 +/- 0.5"),
+])
+def test_derive_features_checks_a_sample_in_order(tmp_path, capsys, row, problem):
+    basic, vg = tmp_path / "b.csv", tmp_path / "v.csv"
+    _basic_table(basic, [f"s1,{row}"])
+    _vg_table(vg, ["s1"])
+    assert run(["derive-features", "--basic", basic, "--vg", vg, "--out", tmp_path / "f.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {basic}: {problem}\n"
+
+
+@pytest.mark.parametrize("texture, accepted", [
+    ("59.95,26.04,14.51", False),  # sums to 100.50000000000001
+    ("28.38,31.41,39.71", True),   # sums to 99.5
+])
+def test_derive_features_uses_the_loaders_texture_rule(tmp_path, capsys, texture, accepted):
+    # whatever derive-features writes, train loads: one texture-sum rule
+    basic, vg, out = tmp_path / "b.csv", tmp_path / "v.csv", tmp_path / "f.csv"
+    _basic_table(basic, [f"s1,{texture},1.4,120"])
+    _vg_table(vg, ["s1"])
+    rc = run(["derive-features", "--basic", basic, "--vg", vg, "--out", out])
+    assert rc == (0 if accepted else 1)
+    if accepted:
+        assert len(load_dataset(out)) == 1
+    else:
+        assert capsys.readouterr().err == (
+            f"error: {basic}: sample 's1': sand+silt+clay = 100.5, expected 100 +/- 0.5\n")
+        assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # train
 # ----------------------------------------------------------------------
@@ -703,6 +769,15 @@ def test_predict_from_model_directory(swrc3_models, features_csv, tmp_path):
             assert math.isfinite(float(r[t]))
 
 
+def _clamped_vg(theta_r, theta_s, log_alpha, log_n):
+    """(theta_r, theta_s, alpha, n) of one sample's predicted
+    PARAMETRIC_TARGETS, nudged into the feasible region one sample at a time
+    as predict did before its column form."""
+    theta_s = min(max(theta_s, 0.012), 0.99)
+    theta_r = min(max(theta_r, 0.0), theta_s - 0.01)
+    return theta_r, theta_s, max(math.exp(log_alpha), 1e-8), max(math.exp(log_n), 1.000001)
+
+
 def test_predict_expands_retention_curves(swrc3_models, features_csv, tmp_path):
     out, curve = tmp_path / "preds.csv", tmp_path / "curves.csv"
     assert run(["predict", "--model", swrc3_models, "--features", features_csv,
@@ -725,7 +800,7 @@ def test_predict_expands_retention_curves(swrc3_models, features_csv, tmp_path):
     _, preds = parse_csv(out)
     want = []
     for r in preds:
-        clamped = _clamped_vg(r["id"], *(float(r[t]) for t in PARAMETRIC_TARGETS))
+        clamped = _clamped_vg(*(float(r[t]) for t in PARAMETRIC_TARGETS))
         params = VgParameters(*clamped)
         for h in np.geomspace(1.0, 15000.0, 50).tolist():
             want.append([r["id"], repr(h), repr(vg_theta(params, h))])

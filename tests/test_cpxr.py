@@ -26,7 +26,6 @@ from soilptf.patterns import (
     Item,
     Pattern,
     _mine_masks,
-    _pattern_order_key,
     filter_similar_masks,
     pattern_mask,
 )
@@ -514,7 +513,7 @@ def test_train_never_worse_under_generated_hyperparameters(
 
 def test_order_keys_are_the_pattern_order_keys(monkeypatch):
     # the keys train_cpxr builds from item texts formatted once are the
-    # tuples _pattern_order_key gives each mined pattern
+    # (-growth, -support_le, length, text) tuples of the mined patterns
     mined, keys = [], []
 
     def mine(*args):
@@ -533,7 +532,6 @@ def test_order_keys_are_the_pattern_order_keys(monkeypatch):
     for y in sel.targets.values():
         train_cpxr(sel.X, y, sel.feature_names)
     assert len(mined) > 100 and max(len(pat) for pat, _ in mined) > 2
-    assert keys == [_pattern_order_key(pat, st) for pat, st in mined]
     assert keys == [(-st.growth, -st.support_le, len(pat), str(pat)) for pat, st in mined]
 
 

@@ -95,7 +95,7 @@ def _regime_dataset(n=100, seed=0, p_minor=0.2, noise=0.01):
 def test_rotating_pair_coverage():
     ds, cfg = _regime_dataset(n=60)
     report = cross_validate(ds, cfg, method="mlr", repetitions=3, seed=5, k=5)
-    assert report.iteration_count == 15
+    assert len(report.records) == 15
     for rep in range(3):
         recs = [r for r in report.records if r.repetition == rep]
         assert len(recs) == 5
@@ -113,7 +113,7 @@ def test_classic_scheme_tests_once():
     ds, cfg = _regime_dataset(n=40)
     report = cross_validate(ds, cfg, method="mlr", repetitions=2, seed=1, k=4,
                             cv_scheme="classic")
-    assert report.iteration_count == 8
+    assert len(report.records) == 8
     for rep in range(2):
         recs = [r for r in report.records if r.repetition == rep]
         seen = [sid for r in recs for sid in r.test_ids]

@@ -16,7 +16,6 @@ from soilptf.patterns import (
     Pattern,
     PatternError,
     _mine_masks,
-    _pattern_order_key,
     filter_similar_masks,
     pattern_mask,
 )
@@ -121,10 +120,17 @@ def test_growth_ratio_and_infinite():
 # mining
 # ----------------------------------------------------------------------
 
+def _order_key(pair):
+    """The order train_cpxr scans a mined (pattern, stats) pair in:
+    descending growth, then descending support_le, then shorter, then text."""
+    pattern, stats = pair
+    return (-stats.growth, -stats.support_le, len(pattern), str(pattern))
+
+
 def _mine(le_rows, se_rows, names, scheme, min_support_le=0.02, min_growth=2.0,
           max_len=4, min_count_le=2):
     """Item masks from Item.covers_array over the two classes' rows, mined
-    by _mine_masks and sorted by _pattern_order_key."""
+    by _mine_masks and sorted by _order_key."""
     items = scheme.alphabet()
     col = {name: j for j, name in enumerate(names)}
 
@@ -135,7 +141,7 @@ def _mine(le_rows, se_rows, names, scheme, min_support_le=0.02, min_growth=2.0,
 
     found = _mine_masks(items, masks(le_rows), masks(se_rows), min_support_le, min_growth,
                         max_len, min_count_le)
-    return sorted(found, key=lambda pair: _pattern_order_key(*pair))
+    return sorted(found, key=_order_key)
 
 
 def test_mine_pure_bins():
@@ -210,7 +216,7 @@ def exhaustive_mine(le_rows, se_rows, names, scheme, min_support_le, min_growth,
             if growth < min_growth:
                 continue
             out.append((p, ContrastStats(s_le, s_se, c_le, c_se)))
-    out.sort(key=lambda pair: _pattern_order_key(*pair))
+    out.sort(key=_order_key)
     return out
 
 
@@ -346,7 +352,7 @@ def _nested_candidates():
 def _filter(cands, X, jaccard_max):
     """Run filter_similar_masks on (pattern, stats) pairs; kept pattern texts."""
     masks = np.array([pattern_mask(p, X, ["x"]) for p, _ in cands])
-    keys = [_pattern_order_key(p, st) for p, st in cands]
+    keys = [_order_key(pair) for pair in cands]
     return [str(cands[i][0]) for i in filter_similar_masks(keys, masks, jaccard_max)]
 
 

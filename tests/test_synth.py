@@ -9,8 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilptf.data import KNOWN_FEATURES, validate_dataset
-from soilptf.hydrology import KPA_TO_CM, HydrologyError, VgParameters, vg_theta
+from soilptf.data import KNOWN_FEATURES, Dataset, validate_dataset
+from soilptf.hydrology import (
+    CLAY_DIAMETER_MM,
+    KPA_TO_CM,
+    SAND_DIAMETER_MM,
+    SILT_DIAMETER_MM,
+    TENSION_LADDER_KPA,
+    HydrologyError,
+    VgParameters,
+    derived_water_contents,
+    inflection_point,
+    texture_statistics,
+    vg_theta,
+)
 from soilptf.synth import (
     BULK_DENSITY_RANGE,
     COARSE,
@@ -18,17 +30,63 @@ from soilptf.synth import (
     INTERNAL_DIAMETERS_CM,
     LENGTHS_CM,
     SAND_SPLIT,
+    TARGET_COLUMNS,
     LinearSpec,
     SynthConfig,
     SynthError,
     default_synth_config,
-    derive_row,
-    feature_table,
+    derive_columns,
     generate,
     generate_retention,
     scale_effect_config,
     two_regime_config,
 )
+
+
+def _reference_texture(sand, silt, clay):
+    """texture_statistics of one sample as a 1-D dot, without its checks."""
+    fractions = np.array([sand, silt, clay], dtype=float) / 100.0
+    log_d = np.log(np.array([SAND_DIAMETER_MM, SILT_DIAMETER_MM, CLAY_DIAMETER_MM]))
+    a = float(fractions @ log_d)
+    spread = float(fractions @ log_d**2) - a * a
+    return math.exp(a), math.exp(math.sqrt(max(spread, 0.0)))
+
+
+def _reference_water_contents(params):
+    """derived_water_contents of one sample: one vg_theta call over the
+    ladder and the inflection by Python's **."""
+    theta = vg_theta(params, (0.0,) + tuple(kpa * KPA_TO_CM for kpa in TENSION_LADDER_KPA))
+    m = params.m
+    theta_i = params.theta_r + (params.theta_s - params.theta_r) * (1.0 + m) ** (-m)
+    out = {"theta_s": float(theta[0]), "theta_i": theta_i}
+    out.update((f"theta_{kpa}", float(t)) for kpa, t in zip(TENSION_LADDER_KPA, theta[1:]))
+    return out
+
+
+def derive_row(basic, params, log_ksat):
+    """One sample's features and targets, as synth and derive-features built
+    them before derive_columns; basic maps the six basic columns to floats."""
+    d_g, sigma_g = _reference_texture(basic["sand"], basic["silt"], basic["clay"])
+    # the theta_s feature is the parameter, not the curve's value at h = 0
+    return {
+        **_reference_water_contents(params),
+        **basic,
+        "d_g": d_g,
+        "sigma_g": sigma_g,
+        "theta_r": params.theta_r,
+        "theta_s": params.theta_s,
+        "alpha": params.alpha,
+        "n": params.n,
+        "log_alpha": math.log(params.alpha),
+        "log_n": math.log(params.n),
+        "log_ksat": log_ksat,
+    }
+
+
+def feature_table(ids, rows):
+    """The KNOWN_FEATURES + TARGET_COLUMNS table of rows from derive_row."""
+    columns = {name: [row[name] for row in rows] for name in KNOWN_FEATURES + TARGET_COLUMNS}
+    return Dataset(list(ids), columns, list(KNOWN_FEATURES), list(TARGET_COLUMNS))
 
 
 def regime_of(sand):
@@ -243,6 +301,53 @@ def test_generate_matches_the_per_sample_route(factory, n, seed, noise_sd):
         columns = {c: col.tobytes() for c, col in ds.columns.items()}
         outcomes.append((ds.ids, columns, json.dumps(truth, sort_keys=True)))
     assert outcomes[0] == outcomes[1]
+
+
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+@st.composite
+def _derive_sample(draw):
+    """(basic, params, log_ksat) of one sample, with texture sums at the
+    +/- 0.5 edge, theta_r = 0, theta_s = 1, n just above 1 and unmeasured
+    conductivity among the draws."""
+    sand = draw(st.sampled_from([0.0, 100.0, 59.95, 28.38]) | st.floats(0.0, 100.0))
+    silt = draw(st.sampled_from([0.0, 26.04, 31.41]) | st.floats(0.0, 100.0 - sand))
+    off = draw(st.sampled_from([0.0, 0.5, -0.5, 0.4999, -0.4999]) | st.floats(-0.5, 0.5))
+    clay = max(100.0 - sand - silt + off, 0.0)
+    basic = {"sand": sand, "silt": silt, "clay": clay,
+             "bulk_density": draw(st.floats(0.8, 2.0)),
+             "internal_diameter_cm": draw(st.sampled_from(INTERNAL_DIAMETERS_CM)),
+             "length_cm": draw(st.sampled_from(LENGTHS_CM + (math.nan,)))}
+    theta_r = draw(st.sampled_from([0.0]) | st.floats(0.0, 0.5))
+    theta_s = draw(st.sampled_from([1.0]) | st.floats(theta_r, 1.0, exclude_min=True))
+    params = VgParameters(theta_r=theta_r, theta_s=theta_s,
+                          alpha=draw(st.floats(1e-6, 50.0)),
+                          n=draw(st.sampled_from([_ABOVE_ONE])
+                                 | st.floats(1.0, 20.0, exclude_min=True)))
+    return basic, params, draw(st.sampled_from([math.nan]) | st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_derive_sample(), min_size=1, max_size=25))
+def test_derive_columns_matches_the_per_sample_route(samples):
+    # every column bit for bit, and the one-row calls give each row's values
+    ids = [f"x{i}" for i in range(len(samples))]
+    expected = feature_table(ids, [derive_row(*sample) for sample in samples])
+    basic = {c: np.array([b[c] for b, _, _ in samples]) for c in samples[0][0]}
+    vg = {c: np.array([getattr(p, c) for _, p, _ in samples])
+          for c in ("theta_r", "theta_s", "alpha", "n")}
+    got = derive_columns(ids, basic, vg, np.array([k for _, _, k in samples]))
+    assert got.ids == expected.ids
+    assert (got.feature_names, got.target_names) == (expected.feature_names, expected.target_names)
+    assert {c: col.tobytes() for c, col in got.columns.items()} == {
+        c: col.tobytes() for c, col in expected.columns.items()}
+    for b, p, _ in samples:
+        assert _reference_water_contents(p) == derived_water_contents(p)
+        assert inflection_point(p)[1] == _reference_water_contents(p)["theta_i"]
+        if abs(b["sand"] + b["silt"] + b["clay"] - 100.0) <= 0.5:
+            assert texture_statistics(b["sand"], b["silt"], b["clay"]) == _reference_texture(
+                b["sand"], b["silt"], b["clay"])
 
 
 def test_generate_retention_rows():

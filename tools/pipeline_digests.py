@@ -10,9 +10,13 @@ of the checkout holding this script) in a fresh temporary directory:
     (the scale rule without jitter), fit-vg, derive-features,
     train SWRC2, SWRC4 and SHC2 cpxr and SWRC3 mlr,
     evaluate SWRC2 cpxr,mlr --reps 1 --k 5, predict SWRC4 --curve, report,
-    and fit-vg on a mixed retention table the script writes itself
+    fit-vg on a mixed retention table the script writes itself
     (MIXED_SAMPLES: 9-, 13- and 15-point samples and a minority that
-    fails, so the grouping by point count and the fail lines are hashed)
+    fails, so the grouping by point count and the fail lines are hashed),
+    and derive-features on a basic and a vg table the script writes itself
+    (edge_tables: ksat_cm_day with empty cells, so log_ksat from measured
+    conductivity is hashed, parameters at their bounds, texture sums off
+    100 by up to 0.4, and one sample without parameters)
 
 It prints one JSON object mapping each artifact's path (relative to the run
 directory) to its sha256; each step's exit code, stdout and stderr count as
@@ -62,6 +66,8 @@ STEPS = [
                 "--out", "comparison.csv"]),
     ("fit-vg-mixed", ["fit-vg", "--input", "mixed/retention.csv", "--out", "mixed/vg.csv",
                       "--jobs", "1"]),
+    ("derive-edges", ["derive-features", "--basic", "edges/basic.csv", "--vg", "edges/vg.csv",
+                      "--out", "edges/features.csv"]),
 ]
 
 # The mixed table: (id, points, fault) per sample, in row order. A fault
@@ -99,6 +105,43 @@ def mixed_retention_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+# (theta_r, theta_s, alpha, n) at the bounds of VgParameters, given to the
+# first samples of the edge tables; the others draw theirs.
+EDGE_PARAMETERS = [
+    (0.0, 1.0, 0.02, 1.5),
+    (0.1, 0.45, 1e-6, 1.0000000000000002),
+    (0.0, 0.3, 50.0, 20.0),
+    (0.2999999999999999, 0.3, 0.5, 1.0001),
+]
+
+
+def edge_tables() -> tuple[str, str]:
+    """The CSV texts of the edge tables' basic and vg tables: 16 samples
+    drawn from random.Random(11), texture summing to 100 + a fixed offset
+    of at most 0.4, every third ksat_cm_day empty; the last sample has no
+    row in the vg table."""
+    rng = random.Random(11)
+    basic = ["id,sand,silt,clay,bulk_density,internal_diameter_cm,length_cm,ksat_cm_day"]
+    vg = ["id,theta_r,theta_s,alpha_per_cm,n,fit_rmse"]
+    for k in range(16):
+        sid = f"e{k:02d}"
+        sand = round(rng.uniform(0.0, 100.0), 2)
+        silt = round(rng.uniform(0.0, 100.0 - sand), 2)
+        clay = round(100.0 - sand - silt + (-0.4, -0.2, 0.0, 0.2, 0.4)[k % 5], 2)
+        ksat = "" if k % 3 == 0 else repr(10 ** rng.uniform(-2.0, 3.0))
+        basic.append(f"{sid},{sand!r},{silt!r},{max(clay, 0.0)!r},{rng.uniform(1.1, 1.7)!r},"
+                     f"{rng.choice((5.0, 8.0, 10.0))!r},{rng.choice((1.0, 5.0, 20.0))!r},{ksat}")
+        if k < len(EDGE_PARAMETERS):
+            params = EDGE_PARAMETERS[k]
+        else:
+            theta_r = rng.uniform(0.0, 0.15)
+            params = (theta_r, rng.uniform(0.35, 0.55), 10 ** rng.uniform(-3.0, 0.0),
+                      rng.uniform(1.05, 4.0))
+        if k < 15:
+            vg.append(f"{sid}," + ",".join(repr(p) for p in params) + ",0.001")
+    return "\n".join(basic) + "\n", "\n".join(vg) + "\n"
+
+
 def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     """Run every step in work with soilptf imported from src; return the
     {relative path: sha256} of every file left in work."""
@@ -106,6 +149,10 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     env.pop("CPXR_PTF_SEED", None)
     (work / "mixed").mkdir()
     (work / "mixed" / "retention.csv").write_text(mixed_retention_csv(), encoding="utf-8")
+    (work / "edges").mkdir()
+    basic, vg = edge_tables()
+    (work / "edges" / "basic.csv").write_text(basic, encoding="utf-8")
+    (work / "edges" / "vg.csv").write_text(vg, encoding="utf-8")
     for name, args in STEPS:
         done = subprocess.run(
             [sys.executable, "-m", "soilptf", *args, "--seed", SEED],
