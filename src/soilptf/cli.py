@@ -5,6 +5,7 @@ the feature/target table (derive-features), train and cross-validate
 models (train, evaluate), predict on new samples (predict), generate
 synthetic benchmark data (synth) and compare evaluation reports (report).
 
+Every CSV artifact is data.table_text of the columns a command builds.
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Every artifact
 embeds the resolved seed, a hash of the run settings and the tool
 version; none embeds a timestamp, so reruns with identical inputs are
@@ -14,9 +15,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -29,11 +28,12 @@ from . import __version__
 from .cpxr import CpxrConfig, CpxrError, PxrModel, train_cpxr
 from .data import (
     DataError,
-    Dataset,
     load_dataset,
     parse_columns,
     read_rows,
+    retention_columns,
     select_columns,
+    table_text,
 )
 from .evaluation import MAX_REPETITIONS, EvaluationError, EvaluationReport, compare, cross_validate, map_jobs
 from .hydrology import (
@@ -109,18 +109,9 @@ def _meta(seed: int, settings: dict) -> dict:
     }
 
 
-def _meta_comment_lines(meta: dict) -> list[str]:
-    return [
-        f"# {meta['tool']} {meta['version']}",
-        f"# seed={meta['seed']}",
-        f"# config_hash={meta['config_hash']}",
-    ]
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _meta_comments(meta: dict) -> list[str]:
+    return [f"{meta['tool']} {meta['version']}", f"seed={meta['seed']}",
+            f"config_hash={meta['config_hash']}"]
 
 
 def _require_file(path) -> Path:
@@ -151,22 +142,13 @@ def _write_comparison(path, table, meta: dict):
 
     The file comes first, so a closed stdout cannot leave it unwritten.
     """
-    rows = [
-        [r.target, r.metric, _fmt(r.value_a), _fmt(r.value_b), _fmt(r.pct_change)]
-        for r in table.rows
-    ]
-    _write_csv(path, ["target", "metric", table.method_a, table.method_b, "pct_change"], rows, meta)
+    rows = table.rows  # (name, column) pairs: the two methods may share a name
+    columns = [("target", [r.target for r in rows]), ("metric", [r.metric for r in rows]),
+               (table.method_a, np.array([r.value_a for r in rows])),
+               (table.method_b, np.array([r.value_b for r in rows])),
+               ("pct_change", np.array([r.pct_change for r in rows]))]
+    _write_text(path, table_text(columns, _meta_comments(meta)))
     print(table)
-
-
-def _write_csv(path, header: list[str], rows, meta: dict):
-    buf = io.StringIO()
-    for line in _meta_comment_lines(meta):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buf.getvalue())
 
 
 def _first_cell(ids, names, mask) -> tuple[str, str] | None:
@@ -178,9 +160,12 @@ def _first_cell(ids, names, mask) -> tuple[str, str] | None:
     return ids[i], names[j]
 
 
-def _require_distinct(name_a, path_a, name_b, path_b):
-    """UsageError when two outputs of one command resolve to one file, where
-    the second written would replace the first."""
+def _require_outputs(name_a, path_a, name_b, path_b):
+    """UsageError unless two outputs of one command name two files: the
+    second written would fail after, or replace, the first."""
+    for name, path in ((name_a, path_a), (name_b, path_b)):
+        if os.path.isdir(path):
+            raise UsageError(f"{name} names a directory: {path}")
     if os.path.realpath(path_a) == os.path.realpath(path_b):
         raise UsageError(f"{name_a} and {name_b} name the same file: {path_b}")
 
@@ -241,15 +226,6 @@ def _model_config(config_id: str):
         ) from None
 
 
-def _dataset_to_rows(dataset: Dataset) -> tuple[list[str], list[list[str]]]:
-    names = list(dataset.feature_names) + list(dataset.target_names)
-    cells = {
-        c: ["" if math.isnan(v) else repr(v) for v in dataset.columns[c].tolist()] for c in names
-    }
-    rows = [[sid] + [cells[c][i] for c in names] for i, sid in enumerate(dataset.ids)]
-    return ["id"] + names, rows
-
-
 # ----------------------------------------------------------------------
 # fit-vg
 # ----------------------------------------------------------------------
@@ -279,7 +255,7 @@ def cmd_fit_vg(args) -> int:
         log_path = args.log or str(Path(args.out).with_suffix(".log"))
     except ValueError:  # Path("."), say, has no name to put a suffix on
         raise UsageError(f"--out {args.out!r} names no file") from None
-    _require_distinct("--out", args.out, "the log" if args.log is None else "--log", log_path)
+    _require_outputs("--out", args.out, "the log" if args.log is None else "--log", log_path)
     path = _require_file(args.input)
     jobs = _jobs(args)
     seed = _resolve_seed(args.seed)
@@ -294,18 +270,20 @@ def cmd_fit_vg(args) -> int:
     parts = [samples[a:b] for a, b in zip(cuts, cuts[1:])]
     fits = [fit for part in map_jobs(fit_vg_curves, parts, jobs) for fit in part]
 
-    rows, log_lines = [], _meta_comment_lines(meta)
+    fitted, log_lines = [], [f"# {comment}" for comment in _meta_comments(meta)]
     for sid, (h, _), fit in zip(ids, samples, fits):
         if isinstance(fit, HydrologyError):
             log_lines.append(f"fail {sid}: {fit}")
             continue
-        rows.append([sid, *map(_fmt, (fit.theta_r, fit.theta_s, fit.alpha, fit.n, fit.fit_rmse))])
+        fitted.append((sid, fit))
         log_lines.append(f"ok {sid}: rmse={fit.fit_rmse:.6g} over {h.size} points")
-    header = ["id", "theta_r", "theta_s", "alpha_per_cm", "n", "fit_rmse"]
-    _write_csv(args.out, header, rows, meta)
+    columns = {"id": [sid for sid, _ in fitted], **{
+        name: np.array([getattr(fit, field) for _, fit in fitted])
+        for name, field in zip(VG_COLUMNS + ("fit_rmse",), VG_FEATURES + ("fit_rmse",))}}
+    _write_text(args.out, table_text(columns, _meta_comments(meta)))
     _write_text(log_path, "\n".join(log_lines) + "\n")
 
-    failures = len(ids) - len(rows)
+    failures = len(ids) - len(fitted)
     if failures:
         print(f"fit-vg: {failures} of {len(ids)} samples failed; see {log_path}", file=sys.stderr)
     if 2 * failures > len(ids):
@@ -348,8 +326,7 @@ def cmd_derive_features(args) -> int:
     if faults:  # the lowest row's first problem
         raise DataError(min(faults, key=lambda fault: fault[0])[1])
     dataset = derive_columns(ids, {c: b[c] for c in MEASURED_COLUMNS}, params, each(math.log, ksat))
-    header, out_rows = _dataset_to_rows(dataset)
-    _write_csv(args.out, header, out_rows, meta)
+    _write_text(args.out, table_text({"id": dataset.ids, **dataset.columns}, _meta_comments(meta)))
     if skipped:
         print(
             f"derive-features: {len(skipped)} samples without fitted parameters skipped "
@@ -467,6 +444,7 @@ def cmd_evaluate(args) -> int:
         )
         for method in methods
     }
+    comments = _meta_comments(meta)
     out_dir = _out_dir(args.out_dir)
     for method, report in reports.items():
         _write_json(
@@ -474,30 +452,23 @@ def cmd_evaluate(args) -> int:
             {"meta": meta, "report": report.to_dict()},
         )
         if args.dump_predictions:
-            rows = [
-                [sid, str(rec.repetition), str(rec.split), target, _fmt(obs), _fmt(pred)]
-                for rec in report.records
-                for sid, target, obs, pred in rec.predictions or []
-            ]
-            _write_csv(
-                out_dir / f"predictions_{config.id}_{method}.csv",
-                ["id", "repetition", "split", "target", "observed", "predicted"],
-                rows,
-                meta,
-            )
+            # every test set holds a sample, so there are rows to unzip
+            sid, target, observed, predicted = zip(*(row for rec in report.records
+                                                      for row in rec.predictions))
+            of_row = [rec for rec in report.records for _ in rec.predictions]
+            columns = {"id": sid, "repetition": [str(rec.repetition) for rec in of_row],
+                       "split": [str(rec.split) for rec in of_row], "target": target,
+                       "observed": np.array(observed), "predicted": np.array(predicted)}
+            _write_text(out_dir / f"predictions_{config.id}_{method}.csv",
+                        table_text(columns, comments))
 
-    summary_rows = []
-    for method in methods:
-        for target, ms in reports[method].summary("test").items():
-            summary_rows.append(
-                [config.id, method, target, _fmt(ms.rmse), _fmt(ms.rmsle), _fmt(ms.r2)]
-            )
-    _write_csv(
-        out_dir / f"summary_{config.id}.csv",
-        ["config", "method", "target", "rmse", "rmsle", "r2"],
-        summary_rows,
-        meta,
-    )
+    summaries = [(method, target, ms) for method in methods
+                 for target, ms in reports[method].summary("test").items()]
+    columns = {"config": [config.id] * len(summaries), "method": [m for m, _, _ in summaries],
+               "target": [t for _, t, _ in summaries],
+               **{name: np.array([getattr(ms, name) for _, _, ms in summaries], dtype=float)
+                  for name in ("rmse", "rmsle", "r2")}}  # a None metric is NaN: an empty cell
+    _write_text(out_dir / f"summary_{config.id}.csv", table_text(columns, comments))
 
     if len(methods) == 2:
         table = compare(reports[methods[0]], reports[methods[1]], split="test")
@@ -538,7 +509,7 @@ def _model_paths(spec: str) -> list[Path]:
 
 def cmd_predict(args) -> int:
     if args.curve:
-        _require_distinct("--out", args.out, "--curve", args.curve)
+        _require_outputs("--out", args.out, "--curve", args.curve)
     features_path = _require_file(args.features)
     seed = _resolve_seed(args.seed)
 
@@ -580,11 +551,9 @@ def cmd_predict(args) -> int:
     bad = _first_cell(dataset.ids, order, ~np.isfinite(stacked))
     if bad is not None:
         raise DataError(f"sample {bad[0]!r}: predicted {bad[1]} is not a finite number")
-    rows = [[sid] + [_fmt(v) for v in values] for sid, values in zip(dataset.ids, stacked.tolist())]
 
     # The curves are built before either file is written, so a sample
     # that cannot be expanded leaves no partial output behind.
-    curve_rows = []
     if args.curve:
         if not set(PARAMETRIC_TARGETS) <= set(order):
             raise UsageError(
@@ -602,13 +571,12 @@ def cmd_predict(args) -> int:
                   np.maximum(alpha, 1e-8), np.maximum(n, 1.000001))
         tensions = np.geomspace(1.0, 15000.0, 50)
         theta = vg_curve(*(p[:, None] for p in params), tensions)  # (samples, tensions)
-        h_text = [_fmt(h) for h in tensions]
-        # repr(float) is the text _fmt gives
-        curve_rows = [[sid, h, repr(t)] for sid, curve in zip(dataset.ids, theta.tolist())
-                      for h, t in zip(h_text, curve)]
-    _write_csv(args.out, ["id"] + list(order), rows, meta)
+        curve = retention_columns(dataset.ids, tensions, theta)
+    comments = _meta_comments(meta)
+    # pairs, not a mapping: a model's target may be called id
+    _write_text(args.out, table_text([("id", dataset.ids), *columns.items()], comments))
     if args.curve:
-        _write_csv(args.curve, ["id", "tension_cm", "theta"], curve_rows, meta)
+        _write_text(args.curve, table_text(curve, comments))
     return 0
 
 
@@ -632,18 +600,13 @@ def cmd_synth(args) -> int:
 
     dataset, truth = generate(config)
     if args.retention:  # before anything is written: a bad noise level leaves no files
-        points = generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
+        retention = generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
+    comments = _meta_comments(meta)
     out_dir = _out_dir(args.out_dir)
-    header, rows = _dataset_to_rows(dataset)
-    _write_csv(out_dir / "dataset.csv", header, rows, meta)
+    _write_text(out_dir / "dataset.csv", table_text({"id": dataset.ids, **dataset.columns}, comments))
     _write_json(out_dir / "truth.json", {"meta": meta, "truth": truth})
     if args.retention:
-        _write_csv(
-            out_dir / "retention.csv",
-            ["id", "tension_cm", "theta"],
-            [[sid, _fmt(h), _fmt(t)] for sid, h, t in points],
-            meta,
-        )
+        _write_text(out_dir / "retention.csv", table_text(retention, comments))
     return 0
 
 

@@ -1,11 +1,15 @@
-"""Tabular soil-sample handling: CSV ingestion, column selection, fold assignment.
+"""Tabular soil-sample handling: the CSV table format in both directions,
+column selection, fold assignment.
 
 The canonical table layout is one row per sample with an ``id`` column,
 basic-property feature columns and any number of numeric target columns.
 Missing entries are empty cells (or na/nan/none/null tokens); any other
 cell must hold a finite number. Lines starting with ``#`` before the
 header are metadata comments and are skipped; below the header such a
-line is a data row whose sample id starts with ``#``.
+line is a data row whose sample id starts with ``#``. read_rows and
+parse_columns read tables, and table_text writes them: for two or more
+columns and no carriage return in a cell, as csv.writer(lineterminator=
+"\\n") does, which leaves a lone carriage return unquoted.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 import csv
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -193,6 +198,36 @@ def parse_columns(
         for k, name, j in present:
             values[k, i] = _parse_cell(raw[j], name, i + 2)
     return ids, dict(zip(names, values))
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def table_text(columns, comments=()) -> str:
+    """The CSV text of a table under its ``# comment`` lines, each line
+    ended by a newline. columns maps each header name, in order, to its
+    column, or lists (name, column) pairs where two names are one. A numpy
+    array is numeric: each value its repr, NaN an empty cell, so
+    parse_columns reads it back bit for bit. Any other column holds text.
+    A cell holding a comma, a quote or a line break is quoted, its quotes
+    doubled.
+    """
+    names, values = zip(*(columns.items() if isinstance(columns, dict) else columns))
+    cells = [["" if math.isnan(v) else repr(v) for v in np.asarray(col, dtype=float).tolist()]
+             if isinstance(col, np.ndarray) else list(map(_quote, col)) for col in values]
+    lines = [f"# {comment}" for comment in comments] + [",".join(map(_quote, names))]
+    return "\n".join(lines + list(map(",".join, zip(*cells)))) + "\n"
+
+
+def retention_columns(ids, tensions, theta) -> dict:
+    """The long table id, tension_cm, theta of the water contents theta
+    (samples, points) at the tensions (points,), sample by sample."""
+    return {"id": [sid for sid in ids for _ in range(len(tensions))],
+            "tension_cm": np.tile(tensions, len(ids)), "theta": theta.ravel()}
 
 
 def load_dataset(path, strict: bool = True) -> Dataset:

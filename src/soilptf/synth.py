@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .data import KNOWN_FEATURES, Dataset
+from .data import KNOWN_FEATURES, Dataset, retention_columns
 from .hydrology import (
     POINT_TARGETS,
     VG_FEATURES,
@@ -238,14 +238,10 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
     return dataset, truth
 
 
-def generate_retention(
-    truth: dict,
-    noise_sd: float = 0.002,
-    seed: int = 0,
-) -> list[tuple[str, float, float]]:
-    """Long-format retention points (id, tension_cm, theta) synthesized
-    from the truth record's effective parameters, at saturation and 12
-    log-spaced tensions from 10 to 15000 cm."""
+def generate_retention(truth: dict, noise_sd: float = 0.002, seed: int = 0) -> dict:
+    """The retention table (data.retention_columns) synthesized from the
+    truth record's effective parameters, at saturation and 12 log-spaced
+    tensions from 10 to 15000 cm."""
     _check_noise_sd("retention noise_sd", noise_sd)
     tensions_cm = np.concatenate([[0.0], np.geomspace(10.0, 15000.0, 12)])
     effective = truth["effective_params"]
@@ -253,6 +249,4 @@ def generate_retention(
     theta = vg_curve(*columns.T[:, :, None], tensions_cm)  # (samples, tensions)
     if noise_sd > 0:  # drawn row-major, the order of the points in the output
         theta = theta + np.random.default_rng(seed).normal(0.0, noise_sd, size=theta.shape)
-    tensions = tensions_cm.tolist()
-    return [(sid, h, t) for sid, curve in zip(effective, np.clip(theta, 0.0, 1.0).tolist())
-            for h, t in zip(tensions, curve)]
+    return retention_columns(list(effective), tensions_cm, np.clip(theta, 0.0, 1.0))

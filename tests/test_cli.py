@@ -500,6 +500,23 @@ def test_fit_vg_outputs_naming_one_file_are_usage_error(tmp_path, capsys, output
     assert list((tmp_path / "d").iterdir()) == []
 
 
+def test_output_naming_a_directory_is_usage_error_and_writes_nothing(swrc3_models, features_csv,
+                                                                    tmp_path, capsys):
+    # both outputs are checked before any work, so the first is not left behind
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("a", _clean_pairs())])
+    out = tmp_path / "out"
+    out.mkdir()
+    for flag, argv in (
+        ("--log", ["fit-vg", "--input", table, "--out", out / "o.csv", "--log", out]),
+        ("--curve", ["predict", "--model", swrc3_models, "--features", features_csv,
+                     "--out", out / "p.csv", "--curve", out]),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} names a directory: {out}\n"
+        assert list(out.iterdir()) == []
+
+
 def test_fit_vg_missing_input_is_usage_error(tmp_path, capsys):
     rc = run(["fit-vg", "--input", tmp_path / "nope.csv", "--out", tmp_path / "p.csv"])
     assert rc == 2
@@ -576,6 +593,17 @@ def test_derive_features_skips_unfitted_samples(tmp_path, capsys):
     _, rows = parse_csv(tmp_path / "f.csv")
     assert [r["id"] for r in rows] == ["s1"]
     assert float(rows[0]["log_ksat"]) == pytest.approx(math.log(120.0), rel=1e-12)
+
+
+def test_derive_features_output_with_a_carriage_return_id_trains(tmp_path):
+    # the id is quoted on the way in and must be quoted on the way out
+    basic, vg, out = tmp_path / "b.csv", tmp_path / "v.csv", tmp_path / "f.csv"
+    _basic_table(basic, ["a,40,40,20,1.4,120", '"c\rd",30,30,40,1.3,80', "e,60,25,15,1.5,200"])
+    _vg_table(vg, ["a", '"c\rd"', "e"])
+    assert run(["derive-features", "--basic", basic, "--vg", vg, "--out", out]) == 0
+    assert load_dataset(out).ids == ["a", "c\rd", "e"]
+    assert run(["train", "--features", out, "--config", "SHC1", "--method", "mlr",
+                "--out-dir", tmp_path / "m"]) == 0
 
 
 def test_derive_features_requires_some_overlap(tmp_path, capsys):

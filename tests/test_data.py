@@ -1,6 +1,7 @@
 """Tables, feature/target inference, column selection and fold assignment."""
 
 import csv
+import io
 import itertools
 import math
 
@@ -9,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilptf.cli import _dataset_to_rows, _meta, _write_csv
+from soilptf.cli import _meta, _meta_comments, _write_text
 from soilptf.data import (
     KNOWN_FEATURES,
     DataError,
     Dataset,
     assign_folds,
     load_dataset,
+    read_rows,
     select_columns,
+    table_text,
     validate_dataset,
 )
 from soilptf.hydrology import MODEL_CONFIGS, POINT_TARGETS, ModelConfig
@@ -286,11 +289,17 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _cell_value = st.one_of(_finite, st.sampled_from([-0.0, 5e-324, -1e-310]), st.just(math.nan))
 _ids = st.lists(st.from_regex(r"[A-Za-z0-9_.#-]{1,8}", fullmatch=True), min_size=0, max_size=12,
                 unique=True)
+# Ids that survive the reader's strip: no space at either end, but commas,
+# quotes, line breaks, "#" and non-ASCII text inside.
+_id_end = "-A-Za-z0-9_.#\u00e9\u540d"
+_written_ids = st.lists(
+    st.from_regex(rf'[{_id_end}]([{_id_end},"\r\n ]{{0,6}}[{_id_end}])?', fullmatch=True),
+    min_size=0, max_size=12, unique=True)
 _ROUND_TRIP_COLUMNS = (("sand", "bulk_density", "length_cm"), ("theta_10", "log_ksat"))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ids.flatmap(lambda ids: st.tuples(
+@given(_written_ids.flatmap(lambda ids: st.tuples(
     st.just(ids),
     st.lists(st.lists(_cell_value, min_size=len(ids), max_size=len(ids)), min_size=5, max_size=5),
 )))
@@ -299,13 +308,51 @@ def test_written_table_reads_back_bit_exact(tmp_path_factory, table):
     features, targets = _ROUND_TRIP_COLUMNS
     ds = Dataset(ids, dict(zip(features + targets, values)), list(features), list(targets))
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
-    header, rows = _dataset_to_rows(ds)
-    _write_csv(path, header, rows, _meta(0, {}))
+    _write_text(path, table_text({"id": ds.ids, **ds.columns}, _meta_comments(_meta(0, {}))))
     back = load_dataset(path, strict=False)
     assert back.ids == ds.ids
     assert back.feature_names == list(features) and back.target_names == list(targets)
     for name in features + targets:
         assert back.columns[name].tobytes() == ds.columns[name].tobytes(), name
+
+
+_any_text = st.text(st.one_of(st.sampled_from(',"\r\n# \u00e9\u540d'),
+                             st.characters(exclude_categories=("Cs",), exclude_characters="\x00")),
+                   max_size=6)
+# Header names the reader gives back: stripped, and not taken for a comment.
+_header_name = _any_text.filter(lambda s: s == s.strip() and not s.startswith("#"))
+
+
+@st.composite
+def _tables(draw):
+    """Two to five uniquely named columns of one length, each numeric (an
+    array) or text (a list of str)."""
+    n = draw(st.integers(0, 8))
+    columns = {}
+    for name in draw(st.lists(_header_name, min_size=2, max_size=5, unique=True)):
+        if draw(st.booleans()):
+            columns[name] = np.array(draw(st.lists(st.one_of(st.floats(), _cell_value),
+                                                   min_size=n, max_size=n)), dtype=float)
+        else:
+            columns[name] = draw(st.lists(_any_text, min_size=n, max_size=n))
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_table_text_is_the_csv_writers_text(tmp_path_factory, columns):
+    text = table_text(columns)
+    assert table_text(columns, ["a", "b c"]) == "# a\n# b c\n" + text
+    cells = [["" if math.isnan(v) else repr(v) for v in col.tolist()]
+             if isinstance(col, np.ndarray) else col for col in columns.values()]
+    rows = [list(columns)] + [list(row) for row in zip(*cells)]
+    if not any("\r" in cell for row in rows for cell in row):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert text == buf.getvalue()
+    path = tmp_path_factory.getbasetemp() / "table_text.csv"
+    _write_text(path, text)
+    assert read_rows(path) == (rows[0], rows[1:])
 
 
 _text_cell = st.one_of(

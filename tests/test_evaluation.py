@@ -401,3 +401,11 @@ def test_comparison_csv_lines(tmp_path, capsys):
     assert capsys.readouterr().out == str(_TABLE) + "\n"
     lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert lines == ["target,metric,mlr,cpxr,pct_change", "theta_10,rmse,1.0,0.75,25.0"]
+
+
+def test_comparison_csv_of_one_method_keeps_both_columns(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    meta = {"tool": "soilptf", "version": "0", "seed": 0, "config_hash": "0"}
+    soilptf.cli._write_comparison(out, ComparisonTable("cpxr", "cpxr", "test", _TABLE.rows), meta)
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines == ["target,metric,cpxr,cpxr,pct_change", "theta_10,rmse,1.0,0.75,25.0"]

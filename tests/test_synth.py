@@ -350,10 +350,15 @@ def test_derive_columns_matches_the_per_sample_route(samples):
                 b["sand"], b["silt"], b["clay"])
 
 
+def _retention_rows(columns):
+    """The rows of generate_retention's id, tension_cm and theta columns."""
+    return list(zip(columns["id"], columns["tension_cm"].tolist(), columns["theta"].tolist()))
+
+
 def test_generate_retention_rows():
     cfg = two_regime_config(n_samples=8, noise_sd=0.0, seed=8)
     _, truth = generate(cfg)
-    rows = generate_retention(truth, noise_sd=0.0)
+    rows = _retention_rows(generate_retention(truth, noise_sd=0.0))
     assert len(rows) == 8 * 13  # saturation plus 12 ladder tensions
     by_id = {}
     for sid, h, theta in rows:
@@ -372,9 +377,9 @@ def test_generate_retention_rows():
 def test_generate_retention_noise_and_custom_ladder():
     cfg = two_regime_config(n_samples=5, noise_sd=0.0, seed=8)
     _, truth = generate(cfg)
-    rows = generate_retention(truth, noise_sd=0.004, seed=1)
+    rows = _retention_rows(generate_retention(truth, noise_sd=0.004, seed=1))
     assert len(rows) == 5 * 13
-    again = generate_retention(truth, noise_sd=0.004, seed=1)
+    again = _retention_rows(generate_retention(truth, noise_sd=0.004, seed=1))
     assert rows == again
     devs = []
     for sid, h, theta in rows:
@@ -405,7 +410,7 @@ def _retention_point_by_point(truth, noise_sd, seed):
 def test_generate_retention_matches_point_by_point(noise_sd, seed):
     # noise_sd 0.05 clips some dry points to 0
     _, truth = generate(two_regime_config(n_samples=30, noise_sd=0.1, seed=seed))
-    rows = generate_retention(truth, noise_sd=noise_sd, seed=seed)
+    rows = _retention_rows(generate_retention(truth, noise_sd=noise_sd, seed=seed))
     assert rows == _retention_point_by_point(truth, noise_sd, seed)
 
 

@@ -16,7 +16,12 @@ of the checkout holding this script) in a fresh temporary directory:
     and derive-features on a basic and a vg table the script writes itself
     (edge_tables: ksat_cm_day with empty cells, so log_ksat from measured
     conductivity is hashed, parameters at their bounds, texture sums off
-    100 by up to 0.4, and one sample without parameters)
+    100 by up to 0.4, and one sample without parameters),
+    evaluate SWRC2 cpxr,mlr again with --dump-predictions, so the
+    prediction tables are hashed, and derive-features then predict SWRC4
+    --curve on a basic and a vg table the script writes itself
+    (quoted_tables: ids holding commas, quotes, "#" and non-ASCII text, so
+    the quoting of every table those commands write is hashed)
 
 It prints one JSON object mapping each artifact's path (relative to the run
 directory) to its sha256; each step's exit code, stdout and stderr count as
@@ -68,6 +73,14 @@ STEPS = [
                       "--jobs", "1"]),
     ("derive-edges", ["derive-features", "--basic", "edges/basic.csv", "--vg", "edges/vg.csv",
                       "--out", "edges/features.csv"]),
+    ("evaluate-dump", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
+                       "--methods", "cpxr,mlr", "--reps", "1", "--k", "5", "--jobs", "1",
+                       "--dump-predictions", "--out-dir", "eval-dump"]),
+    ("derive-quoted", ["derive-features", "--basic", "quoted/basic.csv", "--vg", "quoted/vg.csv",
+                       "--out", "quoted/features.csv"]),
+    ("predict-quoted", ["predict", "--model", "models/SWRC4_cpxr",
+                        "--features", "quoted/features.csv", "--out", "quoted/pred.csv",
+                        "--curve", "quoted/curve.csv"]),
 ]
 
 # The mixed table: (id, points, fault) per sample, in row order. A fault
@@ -142,6 +155,32 @@ def edge_tables() -> tuple[str, str]:
     return "\n".join(basic) + "\n", "\n".join(vg) + "\n"
 
 
+# Sample ids of the quoted tables: each needs quoting in a CSV cell, or
+# starts with "#", or is not ASCII.
+QUOTED_IDS = ["a,b", 'say "hi"', "#3", "Bodenprobe \u00fc", '\u540d,"x"', "e#5"]
+
+
+def quoted_tables() -> tuple[str, str]:
+    """The CSV texts of the quoted tables' basic and vg tables: one sample
+    per QUOTED_IDS entry, every id quoted, properties and parameters drawn
+    from random.Random(13)."""
+    rng = random.Random(13)
+    basic = ["id,sand,silt,clay,bulk_density,internal_diameter_cm,length_cm,ksat_cm_day"]
+    vg = ["id,theta_r,theta_s,alpha_per_cm,n,fit_rmse"]
+    for sid in QUOTED_IDS:
+        cell = '"' + sid.replace('"', '""') + '"'
+        sand = round(rng.uniform(5.0, 90.0), 2)
+        silt = round(rng.uniform(0.0, 100.0 - sand), 2)
+        clay = round(100.0 - sand - silt, 2)
+        basic.append(f"{cell},{sand!r},{silt!r},{clay!r},{rng.uniform(1.1, 1.7)!r},"
+                     f"{rng.choice((5.0, 8.0, 10.0))!r},{rng.choice((1.0, 5.0, 20.0))!r},"
+                     f"{10 ** rng.uniform(-2.0, 3.0)!r}")
+        params = (rng.uniform(0.0, 0.15), rng.uniform(0.35, 0.55), 10 ** rng.uniform(-3.0, 0.0),
+                  rng.uniform(1.05, 4.0))
+        vg.append(f"{cell}," + ",".join(repr(p) for p in params) + ",0.001")
+    return "\n".join(basic) + "\n", "\n".join(vg) + "\n"
+
+
 def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     """Run every step in work with soilptf imported from src; return the
     {relative path: sha256} of every file left in work."""
@@ -153,6 +192,10 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     basic, vg = edge_tables()
     (work / "edges" / "basic.csv").write_text(basic, encoding="utf-8")
     (work / "edges" / "vg.csv").write_text(vg, encoding="utf-8")
+    (work / "quoted").mkdir()
+    basic, vg = quoted_tables()
+    (work / "quoted" / "basic.csv").write_text(basic, encoding="utf-8")
+    (work / "quoted" / "vg.csv").write_text(vg, encoding="utf-8")
     for name, args in STEPS:
         done = subprocess.run(
             [sys.executable, "-m", "soilptf", *args, "--seed", SEED],
