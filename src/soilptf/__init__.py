@@ -7,9 +7,9 @@ effects (sample internal diameter and length).
 
 __version__ = "0.1.0"
 
-from .cpxr import CpxrConfig, PxrModel, train_cpxr
+from .cpxr import CpxrConfig, PxrModel, train_cpxr, train_cpxr_targets
 from .data import Dataset, assign_folds, load_dataset, select_columns
-from .discretize import DiscretizationScheme, build_scheme, mdl_discretize
+from .discretize import DiscretizationScheme, build_scheme, build_schemes, mdl_discretize
 from .evaluation import EvaluationReport, compare, cross_validate, metrics
 from .hydrology import (
     MODEL_CONFIGS,
@@ -40,6 +40,7 @@ __all__ = [
     "VgParameters",
     "assign_folds",
     "build_scheme",
+    "build_schemes",
     "compare",
     "cross_validate",
     "default_synth_config",
@@ -54,5 +55,6 @@ __all__ = [
     "select_columns",
     "texture_statistics",
     "train_cpxr",
+    "train_cpxr_targets",
     "vg_theta",
 ]

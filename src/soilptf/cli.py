@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cpxr import CpxrConfig, CpxrError, PxrModel, train_cpxr
+from .cpxr import CpxrConfig, CpxrError, PxrModel, train_cpxr_targets
+from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
 from .data import (
     DataError,
     load_dataset,
@@ -160,14 +161,19 @@ def _first_cell(ids, names, mask) -> tuple[str, str] | None:
     return ids[i], names[j]
 
 
-def _require_outputs(name_a, path_a, name_b, path_b):
-    """UsageError unless two outputs of one command name two files: the
-    second written would fail after, or replace, the first."""
-    for name, path in ((name_a, path_a), (name_b, path_b)):
+def _require_outputs(*outputs):
+    """UsageError unless every (name, path) output of one command names a
+    file of its own: a directory would fail only after the work, and a
+    second output naming the file of an earlier one would replace it."""
+    for name, path in outputs:
         if os.path.isdir(path):
             raise UsageError(f"{name} names a directory: {path}")
-    if os.path.realpath(path_a) == os.path.realpath(path_b):
-        raise UsageError(f"{name_a} and {name_b} name the same file: {path_b}")
+    earlier = {}
+    for name, path in outputs:
+        real = os.path.realpath(path)
+        if real in earlier:
+            raise UsageError(f"{earlier[real]} and {name} name the same file: {path}")
+        earlier[real] = name
 
 
 def _require_values(path, ids, columns, names):
@@ -255,7 +261,7 @@ def cmd_fit_vg(args) -> int:
         log_path = args.log or str(Path(args.out).with_suffix(".log"))
     except ValueError:  # Path("."), say, has no name to put a suffix on
         raise UsageError(f"--out {args.out!r} names no file") from None
-    _require_outputs("--out", args.out, "the log" if args.log is None else "--log", log_path)
+    _require_outputs(("--out", args.out), ("the log" if args.log is None else "--log", log_path))
     path = _require_file(args.input)
     jobs = _jobs(args)
     seed = _resolve_seed(args.seed)
@@ -297,6 +303,7 @@ def cmd_fit_vg(args) -> int:
 
 
 def cmd_derive_features(args) -> int:
+    _require_outputs(("--out", args.out))
     basic_path = _require_file(args.basic)
     vg_path = _require_file(args.vg)
     seed = _resolve_seed(args.seed)
@@ -359,10 +366,16 @@ def cmd_train(args) -> int:
     dataset = load_dataset(features_path)
     selection = select_columns(dataset, config)
     X, names = selection.X, selection.feature_names
+    ys = [selection.targets[target] for target in config.targets]
+    if method == "mlr":
+        fitted = [fit_local(X, y, names) for y in ys]
+    else:
+        fitted = train_cpxr_targets(X, ys, names, hyper)
+        for model in fitted:
+            if isinstance(model, CpxrError):
+                raise model
     models, training = {}, {}
-    for target in config.targets:
-        y = selection.targets[target]
-        model = fit_local(X, y, names) if method == "mlr" else train_cpxr(X, y, names, hyper)
+    for target, y, model in zip(config.targets, ys, fitted):
         pred = model.predict_matrix(X, names)
         entry = {"train_rmse": float(np.sqrt(np.mean((pred - y) ** 2))), "n_train": len(y)}
         if isinstance(model, PxrModel):
@@ -508,8 +521,7 @@ def _model_paths(spec: str) -> list[Path]:
 
 
 def cmd_predict(args) -> int:
-    if args.curve:
-        _require_outputs("--out", args.out, "--curve", args.curve)
+    _require_outputs(("--out", args.out), *([("--curve", args.curve)] if args.curve else []))
     features_path = _require_file(args.features)
     seed = _resolve_seed(args.seed)
 
@@ -627,6 +639,8 @@ def _load_report(path) -> EvaluationReport:
 
 
 def cmd_report(args) -> int:
+    if args.out:
+        _require_outputs(("--out", args.out))
     report_a = _load_report(args.a)
     report_b = _load_report(args.b)
     try:

@@ -5,9 +5,12 @@ into large-error and small-error classes at a cumulative-error fraction,
 mine contrast patterns of the large-error class over MDL-discretized
 features, fit a local linear model on each pattern's matching samples,
 then pick a small pattern set by greedy forward selection plus swap
-passes. Prediction for a sample matching patterns p_i is the weighted
-mean sum(w_i * f_i(x)) / sum(w_i); a sample matching none uses the
-default model.
+passes. All targets of one table train together: after each target's
+split, one discretization pass (one sort of the shared design matrix and
+one level loop) serves every target's large-error labeling. Prediction
+for a sample matching patterns p_i is the weighted mean
+sum(w_i * f_i(x)) / sum(w_i); a sample matching none uses the default
+model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .discretize import DiscretizationScheme, build_scheme
+from .discretize import DiscretizationScheme, build_schemes
+from .discretize import build_scheme  # only benchmark/trace_child.py looks it up here
 from .linreg import LinearModel, fit_local, one_row
 from .patterns import (
     Pattern,
@@ -293,20 +297,77 @@ def _optimize(w, wp, y, default_pred, config: CpxrConfig):
     return chosen, trace
 
 
+def train_cpxr_targets(
+    X, ys, feature_names, config: CpxrConfig = CpxrConfig()
+) -> list[PxrModel | CpxrError]:
+    """Fit one pattern-aided regression model per target vector of ys on a
+    shared design matrix.
+
+    Returns, per target in order, its PxrModel or the CpxrError that stops
+    it. Each target fits its baseline and splits its rows into the large-
+    and small-error classes; then one build_schemes call discretizes X
+    against every non-empty large-error labeling at once, and each target
+    goes on with its own scheme. Any other error is raised from the first
+    target, in order, that meets one, as when each target trains alone.
+    """
+    X = np.asarray(X, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    names = list(feature_names)
+    n, _ = X.shape
+    if n < config.min_train:
+        return [CpxrError(f"need at least {config.min_train} training rows, got {n}") for _ in ys]
+    results: list = []
+    waiting = {}  # target -> (its training, the labels it discretizes against)
+    for t, y in enumerate(ys):
+        training = _train_steps(X, y, names, config)
+        labels, result = _resume(training, None)
+        results.append(result)
+        if labels is not None:
+            waiting[t] = (training, labels)
+    if waiting:
+        labels = np.column_stack([column for _, column in waiting.values()])
+        try:
+            schemes = build_schemes(X, labels, names, max_depth=config.max_depth)
+        except Exception as exc:  # every waiting target meets it; raised below
+            schemes = [exc] * len(waiting)
+        for (t, (training, _)), scheme in zip(waiting.items(), schemes):
+            results[t] = scheme if isinstance(scheme, Exception) else _resume(training, scheme)[1]
+    for result in results:
+        if isinstance(result, Exception) and not isinstance(result, CpxrError):
+            raise result
+    return results
+
+
 def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrModel:
-    """Fit a pattern-aided regression model on a design matrix.
+    """Fit a pattern-aided regression model on a design matrix: the
+    one-target call of train_cpxr_targets.
 
     The result never predicts the training data worse (in RMSE) than the
     baseline regression: if the optimized pattern set loses to the
     baseline after the default-model refit, the empty set is returned.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    names = list(feature_names)
-    n, p = X.shape
-    if n < config.min_train:
-        raise CpxrError(f"need at least {config.min_train} training rows, got {n}")
+    (model,) = train_cpxr_targets(X, [y], feature_names, config)
+    if isinstance(model, CpxrError):
+        raise model
+    return model
 
+
+def _resume(training, value):
+    """Run one target's training to its next yield: (labels, None) there,
+    (None, result) where it returns or raises."""
+    try:
+        return training.send(value), None
+    except StopIteration as done:
+        return None, done.value
+    except Exception as exc:  # the caller raises it once the earlier targets are done
+        return None, exc
+
+
+def _train_steps(X, y, names, config: CpxrConfig):
+    """One target's training, as a generator: it yields the target's
+    large-error labels, is sent their DiscretizationScheme and returns the
+    model. A target whose large-error class is empty returns at once."""
+    n, p = X.shape
     # the baseline regression gets the same ridge fallback local fits use
     baseline = fit_local(X, y, feature_names=names)
     base_pred = baseline.predict_matrix(X, names)
@@ -327,8 +388,7 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
 
     le_rows = np.zeros(n, dtype=bool)
     le_rows[split.le_ids] = True
-    labels = le_rows.astype(int)
-    scheme = build_scheme(X, labels, names, max_depth=config.max_depth)
+    scheme = yield le_rows.astype(int)
 
     items = scheme.alphabet()
     if not items:

@@ -18,7 +18,8 @@ from numbers import Real
 
 import numpy as np
 
-from .cpxr import CpxrConfig, CpxrError, train_cpxr
+from .cpxr import CpxrConfig, CpxrError, train_cpxr_targets
+from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
 from .data import Dataset, assign_folds, select_columns
 from .hydrology import LOG_TARGETS, ModelConfig
 from .linreg import fit_local
@@ -191,16 +192,22 @@ def _splits_for(k: int, scheme: str):
     raise EvaluationError(f"unknown cv scheme {scheme!r}")
 
 
-def _fit_method(method, X_tr, y_tr, names, cpxr_config):
-    """Fit one target with the requested method; returns (model, degraded)."""
+def _fit_targets(method, X_tr, ys, names, cpxr_config):
+    """Fit every target with the requested method; yields (model, degraded)
+    per target in order. cpxr trains all targets in one call; a target it
+    cannot train falls back to the baseline regression, fitted when the
+    caller reaches that target."""
     if method == "mlr":
-        return fit_local(X_tr, y_tr, feature_names=names), False
-    if method == "cpxr":
-        try:
-            return train_cpxr(X_tr, y_tr, names, config=cpxr_config), False
-        except CpxrError:
-            return fit_local(X_tr, y_tr, feature_names=names), True
-    raise EvaluationError(f"unknown method {method!r}; expected 'mlr' or 'cpxr'")
+        for y in ys:
+            yield fit_local(X_tr, y, feature_names=names), False
+    elif method == "cpxr":
+        for y, model in zip(ys, train_cpxr_targets(X_tr, ys, names, config=cpxr_config)):
+            if isinstance(model, CpxrError):
+                yield fit_local(X_tr, y, feature_names=names), True
+            else:
+                yield model, False
+    else:
+        raise EvaluationError(f"unknown method {method!r}; expected 'mlr' or 'cpxr'")
 
 
 def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_predictions, rep):
@@ -216,9 +223,10 @@ def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_pre
         degraded = False
         train_metrics, test_metrics = {}, {}
         rows = [] if collect_predictions else None
-        for t, y in selection.targets.items():
-            y_tr, y_te = y[train_idx], y[test_idx]
-            model, fell_back = _fit_method(method, X_tr, y_tr, names, cpxr_config)
+        ys = [y[train_idx] for y in selection.targets.values()]
+        fits = _fit_targets(method, X_tr, ys, names, cpxr_config)
+        for (t, y), y_tr, (model, fell_back) in zip(selection.targets.items(), ys, fits):
+            y_te = y[test_idx]
             degraded = degraded or fell_back
             log_space = t in LOG_TARGETS
             pred_tr = model.predict_matrix(X_tr, names)

@@ -517,6 +517,41 @@ def test_output_naming_a_directory_is_usage_error_and_writes_nothing(swrc3_model
         assert list(out.iterdir()) == []
 
 
+def _assert_out_directory_refused(argv, out, monkeypatch, capsys, first_work):
+    # the check comes before first_work, the command's first reading step
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran before the output check")
+    monkeypatch.setattr(f"soilptf.cli.{first_work}", refuse)
+    out.mkdir()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: --out names a directory: {out}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_derive_features_out_directory_is_usage_error(synth_small, vg_params, tmp_path,
+                                                      monkeypatch, capsys):
+    out = tmp_path / "out"
+    _assert_out_directory_refused(
+        ["derive-features", "--basic", synth_small / "dataset.csv", "--vg", vg_params,
+         "--out", out], out, monkeypatch, capsys, "read_rows")
+
+
+def test_predict_out_directory_is_usage_error(swrc3_models, features_csv, tmp_path,
+                                              monkeypatch, capsys):
+    out = tmp_path / "out"
+    _assert_out_directory_refused(
+        ["predict", "--model", swrc3_models, "--features", features_csv, "--out", out],
+        out, monkeypatch, capsys, "_load_model_payload")
+
+
+def test_report_out_directory_is_usage_error(eval_dirs, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    _assert_out_directory_refused(
+        ["report", "--a", eval_dirs[0] / "report_SHC2_cpxr.json",
+         "--b", eval_dirs[0] / "report_SHC2_mlr.json", "--out", out],
+        out, monkeypatch, capsys, "_load_report")
+
+
 def test_fit_vg_missing_input_is_usage_error(tmp_path, capsys):
     rc = run(["fit-vg", "--input", tmp_path / "nope.csv", "--out", tmp_path / "p.csv"])
     assert rc == 2

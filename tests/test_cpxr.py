@@ -17,6 +17,7 @@ from soilptf.cpxr import (
     local_weight,
     split_le_se,
     train_cpxr,
+    train_cpxr_targets,
 )
 from soilptf.data import select_columns
 from soilptf.discretize import DiscretizationScheme
@@ -572,6 +573,64 @@ def test_train_minimum_rows():
     X, y = _two_regime(n=29)
     with pytest.raises(CpxrError, match="at least 30"):
         train_cpxr(X, y, ["x", "z"])
+
+
+def _json(model):
+    return json.dumps(model.to_dict(), sort_keys=True)
+
+
+def _swrc2_seed7():
+    dataset, _ = generate(two_regime_config(n_samples=300, seed=7))
+    selection = select_columns(dataset, MODEL_CONFIGS["SWRC2"])
+    return selection.X, list(selection.targets.values()), selection.feature_names
+
+
+def test_targets_trained_together_match_each_trained_alone():
+    X, ys, names = _swrc2_seed7()
+    together = train_cpxr_targets(X, ys, names)
+    assert len(together) == len(ys) == 10
+    assert sum(model.k for model in together) > 0
+    for y, model in zip(ys, together):
+        assert _json(model) == _json(train_cpxr(X, y, names))
+
+
+def test_constant_target_trains_baseline_only_beside_the_others():
+    # a zero target leaves zero residuals: an empty large-error class, so it
+    # takes no part in the shared discretization
+    X, ys, names = _swrc2_seed7()
+    ys = [ys[0], np.zeros(len(X)), ys[2]]
+    together = train_cpxr_targets(X, ys, names)
+    assert together[1].k == 0 and together[1].scheme.cuts == {}
+    assert together[0].scheme.cuts and together[2].scheme.cuts
+    for y, model in zip(ys, together):
+        assert _json(model) == _json(train_cpxr(X, y, names))
+
+
+def test_too_few_rows_stop_every_target_with_its_error():
+    X, ys, names = _swrc2_seed7()
+    X, ys = X[:29], [y[:29] for y in ys[:3]]
+    together = train_cpxr_targets(X, ys, names)
+    assert [type(e) for e in together] == [CpxrError] * 3
+    for y, error in zip(ys, together):
+        with pytest.raises(CpxrError) as alone:
+            train_cpxr(X, y, names)
+        assert str(error) == str(alone.value) == "need at least 30 training rows, got 29"
+
+
+def test_other_errors_come_from_the_first_target_that_meets_one(monkeypatch):
+    # target 0 fails in mining, after the shared discretization; target 1
+    # fails at its baseline, before it. Alone, target 0 would fail first.
+    X, ys, names = _swrc2_seed7()
+
+    def mine(*args):
+        raise RuntimeError("mining failed")
+
+    monkeypatch.setattr(soilptf.cpxr, "_mine_masks", mine)
+    with pytest.raises(RuntimeError, match="^mining failed$"):
+        train_cpxr_targets(X, [ys[0], ys[1][:-1]], names)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="but y has shape"):
+        train_cpxr_targets(X, [ys[0], ys[1][:-1]], names)
 
 
 def test_trained_model_json_roundtrip():

@@ -17,6 +17,7 @@ from soilptf.discretize import (
     DiscretizationScheme,
     DiscretizeError,
     build_scheme,
+    build_schemes,
     mdl_discretize,
 )
 from soilptf.hydrology import MODEL_CONFIGS
@@ -222,6 +223,73 @@ def test_scheme_matches_scalar_reference_per_column(matrix):
     assert list(scheme.cuts) == names
     for j, name in enumerate(names):
         assert _hex(scheme.cuts[name]) == _hex(scalar_reference_cuts(X[:, j], labels, max_depth))
+
+
+@st.composite
+def labelled_matrices(draw):
+    """A scheme_matrices design matrix with 1-5 labelings of its rows: its
+    own labels, those labels with a share of rows relabelled, random labels
+    of 1-3 classes, or one class only; then, sometimes, a NaN cell or a
+    label matrix of the wrong row count."""
+    X, labels, max_depth = draw(scheme_matrices())
+    n = len(X)
+    _, codes = np.unique(labels, return_inverse=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["own", "relabelled", "random", "one-class"]),
+                              min_size=1, max_size=5)):
+        if kind == "own":
+            columns.append(codes)
+        elif kind == "relabelled":
+            flip = rng.random(n) < draw(st.floats(0.0, 1.0))
+            columns.append(np.where(flip, rng.integers(0, 3, n), codes))
+        elif kind == "random":
+            columns.append(rng.integers(0, draw(st.integers(1, 3)), n))
+        else:
+            columns.append(np.full(n, draw(st.integers(0, 2))))
+    L = np.column_stack(columns)
+    if labels.dtype.kind == "U":
+        L = np.array(["SE", "LE", "mid"])[L]
+    fault = draw(st.sampled_from([None, None, None, "nan", "rows"]))
+    if fault == "nan":
+        X = X.copy()
+        X[rng.integers(0, n), rng.integers(0, X.shape[1])] = np.nan
+    elif fault == "rows":
+        L = L[:-1] if draw(st.booleans()) else np.vstack([L, L[:1]])
+    return X, L, max_depth
+
+
+# the second labeling has one class, the third is the first relabelled
+_ONE_CLASS = (np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 1e300], [4.0, 1e300], [5.0, 7.0]]),
+              np.array([[0, 1, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [1, 1, 1]]), 2)
+
+
+@settings(max_examples=100, deadline=None)
+@example(_ONE_CLASS)
+@given(labelled_matrices())
+def test_schemes_match_one_scheme_per_labeling(matrix):
+    X, L, max_depth = matrix
+    names = [f"x{j}" for j in range(X.shape[1])]
+    try:
+        schemes = build_schemes(X, L, names, max_depth=max_depth)
+    except DiscretizeError as exc:
+        for t in range(L.shape[1]):
+            with pytest.raises(DiscretizeError) as alone:
+                build_scheme(X, L[:, t], names, max_depth=max_depth)
+            assert str(alone.value) == str(exc)
+        return
+    assert len(schemes) == L.shape[1]
+    for t, scheme in enumerate(schemes):
+        alone = build_scheme(X, L[:, t], names, max_depth=max_depth)
+        assert list(scheme.cuts) == names
+        assert {f: _hex(c) for f, c in scheme.cuts.items()} == (
+            {f: _hex(c) for f, c in alone.cuts.items()})
+
+
+def test_schemes_need_a_label_matrix():
+    with pytest.raises(DiscretizeError, match=re.escape("must form a 2-d matrix, got shape (3,)")):
+        build_schemes(np.zeros((3, 1)), [0, 1, 0], ["a"])
+    assert build_schemes(np.zeros((3, 1)), np.zeros((3, 0)), ["a"]) == []
 
 
 def test_trained_schemes_match_scalar_reference_on_le_labels():

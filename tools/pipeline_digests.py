@@ -21,7 +21,11 @@ of the checkout holding this script) in a fresh temporary directory:
     prediction tables are hashed, and derive-features then predict SWRC4
     --curve on a basic and a vg table the script writes itself
     (quoted_tables: ids holding commas, quotes, "#" and non-ASCII text, so
-    the quoting of every table those commands write is hashed)
+    the quoting of every table those commands write is hashed),
+    evaluate SWRC2 cpxr,mlr --reps 2 --k 5 --jobs 2 (the process-pool
+    route), and evaluate SWRC2 cpxr,mlr with --set min_train=1000, above
+    the table's 300 samples, so every cpxr iteration falls back to the
+    baseline regression and is flagged degraded
 
 It prints one JSON object mapping each artifact's path (relative to the run
 directory) to its sha256; each step's exit code, stdout and stderr count as
@@ -81,6 +85,12 @@ STEPS = [
     ("predict-quoted", ["predict", "--model", "models/SWRC4_cpxr",
                         "--features", "quoted/features.csv", "--out", "quoted/pred.csv",
                         "--curve", "quoted/curve.csv"]),
+    ("evaluate-jobs2", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
+                        "--methods", "cpxr,mlr", "--reps", "2", "--k", "5", "--jobs", "2",
+                        "--out-dir", "eval-jobs2"]),
+    ("evaluate-degraded", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
+                           "--methods", "cpxr,mlr", "--reps", "1", "--k", "5", "--jobs", "1",
+                           "--set", "min_train=1000", "--out-dir", "eval-degraded"]),
 ]
 
 # The mixed table: (id, points, fault) per sample, in row order. A fault
