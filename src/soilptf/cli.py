@@ -371,14 +371,11 @@ def cmd_train(args) -> int:
         fitted = [fit_local(X, y, names) for y in ys]
     else:
         fitted = train_cpxr_targets(X, ys, names, hyper)
-        for model in fitted:
-            if isinstance(model, CpxrError):
-                raise model
     models, training = {}, {}
     for target, y, model in zip(config.targets, ys, fitted):
         pred = model.predict_matrix(X, names)
         entry = {"train_rmse": float(np.sqrt(np.mean((pred - y) ** 2))), "n_train": len(y)}
-        if isinstance(model, PxrModel):
+        if method == "cpxr":
             entry["patterns"] = model.k
             entry["baseline_rmse"] = model.baseline_rmse
         training[target] = entry

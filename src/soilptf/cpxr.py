@@ -5,10 +5,11 @@ into large-error and small-error classes at a cumulative-error fraction,
 mine contrast patterns of the large-error class over MDL-discretized
 features, fit a local linear model on each pattern's matching samples,
 then pick a small pattern set by greedy forward selection plus swap
-passes. All targets of one table train together: after each target's
-split, one discretization pass (one sort of the shared design matrix and
-one level loop) serves every target's large-error labeling. Prediction
-for a sample matching patterns p_i is the weighted mean
+passes. All targets of one table train together, in three stages: each
+target's baseline and error split, one discretization pass (one sort of
+the shared design matrix and one level loop) over every target's
+large-error labeling, then each target's patterns over its scheme.
+Prediction for a sample matching patterns p_i is the weighted mean
 sum(w_i * f_i(x)) / sum(w_i); a sample matching none uses the default
 model.
 """
@@ -299,80 +300,61 @@ def _optimize(w, wp, y, default_pred, config: CpxrConfig):
 
 def train_cpxr_targets(
     X, ys, feature_names, config: CpxrConfig = CpxrConfig()
-) -> list[PxrModel | CpxrError]:
+) -> list[PxrModel]:
     """Fit one pattern-aided regression model per target vector of ys on a
-    shared design matrix.
+    shared design matrix: _error_split per target, one build_schemes call
+    over the non-empty large-error labelings, then _fit_patterns per
+    target. Raises CpxrError below config.min_train rows.
 
-    Returns, per target in order, its PxrModel or the CpxrError that stops
-    it. Each target fits its baseline and splits its rows into the large-
-    and small-error classes; then one build_schemes call discretizes X
-    against every non-empty large-error labeling at once, and each target
-    goes on with its own scheme. Any other error is raised from the first
-    target, in order, that meets one, as when each target trains alone.
+    No model predicts its training data worse (in RMSE) than the baseline
+    regression: if the optimized pattern set loses to the baseline after
+    the default-model refit, the empty set is returned.
     """
     X = np.asarray(X, dtype=float)
     ys = [np.asarray(y, dtype=float) for y in ys]
     names = list(feature_names)
     n, _ = X.shape
     if n < config.min_train:
-        return [CpxrError(f"need at least {config.min_train} training rows, got {n}") for _ in ys]
-    results: list = []
-    waiting = {}  # target -> (its training, the labels it discretizes against)
-    for t, y in enumerate(ys):
-        training = _train_steps(X, y, names, config)
-        labels, result = _resume(training, None)
-        results.append(result)
-        if labels is not None:
-            waiting[t] = (training, labels)
-    if waiting:
-        labels = np.column_stack([column for _, column in waiting.values()])
-        try:
-            schemes = build_schemes(X, labels, names, max_depth=config.max_depth)
-        except Exception as exc:  # every waiting target meets it; raised below
-            schemes = [exc] * len(waiting)
-        for (t, (training, _)), scheme in zip(waiting.items(), schemes):
-            results[t] = scheme if isinstance(scheme, Exception) else _resume(training, scheme)[1]
-    for result in results:
-        if isinstance(result, Exception) and not isinstance(result, CpxrError):
-            raise result
-    return results
+        raise CpxrError(f"need at least {config.min_train} training rows, got {n}")
+    starts = [_error_split(X, y, names, config) for y in ys]
+    schemes = [DiscretizationScheme() for _ in ys]
+    le_targets = [t for t, start in enumerate(starts) if start[-1].any()]
+    if le_targets:
+        labels = np.column_stack([starts[t][-1].astype(int) for t in le_targets])
+        shared = build_schemes(X, labels, names, max_depth=config.max_depth)
+        for t, scheme in zip(le_targets, shared):
+            schemes[t] = scheme
+    return [
+        _fit_patterns(X, y, names, config, start, scheme)
+        for y, start, scheme in zip(ys, starts, schemes)
+    ]
 
 
 def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrModel:
     """Fit a pattern-aided regression model on a design matrix: the
-    one-target call of train_cpxr_targets.
-
-    The result never predicts the training data worse (in RMSE) than the
-    baseline regression: if the optimized pattern set loses to the
-    baseline after the default-model refit, the empty set is returned.
-    """
+    one-target call of train_cpxr_targets."""
     (model,) = train_cpxr_targets(X, [y], feature_names, config)
-    if isinstance(model, CpxrError):
-        raise model
     return model
 
 
-def _resume(training, value):
-    """Run one target's training to its next yield: (labels, None) there,
-    (None, result) where it returns or raises."""
-    try:
-        return training.send(value), None
-    except StopIteration as done:
-        return None, done.value
-    except Exception as exc:  # the caller raises it once the earlier targets are done
-        return None, exc
-
-
-def _train_steps(X, y, names, config: CpxrConfig):
-    """One target's training, as a generator: it yields the target's
-    large-error labels, is sent their DiscretizationScheme and returns the
-    model. A target whose large-error class is empty returns at once."""
-    n, p = X.shape
+def _error_split(X, y, names, config: CpxrConfig):
+    """Stage 1 of one target: (baseline, its training predictions, their
+    residuals, their RMSE, the large-error row mask)."""
     # the baseline regression gets the same ridge fallback local fits use
     baseline = fit_local(X, y, feature_names=names)
     base_pred = baseline.predict_matrix(X, names)
     r0 = y - base_pred
     baseline_rmse = float(np.sqrt(np.mean(r0**2)))
+    le_rows = np.zeros(len(X), dtype=bool)
+    le_rows[split_le_se(r0, config.rho).le_ids] = True
+    return baseline, base_pred, r0, baseline_rmse, le_rows
+
+
+def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: DiscretizationScheme):
+    """Stage 3 of one target (start is its _error_split): mine, fit and
+    select patterns over scheme; baseline-only where a step leaves none."""
+    baseline, base_pred, r0, baseline_rmse, le_rows = start
+    n, p = X.shape
 
     def baseline_only(err_trace):
         return PxrModel(
@@ -380,15 +362,6 @@ def _train_steps(X, y, names, config: CpxrConfig):
             feature_names=names, train_rmse=baseline_rmse, baseline_rmse=baseline_rmse,
             trace=err_trace,
         )
-
-    scheme = DiscretizationScheme()
-    split = split_le_se(r0, config.rho)
-    if split.le_ids.size == 0:
-        return baseline_only([float(np.abs(r0).sum())])
-
-    le_rows = np.zeros(n, dtype=bool)
-    le_rows[split.le_ids] = True
-    scheme = yield le_rows.astype(int)
 
     items = scheme.alphabet()
     if not items:

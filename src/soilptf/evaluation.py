@@ -193,21 +193,16 @@ def _splits_for(k: int, scheme: str):
 
 
 def _fit_targets(method, X_tr, ys, names, cpxr_config):
-    """Fit every target with the requested method; yields (model, degraded)
-    per target in order. cpxr trains all targets in one call; a target it
-    cannot train falls back to the baseline regression, fitted when the
-    caller reaches that target."""
-    if method == "mlr":
-        for y in ys:
-            yield fit_local(X_tr, y, feature_names=names), False
-    elif method == "cpxr":
-        for y, model in zip(ys, train_cpxr_targets(X_tr, ys, names, config=cpxr_config)):
-            if isinstance(model, CpxrError):
-                yield fit_local(X_tr, y, feature_names=names), True
-            else:
-                yield model, False
-    else:
-        raise EvaluationError(f"unknown method {method!r}; expected 'mlr' or 'cpxr'")
+    """Fit every target with the requested method: (models, degraded).
+    cpxr trains all targets in one call; where it cannot train, every
+    target falls back to the baseline regression and degraded is set."""
+    degraded = False
+    if method == "cpxr":
+        try:
+            return train_cpxr_targets(X_tr, ys, names, config=cpxr_config), False
+        except CpxrError:
+            degraded = True
+    return [fit_local(X_tr, y, feature_names=names) for y in ys], degraded
 
 
 def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_predictions, rep):
@@ -220,14 +215,12 @@ def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_pre
         train_idx = np.flatnonzero(~in_test)
         test_ids = [ids[i] for i in test_idx]
         X_tr, X_te = X[train_idx], X[test_idx]
-        degraded = False
         train_metrics, test_metrics = {}, {}
         rows = [] if collect_predictions else None
         ys = [y[train_idx] for y in selection.targets.values()]
-        fits = _fit_targets(method, X_tr, ys, names, cpxr_config)
-        for (t, y), y_tr, (model, fell_back) in zip(selection.targets.items(), ys, fits):
+        models, degraded = _fit_targets(method, X_tr, ys, names, cpxr_config)
+        for (t, y), y_tr, model in zip(selection.targets.items(), ys, models):
             y_te = y[test_idx]
-            degraded = degraded or fell_back
             log_space = t in LOG_TARGETS
             pred_tr = model.predict_matrix(X_tr, names)
             pred_te = model.predict_matrix(X_te, names)
@@ -277,6 +270,8 @@ def cross_validate(
         raise EvaluationError(f"repetitions must be from 1 to {MAX_REPETITIONS}, got {repetitions}")
     if jobs < 1:
         raise EvaluationError(f"jobs must be positive, got {jobs}")
+    if method not in ("mlr", "cpxr"):
+        raise EvaluationError(f"unknown method {method!r}; expected 'mlr' or 'cpxr'")
     selection = select_columns(dataset, config)
     # validate early, k against the sample count before k splits are listed
     assign_folds(len(selection.ids), k, seed)

@@ -100,7 +100,12 @@ def vg_curve(theta_r, theta_s, alpha, n, h):
     (S, 1) and tensions h (P,) give the (S, P) curves. Where (alpha*h)^n
     overflows, the outer power takes its inf to theta_r, the dry limit."""
     m = 1.0 - 1.0 / n
-    return theta_r + (theta_s - theta_r) * np.power(1.0 + np.power(alpha * h, n), -m)
+    ah = alpha * h
+    # the exponent as a full array of its own: under a scalar or one-row
+    # exponent of 2.0 numpy squares, a bit off its power loop, so at n = 2 a
+    # curve would change with the rows computed beside it
+    ah_n = np.power(ah, np.zeros(np.shape(ah)) + n)
+    return theta_r + (theta_s - theta_r) * np.power(1.0 + ah_n, -m)
 
 
 def vg_theta(params: VgParameters, h):

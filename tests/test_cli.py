@@ -796,6 +796,18 @@ def test_train_malformed_hyperparameter_is_one_line_usage_error(synth_small, tmp
     assert spec.split("=")[0] in err and "Traceback" not in err
 
 
+def test_train_below_min_train_is_one_line_error(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "models"
+    assert run(["synth", "--out-dir", data, "--kind", "two-regime", "--n", "300",
+                "--seed", "7"]) == 0
+    capsys.readouterr()
+    rc = run(["train", "--features", data / "dataset.csv", "--config", "SWRC2",
+              "--method", "cpxr", "--set", "min_train=1000", "--out-dir", out, "--seed", "7"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least 1000 training rows, got 300\n"
+    assert not out.exists()
+
+
 def test_train_set_overrides_hyper_file(work, synth_small, shc2_cpxr_models):
     hyper = work / "hyper_rho.json"
     hyper.write_text('{"rho": 0.3}\n')

@@ -22,7 +22,7 @@ from soilptf.cpxr import (
 from soilptf.data import select_columns
 from soilptf.discretize import DiscretizationScheme
 from soilptf.hydrology import MODEL_CONFIGS
-from soilptf.linreg import LinearModel, fit_local
+from soilptf.linreg import FitError, LinearModel, fit_local
 from soilptf.patterns import (
     Item,
     Pattern,
@@ -606,31 +606,51 @@ def test_constant_target_trains_baseline_only_beside_the_others():
         assert _json(model) == _json(train_cpxr(X, y, names))
 
 
-def test_too_few_rows_stop_every_target_with_its_error():
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(30, 80), p=st.integers(1, 4), targets=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_generated_targets_trained_together_match_each_trained_alone(n, p, targets, seed, data):
+    # regime targets over coarse (tied) features, plus a zero target (an
+    # empty large-error class) and one target given twice, in a drawn order
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.uniform(0, 5, (n, p)), int(rng.integers(0, 3)))
+    ys = []
+    for _ in range(targets):
+        x = X[:, rng.integers(p)]
+        shift = np.where(x > np.quantile(x, 0.7), rng.uniform(2, 5) * (1 + x), 0.0)
+        ys.append(X @ rng.normal(size=p) + shift + rng.normal(0, 0.05, n))
+    ys += [np.zeros(n), ys[data.draw(st.integers(0, targets - 1))]]
+    ys = data.draw(st.permutations(ys))
+    names = [f"f{j}" for j in range(p)]
+    together = train_cpxr_targets(X, ys, names)
+    assert [_json(model) for model in together] == [_json(train_cpxr(X, y, names)) for y in ys]
+    zero = next(t for t, y in enumerate(ys) if not y.any())
+    assert together[zero].to_dict()["scheme"] == {} and together[zero].k == 0
+
+
+def test_too_few_rows_raise_the_error_train_cpxr_raises():
     X, ys, names = _swrc2_seed7()
     X, ys = X[:29], [y[:29] for y in ys[:3]]
-    together = train_cpxr_targets(X, ys, names)
-    assert [type(e) for e in together] == [CpxrError] * 3
-    for y, error in zip(ys, together):
-        with pytest.raises(CpxrError) as alone:
-            train_cpxr(X, y, names)
-        assert str(error) == str(alone.value) == "need at least 30 training rows, got 29"
+    with pytest.raises(CpxrError) as together:
+        train_cpxr_targets(X, ys, names)
+    with pytest.raises(CpxrError) as alone:
+        train_cpxr(X, ys[0], names)
+    assert str(together.value) == str(alone.value) == "need at least 30 training rows, got 29"
 
 
-def test_other_errors_come_from_the_first_target_that_meets_one(monkeypatch):
-    # target 0 fails in mining, after the shared discretization; target 1
-    # fails at its baseline, before it. Alone, target 0 would fail first.
+def test_errors_are_raised_in_stage_order(monkeypatch):
+    # every target's baseline (stage 1) fits before any target mines (stage
+    # 3): target 1's short y fails first, although target 0 comes first
     X, ys, names = _swrc2_seed7()
 
     def mine(*args):
         raise RuntimeError("mining failed")
 
     monkeypatch.setattr(soilptf.cpxr, "_mine_masks", mine)
+    with pytest.raises(FitError, match="but y has shape"):
+        train_cpxr_targets(X, [ys[0], ys[1][:-1]], names)
     with pytest.raises(RuntimeError, match="^mining failed$"):
-        train_cpxr_targets(X, [ys[0], ys[1][:-1]], names)
-    monkeypatch.undo()
-    with pytest.raises(ValueError, match="but y has shape"):
-        train_cpxr_targets(X, [ys[0], ys[1][:-1]], names)
+        train_cpxr_targets(X, ys[:2], names)
 
 
 def test_trained_model_json_roundtrip():

@@ -149,6 +149,17 @@ def test_scheme_and_input_validation():
         cross_validate(ds, cfg, method="boost")
 
 
+def test_unknown_method_is_rejected_before_any_split(monkeypatch):
+    def no_splits(*args):
+        raise AssertionError("map_jobs ran")
+
+    monkeypatch.setattr(soilptf.evaluation, "map_jobs", no_splits)
+    ds, cfg = _regime_dataset(n=30)
+    with pytest.raises(EvaluationError,
+                       match="^unknown method 'boost'; expected 'mlr' or 'cpxr'$"):
+        cross_validate(ds, cfg, method="boost", jobs=2)
+
+
 def test_small_folds_degrade_cpxr_gracefully():
     # 40 samples, k=5 paired: 24 training rows, below the trainer minimum
     ds, cfg = _regime_dataset(n=40)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soilptf.data import KNOWN_FEATURES, Dataset, validate_dataset
@@ -328,8 +328,15 @@ def _derive_sample(draw):
     return basic, params, draw(st.sampled_from([math.nan]) | st.floats(-20.0, 20.0))
 
 
+_CLAY = {"sand": 0.0, "silt": 0.0, "clay": 100.0, "bulk_density": 1.0,
+         "internal_diameter_cm": 5.0, "length_cm": 1.0}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_derive_sample(), min_size=1, max_size=25))
+# n = 2 beside another row: numpy squared a one-row base, but not a batch's
+@example([(_CLAY, VgParameters(0.0, 1.0, 1.0, _ABOVE_ONE), math.nan),
+          (_CLAY, VgParameters(0.0, 1.0, 21.0, 2.0), math.nan)])
 def test_derive_columns_matches_the_per_sample_route(samples):
     # every column bit for bit, and the one-row calls give each row's values
     ids = [f"x{i}" for i in range(len(samples))]

@@ -23,13 +23,16 @@ of the checkout holding this script) in a fresh temporary directory:
     (quoted_tables: ids holding commas, quotes, "#" and non-ASCII text, so
     the quoting of every table those commands write is hashed),
     evaluate SWRC2 cpxr,mlr --reps 2 --k 5 --jobs 2 (the process-pool
-    route), and evaluate SWRC2 cpxr,mlr with --set min_train=1000, above
+    route), evaluate SWRC2 cpxr,mlr with --set min_train=1000, above
     the table's 300 samples, so every cpxr iteration falls back to the
-    baseline regression and is flagged degraded
+    baseline regression and is flagged degraded, and train SWRC2 cpxr with
+    the same setting, which must exit 1 and write nothing
 
 It prints one JSON object mapping each artifact's path (relative to the run
 directory) to its sha256; each step's exit code, stdout and stderr count as
-one more artifact, `<step>.out`. Run it for two checkouts on one machine and
+one more artifact, `<step>.out`. A step exiting with another code than it
+expects (0 unless EXIT_CODES says otherwise), or a failing step that leaves
+files behind, stops the run. Run it for two checkouts on one machine and
 diff the outputs: equal objects mean byte-identical artifacts. Uses only the
 standard library.
 """
@@ -91,7 +94,13 @@ STEPS = [
     ("evaluate-degraded", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
                            "--methods", "cpxr,mlr", "--reps", "1", "--k", "5", "--jobs", "1",
                            "--set", "min_train=1000", "--out-dir", "eval-degraded"]),
+    ("train-too-few", ["train", "--features", "features.csv", "--config", "SWRC2",
+                       "--method", "cpxr", "--set", "min_train=1000",
+                       "--out-dir", "models/too_few"]),
 ]
+
+# The exit code of each step expected to fail; every other step must exit 0.
+EXIT_CODES = {"train-too-few": 1}
 
 # The mixed table: (id, points, fault) per sample, in row order. A fault
 # makes the sample fail: a negative tension, a theta above 1, only 4
@@ -207,14 +216,19 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     (work / "quoted" / "basic.csv").write_text(basic, encoding="utf-8")
     (work / "quoted" / "vg.csv").write_text(vg, encoding="utf-8")
     for name, args in STEPS:
+        before = set(work.rglob("*"))
         done = subprocess.run(
             [sys.executable, "-m", "soilptf", *args, "--seed", SEED],
             cwd=work, env=env, capture_output=True, text=True,
         )
+        left = sorted(str(path.relative_to(work)) for path in set(work.rglob("*")) - before)
         record = f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
         (work / f"{name}.out").write_text(record, encoding="utf-8")
-        if done.returncode != 0:
-            sys.exit(f"step {name} exited {done.returncode}:\n{done.stderr}")
+        expected = EXIT_CODES.get(name, 0)
+        if done.returncode != expected:
+            sys.exit(f"step {name} exited {done.returncode}, expected {expected}:\n{done.stderr}")
+        if expected and left:
+            sys.exit(f"step {name} failed but left {left}")
     return {
         path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(work.rglob("*"))
