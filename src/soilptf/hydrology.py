@@ -99,13 +99,16 @@ def vg_curve(theta_r, theta_s, alpha, n, h):
     """theta(h), broadcast over its arguments and unchecked: parameters
     (S, 1) and tensions h (P,) give the (S, P) curves. Where (alpha*h)^n
     overflows, the outer power takes its inf to theta_r, the dry limit."""
+    shape = np.broadcast_shapes(*map(np.shape, (theta_r, theta_s, alpha, n, h)))
+    # both powers over full arrays of at least one element: under a 0-d or
+    # broadcast exponent of 2.0 (or -1.0, where m rounds to 1) numpy squares
+    # (or divides), a bit off its power loop, so a curve would change with
+    # the rows computed beside it, and a scalar tension with it
+    ones = np.ones(shape or (1,))
     m = 1.0 - 1.0 / n
-    ah = alpha * h
-    # the exponent as a full array of its own: under a scalar or one-row
-    # exponent of 2.0 numpy squares, a bit off its power loop, so at n = 2 a
-    # curve would change with the rows computed beside it
-    ah_n = np.power(ah, np.zeros(np.shape(ah)) + n)
-    return theta_r + (theta_s - theta_r) * np.power(1.0 + ah_n, -m)
+    ah_n = np.power(alpha * h * ones, n * ones)
+    theta = theta_r + (theta_s - theta_r) * np.power(1.0 + ah_n, -m * ones)
+    return theta.reshape(shape)
 
 
 def vg_theta(params: VgParameters, h):
