@@ -149,17 +149,20 @@ def derived_water_contents(params: VgParameters) -> dict[str, float]:
 
 _MAX_ITER = 500
 _N_STARTS = 5
-# Samples per _fit_lanes call. A call's temporaries grow with its lanes,
-# about 3 KB per lane at 13 points, so one call of 64 samples x 5 starts
-# peaks near 1 MB however many curves are fitted. Larger calls run faster
-# but peak higher.
-_BATCH_SAMPLES = 64
+# Lanes in flight in one _fit_lanes call: a lane that stops frees its slot
+# for the next waiting lane in row order. A round's temporaries grow with
+# the lanes in flight, about 3 KB per lane at 13 points, so a call peaks
+# near 1 MB however many curves it fits. A wider pool takes fewer rounds
+# but peaks higher.
+_POOL_LANES = 320
 _DIAG = np.arange(4)
 
 
 def _logit(q):
-    q = min(max(q, 1e-9), 1.0 - 1e-9)
-    return math.log(q / (1.0 - q))
+    """log(q / (1 - q)) of each value of the column q, clipped to
+    [1e-9, 1 - 1e-9], through math.log."""
+    q = np.clip(q, 1e-9, 1.0 - 1e-9)
+    return each(math.log, q / (1.0 - q))
 
 
 def _expit(x):
@@ -267,38 +270,70 @@ def _solve_lanes(A, b):
 
 def _fit_lanes(u0, h, theta_obs):
     """Levenberg-Marquardt minimization of each lane's squared residual sum,
-    all lanes at once.
+    lanes side by side.
 
     u0 holds B start vectors (B, 4) in the transformed parameters of
-    _unpack; h and theta_obs hold each lane's points (B, P). Returns
-    (u, sse, converged) as arrays over the lanes. Each lane runs its own
-    loop: its damping factor, scaled by the diagonal of its J'J, is
-    multiplied by 10 when a trial step does not reduce the cost (or its
-    system is singular, or alpha or n leaves float range) and divided by 3,
-    floored at 1e-12, after each accepted step. After 40 failed trials in
-    a row, or an accepted step that improves the cost by at most
-    1e-16*(1+cost) or moves no parameter by 1e-10, the lane has converged;
-    after _MAX_ITER accepted steps without that, it has not. Each round
-    takes one trial step in every lane still running: one stacked solve and
+    _unpack; h and theta_obs hold the points (S, P) of S rows, S a divisor
+    of B: lane i fits row i // (B // S), so B lanes on B rows each fit their
+    own, and _N_STARTS lanes per sample fit its one row. Returns (u, sse,
+    converged) as arrays over the lanes. Each lane runs its own loop: its
+    damping factor, scaled by the diagonal of its J'J, is multiplied by 10
+    when a trial step does not reduce the cost (or its system is singular,
+    or alpha or n leaves float range) and divided by 3, floored at 1e-12,
+    after each accepted step. After 40 failed trials in a row, or an
+    accepted step that improves the cost by at most 1e-16*(1+cost) or moves
+    no parameter by 1e-10, the lane has converged; after _MAX_ITER accepted
+    steps without that, it has not.
+
+    At most _POOL_LANES lanes are in flight, each in a slot of the pool's
+    working state. A round first admits waiting lanes, in order, into the
+    free slots: it gathers their points and computes their residuals. Then
+    it takes one trial step in every lane in flight: one stacked solve and
     one residual evaluation, plus the closed-form Jacobian (_curve_jacobian)
-    of the lanes that moved. Every operation acts on each lane alone, so a
-    lane's result does not depend on which other lanes share the call.
+    of the lanes that moved. A lane that stops writes its result and frees
+    its slot for the next round. Every operation acts on each lane alone,
+    so a lane's result does not depend on which other lanes share a round.
     """
-    lanes = len(u0)
-    u = u0.copy()
-    log_h = np.log(h, out=np.full_like(h, -np.inf), where=h > 0.0)
-    r = _curve_residuals(u, h, theta_obs)
-    cost = (r * r).sum(axis=-1)
-    lam = np.full(lanes, 1e-3)
-    steps = np.zeros(lanes, dtype=int)  # accepted steps
-    tries = np.zeros(lanes, dtype=int)  # failed trials since the last Jacobian
-    converged = np.zeros(lanes, dtype=bool)
-    g = np.empty((lanes, 4))
-    JtJ = np.empty((lanes, 4, 4))
-    scale = np.empty((lanes, 4))
-    live = np.arange(lanes)
-    moved = live
-    while live.size:
+    lanes, points = len(u0), h.shape[1]
+    per_row = lanes // len(h)
+    width = min(lanes, _POOL_LANES)
+    u_out = np.empty((lanes, 4))
+    sse_out = np.empty(lanes)
+    converged_out = np.empty(lanes, dtype=bool)
+    # each slot's lane, its points and its state
+    lane = np.empty(width, dtype=int)
+    u = np.empty((width, 4))
+    h_slot = np.empty((width, points))
+    obs = np.empty((width, points))
+    log_h = np.empty((width, points))
+    r = np.empty((width, points))
+    cost = np.empty(width)
+    lam = np.empty(width)
+    steps = np.empty(width, dtype=int)  # accepted steps
+    tries = np.empty(width, dtype=int)  # failed trials since the last Jacobian
+    g = np.empty((width, 4))
+    JtJ = np.empty((width, 4, 4))
+    scale = np.empty((width, 4))
+    free = np.arange(width)
+    live = moved = free[:0]
+    admitted = 0
+    while admitted < lanes or live.size:
+        new = free[:lanes - admitted]
+        if new.size:
+            free = free[new.size:]
+            lane[new] = np.arange(admitted, admitted + new.size)
+            admitted += new.size
+            rows = lane[new] // per_row
+            u[new] = u0[lane[new]]
+            h_new = h_slot[new] = h[rows]
+            obs[new] = theta_obs[rows]
+            log_h[new] = np.log(h_new, out=np.full_like(h_new, -np.inf), where=h_new > 0.0)
+            r0 = r[new] = _curve_residuals(u[new], h_new, obs[new])
+            cost[new] = (r0 * r0).sum(axis=-1)
+            lam[new] = 1e-3
+            steps[new] = 0
+            live = np.concatenate([live, new])
+            moved = np.concatenate([moved, new])
         if moved.size:
             # residual = obs - model, so the Gauss-Newton step solves (J'J + lam D) d = -J'r
             g[moved], JtJ[moved] = _normal_equations(u[moved], r[moved], log_h[moved])
@@ -309,7 +344,7 @@ def _fit_lanes(u0, h, theta_obs):
         A[:, _DIAG, _DIAG] += lam[live, None] * scale[live]
         d = _solve_lanes(A, -g[live])
         trial = u[live] + d
-        r_new = _curve_residuals(trial, h[live], theta_obs[live])
+        r_new = _curve_residuals(trial, h_slot[live], obs[live])
         cost_new = (r_new * r_new).sum(axis=-1)
         ok = np.isfinite(cost_new) & (cost_new <= cost[live])
 
@@ -325,14 +360,19 @@ def _fit_lanes(u0, h, theta_obs):
         lam[rej] *= 10.0
         tries[rej] += 1
         exhausted = tries[rej] == 40  # damping exhausted: stationary point
-        converged[acc[stop]] = True
-        converged[rej[exhausted]] = True
-        running = np.empty(live.size, dtype=bool)
-        running[ok] = ~stop & (steps[acc] < _MAX_ITER)
-        running[~ok] = ~exhausted
+        converged = np.empty(live.size, dtype=bool)
+        converged[ok] = stop
+        converged[~ok] = exhausted
+        running = ~converged
+        running[ok] &= steps[acc] < _MAX_ITER
+        done = live[~running]
+        u_out[lane[done]] = u[done]
+        sse_out[lane[done]] = cost[done]
+        converged_out[lane[done]] = converged[~running]
+        free = np.concatenate([free, done])
         moved = live[ok & running]
         live = live[running]
-    return u, cost, converged
+    return u_out, sse_out, converged_out
 
 
 def _fit_from_start(u0, h, theta_obs):
@@ -366,9 +406,11 @@ def _check_points(h, theta_obs) -> list[HydrologyError | None]:
         return [few if err is None else err for err in errors]
     positive = h > 0.0
     spread = positive.any(axis=1)
-    span = np.divide(np.where(positive, h, -np.inf).max(axis=1),
-                     np.where(positive, h, np.inf).min(axis=1),
-                     out=np.zeros(len(h)), where=spread & ~refused)
+    # a span beyond float range is inf, which passes as it should
+    with np.errstate(over="ignore"):
+        span = np.divide(np.where(positive, h, -np.inf).max(axis=1),
+                         np.where(positive, h, np.inf).min(axis=1),
+                         out=np.zeros(len(h)), where=spread & ~refused)
     for i in np.flatnonzero(~refused & (~spread | (span < 10.0))).tolist():
         errors[i] = VgFitError("retention points must span at least a decade of tension")
     return errors
@@ -390,19 +432,19 @@ def _starts(h, theta_obs) -> np.ndarray:
     the logarithms are math.log's."""
     positive = h > 0.0
     count = positive.sum(axis=1)
-    ordered = np.sort(np.where(positive, h, np.inf), axis=1)
+    ordered = np.where(positive, h, np.inf)
+    ordered.sort(axis=1)
     rows = np.arange(len(h))
-    lower = ordered[rows, (count - 1) // 2].tolist()
-    upper = ordered[rows, count // 2].tolist()
-    u0 = []
-    for t_max, t_min, c, lo, hi in zip(theta_obs.max(axis=1).tolist(), theta_obs.min(axis=1).tolist(),
-                                       count.tolist(), lower, upper):
-        theta_s0 = min(max(t_max, 0.05), 0.99)
-        head = (_logit(min(max(t_min / theta_s0, 0.02), 0.9)), _logit(theta_s0))
-        u0.extend(head + shape for shape in _FIXED_SHAPES)
-        h_mid = lo if c % 2 else (lo + hi) / 2
-        u0.append(head + (math.log(1.0 / h_mid), _LOG_HALF))
-    return np.array(u0)
+    lower, upper = ordered[rows, (count - 1) // 2], ordered[rows, count // 2]
+    h_mid = np.where(count % 2 == 1, lower, (lower + upper) / 2)
+    theta_s0 = np.clip(theta_obs.max(axis=1), 0.05, 0.99)
+    u0 = np.empty((len(h), _N_STARTS, 4))
+    u0[:, :, 0] = _logit(np.clip(theta_obs.min(axis=1) / theta_s0, 0.02, 0.9))[:, None]
+    u0[:, :, 1] = _logit(theta_s0)[:, None]
+    u0[:, :-1, 2:] = _FIXED_SHAPES
+    u0[:, -1, 2] = each(math.log, 1.0 / h_mid)
+    u0[:, -1, 3] = _LOG_HALF
+    return u0.reshape(-1, 4)
 
 
 def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
@@ -414,12 +456,13 @@ def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
     VgFitError where the fit itself fails) that rules it out: a bad point,
     fewer than 5 points, or positive tensions that span less than a factor
     of 10 (_check_points). Samples with the same
-    point count are checked and started as one (S, P) matrix, and fitted
-    _BATCH_SAMPLES at a time in the order of their first valid sample: each
-    (sample, start) of the _N_STARTS starts (_starts) is one lane of
-    _fit_lanes, and a sample takes its first converged lane, replaced only
-    by a later one of strictly lower cost. A sample's result does not
-    depend on the other samples.
+    point count are checked and started as one (S, P) matrix, and the
+    groups are fitted in the order of their first valid sample, each in one
+    _fit_lanes call: each (sample, start) of the _N_STARTS starts (_starts)
+    is one lane, at most _POOL_LANES of them in flight and the next one in
+    row order taking the slot of each lane that stops. A sample takes its
+    first converged lane, replaced only by a later one of strictly lower
+    cost. A sample's result does not depend on the other samples.
     """
     results: list = [None] * len(samples)
     groups: dict[int, list[int]] = {}
@@ -433,18 +476,15 @@ def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
         for i, err in zip(members, errors):
             results[i] = err
         keep = [k for k, err in enumerate(errors) if err is None]
+        if len(keep) < len(members):
+            h, theta_obs = h[keep], theta_obs[keep]
         if keep:
-            valid.append(([members[k] for k in keep], h[keep], theta_obs[keep]))
+            valid.append(([members[k] for k in keep], h, theta_obs))
     valid.sort(key=lambda group: group[0][0])
-    for members, h_all, theta_all in valid:
-        for k in range(0, len(members), _BATCH_SAMPLES):
-            h, theta_obs = h_all[k:k + _BATCH_SAMPLES], theta_all[k:k + _BATCH_SAMPLES]
-            u, sse, converged = _fit_lanes(_starts(h, theta_obs),
-                                           np.repeat(h, _N_STARTS, axis=0),
-                                           np.repeat(theta_obs, _N_STARTS, axis=0))
-            fits = _pick_lanes(u, sse, converged, h.shape[1])
-            for i, fit in zip(members[k:k + _BATCH_SAMPLES], fits):
-                results[i] = fit
+    for members, h, theta_obs in valid:
+        u, sse, converged = _fit_lanes(_starts(h, theta_obs), h, theta_obs)
+        for i, fit in zip(members, _pick_lanes(u, sse, converged, h.shape[1])):
+            results[i] = fit
     return results
 
 

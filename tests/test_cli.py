@@ -32,6 +32,7 @@ from soilptf.hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
     VgParameters,
+    fit_vg,
     texture_statistics,
     vg_theta,
 )
@@ -396,6 +397,25 @@ def test_fit_vg_start_drifting_past_float_range_warns_nothing(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     _, rows = parse_csv(out)
     assert float(rows[0]["n"]) == pytest.approx(params.n, rel=1e-6)
+
+
+def test_fit_vg_tensions_spanning_beyond_float_range_warn_nothing(tmp_path):
+    # the largest over the smallest positive tension overflows to inf, which
+    # spans a decade: the sample is fitted, as in process, without a warning
+    pairs = list(zip(np.geomspace(1.1e-290, 3.3e268, 6).tolist(), [0.45, 0.44, 0.4, 0.3, 0.2, 0.1]))
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("w0", pairs)])
+    out = tmp_path / "vg.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "soilptf", "fit-vg", "--input", str(table),
+                           "--out", str(out), "--jobs", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    fit = fit_vg(pairs)
+    _, rows = parse_csv(out)
+    assert rows == [{"id": "w0", "theta_r": repr(fit.theta_r), "theta_s": repr(fit.theta_s),
+                     "alpha_per_cm": repr(fit.alpha), "n": repr(fit.n),
+                     "fit_rmse": repr(fit.fit_rmse)}]
 
 
 def test_fit_vg_reports_partial_failures(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Retention curve math, curve fitting, texture statistics, model configurations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,12 +31,17 @@ from soilptf.hydrology import (
     _curve_jacobian,
     _curve_residuals,
     _expit,
-    _logit,
     vg_curve,
     vg_theta,
 )
 
 LOAM = VgParameters(theta_r=0.1, theta_s=0.5, alpha=0.02, n=2.0)
+
+
+def _logit(q):
+    """One value's logit as the per-sample starts took it."""
+    q = min(max(q, 1e-9), 1.0 - 1e-9)
+    return math.log(q / (1.0 - q))
 
 
 def test_curve_hand_value():
@@ -385,41 +391,40 @@ def test_fit_rejects_overflowing_trials_lane_by_lane(monkeypatch):
     assert got[0].n == pytest.approx(_SAND.n, rel=1e-6)
 
 
-_CURVES = st.lists(
-    st.tuples(
-        st.floats(0.0, 0.2),  # theta_r
-        st.floats(0.1, 0.5),  # theta_s - theta_r
-        st.floats(-3.0, -0.5),  # log10 alpha
-        st.floats(1.05, 4.0),  # n
-        st.integers(5, 20),  # points
-        st.sampled_from([0.0, 0.002, 0.01]),  # noise sd
-        st.integers(0, 2**16),  # noise seed
-    ),
-    min_size=1,
-    max_size=6,
+_CURVE = st.tuples(
+    st.floats(0.0, 0.2),  # theta_r
+    st.floats(0.1, 0.5),  # theta_s - theta_r
+    st.floats(-3.0, -0.5),  # log10 alpha
+    st.floats(1.05, 4.0),  # n
+    st.integers(5, 20),  # points
+    st.sampled_from([0.0, 0.002, 0.01]),  # noise sd
+    st.integers(0, 2**16),  # noise seed
 )
 
 
+def _curve_arrays(theta_r, span, log_alpha, n, points, sd, seed):
+    """A drawn _CURVE's tensions (saturation, then geometric up to 15000
+    cm) and its noisy water contents, clipped to [0, 1]."""
+    p = VgParameters(theta_r=theta_r, theta_s=theta_r + span, alpha=10**log_alpha, n=n)
+    h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, points - 1)])
+    noise = np.random.default_rng(seed).normal(0.0, sd, points) if sd else 0.0
+    return h, np.clip(vg_theta(p, h) + noise, 0.0, 1.0)
+
+
 @settings(max_examples=40, deadline=None)
-@given(_CURVES)
+@given(st.lists(_CURVE, min_size=1, max_size=6))
 # the first start of the second curve drifts to theta_r -> 0 and n near
 # the float range, where the Jacobian overflows
 @example([(0.0, 0.5, -1.0, 2.0, 5, 0.0, 0), (0.0, 0.25, -0.5, 2.015625, 16, 0.0, 0)])
 def test_batched_fit_matches_each_fit_alone(curves):
-    samples = []
-    for theta_r, span, log_alpha, n, points, sd, seed in curves:
-        p = VgParameters(theta_r=theta_r, theta_s=theta_r + span, alpha=10**log_alpha, n=n)
-        h = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, points - 1)])
-        noise = np.random.default_rng(seed).normal(0.0, sd, points) if sd else 0.0
-        theta = np.clip(vg_theta(p, h) + noise, 0.0, 1.0)
-        samples.append(list(zip(h.tolist(), theta.tolist())))
+    samples = [_curve_arrays(*curve) for curve in curves]
     alone = []
-    for pts in samples:
+    for h, theta in samples:
         try:
-            alone.append(fit_vg(pts))
+            alone.append(fit_vg(list(zip(h.tolist(), theta.tolist()))))
         except HydrologyError as exc:
             alone.append(exc)
-    got = hydrology.fit_vg_curves([_arrays(pts) for pts in samples])
+    got = hydrology.fit_vg_curves(samples)
     assert [_bits(r) for r in got] == [_bits(r) for r in alone]
 
 
@@ -660,26 +665,75 @@ def test_starts_of_a_group_are_each_samples_own():
 
 
 
-def test_batches_follow_the_first_valid_sample_of_each_point_count(monkeypatch):
+def test_groups_follow_the_first_valid_sample_of_each_point_count(monkeypatch):
     # a failing 9-point sample comes first, so the 13-point group is fitted
-    # first; each group in batches of _BATCH_SAMPLES samples in row order
+    # first; each group in one _fit_lanes call, its rows in row order, with
+    # a pool of 2 lanes refilled as they stop
     calls = []
 
     def fit_lanes(u0, h, theta_obs):
-        calls.append((h.shape, theta_obs[::hydrology._N_STARTS, 0].tolist()))
+        calls.append((len(u0), h.shape[1], theta_obs[:, 0].tolist()))
         return hydrology_fit_lanes(u0, h, theta_obs)
 
     hydrology_fit_lanes = hydrology._fit_lanes
-    monkeypatch.setattr(hydrology, "_fit_lanes", fit_lanes)
-    monkeypatch.setattr(hydrology, "_BATCH_SAMPLES", 2)
     h9, h13 = np.geomspace(1.0, 15000.0, 9), np.geomspace(1.0, 15000.0, 13)
     samples = [(h9, np.full(9, 1.5))] + [(h13, vg_theta(LOAM, h13))]
     samples += [(h9, np.clip(vg_theta(LOAM, h9) + k / 100, 0.0, 1.0)) for k in range(5)]
+    alone = [hydrology.fit_vg_curves([sample])[0] for sample in samples]
+    monkeypatch.setattr(hydrology, "_fit_lanes", fit_lanes)
+    monkeypatch.setattr(hydrology, "_POOL_LANES", 2)
     got = hydrology.fit_vg_curves(samples)
     assert isinstance(got[0], HydrologyError) and all(isinstance(r, VgParameters) for r in got[1:])
+    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
     first = [theta[0] for _, theta in samples]
-    assert calls == [((5, 13), first[1:2]), ((10, 9), first[2:4]), ((10, 9), first[4:6]),
-                     ((5, 9), first[6:7])]
+    assert calls == [(5, 13, first[1:2]), (25, 9, first[2:7])]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(_CURVE, max_size=11), st.integers(0, 11), st.sampled_from([10, hydrology._MAX_ITER]))
+def test_pool_width_changes_no_lane(curves, at, max_iter):
+    # the same lanes through pools of 1, 2, 7 and all lanes at once: each
+    # lane's (u, sse, converged) bit for bit, and no round wider than the
+    # pool; a cap of 10 accepted steps stops many lanes unconverged
+    samples = [_curve_arrays(*curve) for curve in curves]
+    h13 = np.concatenate([[0.0], np.geomspace(1.0, 15000.0, 12)])
+    samples.insert(at, (h13, vg_theta(_SAND, h13)))  # its trials overflow
+    fit_lanes, curve_residuals = hydrology._fit_lanes, hydrology._curve_residuals
+    widest = []
+
+    def recorded_fit_lanes(u0, h, theta_obs):
+        u, sse, converged = fit_lanes(u0, h, theta_obs)
+        lanes.append((u.tolist(), sse.tolist(), converged.tolist()))
+        return u, sse, converged
+
+    def counted_residuals(u, h, theta_obs):
+        widest[-1] = max(widest[-1], len(u))
+        return curve_residuals(u, h, theta_obs)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hydrology, "_fit_lanes", recorded_fit_lanes)
+        patch.setattr(hydrology, "_curve_residuals", counted_residuals)
+        patch.setattr(hydrology, "_MAX_ITER", max_iter)
+        for width in (1, 2, 7, hydrology._N_STARTS * len(samples)):
+            patch.setattr(hydrology, "_POOL_LANES", width)
+            lanes = []
+            widest.append(0)
+            fits = hydrology.fit_vg_curves(samples)
+            assert 0 < widest[-1] <= width
+            runs.append((lanes, [_bits(r) for r in fits]))
+    assert all(run == runs[-1] for run in runs)
+
+
+def test_tensions_spanning_beyond_float_range_fit_without_a_warning():
+    # the ratio of the largest to the smallest positive tension overflows
+    # to inf, which spans a decade
+    h = np.geomspace(1.1e-290, 3.3e268, 6)
+    theta = np.array([0.45, 0.44, 0.4, 0.3, 0.2, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (got,) = hydrology.fit_vg_curves([(h, theta)])
+    assert isinstance(got, VgParameters)
 
 
 # ----------------------------------------------------------------------

@@ -26,10 +26,15 @@ of the checkout holding this script) in a fresh temporary directory:
     route), evaluate SWRC2 cpxr,mlr with --set min_train=1000, above
     the table's 300 samples, so every cpxr iteration falls back to the
     baseline regression and is flagged degraded, and train SWRC2 cpxr with
-    the same setting, which must exit 1 and write nothing
+    the same setting, which must exit 1 and write nothing, and last
+    synth two-regime n=700 --seed 11 --retention (step synth-700) and
+    fit-vg on that table (step fit-vg-700): 3,500 lanes of one point
+    count, about 11 times the lanes a fit keeps in flight, so the fits of
+    lanes admitted into freed slots are hashed
 
-It prints one JSON object mapping each artifact's path (relative to the run
-directory) to its sha256; each step's exit code, stdout and stderr count as
+Every step runs with --seed 7 unless it names its own. It prints one JSON
+object mapping each artifact's path (relative to the run directory) to its
+sha256; each step's exit code, stdout and stderr count as
 one more artifact, `<step>.out`. A step exiting with another code than it
 expects (0 unless EXIT_CODES says otherwise), or a failing step that leaves
 files behind, stops the run. Run it for two checkouts on one machine and
@@ -97,6 +102,10 @@ STEPS = [
     ("train-too-few", ["train", "--features", "features.csv", "--config", "SWRC2",
                        "--method", "cpxr", "--set", "min_train=1000",
                        "--out-dir", "models/too_few"]),
+    ("synth-700", ["synth", "--out-dir", "data700", "--kind", "two-regime", "--n", "700",
+                   "--retention", "--seed", "11"]),
+    ("fit-vg-700", ["fit-vg", "--input", "data700/retention.csv", "--out", "vg700.csv",
+                    "--jobs", "1"]),
 ]
 
 # The exit code of each step expected to fail; every other step must exit 0.
@@ -217,8 +226,9 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     (work / "quoted" / "vg.csv").write_text(vg, encoding="utf-8")
     for name, args in STEPS:
         before = set(work.rglob("*"))
+        seed = [] if "--seed" in args else ["--seed", SEED]
         done = subprocess.run(
-            [sys.executable, "-m", "soilptf", *args, "--seed", SEED],
+            [sys.executable, "-m", "soilptf", *args, *seed],
             cwd=work, env=env, capture_output=True, text=True,
         )
         left = sorted(str(path.relative_to(work)) for path in set(work.rglob("*")) - before)
