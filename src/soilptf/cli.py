@@ -44,7 +44,7 @@ from .hydrology import (
     HydrologyError,
     each,
     fit_vg,  # not called here; benchmark/trace_child.py spans soilptf.cli.fit_vg
-    fit_vg_curves,
+    fit_vg_rows,
     parameter_faults,
     texture_faults,
     vg_curve,
@@ -52,6 +52,7 @@ from .hydrology import (
 from .linreg import FitError, LinearModel, fit_local
 from .synth import (
     SynthError,
+    _check_noise_sd,
     default_synth_config,
     derive_columns,
     generate,
@@ -237,10 +238,10 @@ def _model_config(config_id: str):
 # ----------------------------------------------------------------------
 
 
-def _read_retention(path) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
-    """The sample ids in first-appearance order, and each sample's
-    (tensions, water contents) arrays; a sample's rows need not be
-    adjacent."""
+def _read_retention(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The sample ids in first-appearance order, and the table's columns:
+    each row's sample code (its id's place among the ids), tension and water
+    content; a sample's rows need not be adjacent."""
     header, rows = read_rows(path)
     needed = {"id", "tension_cm", "theta"}
     if not needed <= set(header):
@@ -249,11 +250,14 @@ def _read_retention(path) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]
         raise DataError(f"{path}: no samples")
     ids, columns = parse_columns(header, rows, ("tension_cm", "theta"))
     _require_values(path, ids, columns, ("tension_cm", "theta"))
-    members: dict[str, list[int]] = {}
-    for i, sid in enumerate(ids):
-        members.setdefault(sid, []).append(i)
-    h, theta = columns["tension_cm"], columns["theta"]
-    return list(members), [(h[idx], theta[idx]) for idx in members.values()]
+    codes: dict[str, int] = {}
+    sample = np.array([codes.setdefault(sid, len(codes)) for sid in ids])
+    return list(codes), sample, columns["tension_cm"], columns["theta"]
+
+
+def _fit_part(part):
+    """fit_vg_rows of one part: (codes, tensions, water contents, samples)."""
+    return fit_vg_rows(*part)
 
 
 def cmd_fit_vg(args) -> int:
@@ -268,28 +272,29 @@ def cmd_fit_vg(args) -> int:
     settings = {"command": "fit-vg", "seed": seed}
     meta = _meta(seed, settings)
 
-    ids, samples = _read_retention(path)
-    # a sample's fit does not depend on the others, so the contiguous parts
-    # give the same bytes for every --jobs
-    k = min(jobs, len(samples))
-    cuts = [i * len(samples) // k for i in range(k + 1)]
-    parts = [samples[a:b] for a, b in zip(cuts, cuts[1:])]
-    fits = [fit for part in map_jobs(fit_vg_curves, parts, jobs) for fit in part]
+    ids, sample, h, theta = _read_retention(path)
+    # a sample's fit does not depend on the others, so the contiguous ranges
+    # of sample codes give the same bytes for every --jobs
+    k = min(jobs, len(ids))
+    cuts = [i * len(ids) // k for i in range(k + 1)]
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):  # the rows of the samples coded a to b - 1
+        rows = (a <= sample) & (sample < b)
+        parts.append((sample[rows] - a, h[rows], theta[rows], b - a))
+    fits = map_jobs(_fit_part, parts, jobs)
+    params, rmse = (np.concatenate([fit[j] for fit in fits]) for j in (0, 1))
+    errors = [err for fit in fits for err in fit[2]]
 
-    fitted, log_lines = [], [f"# {comment}" for comment in _meta_comments(meta)]
-    for sid, (h, _), fit in zip(ids, samples, fits):
-        if isinstance(fit, HydrologyError):
-            log_lines.append(f"fail {sid}: {fit}")
-            continue
-        fitted.append((sid, fit))
-        log_lines.append(f"ok {sid}: rmse={fit.fit_rmse:.6g} over {h.size} points")
-    columns = {"id": [sid for sid, _ in fitted], **{
-        name: np.array([getattr(fit, field) for _, fit in fitted])
-        for name, field in zip(VG_COLUMNS + ("fit_rmse",), VG_FEATURES + ("fit_rmse",))}}
+    ok = [err is None for err in errors]
+    log_lines = [f"# {comment}" for comment in _meta_comments(meta)] + [
+        f"ok {sid}: rmse={r:.6g} over {points} points" if err is None else f"fail {sid}: {err}"
+        for sid, err, r, points in zip(ids, errors, rmse.tolist(), np.bincount(sample).tolist())]
+    columns = {"id": [sid for sid, fitted in zip(ids, ok) if fitted],
+               **dict(zip(VG_COLUMNS, params[ok].T)), "fit_rmse": rmse[ok]}
     _write_text(args.out, table_text(columns, _meta_comments(meta)))
     _write_text(log_path, "\n".join(log_lines) + "\n")
 
-    failures = len(ids) - len(fitted)
+    failures = ok.count(False)
     if failures:
         print(f"fit-vg: {failures} of {len(ids)} samples failed; see {log_path}", file=sys.stderr)
     if 2 * failures > len(ids):
@@ -603,18 +608,21 @@ _SYNTH_KINDS = {
 def cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
     factory = _SYNTH_KINDS[args.kind]
-    config = factory(n_samples=args.n, noise_sd=args.noise_sd, seed=seed)
+    try:  # a bad argument value is a usage error, found before anything is generated
+        config = factory(n_samples=args.n, noise_sd=args.noise_sd, seed=seed)
+        _check_noise_sd("retention noise_sd", args.retention_noise_sd)
+    except SynthError as exc:
+        raise UsageError(str(exc)) from None
     settings = {"command": "synth", "kind": args.kind, "seed": seed, "config": config.to_dict()}
     meta = _meta(seed, settings)
 
     dataset, truth = generate(config)
-    if args.retention:  # before anything is written: a bad noise level leaves no files
-        retention = generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
     comments = _meta_comments(meta)
     out_dir = _out_dir(args.out_dir)
     _write_text(out_dir / "dataset.csv", table_text({"id": dataset.ids, **dataset.columns}, comments))
     _write_json(out_dir / "truth.json", {"meta": meta, "truth": truth})
     if args.retention:
+        retention = generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
         _write_text(out_dir / "retention.csv", table_text(retention, comments))
     return 0
 

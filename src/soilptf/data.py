@@ -225,9 +225,11 @@ def table_text(columns, comments=()) -> str:
 
 def retention_columns(ids, tensions, theta) -> dict:
     """The long table id, tension_cm, theta of the water contents theta
-    (samples, points) at the tensions (points,), sample by sample."""
+    (samples, points) at the finite tensions (points,), sample by sample.
+    The tensions repeat for every sample, so their text is formatted once,
+    as table_text would format each cell."""
     return {"id": [sid for sid in ids for _ in range(len(tensions))],
-            "tension_cm": np.tile(tensions, len(ids)), "theta": theta.ravel()}
+            "tension_cm": [repr(v) for v in tensions.tolist()] * len(ids), "theta": theta.ravel()}
 
 
 def load_dataset(path, strict: bool = True) -> Dataset:

@@ -5,11 +5,11 @@ Retention model: theta(h) = theta_r + (theta_s - theta_r) * \
 alpha in 1/cm; vg_curve is its one copy, which every curve evaluation
 calls. Water contents are volumetric fractions.
 
-Curve fitting takes each sample's points as one pair of arrays (tensions,
-water contents) and works on the (samples, points) matrices of all
-samples with one point count: the checks, the start values and the
-Levenberg-Marquardt lanes (fit_vg_curves); a tension must be a finite
-number >= 0 cm and a water content lie in [0, 1]. Texture summary
+Curve fitting (fit_vg_rows) takes a long retention table as columns, each
+row's sample code, tension and water content, fits the samples of one point
+count as (samples, points) matrices and returns columns; fit_vg_curves and
+fit_vg call it on per-sample arrays. A tension must be a finite number
+>= 0 cm and a water content lie in [0, 1]. Texture summary
 statistics follow the geometric-mean particle diameter formulation with
 representative diameters clay 0.001 mm, silt 0.026 mm, sand 1.025 mm.
 Water contents, texture statistics and their checks run over columns;
@@ -447,52 +447,45 @@ def _starts(h, theta_obs) -> np.ndarray:
     return u0.reshape(-1, 4)
 
 
-def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
-    """Least-squares van Genuchten fits of many samples in one batched loop.
-
-    samples is a sequence of (h, theta) pairs, each two 1-D float arrays of
-    one sample's tensions [cm] and water contents [-]. Returns, per sample
-    in order, its VgParameters with the fit RMSE, or the HydrologyError (a
-    VgFitError where the fit itself fails) that rules it out: a bad point,
-    fewer than 5 points, or positive tensions that span less than a factor
-    of 10 (_check_points). Samples with the same
-    point count are checked and started as one (S, P) matrix, and the
-    groups are fitted in the order of their first valid sample, each in one
-    _fit_lanes call: each (sample, start) of the _N_STARTS starts (_starts)
-    is one lane, at most _POOL_LANES of them in flight and the next one in
-    row order taking the slot of each lane that stops. A sample takes its
-    first converged lane, replaced only by a later one of strictly lower
-    cost. A sample's result does not depend on the other samples.
+def fit_vg_rows(sample, h, theta, samples=None):
+    """Least-squares van Genuchten fits of the samples of a long table, from
+    its columns: each row's sample code (0 to S - 1, S the samples given or
+    the largest code plus one), tension [cm] and water content [-]. One
+    stable argsort groups the rows by code, in row order, and the samples of
+    one point count are checked (_check_points) and fitted (_starts,
+    _fit_lanes, _pick_lanes) as one (S, P) matrix pair, in the order of
+    their first valid sample. A sample's result does not depend on the
+    others. Returns the (S, 4) parameters in VG_FEATURES order and the fit
+    RMSE (S,), no fit where a sample fails, and each sample's
+    HydrologyError (VgFitError where the fit fails) or None.
     """
-    results: list = [None] * len(samples)
-    groups: dict[int, list[int]] = {}
-    for i, (h, _) in enumerate(samples):
-        groups.setdefault(len(h), []).append(i)
-    valid = []
-    for size, members in groups.items():
-        h = np.array([samples[i][0] for i in members], dtype=float).reshape(len(members), size)
-        theta_obs = np.array([samples[i][1] for i in members], dtype=float).reshape(h.shape)
-        errors = _check_points(h, theta_obs)
-        for i, err in zip(members, errors):
-            results[i] = err
-        keep = [k for k, err in enumerate(errors) if err is None]
-        if len(keep) < len(members):
-            h, theta_obs = h[keep], theta_obs[keep]
-        if keep:
-            valid.append(([members[k] for k in keep], h, theta_obs))
-    valid.sort(key=lambda group: group[0][0])
-    for members, h, theta_obs in valid:
-        u, sse, converged = _fit_lanes(_starts(h, theta_obs), h, theta_obs)
-        for i, fit in zip(members, _pick_lanes(u, sse, converged, h.shape[1])):
-            results[i] = fit
-    return results
+    counts = np.bincount(sample, minlength=samples or 0)
+    order = np.argsort(sample, kind="stable")
+    first = np.cumsum(counts) - counts  # each sample's first place in order
+    params, rmse = np.full((len(counts), 4), np.nan), np.full(len(counts), np.nan)
+    errors: dict[int, HydrologyError | None] = {}  # by sample code
+    groups = []
+    for size in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
+        members = np.flatnonzero(counts == size)
+        h_group, theta_group = (c[order[first[members, None] + np.arange(size)]] for c in (h, theta))
+        errors.update(zip(members.tolist(), _check_points(h_group, theta_group)))
+        keep = [errors[i] is None for i in members.tolist()]
+        if any(keep):
+            groups.append((members[keep], h_group[keep], theta_group[keep]))
+    for members, h_group, theta_group in sorted(groups, key=lambda group: group[0][0]):
+        u, sse, converged = _fit_lanes(_starts(h_group, theta_group), h_group, theta_group)
+        params[members], rmse[members], picked = _pick_lanes(u, sse, converged, h_group.shape[1])
+        errors.update(zip(members.tolist(), picked))
+    return params, rmse, [errors[i] for i in range(len(counts))]
 
 
-def _pick_lanes(u, sse, converged, size) -> list[VgParameters | HydrologyError]:
-    """Each sample's result from its _N_STARTS consecutive lanes of a
+def _pick_lanes(u, sse, converged, size):
+    """Each sample's lane among its _N_STARTS consecutive lanes of a
     _fit_lanes call over its size points: the first converged lane,
     replaced only by a later one of strictly lower sse (a NaN sse neither
-    replaces nor is replaced)."""
+    replaces nor is replaced). Returns the lanes' (S, 4) parameters, RMSE
+    (S,) and errors: a VgFitError where no lane converged, else the first
+    of parameter_faults or None."""
     sse = sse.reshape(-1, _N_STARTS)
     converged = converged.reshape(-1, _N_STARTS)
     best = np.full(len(sse), -1)
@@ -503,29 +496,32 @@ def _pick_lanes(u, sse, converged, size) -> list[VgParameters | HydrologyError]:
         best_sse[take] = sse[take, k]
     # one lane per row; a row without a converged lane takes lane 0 and is skipped
     lanes = np.arange(len(sse)) * _N_STARTS + np.maximum(best, 0)
-    results: list = []
-    for theta_r, theta_s, alpha, n, cost, found in zip(
-        *(p.tolist() for p in _unpack(u[lanes])), best_sse.tolist(), (best >= 0).tolist()
-    ):
-        if not found:
-            results.append(VgFitError(f"no start converged within {_MAX_ITER} iterations"))
-            continue
-        try:
-            results.append(VgParameters(theta_r=theta_r, theta_s=theta_s, alpha=alpha, n=n,
-                                        fit_rmse=math.sqrt(cost / size)))
-        except HydrologyError as exc:
-            results.append(exc)
-    return results
+    params = np.column_stack(_unpack(u[lanes]))
+    errors: list[HydrologyError | None] = [
+        None if k >= 0 else VgFitError(f"no start converged within {_MAX_ITER} iterations")
+        for k in best.tolist()]
+    found = np.flatnonzero(best >= 0)
+    for i, problem in reversed(parameter_faults(*params[found].T)):  # a row's first fault wins
+        errors[found[i]] = HydrologyError(problem)
+    return params, np.sqrt(best_sse / size), errors
+
+
+def fit_vg_curves(samples) -> list[VgParameters | HydrologyError]:
+    """fit_vg_rows of a sequence of (h, theta) pairs, each one sample's
+    tensions [cm] and water contents [-]: per sample, its VgParameters with
+    the fit RMSE, or the HydrologyError that rules it out."""
+    h, theta = (np.array([v for pair in samples for v in pair[k]], dtype=float) for k in (0, 1))
+    sample = np.repeat(np.arange(len(samples)), [len(pair[0]) for pair in samples])
+    params, rmse, errors = fit_vg_rows(sample, h, theta, len(samples))
+    return [VgParameters(*p, fit_rmse=r) if err is None else err
+            for err, p, r in zip(errors, params.tolist(), rmse.tolist())]
 
 
 def fit_vg(points) -> VgParameters:
     """Least-squares van Genuchten fit to one sample's retention points,
-    (tension [cm], theta [-]) pairs: the one-sample call of fit_vg_curves,
-    whose batched Levenberg-Marquardt loop runs the _N_STARTS starts of the
-    sample as lanes. Raises its HydrologyError (VgFitError where the fit
-    fails)."""
-    pairs = np.array(points, dtype=float).reshape(-1, 2)
-    (result,) = fit_vg_curves([(pairs[:, 0], pairs[:, 1])])
+    (tension [cm], theta [-]) pairs, by fit_vg_curves. Raises its
+    HydrologyError (VgFitError where the fit fails)."""
+    (result,) = fit_vg_curves([np.array(points, dtype=float).reshape(-1, 2).T])
     if isinstance(result, HydrologyError):
         raise result
     return result

@@ -234,16 +234,25 @@ def test_synth_deterministic(work):
     assert (a / "dataset.csv").read_bytes() != (c / "dataset.csv").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--noise-sd", "nan"), ("--noise-sd", "inf"), ("--retention-noise-sd", "-1"),
-     ("--retention-noise-sd", "nan")],
-)
-def test_synth_bad_noise_is_one_line_runtime_error(tmp_path, capsys, flag, value):
+_BAD_SYNTH_VALUES = [
+    ("--n", "0", "n_samples must be from 1 to 100000, got 0"),
+    ("--n", "-3", "n_samples must be from 1 to 100000, got -3"),
+    ("--noise-sd", "-1", "noise_sd must be a finite number of at least 0, got -1.0"),
+    ("--noise-sd", "nan", "noise_sd must be a finite number of at least 0, got nan"),
+    ("--noise-sd", "inf", "noise_sd must be a finite number of at least 0, got inf"),
+    ("--retention-noise-sd", "-1", "retention noise_sd must be a finite number of at least 0, got -1.0"),
+    ("--retention-noise-sd", "nan", "retention noise_sd must be a finite number of at least 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", _BAD_SYNTH_VALUES,
+                         ids=[f"{flag}-{value}" for flag, value, _ in _BAD_SYNTH_VALUES])
+def test_synth_bad_argument_value_is_one_line_usage_error(tmp_path, capsys, flag, value, message):
+    # a bad argument value exits 2 before anything is generated; the last
+    # --n wins over the first
     out = tmp_path / "s"
-    assert run(["synth", "--out-dir", out, "--n", "5", "--retention", flag, value]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "noise_sd" in err
+    assert run(["synth", "--out-dir", out, "--n", "5", "--retention", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -443,9 +452,8 @@ def test_fit_vg_fails_on_majority(tmp_path):
     assert rc == 1
 
 
-def test_fit_vg_parallel_output_matches_serial(tmp_path):
-    # 9-, 13- and 15-point samples, noisy and clean, and one that fails:
-    # each --jobs value cuts the batches differently
+def _mixed_samples():
+    """9-, 13- and 15-point samples, noisy and clean, and one that fails."""
     rng = np.random.default_rng(15)
     samples = []
     for i, n_points in enumerate([13, 9, 15, 13, 9, 15, 13, 15]):
@@ -458,8 +466,13 @@ def test_fit_vg_parallel_output_matches_serial(tmp_path):
         samples.append((f"s{i}", [(float(h), float(np.clip(t, 0.0, 1.0)))
                                   for h, t in zip(tensions, theta)]))
     samples.insert(4, ("s_few", _clean_pairs()[:3]))
+    return samples
+
+
+def test_fit_vg_parallel_output_matches_serial(tmp_path):
+    # each --jobs value cuts the samples differently
     table = tmp_path / "retention.csv"
-    _write_retention(table, samples)
+    _write_retention(table, _mixed_samples())
     outputs = []
     for jobs in ("1", "2", "3"):
         out = tmp_path / f"vg{jobs}.csv"
@@ -468,6 +481,30 @@ def test_fit_vg_parallel_output_matches_serial(tmp_path):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     assert b"fail s_few: need at least 5 retention points, got 3" in outputs[0][1]
     assert outputs[0][1].count(b"\nok ") == 8
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.permutations([(sid, pair) for sid, pairs in _mixed_samples() for pair in pairs]))
+def test_fit_vg_rows_of_a_sample_need_not_be_adjacent(rows):
+    # the shuffled rows against the same rows with each sample's made
+    # adjacent, samples in first-appearance order and points in row order
+    first = {}
+    for sid, _ in rows:
+        first.setdefault(sid, len(first))
+    adjacent = sorted(rows, key=lambda row: first[row[0]])
+    outputs = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, table_rows in (("shuffled", rows), ("adjacent", adjacent)):
+            table = Path(tmp) / f"{name}.csv"
+            table.write_text("id,tension_cm,theta\n" + "".join(
+                f"{sid},{h!r},{t!r}\n" for sid, (h, t) in table_rows))
+            for jobs in ("1", "2"):
+                out = Path(tmp) / f"{name}{jobs}.csv"
+                assert run(["fit-vg", "--input", table, "--out", out, "--jobs", jobs]) == 0
+                outputs.add((out.read_bytes(), out.with_suffix(".log").read_bytes()))
+    assert len(outputs) == 1
+    (_, log), = outputs
+    assert b"fail s_few: need at least 5 retention points, got 3" in log
 
 
 def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch, pool_sizes):
@@ -1315,7 +1352,7 @@ def test_evaluate_failure_is_one_line_and_leaves_no_out_dir(synth_big, tmp_path,
 
 def test_synth_huge_n_is_one_line_error(tmp_path, capsys):
     out = tmp_path / "s"
-    assert run(["synth", "--out-dir", out, "--n", "1000000000000000"]) == 1
+    assert run(["synth", "--out-dir", out, "--n", "1000000000000000"]) == 2
     assert capsys.readouterr().err == (
         "error: n_samples must be from 1 to 100000, got 1000000000000000\n"
     )

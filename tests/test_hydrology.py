@@ -1,5 +1,6 @@
 """Retention curve math, curve fitting, texture statistics, model configurations."""
 
+import itertools
 import math
 import warnings
 
@@ -641,12 +642,31 @@ def test_best_lane_is_the_per_sample_choice(lanes):
     sse = np.array([c for c, _ in lanes])
     converged = np.array([ok for _, ok in lanes])
     u = np.array([[0.0, 0.0, math.log(k + 1.0), 0.0] for k in range(len(lanes))])
-    results = hydrology._pick_lanes(u, sse, converged, 4)
+    params, _, errors = hydrology._pick_lanes(u, sse, converged, 4)
     best = _reference_pick(sse, converged)
     if best is None:
-        assert _bits(results[0]) == ("VgFitError", "no start converged within 500 iterations")
+        assert _bits(errors[0]) == ("VgFitError", "no start converged within 500 iterations")
     else:
-        assert round(results[0].alpha) == best + 1
+        assert errors == [None] and round(params[0, 2]) == best + 1
+
+
+def test_picked_lane_keeps_its_first_parameter_fault():
+    # each mix of a ratio that rounds to 1 (theta_r = theta_s), an alpha
+    # that underflows to 0 and an n that rounds to 1, each the only
+    # converged lane of its sample: the error VgParameters raises first
+    corners = itertools.product((40.0, 0.0), (0.5,), (-800.0, -3.0), (-50.0, 0.3))
+    u = np.repeat(np.array(list(corners)), hydrology._N_STARTS, axis=0)
+    converged = np.tile([True] + [False] * (hydrology._N_STARTS - 1), len(u) // hydrology._N_STARTS)
+    params, _, errors = hydrology._pick_lanes(u, np.zeros(len(u)), converged, 9)
+    want = []
+    for p in params.tolist():
+        try:
+            VgParameters(*p)
+            want.append(None)
+        except HydrologyError as exc:
+            want.append(_bits(exc))
+    assert [None if err is None else _bits(err) for err in errors] == want
+    assert want.count(None) == 1
 
 
 def test_starts_of_a_group_are_each_samples_own():
@@ -682,9 +702,13 @@ def test_groups_follow_the_first_valid_sample_of_each_point_count(monkeypatch):
     alone = [hydrology.fit_vg_curves([sample])[0] for sample in samples]
     monkeypatch.setattr(hydrology, "_fit_lanes", fit_lanes)
     monkeypatch.setattr(hydrology, "_POOL_LANES", 2)
-    got = hydrology.fit_vg_curves(samples)
-    assert isinstance(got[0], HydrologyError) and all(isinstance(r, VgParameters) for r in got[1:])
-    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
+    codes = np.repeat(np.arange(len(samples)), [len(h) for h, _ in samples])
+    params, rmse, errors = hydrology.fit_vg_rows(
+        codes, *(np.concatenate([pair[k] for pair in samples]) for k in (0, 1)))
+    assert isinstance(errors[0], HydrologyError) and errors[1:] == [None] * 6
+    got = [tuple(v.hex() for v in (*p, r)) if err is None else _bits(err)
+           for err, p, r in zip(errors, params.tolist(), rmse.tolist())]
+    assert got == [_bits(r) for r in alone]
     first = [theta[0] for _, theta in samples]
     assert calls == [(5, 13, first[1:2]), (25, 9, first[2:7])]
 

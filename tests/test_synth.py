@@ -358,8 +358,9 @@ def test_derive_columns_matches_the_per_sample_route(samples):
 
 
 def _retention_rows(columns):
-    """The rows of generate_retention's id, tension_cm and theta columns."""
-    return list(zip(columns["id"], columns["tension_cm"].tolist(), columns["theta"].tolist()))
+    """The rows of generate_retention's id, tension_cm and theta columns;
+    tension_cm holds each tension's repr, which float reads back exactly."""
+    return list(zip(columns["id"], map(float, columns["tension_cm"]), columns["theta"].tolist()))
 
 
 def test_generate_retention_rows():

@@ -13,6 +13,10 @@ of the checkout holding this script) in a fresh temporary directory:
     fit-vg on a mixed retention table the script writes itself
     (MIXED_SAMPLES: 9-, 13- and 15-point samples and a minority that
     fails, so the grouping by point count and the fail lines are hashed),
+    fit-vg on the same rows shuffled by random.Random(7) (step
+    fit-vg-interleaved: the samples' rows interleaved, so the grouping of
+    rows by sample is hashed) and fit-vg on the mixed table with --jobs 2
+    (step fit-vg-mixed-jobs2: the samples fitted in two ranges),
     and derive-features on a basic and a vg table the script writes itself
     (edge_tables: ksat_cm_day with empty cells, so log_ksat from measured
     conductivity is hashed, parameters at their bounds, texture sums off
@@ -83,6 +87,10 @@ STEPS = [
                 "--out", "comparison.csv"]),
     ("fit-vg-mixed", ["fit-vg", "--input", "mixed/retention.csv", "--out", "mixed/vg.csv",
                       "--jobs", "1"]),
+    ("fit-vg-interleaved", ["fit-vg", "--input", "mixed/interleaved.csv",
+                            "--out", "mixed/vg-interleaved.csv", "--jobs", "1"]),
+    ("fit-vg-mixed-jobs2", ["fit-vg", "--input", "mixed/retention.csv",
+                            "--out", "mixed/vg-jobs2.csv", "--jobs", "2"]),
     ("derive-edges", ["derive-features", "--basic", "edges/basic.csv", "--vg", "edges/vg.csv",
                       "--out", "edges/features.csv"]),
     ("evaluate-dump", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
@@ -215,7 +223,10 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("CPXR_PTF_SEED", None)
     (work / "mixed").mkdir()
-    (work / "mixed" / "retention.csv").write_text(mixed_retention_csv(), encoding="utf-8")
+    header, *rows = mixed_retention_csv().splitlines(keepends=True)
+    (work / "mixed" / "retention.csv").write_text(header + "".join(rows), encoding="utf-8")
+    random.Random(7).shuffle(rows)
+    (work / "mixed" / "interleaved.csv").write_text(header + "".join(rows), encoding="utf-8")
     (work / "edges").mkdir()
     basic, vg = edge_tables()
     (work / "edges" / "basic.csv").write_text(basic, encoding="utf-8")
