@@ -276,11 +276,14 @@ def cmd_fit_vg(args) -> int:
     # a sample's fit does not depend on the others, so the contiguous ranges
     # of sample codes give the same bytes for every --jobs
     k = min(jobs, len(ids))
-    cuts = [i * len(ids) // k for i in range(k + 1)]
-    parts = []
-    for a, b in zip(cuts, cuts[1:]):  # the rows of the samples coded a to b - 1
-        rows = (a <= sample) & (sample < b)
-        parts.append((sample[rows] - a, h[rows], theta[rows], b - a))
+    if k == 1:  # one part: the columns themselves, not copies
+        parts = [(sample, h, theta, len(ids))]
+    else:
+        cuts = [i * len(ids) // k for i in range(k + 1)]
+        parts = []
+        for a, b in zip(cuts, cuts[1:]):  # the rows of the samples coded a to b - 1
+            rows = (a <= sample) & (sample < b)
+            parts.append((sample[rows] - a, h[rows], theta[rows], b - a))
     fits = map_jobs(_fit_part, parts, jobs)
     params, rmse = (np.concatenate([fit[j] for fit in fits]) for j in (0, 1))
     errors = [err for fit in fits for err in fit[2]]

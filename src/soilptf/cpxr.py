@@ -363,9 +363,10 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
             trace=err_trace,
         )
 
+    base_err = float(np.abs(r0).sum())
     items = scheme.alphabet()
     if not items:
-        return baseline_only([float(np.abs(r0).sum())])
+        return baseline_only([base_err])
     col = {name: j for j, name in enumerate(names)}
     item_masks = np.array([it.covers_array(X[:, col[it.feature]]) for it in items])
     mined = _mine_masks(
@@ -378,26 +379,18 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
         config.min_count_le,
     )
     if not mined:
-        return baseline_only([float(np.abs(r0).sum())])
+        return baseline_only([base_err])
 
-    # each pattern's item rows, padded with an all-true row, ANDed in one gather;
-    # its order key, (-growth, -support_le, length, text), from the item texts,
-    # each formatted once
-    item_index = {it: j for j, it in enumerate(items)}
-    item_text = [str(it) for it in items]
-    width = max(len(pat) for pat, _ in mined)
-    table = np.full((len(mined), width), len(items))
-    order_keys = []
-    for r, (pat, st) in enumerate(mined):
-        js = [item_index[it] for it in pat.items]
+    # each pattern's item rows, padded with an all-true row, ANDed in one gather
+    table = np.full((len(mined), max(len(js) for js, _, _ in mined)), len(items))
+    for r, (js, _, _) in enumerate(mined):
         table[r, : len(js)] = js
-        order_keys.append((-st.growth, -st.support_le, len(js), " & ".join(item_text[j] for j in js)))
     full_masks = np.vstack([item_masks, np.ones((1, n), dtype=bool)])[table].all(axis=1)
-    kept = filter_similar_masks(order_keys, full_masks, config.jaccard_max)
+    kept = filter_similar_masks(full_masks, config.jaccard_max)
 
     min_rows = max(p + 2, 10)
     # the candidate table: one row per candidate, see _optimize
-    candidates: list[PatternLocal] = []
+    candidates = []  # (mined row, local model, weight)
     w_rows, wp_rows = [], []
     for i in kept:
         mask = full_masks[i]
@@ -412,11 +405,11 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
         if (e0 - ei) / e0 < config.min_reduction:
             continue
         weight = local_weight(e0, ei, config.weight_floor)
-        candidates.append(PatternLocal(pattern=mined[i][0], model=local, weight=weight))
+        candidates.append((i, local, weight))
         w_rows.append(weight * mask)
         wp_rows.append(weight * mask * local_pred)
     if not candidates:
-        return baseline_only([float(np.abs(r0).sum())])
+        return baseline_only([base_err])
 
     w, wp = np.array(w_rows), np.array(wp_rows)
     chosen, trace = _optimize(w, wp, y, base_pred, config)
@@ -437,8 +430,10 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
     train_rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
     if train_rmse > baseline_rmse:
         return baseline_only(trace)
+    pairs = [PatternLocal(Pattern(tuple(items[j] for j in mined[i][0])), local, weight)
+             for i, local, weight in (candidates[c] for c in chosen)]
     return PxrModel(
-        pairs=[candidates[i] for i in chosen], default_model=default, baseline=baseline,
+        pairs=pairs, default_model=default, baseline=baseline,
         scheme=scheme, feature_names=names, train_rmse=train_rmse,
         baseline_rmse=baseline_rmse, trace=trace,
     )

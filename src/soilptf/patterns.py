@@ -116,22 +116,6 @@ def pattern_mask(pattern: Pattern, X: np.ndarray, feature_names) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class ContrastStats:
-    """Supports on the two error classes and their ratio."""
-
-    support_le: float
-    support_se: float
-    count_le: int
-    count_se: int
-
-    @property
-    def growth(self) -> float:
-        if self.support_se == 0.0:
-            return INF
-        return self.support_le / self.support_se
-
-
 def _mine_masks(
     items: list[Item],
     masks_le: np.ndarray,
@@ -140,7 +124,7 @@ def _mine_masks(
     min_growth: float,
     max_len: int,
     min_count_le: int,
-) -> list[tuple[Pattern, ContrastStats]]:
+) -> list[tuple[tuple[int, ...], int, int]]:
     """Enumerate all contrast patterns of the large-error class.
 
     masks_le and masks_se hold one boolean row per item of the alphabet
@@ -149,10 +133,8 @@ def _mine_masks(
     min_support_le (and at least min_count_le samples), its growth rate is
     at least min_growth and it has at most max_len items. Support is
     anti-monotone, so candidates are pruned on it alone; growth is checked
-    at emission. Patterns come out level by level, not in the order
-    train_cpxr scans them in; within a level, pattern by pattern of the
-    level before, each extended by every later item of another feature in
-    item order.
+    at emission. Returns one (item indices, LE count, SE count) triple per
+    pattern, the indices ascending, in the scan order of _emit.
 
     A level's extensions are counted at once: the frontier's LE masks times
     the items' LE masks give every extension's LE count, the allowed pairs
@@ -186,8 +168,7 @@ def _mine_masks(
     f_le, f_se, c_le, last = masks_le[rows], masks_se[rows], counts[rows], rows
     used = np.zeros((len(rows), len(feature_of)), dtype=bool)
     used[np.arange(len(rows)), feat[rows]] = True
-    results: list[tuple[Pattern, ContrastStats]] = []
-    _emit(results, items, idxs, c_le, f_se.sum(axis=1), n_le, n_se, min_growth)
+    levels = [(idxs, c_le, f_se.sum(axis=1))]
 
     for _level in range(2, max_len + 1):
         if not idxs:
@@ -201,32 +182,44 @@ def _mine_masks(
         f_le, f_se, c_le, last = f_le[fi] & masks_le[ji], f_se[fi] & masks_se[ji], ext[fi, ji], ji
         used = used[fi]
         used[np.arange(len(ji)), feat[ji]] = True
-        _emit(results, items, idxs, c_le, f_se.sum(axis=1), n_le, n_se, min_growth)
-    return results
+        levels.append((idxs, c_le, f_se.sum(axis=1)))
+    return _emit(items, levels, n_le, n_se, min_growth)
 
 
-def _emit(results, items, idxs, counts_le, counts_se, n_le, n_se, min_growth):
-    """Append each frontier pattern whose growth rate reaches min_growth."""
-    for js, c_le, c_se in zip(idxs, counts_le.astype(int).tolist(), counts_se.tolist()):
-        st = ContrastStats(
-            support_le=c_le / n_le,
-            support_se=c_se / n_se if n_se else 0.0,
-            count_le=c_le,
-            count_se=c_se,
-        )
-        if st.growth >= min_growth:
-            results.append((Pattern(tuple(items[j] for j in js)), st))
+def _emit(items, levels, n_le, n_se, min_growth):
+    """The triples of the patterns of every (indices, LE counts, SE counts)
+    level whose growth rate reaches min_growth, in scan order.
+
+    Growth is support_le / support_se, infinite where the SE support is 0.
+    The scan order is descending growth, then descending support_le, then
+    fewer items, then text: the item texts joined by " & " in item order,
+    the pattern's str for an alphabet's items. The sort is stable, so ties
+    keep the emission order: level by level, within a level pattern by
+    pattern of the level before, each extended in item order.
+    """
+    idxs = [js for level, _, _ in levels for js in level]
+    counts_le = np.concatenate([c for _, c, _ in levels]).astype(int)
+    counts_se = np.concatenate([c for _, _, c in levels])
+    support_le = counts_le / n_le
+    support_se = counts_se / n_se if n_se else np.zeros(len(idxs))
+    growth = np.divide(support_le, support_se, out=np.full(len(idxs), INF),
+                       where=support_se > 0)
+    text = [str(it) for it in items]
+    g, s = growth.tolist(), support_le.tolist()
+    keep = [i for i in range(len(idxs)) if g[i] >= min_growth]
+    keep.sort(key=lambda i: (-g[i], -s[i], len(idxs[i]), " & ".join(text[j] for j in idxs[i])))
+    c_le, c_se = counts_le.tolist(), counts_se.tolist()
+    return [(idxs[i], c_le[i], c_se[i]) for i in keep]
 
 
-def filter_similar_masks(order_keys, masks: np.ndarray, jaccard_max: float) -> list[int]:
+def filter_similar_masks(masks: np.ndarray, jaccard_max: float) -> list[int]:
     """Drop candidates whose matching rows nearly duplicate a kept one's.
 
-    Greedy scan in ascending order_keys order (for mined patterns,
-    train_cpxr's (-growth, -support_le, length, text) tuples); masks holds
-    one boolean row per candidate.
-    A candidate is dropped when the Jaccard similarity of its rows with
-    any kept candidate's exceeds jaccard_max; two empty row sets count as
-    identical. Returns the kept indices in scan order.
+    Greedy scan of the rows of masks, one boolean row per candidate, in
+    the order given (for mined patterns, _mine_masks's scan order). A
+    candidate is dropped when the Jaccard similarity of its rows with any
+    kept candidate's exceeds jaccard_max; two empty row sets count as
+    identical. Returns the kept indices, ascending.
 
     Every pairwise intersection comes from one Gram product of the 0/1
     masks, exact in float64 below 2**53 rows; the quotient of these exact
@@ -237,10 +230,8 @@ def filter_similar_masks(order_keys, masks: np.ndarray, jaccard_max: float) -> l
     sizes = m.sum(axis=1)
     union = sizes[:, None] + sizes[None, :] - inter
     sim = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)
-    similar = (sim > jaccard_max).tolist()
     kept: list[int] = []
-    for i in sorted(range(len(order_keys)), key=lambda i: order_keys[i]):
-        row = similar[i]
+    for i, row in enumerate((sim > jaccard_max).tolist()):
         if not any(row[j] for j in kept):
             kept.append(i)
     return kept

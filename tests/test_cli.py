@@ -483,6 +483,30 @@ def test_fit_vg_parallel_output_matches_serial(tmp_path):
     assert outputs[0][1].count(b"\nok ") == 8
 
 
+def test_fit_vg_one_part_fits_the_columns_read(tmp_path, monkeypatch):
+    # at --jobs 1 the one part is the reader's arrays themselves, not a
+    # copy of every row
+    read, fitted = [], []
+    real_read, real_fit = soilptf.cli._read_retention, soilptf.cli.fit_vg_rows
+
+    def reader(path):
+        columns = real_read(path)
+        read.append(columns[1:])
+        return columns
+
+    def fit(*args):
+        fitted.append(args)
+        return real_fit(*args)
+
+    monkeypatch.setattr("soilptf.cli._read_retention", reader)
+    monkeypatch.setattr("soilptf.cli.fit_vg_rows", fit)
+    table = tmp_path / "retention.csv"
+    _write_retention(table, _mixed_samples())
+    assert run(["fit-vg", "--input", table, "--out", tmp_path / "vg.csv", "--jobs", "1"]) == 0
+    ((sample, h, theta),), ((codes, tensions, water, samples),) = read, fitted
+    assert codes is sample and tensions is h and water is theta and samples == 9
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.permutations([(sid, pair) for sid, pairs in _mixed_samples() for pair in pairs]))
 def test_fit_vg_rows_of_a_sample_need_not_be_adjacent(rows):

@@ -512,19 +512,21 @@ def test_train_never_worse_under_generated_hyperparameters(
         assert model.train_rmse == model.baseline_rmse
 
 
-def test_order_keys_are_the_pattern_order_keys(monkeypatch):
-    # the keys train_cpxr builds from item texts formatted once are the
-    # (-growth, -support_le, length, text) tuples of the mined patterns
-    mined, keys = [], []
+def test_mined_patterns_come_in_scan_order(monkeypatch):
+    # the miner returns its patterns sorted by (-growth, -support_le,
+    # length, text), and the filter gets each one's rows in that order
+    mined, filtered = [], []
 
-    def mine(*args):
-        found = _mine_masks(*args)
-        mined.extend(found)
+    def mine(items, masks_le, masks_se, *args):
+        found = _mine_masks(items, masks_le, masks_se, *args)
+        n_le, n_se = masks_le.shape[1], masks_se.shape[1]
+        mined.append([(Pattern(tuple(items[j] for j in js)), c_le / n_le, c_se / n_se)
+                      for js, c_le, c_se in found])
         return found
 
-    def keep(order_keys, masks, jaccard_max):
-        keys.extend(order_keys)
-        return filter_similar_masks(order_keys, masks, jaccard_max)
+    def keep(masks, jaccard_max):
+        filtered.append(masks)
+        return filter_similar_masks(masks, jaccard_max)
 
     monkeypatch.setattr(soilptf.cpxr, "_mine_masks", mine)
     monkeypatch.setattr(soilptf.cpxr, "filter_similar_masks", keep)
@@ -532,8 +534,39 @@ def test_order_keys_are_the_pattern_order_keys(monkeypatch):
     sel = select_columns(dataset, MODEL_CONFIGS["SWRC2"])
     for y in sel.targets.values():
         train_cpxr(sel.X, y, sel.feature_names)
-    assert len(mined) > 100 and max(len(pat) for pat, _ in mined) > 2
-    assert keys == [(-st.growth, -st.support_le, len(pat), str(pat)) for pat, st in mined]
+    assert sum(map(len, mined)) > 100 and max(len(pat) for m in mined for pat, _, _ in m) > 2
+    for found, masks in zip(mined, filtered, strict=True):
+        keys = [(-(s_le / s_se if s_se else np.inf), -s_le, len(pat), str(pat))
+                for pat, s_le, s_se in found]
+        assert keys == sorted(keys)
+        assert [pattern_mask(pat, sel.X, sel.feature_names).tolist() for pat, _, _ in found] \
+            == masks.tolist()
+
+
+def test_training_decisions_the_tracer_counts(monkeypatch):
+    # the readings benchmark/trace_child.py takes, on the ten SWRC2 targets
+    # of the seed-7 two-regime table: patterns mined and kept, candidates
+    # reaching the optimizer, local fits, and each model's pattern count
+    counts = {"mined": 0, "kept": 0, "candidates": 0, "fits": 0}
+
+    def count(name, key, reading):
+        real = getattr(soilptf.cpxr, name)
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            counts[key] += reading(args, result)
+            return result
+
+        monkeypatch.setattr(soilptf.cpxr, name, spy)
+
+    count("_mine_masks", "mined", lambda args, result: len(result))
+    count("filter_similar_masks", "kept", lambda args, result: len(result))
+    count("_optimize", "candidates", lambda args, result: len(args[0]))
+    count("fit_local", "fits", lambda args, result: 1)
+    X, ys, names = _swrc2_seed7()
+    models = train_cpxr_targets(X, ys, names)
+    assert counts == {"mined": 235, "kept": 81, "candidates": 67, "fits": 90}
+    assert [model.k for model in models] == [3, 2, 2, 2, 2, 2, 6, 5, 1, 7]
 
 
 def test_train_rmse_is_the_rmse_of_predict_matrix():

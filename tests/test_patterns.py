@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from soilptf.discretize import DiscretizationScheme
 from soilptf.patterns import (
     INF,
-    ContrastStats,
     Item,
     Pattern,
     PatternError,
@@ -111,26 +111,45 @@ def test_pattern_mask_against_matches():
         pattern_mask(p, X, ["x", "z"])
 
 
-def test_growth_ratio_and_infinite():
-    assert ContrastStats(0.5, 0.25, 5, 2).growth == 2.0
-    assert ContrastStats(0.5, 0.0, 5, 0).growth == INF
-
-
 # ----------------------------------------------------------------------
 # mining
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Stats:
+    """A mined pattern's supports on the two error classes and their ratio."""
+
+    support_le: float
+    support_se: float
+    count_le: int
+    count_se: int
+
+    @property
+    def growth(self) -> float:
+        return INF if self.support_se == 0.0 else self.support_le / self.support_se
+
+
 def _order_key(pair):
-    """The order train_cpxr scans a mined (pattern, stats) pair in:
-    descending growth, then descending support_le, then shorter, then text."""
+    """The scan order of a mined (pattern, stats) pair: descending growth,
+    then descending support_le, then shorter, then text."""
     pattern, stats = pair
     return (-stats.growth, -stats.support_le, len(pattern), str(pattern))
+
+
+def _pairs(items, found, n_le, n_se):
+    """_mine_masks's (item indices, LE count, SE count) triples as
+    (pattern, stats) pairs, in the order given."""
+    return [
+        (Pattern(tuple(items[j] for j in js)),
+         Stats(c_le / n_le, c_se / n_se if n_se else 0.0, c_le, c_se))
+        for js, c_le, c_se in found
+    ]
 
 
 def _mine(le_rows, se_rows, names, scheme, min_support_le=0.02, min_growth=2.0,
           max_len=4, min_count_le=2):
     """Item masks from Item.covers_array over the two classes' rows, mined
-    by _mine_masks and sorted by _order_key."""
+    by _mine_masks: (pattern, stats) pairs in the miner's order."""
     items = scheme.alphabet()
     col = {name: j for j, name in enumerate(names)}
 
@@ -141,7 +160,22 @@ def _mine(le_rows, se_rows, names, scheme, min_support_le=0.02, min_growth=2.0,
 
     found = _mine_masks(items, masks(le_rows), masks(se_rows), min_support_le, min_growth,
                         max_len, min_count_le)
-    return sorted(found, key=_order_key)
+    return _pairs(items, found, len(le_rows), len(se_rows))
+
+
+def test_growth_ratio_and_infinite():
+    # 'x < 2.5' has growth 1.0 / 0.5 = 2.0 exactly, kept at min_growth 2.0
+    # and dropped just above it; the patterns without SE rows have infinite
+    # growth and come first
+    names = ["x", "y"]
+    le = [[0, 0], [0, 0], [0, 5], [0, 5]]
+    se = [[0, 5], [0, 5], [5, 5], [5, 5]]
+    scheme = DiscretizationScheme(cuts={"x": (2.5,), "y": (2.5,)})
+    found = _mine(le, se, names, scheme, min_growth=2.0)
+    assert [(str(p), st.growth) for p, st in found] == [
+        ("y < 2.5", INF), ("x < 2.5 & y < 2.5", INF), ("x < 2.5", 2.0)]
+    above = _mine(le, se, names, scheme, min_growth=math.nextafter(2.0, 3.0))
+    assert [str(p) for p, _ in above] == ["y < 2.5", "x < 2.5 & y < 2.5"]
 
 
 def test_mine_pure_bins():
@@ -215,7 +249,7 @@ def exhaustive_mine(le_rows, se_rows, names, scheme, min_support_le, min_growth,
             growth = math.inf if s_se == 0.0 else s_le / s_se
             if growth < min_growth:
                 continue
-            out.append((p, ContrastStats(s_le, s_se, c_le, c_se)))
+            out.append((p, Stats(s_le, s_se, c_le, c_se)))
     out.sort(key=_order_key)
     return out
 
@@ -252,16 +286,17 @@ def test_mine_agrees_with_exhaustive_oracle():
 def reference_mine_masks(items, masks_le, masks_se, min_support_le, min_growth, max_len,
                          min_count_le):
     """The nested-loop miner _mine_masks replaced: one array call per
-    extension, in the same level, frontier and item order."""
+    extension, in the same level, frontier and item order, then a stable
+    sort of the (item indices, LE count, SE count) triples by _order_key."""
     n_le, n_se = masks_le.shape[1], masks_se.shape[1]
     min_cnt = max(min_count_le, math.ceil(min_support_le * n_le))
 
     def emit(frontier):
         for idxs, m_le, m_se in frontier:
             c_le, c_se = int(m_le.sum()), int(m_se.sum())
-            st_ = ContrastStats(c_le / n_le, c_se / n_se if n_se else 0.0, c_le, c_se)
+            st_ = Stats(c_le / n_le, c_se / n_se if n_se else 0.0, c_le, c_se)
             if st_.growth >= min_growth:
-                results.append((Pattern(tuple(items[j] for j in idxs)), st_))
+                results.append(((Pattern(tuple(items[j] for j in idxs)), st_), (idxs, c_le, c_se)))
 
     results = []
     frontier = [((j,), masks_le[j], masks_se[j]) for j in range(len(items))
@@ -282,7 +317,7 @@ def reference_mine_masks(items, masks_le, masks_se, min_support_le, min_growth, 
         frontier = nxt
         if not frontier:
             break
-    return results
+    return [triple for _, triple in sorted(results, key=lambda r: _order_key(r[0]))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,7 +340,7 @@ def reference_mine_masks(items, masks_le, masks_se, min_support_le, min_growth, 
          min_growth=0.5, max_len=4, min_count_le=1, free_masks=True)  # deep levels
 def test_mine_masks_matches_nested_loop_reference(seed, bins, n_le, n_se, min_support_le,
                                                   min_growth, max_len, min_count_le, free_masks):
-    # same list, same emission order, same ContrastStats with int counts;
+    # same list, same scan order, same item indices and counts, all ints;
     # the masks cover the rows by each item's interval, or freely, so that
     # two items of one feature can overlap and only the feature rule keeps
     # them out of one pattern
@@ -326,9 +361,9 @@ def test_mine_masks_matches_nested_loop_reference(seed, bins, n_le, n_se, min_su
     args = (min_support_le, min_growth, max_len, min_count_le)
     got = _mine_masks(items, masks_le, masks_se, *args)
     assert got == reference_mine_masks(items, masks_le, masks_se, *args)
-    for _, st_ in got:
-        assert type(st_.count_le) is int and type(st_.count_se) is int
-        assert type(st_.support_le) is float and type(st_.support_se) is float
+    for js, c_le, c_se in got:
+        assert type(js) is tuple and all(type(j) is int for j in js)
+        assert type(c_le) is int and type(c_se) is int
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +371,7 @@ def test_mine_masks_matches_nested_loop_reference(seed, bins, n_le, n_se, min_su
 # ----------------------------------------------------------------------
 
 def _stats(s_le, s_se):
-    return ContrastStats(s_le, s_se, int(s_le * 10), int(s_se * 10))
+    return Stats(s_le, s_se, int(s_le * 10), int(s_se * 10))
 
 
 def _nested_candidates():
@@ -350,10 +385,11 @@ def _nested_candidates():
 
 
 def _filter(cands, X, jaccard_max):
-    """Run filter_similar_masks on (pattern, stats) pairs; kept pattern texts."""
+    """Run filter_similar_masks on (pattern, stats) pairs sorted by
+    _order_key; kept pattern texts."""
+    cands = sorted(cands, key=_order_key)
     masks = np.array([pattern_mask(p, X, ["x"]) for p, _ in cands])
-    keys = [_order_key(pair) for pair in cands]
-    return [str(cands[i][0]) for i in filter_similar_masks(keys, masks, jaccard_max)]
+    return [str(cands[i][0]) for i in filter_similar_masks(masks, jaccard_max)]
 
 
 def test_filter_similar_drops_near_duplicates():
@@ -380,10 +416,10 @@ def _jaccard(a: set, b: set) -> float:
     return 1.0 if not a and not b else len(a & b) / len(a | b)
 
 
-def set_route_filter(keys, masks, cap):
+def set_route_filter(masks, cap):
     """Reference: the greedy scan over row-id sets with int / int Jaccard."""
     kept, kept_sets = [], []
-    for i in sorted(range(len(keys)), key=lambda i: keys[i]):
+    for i in range(len(masks)):
         rows = set(np.flatnonzero(masks[i]).tolist())
         if any(_jaccard(rows, other) > cap for other in kept_sets):
             continue
@@ -398,9 +434,10 @@ def test_filter_similar_masks_matches_set_route():
         n_cand, n_rows = int(rng.integers(1, 9)), int(rng.integers(0, 12))
         masks = rng.random((n_cand, n_rows)) < rng.uniform(0.1, 0.9)
         keys = [(float(rng.integers(0, 3)), i) for i in range(n_cand)]
+        masks = masks[sorted(range(n_cand), key=lambda i: keys[i])]
         cap = float(rng.choice([0.0, 0.3, 0.5, 0.8, 0.9, 1.0]))
-        want = set_route_filter(keys, masks, cap)
-        assert filter_similar_masks(keys, masks, cap) == want, f"trial {trial}"
+        want = set_route_filter(masks, cap)
+        assert filter_similar_masks(masks, cap) == want, f"trial {trial}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,4 +466,5 @@ def test_filter_similar_masks_matches_set_route_on_generated_masks(seed, n_cand,
         a, b = (set(np.flatnonzero(masks[i]).tolist()) for i in rng.choice(n_cand, 2, False))
         cap = _jaccard(a, b)
     keys = [(float(rng.integers(0, 4)), i) for i in range(n_cand)]
-    assert filter_similar_masks(keys, masks, cap) == set_route_filter(keys, masks, cap)
+    masks = masks[sorted(range(n_cand), key=lambda i: keys[i])]
+    assert filter_similar_masks(masks, cap) == set_route_filter(masks, cap)

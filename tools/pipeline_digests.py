@@ -30,7 +30,10 @@ of the checkout holding this script) in a fresh temporary directory:
     route), evaluate SWRC2 cpxr,mlr with --set min_train=1000, above
     the table's 300 samples, so every cpxr iteration falls back to the
     baseline regression and is flagged degraded, and train SWRC2 cpxr with
-    the same setting, which must exit 1 and write nothing, and last
+    the same setting, which must exit 1 and write nothing, train SWRC2
+    cpxr with --set jaccard_max=1.0 --set min_growth=1.0 (step
+    train-swrc2-all-candidates: no pattern is filtered out as similar, so
+    the miner's whole scan order reaches the optimizer's tie-breaks), and last
     synth two-regime n=700 --seed 11 --retention (step synth-700) and
     fit-vg on that table (step fit-vg-700): 3,500 lanes of one point
     count, about 11 times the lanes a fit keeps in flight, so the fits of
@@ -110,6 +113,10 @@ STEPS = [
     ("train-too-few", ["train", "--features", "features.csv", "--config", "SWRC2",
                        "--method", "cpxr", "--set", "min_train=1000",
                        "--out-dir", "models/too_few"]),
+    ("train-swrc2-all-candidates", ["train", "--features", "features.csv", "--config", "SWRC2",
+                                    "--method", "cpxr", "--set", "jaccard_max=1.0",
+                                    "--set", "min_growth=1.0",
+                                    "--out-dir", "models/SWRC2_all"]),
     ("synth-700", ["synth", "--out-dir", "data700", "--kind", "two-regime", "--n", "700",
                    "--retention", "--seed", "11"]),
     ("fit-vg-700", ["fit-vg", "--input", "data700/retention.csv", "--out", "vg700.csv",
