@@ -25,18 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cpxr import CpxrConfig, CpxrError, PxrModel, train_cpxr_targets
+from .cpxr import CpxrConfig, CpxrError, PxrModel
 from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
 from .data import (
     DataError,
     load_dataset,
-    parse_columns,
-    read_rows,
+    read_table,
     retention_columns,
     select_columns,
     table_text,
 )
-from .evaluation import MAX_REPETITIONS, EvaluationError, EvaluationReport, compare, cross_validate, map_jobs
+from .evaluation import (MAX_REPETITIONS, EvaluationError, EvaluationReport, compare, cross_validate,
+                         fit_targets, map_jobs)
 from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
@@ -49,7 +49,8 @@ from .hydrology import (
     texture_faults,
     vg_curve,
 )
-from .linreg import FitError, LinearModel, fit_local
+from .linreg import FitError, LinearModel
+from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
 from .synth import (
     SynthError,
     _check_noise_sd,
@@ -242,13 +243,9 @@ def _read_retention(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray
     """The sample ids in first-appearance order, and the table's columns:
     each row's sample code (its id's place among the ids), tension and water
     content; a sample's rows need not be adjacent."""
-    header, rows = read_rows(path)
-    needed = {"id", "tension_cm", "theta"}
-    if not needed <= set(header):
-        raise DataError(f"{path}: retention table needs columns {sorted(needed)}, has {header}")
-    if not rows:
+    _, ids, columns = read_table(path, ("tension_cm", "theta"), required=("id", "tension_cm", "theta"))
+    if not ids:
         raise DataError(f"{path}: no samples")
-    ids, columns = parse_columns(header, rows, ("tension_cm", "theta"))
     _require_values(path, ids, columns, ("tension_cm", "theta"))
     codes: dict[str, int] = {}
     sample = np.array([codes.setdefault(sid, len(codes)) for sid in ids])
@@ -317,8 +314,8 @@ def cmd_derive_features(args) -> int:
     seed = _resolve_seed(args.seed)
     meta = _meta(seed, {"command": "derive-features", "seed": seed})
 
-    basic_ids, basic = parse_columns(*read_rows(basic_path), BASIC_COLUMNS)
-    vg_ids, vg = parse_columns(*read_rows(vg_path), VG_COLUMNS)
+    _, basic_ids, basic = read_table(basic_path, BASIC_COLUMNS)
+    _, vg_ids, vg = read_table(vg_path, VG_COLUMNS)
     vg_row = {sid: j for j, sid in enumerate(vg_ids)}
     rows = [i for i, sid in enumerate(basic_ids) if sid in vg_row]
     skipped = [sid for sid in basic_ids if sid not in vg_row]
@@ -375,15 +372,11 @@ def cmd_train(args) -> int:
     selection = select_columns(dataset, config)
     X, names = selection.X, selection.feature_names
     ys = [selection.targets[target] for target in config.targets]
-    if method == "mlr":
-        fitted = [fit_local(X, y, names) for y in ys]
-    else:
-        fitted = train_cpxr_targets(X, ys, names, hyper)
     models, training = {}, {}
-    for target, y, model in zip(config.targets, ys, fitted):
+    for target, y, model in zip(config.targets, ys, fit_targets(method, X, ys, names, hyper)):
         pred = model.predict_matrix(X, names)
         entry = {"train_rmse": float(np.sqrt(np.mean((pred - y) ** 2))), "n_train": len(y)}
-        if method == "cpxr":
+        if isinstance(model, PxrModel):
             entry["patterns"] = model.k
             entry["baseline_rmse"] = model.baseline_rmse
         training[target] = entry

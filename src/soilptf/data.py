@@ -6,10 +6,11 @@ basic-property feature columns and any number of numeric target columns.
 Missing entries are empty cells (or na/nan/none/null tokens); any other
 cell must hold a finite number. Lines starting with ``#`` before the
 header are metadata comments and are skipped; below the header such a
-line is a data row whose sample id starts with ``#``. read_rows and
-parse_columns read tables, and table_text writes them: for two or more
-columns and no carriage return in a cell, as csv.writer(lineterminator=
-"\\n") does, which leaves a lone carriage return unquoted.
+line is a data row whose sample id starts with ``#``. read_table reads a
+table from file to columns in one pass, parsing each cell as it reads,
+and table_text writes one: for two or more columns and no carriage return
+in a cell, as csv.writer(lineterminator="\\n") does, which leaves a lone
+carriage return unquoted.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import csv
 import itertools
+from array import array
 import math
 import re
 
@@ -129,33 +131,6 @@ def validate_dataset(dataset: Dataset) -> list[tuple[int, str]]:
     return [(int(i), problem) for i, problem in found]
 
 
-def read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV table as its stripped header and its raw data rows.
-
-    Lines starting with ``#`` before the header are skipped; the data row
-    at index i is called row i + 2 in diagnostics. Raises DataError for a
-    missing, empty or non-UTF-8 file, a repeated column name or a row whose
-    length differs from the header's.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
-    except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-    rows = list(csv.reader(lines))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header: {header}")
-    for i, raw in enumerate(rows[1:], start=2):
-        if len(raw) != len(header):
-            raise DataError(f"row {i}: expected {len(header)} cells, got {len(raw)}")
-    return header, rows[1:]
-
-
 def _parse_cell(token: str, column: str, row: int) -> float:
     """One numeric cell: NaN for a missing token, else a finite float.
 
@@ -163,6 +138,12 @@ def _parse_cell(token: str, column: str, row: int) -> float:
     that is not a number and for infinities or NaN spelled other than
     as a missing token.
     """
+    try:  # most cells: float strips no more than str.strip, so a finite value is the same
+        value = float(token)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
     text = token.strip()
     if text.lower() in MISSING_TOKENS:
         return math.nan
@@ -175,29 +156,58 @@ def _parse_cell(token: str, column: str, row: int) -> float:
     return value
 
 
-def parse_columns(
-    header: list[str], rows: list[list[str]], names
-) -> tuple[list[str], dict[str, np.ndarray]]:
-    """Parse the ids and the named numeric columns of rows from read_rows.
+def read_table(path, names=None, required=()) -> tuple[list[str], list[str], dict[str, np.ndarray]]:
+    """Read a CSV table in one pass: its stripped header, its sample ids and
+    the named numeric columns (every column but ``id`` for names=None).
 
-    A name absent from the header reads as an all-NaN column. Raises
-    DataError for an empty id or a bad cell, the first met in (row, name)
-    order.
+    Lines starting with ``#`` before the header are skipped; the data row
+    at index i is called row i + 2 in diagnostics. A name absent from the
+    header reads as an all-NaN column. Each cell is parsed as it is read,
+    and no row is kept. Faults are held until the whole file is read, then
+    the first of these raises DataError: a missing or non-UTF-8 file, an
+    empty file, a repeated column name, a row whose length differs from the
+    header's, a required column or the ``id`` column missing from the
+    header, and the first empty id or bad cell in (row, name) order.
     """
-    at = {c: j for j, c in enumerate(header)}
-    if "id" not in at:
-        raise DataError(f"header has no 'id' column: {header}")
-    ids = []
-    values = np.full((len(names), len(rows)), math.nan)
-    present = [(k, name, at[name]) for k, name in enumerate(names) if name in at]
-    for i, raw in enumerate(rows):
-        sid = raw[at["id"]].strip()
-        if not sid:
-            raise DataError(f"row {i + 2}: empty sample id")
-        ids.append(sid)
-        for k, name, j in present:
-            values[k, i] = _parse_cell(raw[j], name, i + 2)
-    return ids, dict(zip(names, values))
+    faults = {}  # its place in that order (3 to 7) -> the first fault of that kind
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = csv.reader(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = [c.strip() for c in header]
+            at = {c: j for j, c in enumerate(header)}
+            if len(at) != len(header):
+                faults[3] = f"{path}: duplicate column names in header: {header}"
+            if not set(required) <= set(at):
+                faults[5] = f"{path}: table needs columns {sorted(required)}, has {header}"
+            if "id" not in at:
+                faults[6] = f"header has no 'id' column: {header}"
+            names = [c for c in header if c != "id"] if names is None else list(names)
+            values = {name: array("d") for name in names if name in at}
+            cells = [(values[name].append, name, at[name]) for name in values]
+            ids, id_at = [], at.get("id")
+            for i, raw in enumerate(rows, start=2):
+                if len(raw) != len(header):
+                    faults.setdefault(4, f"row {i}: expected {len(header)} cells, got {len(raw)}")
+                elif not faults:
+                    ids.append(sid := raw[id_at].strip())
+                    try:
+                        if not sid:
+                            raise DataError(f"row {i}: empty sample id")
+                        for append, name, j in cells:
+                            append(_parse_cell(raw[j], name, i))
+                    except DataError as exc:
+                        faults[7] = str(exc)
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    if faults:
+        raise DataError(faults[min(faults)])
+    return header, ids, {name: np.asarray(values[name]) if name in values
+                         else np.full(len(ids), math.nan) for name in names}
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -212,7 +222,7 @@ def table_text(columns, comments=()) -> str:
     ended by a newline. columns maps each header name, in order, to its
     column, or lists (name, column) pairs where two names are one. A numpy
     array is numeric: each value its repr, NaN an empty cell, so
-    parse_columns reads it back bit for bit. Any other column holds text.
+    read_table reads it back bit for bit. Any other column holds text.
     A cell holding a comma, a quote or a line break is quoted, its quotes
     doubled.
     """
@@ -242,10 +252,9 @@ def load_dataset(path, strict: bool = True) -> Dataset:
     violations; every diagnostic about a cell names its row, and the
     invariant violations of all rows share one line.
     """
-    header, rows = read_rows(path)
+    header, ids, columns = read_table(path)
     features = [c for c in header if c in KNOWN_FEATURES]
     targets = [c for c in header if c != "id" and c not in KNOWN_FEATURES]
-    ids, columns = parse_columns(header, rows, features + targets)
     dataset = Dataset(ids, columns, features, targets)
     if strict:
         found = validate_dataset(dataset)

@@ -192,17 +192,13 @@ def _splits_for(k: int, scheme: str):
     raise EvaluationError(f"unknown cv scheme {scheme!r}")
 
 
-def _fit_targets(method, X_tr, ys, names, cpxr_config):
-    """Fit every target with the requested method: (models, degraded).
-    cpxr trains all targets in one call; where it cannot train, every
-    target falls back to the baseline regression and degraded is set."""
-    degraded = False
+def fit_targets(method, X, ys, names, config):
+    """One model per target y of ys: cpxr trains all targets in one call
+    and raises CpxrError where it cannot train; mlr fits each target's
+    baseline regression."""
     if method == "cpxr":
-        try:
-            return train_cpxr_targets(X_tr, ys, names, config=cpxr_config), False
-        except CpxrError:
-            degraded = True
-    return [fit_local(X_tr, y, feature_names=names) for y in ys], degraded
+        return train_cpxr_targets(X, ys, names, config=config)
+    return [fit_local(X, y, feature_names=names) for y in ys]
 
 
 def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_predictions, rep):
@@ -218,7 +214,10 @@ def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_pre
         train_metrics, test_metrics = {}, {}
         rows = [] if collect_predictions else None
         ys = [y[train_idx] for y in selection.targets.values()]
-        models, degraded = _fit_targets(method, X_tr, ys, names, cpxr_config)
+        try:
+            models, degraded = fit_targets(method, X_tr, ys, names, cpxr_config), False
+        except CpxrError:  # every target falls back to the baseline regression
+            models, degraded = fit_targets("mlr", X_tr, ys, names, cpxr_config), True
         for (t, y), y_tr, model in zip(selection.targets.items(), ys, models):
             y_te = y[test_idx]
             log_space = t in LOG_TARGETS

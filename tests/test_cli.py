@@ -614,7 +614,7 @@ def test_derive_features_out_directory_is_usage_error(synth_small, vg_params, tm
     out = tmp_path / "out"
     _assert_out_directory_refused(
         ["derive-features", "--basic", synth_small / "dataset.csv", "--vg", vg_params,
-         "--out", out], out, monkeypatch, capsys, "read_rows")
+         "--out", out], out, monkeypatch, capsys, "read_table")
 
 
 def test_predict_out_directory_is_usage_error(swrc3_models, features_csv, tmp_path,

@@ -16,8 +16,9 @@ from soilptf.data import (
     DataError,
     Dataset,
     assign_folds,
+    _parse_cell,
     load_dataset,
-    read_rows,
+    read_table,
     select_columns,
     table_text,
     validate_dataset,
@@ -352,7 +353,7 @@ def test_table_text_is_the_csv_writers_text(tmp_path_factory, columns):
         assert text == buf.getvalue()
     path = tmp_path_factory.getbasetemp() / "table_text.csv"
     _write_text(path, text)
-    assert read_rows(path) == (rows[0], rows[1:])
+    assert ref_read_rows(path) == (rows[0], rows[1:])
 
 
 _text_cell = st.one_of(
@@ -379,6 +380,203 @@ def test_select_columns_matches_csv_oracle(tmp_path_factory, table):
     else:
         with pytest.raises(DataError, match="no usable rows"):
             select_columns(load_dataset(path, strict=False), config)
+
+
+# ----------------------------------------------------------------------
+# The reader read_table replaced, kept as a reference: read_rows held
+# every row before parse_columns parsed the cells, and fit-vg checked its
+# header in between ("retention table needs columns"). read_table must
+# give the same ids, the same array bytes or the same error text.
+# ----------------------------------------------------------------------
+
+
+def ref_read_rows(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    rows = list(csv.reader(lines))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header: {header}")
+    for i, raw in enumerate(rows[1:], start=2):
+        if len(raw) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(raw)}")
+    return header, rows[1:]
+
+
+def ref_parse_cell(token, column, row):
+    text = token.strip()
+    if text.lower() in ("", "na", "nan", "none", "null"):
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"row {row}: column {column!r} value {token!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}: column {column!r} value {token!r} is not a finite number")
+    return value
+
+
+def ref_parse_columns(header, rows, names):
+    at = {c: j for j, c in enumerate(header)}
+    if "id" not in at:
+        raise DataError(f"header has no 'id' column: {header}")
+    ids = []
+    values = np.full((len(names), len(rows)), math.nan)
+    present = [(k, name, at[name]) for k, name in enumerate(names) if name in at]
+    for i, raw in enumerate(rows):
+        sid = raw[at["id"]].strip()
+        if not sid:
+            raise DataError(f"row {i + 2}: empty sample id")
+        ids.append(sid)
+        for k, name, j in present:
+            values[k, i] = ref_parse_cell(raw[j], name, i + 2)
+    return ids, dict(zip(names, values))
+
+
+def ref_read_table(path, names=None, required=()):
+    header, rows = ref_read_rows(path)
+    if not set(required) <= set(header):
+        raise DataError(f"{path}: retention table needs columns {sorted(required)}, has {header}")
+    names = [c for c in header if c != "id"] if names is None else names
+    return (header, *ref_parse_columns(header, rows, names))
+
+
+def _read_outcome(read, path, names, required):
+    """The header, ids and (name, dtype, bytes) of each column, or the
+    error text; the reference's one retired word is mapped to today's."""
+    try:
+        header, ids, columns = read(path, names, required)
+    except DataError as exc:
+        return str(exc).replace(": retention table needs", ": table needs")
+    return header, ids, [(name, col.dtype.str, col.tobytes()) for name, col in columns.items()]
+
+
+def assert_reads_as_reference(path, names=None, required=()):
+    got = _read_outcome(read_table, path, names, required)
+    assert got == _read_outcome(ref_read_table, path, names, required)
+    return got
+
+
+RETENTION = ("id", "tension_cm", "theta")
+
+
+@pytest.mark.parametrize("text, names, required, outcome", [
+    # bad tokens, each the row's first fault, and 1_0 read as 10
+    (b"id,a\ns1,text\n", None, (), "row 2: column 'a' value 'text' is not numeric"),
+    (b"id,a\ns1,1\ns2, inf\n", None, (), "row 3: column 'a' value ' inf' is not a finite number"),
+    (b"id,a\ns1,-nan\n", None, (), "row 2: column 'a' value '-nan' is not a finite number"),
+    (b"id,a\ns1,1e999\n", None, (), "row 2: column 'a' value '1e999' is not a finite number"),
+    (b"id,a\ns1,1_0\n", None, (), None),
+    # missing tokens in mixed case; an empty id is met before its row's cells
+    (b"id,a,b\ns1,NA,nUlL\ns2, None ,NaN\n", None, (), None),
+    (b"id,a\ns1,1\n  ,text\n", None, (), "row 3: empty sample id"),
+    # padding: ASCII spaces, no-break spaces and the separators \x1c-\x1f
+    ("id,a,b\n s1 ,\xa0 2.5\xa0, \x1c3\x1f\n\x1ds2\x1e,\x1e-1e3\x1d,\x1c\n".encode(), None, (), None),
+    # a short row after or before a bad cell wins
+    (b"id,a\ns1,text\ns2\n", None, (), "row 3: expected 2 cells, got 1"),
+    (b"id,a\ns1\ns2,text\n", None, (), "row 2: expected 2 cells, got 1"),
+    # a non-UTF-8 byte after a short row, and after a duplicate header
+    (b"id,a\ns1\ns2,\xff\n", None, (), "not UTF-8 text"),
+    (b"id,a,a\ns1,1,2\n\xfe,1,2\n", None, (), "not UTF-8 text"),
+    (b"id,a,a\ns1,1,2\n", None, (), "duplicate column names in header: ['id', 'a', 'a']"),
+    # a blank first line is a header with no names; only comments are an empty file
+    (b"\nid,a\ns1,1\n", None, (), "row 2: expected 0 cells, got 2"),
+    (b"\n", None, (), "header has no 'id' column: []"),
+    (b"# one\n# two\n", None, (), "empty file"),
+    (b"", None, (), "empty file"),
+    # comments before the header only; CRLF line ends; quoted cells holding newlines
+    (b"# meta\r\n#x\r\nid,a\r\n#s1,1\r\n\"s\r\n2\",\"\n3\n\"\r\n", None, (), None),
+    # names: a name the header lacks is all NaN; required columns come before the id column
+    (b"id,a\ns1,1\ns2,2\n", ("zz", "a"), (), None),
+    (b"tension_cm,theta\n1,text\n", ("tension_cm", "theta"), RETENTION,
+     "table needs columns ['id', 'tension_cm', 'theta'], has ['tension_cm', 'theta']"),
+    (b"a,b\n1,text\n", (), (), "header has no 'id' column: ['a', 'b']"),
+    (b"tension_cm,theta\n1\n", ("tension_cm", "theta"), RETENTION, "row 2: expected 2 cells, got 1"),
+])
+def test_read_table_matches_the_reference(tmp_path, text, names, required, outcome):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    got = assert_reads_as_reference(path, names, required)
+    if outcome is None:
+        assert not isinstance(got, str), got
+    else:
+        assert isinstance(got, str) and outcome in got
+
+
+def test_read_table_non_utf8_text_past_the_first_chunk(tmp_path):
+    # the decoder's error names a position within the chunk it was given
+    rows = "".join(f"s{i},{i}.5\n" for i in range(3000))
+    for tail in (b"s,\xff\n", b"s\n", b"s,text\n"):
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"id,a\n" + rows.encode() + b"x\n" + tail)
+        assert isinstance(assert_reads_as_reference(path), str)
+
+
+_PAD = st.text(st.sampled_from(" \xa0\x1c\x1d\x1e\x1f\t"), max_size=2)
+_TOKEN = st.one_of(
+    _finite.map(repr), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", "", "na", "NA", "NaN", "None", "nULL", "-0.0", "5e-324", '"4.5"']),
+    st.sampled_from(["text", "inf", "-nan", "1e999", '"1\n2"']),
+)
+_CELL = st.tuples(_PAD, _TOKEN, _PAD).map("".join)
+_ID = st.sampled_from(["s1", "s2", " s3 ", "#4", '"a\nb"', '"c,d"', "s\x1c", "", "\xa0"])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV bytes with comment lines, a header that may repeat a name, lack
+    id or be blank, rows that may be short or long, CRLF or LF line ends,
+    and maybe one byte that is not UTF-8 at a random line."""
+    header = draw(st.lists(st.sampled_from(["id", "tension_cm", "theta", " a "]), max_size=5))
+    if draw(st.sampled_from([True] * 3 + [False])):  # mostly the id first and no name twice
+        header = ["id"] + [c for c in dict.fromkeys(header) if c != "id"]
+    lines = [draw(st.sampled_from(["# c", "#", "#id,a"])) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.sampled_from([True] * 15 + [False])):
+        lines.append(",".join(header))
+    for _ in range(draw(st.integers(0, 6))):
+        width = max(len(header) + draw(st.sampled_from([0] * 16 + [-1, 1])), 0)
+        cells = [draw(_ID)] + [draw(_CELL) for _ in range(width - 1)]
+        lines.append(",".join(cells[:width]))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + ("\n" if lines else "")
+    data = text.encode()
+    if draw(st.sampled_from([False] * 7 + [True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files(), st.sampled_from([None, ("tension_cm", "theta"), ("theta", "zz"), ()]),
+       st.sampled_from([(), RETENTION]))
+def test_read_table_matches_the_reference_on_generated_files(tmp_path_factory, data, names,
+                                                              required):
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(data)
+    assert_reads_as_reference(path, names, required)
+
+
+_SPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+_WHITE = st.text(st.sampled_from(_SPACE), max_size=3)
+
+
+def _cell_outcome(parse, token):
+    try:
+        return np.float64(parse(token, "c", 2)).tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_WHITE, st.one_of(_TOKEN, st.text(max_size=5)), _WHITE).map("".join))
+def test_parse_cell_matches_the_reference(token):
+    assert _cell_outcome(_parse_cell, token) == _cell_outcome(ref_parse_cell, token)
 
 
 def test_select_columns_zero_usable(tmp_path):

@@ -17,6 +17,10 @@ of the checkout holding this script) in a fresh temporary directory:
     fit-vg-interleaved: the samples' rows interleaved, so the grouping of
     rows by sample is hashed) and fit-vg on the mixed table with --jobs 2
     (step fit-vg-mixed-jobs2: the samples fitted in two ranges),
+    fit-vg on the mixed table rewritten with CRLF line ends, two "#"
+    comment lines and every cell padded with spaces (step fit-vg-crlf:
+    its vg.csv and vg.log must equal those of step fit-vg-mixed, and the
+    run stops if they differ),
     and derive-features on a basic and a vg table the script writes itself
     (edge_tables: ksat_cm_day with empty cells, so log_ksat from measured
     conductivity is hashed, parameters at their bounds, texture sums off
@@ -94,6 +98,8 @@ STEPS = [
                             "--out", "mixed/vg-interleaved.csv", "--jobs", "1"]),
     ("fit-vg-mixed-jobs2", ["fit-vg", "--input", "mixed/retention.csv",
                             "--out", "mixed/vg-jobs2.csv", "--jobs", "2"]),
+    ("fit-vg-crlf", ["fit-vg", "--input", "mixed/crlf.csv", "--out", "mixed/vg-crlf.csv",
+                     "--jobs", "1"]),
     ("derive-edges", ["derive-features", "--basic", "edges/basic.csv", "--vg", "edges/vg.csv",
                       "--out", "edges/features.csv"]),
     ("evaluate-dump", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
@@ -232,6 +238,10 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     (work / "mixed").mkdir()
     header, *rows = mixed_retention_csv().splitlines(keepends=True)
     (work / "mixed" / "retention.csv").write_text(header + "".join(rows), encoding="utf-8")
+    padded = [",".join(f" {cell} " for cell in line.rstrip("\n").split(",")) + "\r\n"
+              for line in [header, *rows]]
+    crlf = "# the mixed table, CRLF line ends\r\n# every cell padded\r\n" + "".join(padded)
+    (work / "mixed" / "crlf.csv").write_bytes(crlf.encode("utf-8"))
     random.Random(7).shuffle(rows)
     (work / "mixed" / "interleaved.csv").write_text(header + "".join(rows), encoding="utf-8")
     (work / "edges").mkdir()
@@ -257,11 +267,15 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
             sys.exit(f"step {name} exited {done.returncode}, expected {expected}:\n{done.stderr}")
         if expected and left:
             sys.exit(f"step {name} failed but left {left}")
-    return {
+    digests = {
         path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(work.rglob("*"))
         if path.is_file()
     }
+    for suffix in (".csv", ".log"):
+        if digests[f"mixed/vg-crlf{suffix}"] != digests[f"mixed/vg{suffix}"]:
+            sys.exit(f"step fit-vg-crlf wrote another mixed/vg-crlf{suffix} than mixed/vg{suffix}")
+    return digests
 
 
 def main(argv=None) -> int:
