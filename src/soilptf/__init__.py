@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .cpxr import CpxrConfig, PxrModel, train_cpxr, train_cpxr_targets
 from .data import Dataset, assign_folds, load_dataset, select_columns
 from .discretize import DiscretizationScheme, build_scheme, build_schemes, mdl_discretize
-from .evaluation import EvaluationReport, compare, cross_validate, metrics
+from .evaluation import EvaluationReport, compare, cross_validate, cross_validate_methods, metrics
 from .hydrology import (
     MODEL_CONFIGS,
     ModelConfig,
@@ -21,7 +21,7 @@ from .hydrology import (
     texture_statistics,
     vg_theta,
 )
-from .linreg import LinearModel, fit_local
+from .linreg import LinearModel, fit_local, fit_local_targets
 from .patterns import Item, Pattern
 from .synth import SynthConfig, default_synth_config, generate
 
@@ -43,9 +43,11 @@ __all__ = [
     "build_schemes",
     "compare",
     "cross_validate",
+    "cross_validate_methods",
     "default_synth_config",
     "derived_water_contents",
     "fit_local",
+    "fit_local_targets",
     "fit_vg",
     "fit_vg_curves",
     "generate",

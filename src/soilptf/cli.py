@@ -35,8 +35,9 @@ from .data import (
     select_columns,
     table_text,
 )
-from .evaluation import (MAX_REPETITIONS, EvaluationError, EvaluationReport, compare, cross_validate,
-                         fit_targets, map_jobs)
+from .evaluation import (MAX_REPETITIONS, EvaluationError, EvaluationReport, compare,
+                         cross_validate_methods, fit_targets, map_jobs)
+from .evaluation import cross_validate  # only benchmark/trace_child.py looks it up here
 from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
@@ -440,21 +441,18 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(features_path)
 
     # every method runs before the output directory exists: a failure leaves no partial report
-    reports = {
-        method: cross_validate(
-            dataset,
-            config,
-            method=method,
-            repetitions=args.reps,
-            seed=seed,
-            k=args.k,
-            cv_scheme=args.cv_scheme,
-            cpxr_config=hyper,
-            jobs=jobs,
-            collect_predictions=args.dump_predictions,
-        )
-        for method in methods
-    }
+    reports = cross_validate_methods(
+        dataset,
+        config,
+        methods,
+        repetitions=args.reps,
+        seed=seed,
+        k=args.k,
+        cv_scheme=args.cv_scheme,
+        cpxr_config=hyper,
+        jobs=jobs,
+        collect_predictions=args.dump_predictions,
+    )
     comments = _meta_comments(meta)
     out_dir = _out_dir(args.out_dir)
     for method, report in reports.items():

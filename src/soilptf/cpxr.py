@@ -26,7 +26,8 @@ import numpy as np
 
 from .discretize import DiscretizationScheme, build_schemes
 from .discretize import build_scheme  # only benchmark/trace_child.py looks it up here
-from .linreg import LinearModel, fit_local, one_row
+from .linreg import LinearModel, _model, _solve, _standardize, fit_local_targets, one_row
+from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
 from .patterns import (
     Pattern,
     _mine_masks,
@@ -316,7 +317,8 @@ def train_cpxr_targets(
     n, _ = X.shape
     if n < config.min_train:
         raise CpxrError(f"need at least {config.min_train} training rows, got {n}")
-    starts = [_error_split(X, y, names, config) for y in ys]
+    baselines = fit_local_targets(X, ys, names)
+    starts = [_error_split(X, y, baseline, names, config) for y, baseline in zip(ys, baselines)]
     schemes = [DiscretizationScheme() for _ in ys]
     le_targets = [t for t, start in enumerate(starts) if start[-1].any()]
     if le_targets:
@@ -324,8 +326,9 @@ def train_cpxr_targets(
         shared = build_schemes(X, labels, names, max_depth=config.max_depth)
         for t, scheme in zip(le_targets, shared):
             schemes[t] = scheme
+    designs = {}  # the targets mine many of the same row sets: one _standardize per set
     return [
-        _fit_patterns(X, y, names, config, start, scheme)
+        _fit_patterns(X, y, names, config, start, scheme, designs)
         for y, start, scheme in zip(ys, starts, schemes)
     ]
 
@@ -337,11 +340,9 @@ def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrMod
     return model
 
 
-def _error_split(X, y, names, config: CpxrConfig):
+def _error_split(X, y, baseline: LinearModel, names, config: CpxrConfig):
     """Stage 1 of one target: (baseline, its training predictions, their
     residuals, their RMSE, the large-error row mask)."""
-    # the baseline regression gets the same ridge fallback local fits use
-    baseline = fit_local(X, y, feature_names=names)
     base_pred = baseline.predict_matrix(X, names)
     r0 = y - base_pred
     baseline_rmse = float(np.sqrt(np.mean(r0**2)))
@@ -350,9 +351,23 @@ def _error_split(X, y, names, config: CpxrConfig):
     return baseline, base_pred, r0, baseline_rmse, le_rows
 
 
-def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: DiscretizationScheme):
+def _local_fit(X, y, mask, names, designs):
+    """(intercept, coefficients, means, scales) of the least-squares fit of
+    y on X over the rows of a boolean mask; designs maps a mask's bytes to
+    its _standardize result, which it is filled from and shared through."""
+    key = mask.tobytes()
+    design = designs.get(key)
+    if design is None:
+        design = designs[key] = _standardize(X[mask], names)
+    A, means, scales = design
+    return (*_solve(A, y[mask], means, scales), means, scales)
+
+
+def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: DiscretizationScheme, designs):
     """Stage 3 of one target (start is its _error_split): mine, fit and
-    select patterns over scheme; baseline-only where a step leaves none."""
+    select patterns over scheme; baseline-only where a step leaves none.
+    The local fits go through _local_fit with designs; a LinearModel is
+    built only for the chosen patterns and the default model."""
     baseline, base_pred, r0, baseline_rmse, le_rows = start
     n, p = X.shape
 
@@ -390,7 +405,7 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
 
     min_rows = max(p + 2, 10)
     # the candidate table: one row per candidate, see _optimize
-    candidates = []  # (mined row, local model, weight)
+    candidates = []  # (mined row, local fit, weight)
     w_rows, wp_rows = [], []
     for i in kept:
         mask = full_masks[i]
@@ -399,8 +414,8 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
         e0 = float(np.abs(r0[mask]).sum())
         if e0 <= 0.0:
             continue
-        local = fit_local(X[mask], y[mask], feature_names=names)
-        local_pred = local.predict_matrix(X, names)
+        local = _local_fit(X, y, mask, names, designs)
+        local_pred = X @ local[1] + local[0]
         ei = float(np.abs(y[mask] - local_pred[mask]).sum())
         if (e0 - ei) / e0 < config.min_reduction:
             continue
@@ -419,7 +434,7 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
     default = baseline
     unmatched = ~(w[chosen] > 0).any(axis=0)
     if int(unmatched.sum()) >= min_rows:
-        default = fit_local(X[unmatched], y[unmatched], feature_names=names)
+        default = _model(names, int(unmatched.sum()), *_local_fit(X, y, unmatched, names, designs))
     # the training prediction is PxrModel.predict_matrix's sum, taken from the
     # candidate table: the same rows added in the same order
     num, den = np.zeros(n), np.zeros(n)
@@ -430,7 +445,8 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
     train_rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
     if train_rmse > baseline_rmse:
         return baseline_only(trace)
-    pairs = [PatternLocal(Pattern(tuple(items[j] for j in mined[i][0])), local, weight)
+    pairs = [PatternLocal(Pattern(tuple(items[j] for j in mined[i][0])),
+                          _model(names, int(full_masks[i].sum()), *local), weight)
              for i, local, weight in (candidates[c] for c in chosen)]
     return PxrModel(
         pairs=pairs, default_model=default, baseline=baseline,

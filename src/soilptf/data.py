@@ -164,8 +164,9 @@ def read_table(path, names=None, required=()) -> tuple[list[str], list[str], dic
     at index i is called row i + 2 in diagnostics. A name absent from the
     header reads as an all-NaN column. Each cell is parsed as it is read,
     and no row is kept. Faults are held until the whole file is read, then
-    the first of these raises DataError: a missing or non-UTF-8 file, an
-    empty file, a repeated column name, a row whose length differs from the
+    the first of these raises DataError: a missing or non-UTF-8 file or a
+    line csv cannot read (a cell past its field size limit), an empty
+    file, a repeated column name, a row whose length differs from the
     header's, a required column or the ``id`` column missing from the
     header, and the first empty id or bad cell in (row, name) order.
     """
@@ -204,6 +205,8 @@ def read_table(path, names=None, required=()) -> tuple[list[str], list[str], dic
         raise DataError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:  # a cell past csv's field size limit
+        raise DataError(f"{path}: {exc}") from None
     if faults:
         raise DataError(faults[min(faults)])
     return header, ids, {name: np.asarray(values[name]) if name in values

@@ -22,7 +22,8 @@ from .cpxr import CpxrConfig, CpxrError, train_cpxr_targets
 from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
 from .data import Dataset, assign_folds, select_columns
 from .hydrology import LOG_TARGETS, ModelConfig
-from .linreg import fit_local
+from .linreg import fit_local_targets
+from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
 
 
 class EvaluationError(ValueError):
@@ -198,58 +199,73 @@ def fit_targets(method, X, ys, names, config):
     baseline regression."""
     if method == "cpxr":
         return train_cpxr_targets(X, ys, names, config=config)
-    return [fit_local(X, y, feature_names=names) for y in ys]
+    return fit_local_targets(X, ys, names)
 
 
-def _run_repetition(selection, k, scheme, seed, method, cpxr_config, collect_predictions, rep):
+def _fit_methods(methods, X, ys, names, cpxr_config):
+    """({method: one model per target}, whether cpxr fell back) for one
+    training split. The mlr models are the cpxr models' baselines, which
+    are the same fits; where cpxr raises CpxrError, both methods take one
+    mlr fit."""
+    if "cpxr" not in methods:
+        return {"mlr": fit_targets("mlr", X, ys, names, cpxr_config)}, False
+    try:
+        cpxr = fit_targets("cpxr", X, ys, names, cpxr_config)
+    except CpxrError:  # every target falls back to the baseline regression
+        mlr = fit_targets("mlr", X, ys, names, cpxr_config)
+        return {"cpxr": mlr, "mlr": mlr}, True
+    return {"cpxr": cpxr, "mlr": [model.baseline for model in cpxr]}, False
+
+
+def _run_repetition(selection, k, scheme, seed, methods, cpxr_config, collect_predictions, rep):
+    """{method: the records of repetition rep}, each split trained once for
+    every method."""
     ids, X, names = selection.ids, selection.X, selection.feature_names
     fold = assign_folds(len(ids), k, seed ^ rep)
-    records = []
+    records = {method: [] for method in methods}
     for split_id, test_folds in _splits_for(k, scheme):
         in_test = np.isin(fold, test_folds)
         test_idx = np.flatnonzero(in_test)
         train_idx = np.flatnonzero(~in_test)
         test_ids = [ids[i] for i in test_idx]
         X_tr, X_te = X[train_idx], X[test_idx]
-        train_metrics, test_metrics = {}, {}
-        rows = [] if collect_predictions else None
         ys = [y[train_idx] for y in selection.targets.values()]
-        try:
-            models, degraded = fit_targets(method, X_tr, ys, names, cpxr_config), False
-        except CpxrError:  # every target falls back to the baseline regression
-            models, degraded = fit_targets("mlr", X_tr, ys, names, cpxr_config), True
-        for (t, y), y_tr, model in zip(selection.targets.items(), ys, models):
-            y_te = y[test_idx]
-            log_space = t in LOG_TARGETS
-            pred_tr = model.predict_matrix(X_tr, names)
-            pred_te = model.predict_matrix(X_te, names)
-            train_metrics[t] = metrics(pred_tr, y_tr, log_space=log_space)
-            test_metrics[t] = metrics(pred_te, y_te, log_space=log_space)
-            if rows is not None:
-                rows.extend(
-                    [test_ids[i], t, float(y_te[i]), float(pred_te[i])]
-                    for i in range(len(test_ids))
+        fitted, degraded = _fit_methods(methods, X_tr, ys, names, cpxr_config)
+        for method in methods:
+            train_metrics, test_metrics = {}, {}
+            rows = [] if collect_predictions else None
+            for (t, y), y_tr, model in zip(selection.targets.items(), ys, fitted[method]):
+                y_te = y[test_idx]
+                log_space = t in LOG_TARGETS
+                pred_tr = model.predict_matrix(X_tr, names)
+                pred_te = model.predict_matrix(X_te, names)
+                train_metrics[t] = metrics(pred_tr, y_tr, log_space=log_space)
+                test_metrics[t] = metrics(pred_te, y_te, log_space=log_space)
+                if rows is not None:
+                    rows.extend(
+                        [test_ids[i], t, float(y_te[i]), float(pred_te[i])]
+                        for i in range(len(test_ids))
+                    )
+            records[method].append(
+                IterationRecord(
+                    repetition=rep,
+                    split=split_id,
+                    n_train=len(train_idx),
+                    n_test=len(test_idx),
+                    test_ids=list(test_ids),
+                    degraded=degraded and method == "cpxr",
+                    train=train_metrics,
+                    test=test_metrics,
+                    predictions=rows,
                 )
-        records.append(
-            IterationRecord(
-                repetition=rep,
-                split=split_id,
-                n_train=len(train_idx),
-                n_test=len(test_idx),
-                test_ids=list(test_ids),
-                degraded=degraded,
-                train=train_metrics,
-                test=test_metrics,
-                predictions=rows,
             )
-        )
     return records
 
 
-def cross_validate(
+def cross_validate_methods(
     dataset: Dataset,
     config: ModelConfig,
-    method: str = "mlr",
+    methods,
     repetitions: int = 10,
     seed: int = 0,
     k: int = 10,
@@ -257,39 +273,57 @@ def cross_validate(
     cpxr_config: CpxrConfig = CpxrConfig(),
     jobs: int = 1,
     collect_predictions: bool = False,
-) -> EvaluationReport:
-    """Repeated k-fold cross-validation of one method on one configuration.
+) -> dict[str, EvaluationReport]:
+    """Repeated k-fold cross-validation of several methods on one
+    configuration, in one pass: {method: its report}, in the order given.
 
     Repetition r draws folds with seed XOR r, so runs sharing a seed share
-    fold assignments across methods. Iterations whose training set cannot
-    support the pattern trainer fall back to the baseline regression and
-    are flagged degraded rather than failing.
+    fold assignments across methods. Each training split is fitted once for
+    all methods: the mlr models are the cpxr models' baseline regressions.
+    Iterations whose training set cannot support the pattern trainer fall
+    back to the baseline regression and are flagged degraded in the cpxr
+    report rather than failing.
     """
     if not 1 <= repetitions <= MAX_REPETITIONS:
         raise EvaluationError(f"repetitions must be from 1 to {MAX_REPETITIONS}, got {repetitions}")
     if jobs < 1:
         raise EvaluationError(f"jobs must be positive, got {jobs}")
-    if method not in ("mlr", "cpxr"):
-        raise EvaluationError(f"unknown method {method!r}; expected 'mlr' or 'cpxr'")
+    methods = list(methods)
+    if not methods:
+        raise EvaluationError("no methods given")
+    for method in methods:
+        if method not in ("mlr", "cpxr"):
+            raise EvaluationError(f"unknown method {method!r}; expected 'mlr' or 'cpxr'")
+    if len(set(methods)) != len(methods):
+        raise EvaluationError(f"a method is named twice: {methods}")
     selection = select_columns(dataset, config)
     # validate early, k against the sample count before k splits are listed
     assign_folds(len(selection.ids), k, seed)
     _splits_for(k, cv_scheme)
     run = partial(
-        _run_repetition, selection, k, cv_scheme, seed, method, cpxr_config, collect_predictions
+        _run_repetition, selection, k, cv_scheme, seed, methods, cpxr_config, collect_predictions
     )
     chunks = map_jobs(run, range(repetitions), jobs)
-    records = [rec for chunk in chunks for rec in chunk]
-    return EvaluationReport(
-        config_id=config.id,
-        method=method,
-        seed=seed,
-        repetitions=repetitions,
-        k=k,
-        cv_scheme=cv_scheme,
-        target_names=list(selection.targets),
-        records=records,
-    )
+    return {
+        method: EvaluationReport(
+            config_id=config.id,
+            method=method,
+            seed=seed,
+            repetitions=repetitions,
+            k=k,
+            cv_scheme=cv_scheme,
+            target_names=list(selection.targets),
+            records=[rec for chunk in chunks for rec in chunk[method]],
+        )
+        for method in methods
+    }
+
+
+def cross_validate(dataset: Dataset, config: ModelConfig, method: str = "mlr",
+                   **options) -> EvaluationReport:
+    """Repeated k-fold cross-validation of one method on one configuration:
+    the one-method call of cross_validate_methods, which takes the options."""
+    return cross_validate_methods(dataset, config, [method], **options)[method]
 
 
 @dataclass

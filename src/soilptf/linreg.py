@@ -92,27 +92,33 @@ class LinearModel:
 
 
 def fit_local(X, y, feature_names) -> LinearModel:
-    """Least-squares fit of y on X plus an intercept.
+    """Least-squares fit of y on X plus an intercept: the one-target call
+    of fit_local_targets."""
+    (model,) = fit_local_targets(X, [y], feature_names)
+    return model
 
-    X is standardized once. A system with fewer rows than coefficients, or
-    one whose lstsq rank falls short of the coefficient count, is solved
-    again with the ridge penalty 1e-8 * trace(Xs'Xs) / p taken from the
-    standardized columns Xs (1e-8 when every column is constant). A column
-    whose values are all equal takes its value as mean and 1 as scale, so
-    it standardizes to exact zeros. A column whose mean or standard
-    deviation overflows raises FitError.
 
-    The means and scales are X.mean(axis=0) and X.std(axis=0), computed as
-    numpy computes them from one centred copy of X, and the design matrix
-    [1, Xs] is written in place, so a fit costs little beyond its lstsq.
+def fit_local_targets(X, ys, feature_names) -> list[LinearModel]:
+    """Least-squares fit of each target vector of ys on X plus an intercept.
+
+    X is checked and standardized once (_standardize), then each target is
+    one _solve: a target's model is bit for bit the one a fit of that target
+    alone gives. A system with fewer rows than coefficients, or one whose
+    lstsq rank falls short of the coefficient count, is solved again with
+    the ridge penalty 1e-8 * trace(Xs'Xs) / p taken from the standardized
+    columns Xs (1e-8 when every column is constant). A column whose values
+    are all equal takes its value as mean and 1 as scale, so it
+    standardizes to exact zeros. A column whose mean or standard deviation
+    overflows raises FitError.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in ys]
     if X.ndim != 2:
         raise FitError(f"X must be 2-d, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise FitError(f"X has {X.shape[0]} rows but y has shape {y.shape}")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
+    for y in ys:
+        if y.shape != (X.shape[0],):
+            raise FitError(f"X has {X.shape[0]} rows but y has shape {y.shape}")
+    if not np.isfinite(X).all() or not all(np.isfinite(y).all() for y in ys):
         raise FitError("X or y contains NaN or infinity")
     n, p = X.shape
     if n < 2:
@@ -120,7 +126,21 @@ def fit_local(X, y, feature_names) -> LinearModel:
     names = list(feature_names)
     if len(names) != p:
         raise FitError(f"{len(names)} feature names for {p} columns")
+    A, means, scales = _standardize(X, names)
+    return [_model(names, n, *_solve(A, y, means, scales), means, scales) for y in ys]
 
+
+def _standardize(X, names):
+    """(A, means, scales) for a finite (n, p) float matrix X with n >= 2:
+    the design matrix [1, Xs] of the standardized columns Xs, and the
+    column means and scales.
+
+    The means and scales are X.mean(axis=0) and X.std(axis=0), computed as
+    numpy computes them from one centred copy of X, and A is written in
+    place. Raises FitError naming the first column whose mean or standard
+    deviation overflows.
+    """
+    n, p = X.shape
     with np.errstate(over="ignore", invalid="ignore"):
         # the operations of X.mean(axis=0) and X.std(axis=0)
         means = X.sum(axis=0) / n
@@ -136,11 +156,20 @@ def fit_local(X, y, feature_names) -> LinearModel:
     A[:, 0] = 1.0
     Xs = np.subtract(X, means, out=A[:, 1:])
     Xs /= scales
+    return A, means, scales
 
+
+def _solve(A, y, means, scales):
+    """(intercept, coefficients) in original units of the least-squares fit
+    of y on a _standardize design: one lstsq, then the ridge fallback where
+    the system is underdetermined or rank-deficient. Raises FitError, with
+    LinearModel's text, where a value is not finite."""
+    n, p = A.shape[0], A.shape[1] - 1
     rank = 0
     if n > p:
         beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank <= p:
+        Xs = A[:, 1:]
         t = float((Xs * Xs).sum())
         ridge = 1e-8 * (t / max(1, p) if t > 0.0 else 1.0)
         pen = np.hstack([np.zeros((p, 1)), np.sqrt(ridge) * np.eye(p)])
@@ -150,6 +179,13 @@ def fit_local(X, y, feature_names) -> LinearModel:
 
     coef = beta[1:] / scales
     intercept = float(beta[0] - (beta[1:] * means / scales).sum())
+    if not (abs(intercept) <= sys.float_info.max and np.isfinite(coef).all()):
+        raise FitError(f"non-finite model coefficients: {[intercept, *coef.tolist()]}")
+    return intercept, coef
+
+
+def _model(names, n, intercept, coef, means, scales) -> LinearModel:
+    """The LinearModel of a _solve result on n rows."""
     return LinearModel(
         intercept=intercept,
         coefficients=dict(zip(names, coef.tolist())),

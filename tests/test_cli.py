@@ -1614,6 +1614,31 @@ def test_broken_csv_is_one_line_error(synth_small, swrc3_models, command, fault,
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["fit-vg", "evaluate"])
+def test_cell_past_the_csv_field_limit_is_one_line_error(tmp_path, capsys, command):
+    # csv reads at most 131,072 characters per field; a longer quoted id
+    # raises csv.Error, which must end as one diagnostic, not a traceback
+    table = tmp_path / "in.csv"
+    sid = '"' + "x" * 140_000 + '"'
+    if command == "fit-vg":
+        table.write_text(f"id,tension_cm,theta\n{sid},0,0.4\n")
+        out = tmp_path / "vg.csv"
+        argv = ["fit-vg", "--input", table, "--out", out]
+    else:
+        table.write_text(
+            "id,sand,silt,clay,bulk_density,internal_diameter_cm,length_cm,log_ksat\n"
+            f"{sid},40,40,20,1.4,5,10,4.8\n"
+        )
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--features", table, "--config", "SHC2", "--methods", "mlr",
+                "--reps", "1", "--k", "3", "--jobs", "1", "--out-dir", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: {table}: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_invalid_samples_are_one_line_error(tmp_path, capsys, command):
     table = tmp_path / "in.csv"

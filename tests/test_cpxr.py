@@ -562,7 +562,10 @@ def test_training_decisions_the_tracer_counts(monkeypatch):
     count("_mine_masks", "mined", lambda args, result: len(result))
     count("filter_similar_masks", "kept", lambda args, result: len(result))
     count("_optimize", "candidates", lambda args, result: len(args[0]))
-    count("fit_local", "fits", lambda args, result: 1)
+    # every local fit: the baselines, one per target of fit_local_targets,
+    # then one _solve per candidate and default fit
+    count("fit_local_targets", "fits", lambda args, result: len(result))
+    count("_solve", "fits", lambda args, result: 1)
     X, ys, names = _swrc2_seed7()
     models = train_cpxr_targets(X, ys, names)
     assert counts == {"mined": 235, "kept": 81, "candidates": 67, "fits": 90}

@@ -20,10 +20,13 @@ from soilptf.evaluation import (
     MetricSet,
     compare,
     cross_validate,
+    cross_validate_methods,
     map_jobs,
     metrics,
 )
-from soilptf.hydrology import ModelConfig
+from soilptf.cpxr import CpxrConfig
+from soilptf.hydrology import MODEL_CONFIGS, ModelConfig
+from soilptf.synth import generate, two_regime_config
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +179,41 @@ def test_small_folds_degrade_cpxr_gracefully():
 def _json(report):
     """The report as JSON text, keys sorted as the CLI writes them."""
     return json.dumps(report.to_dict(), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def swrc2_table():
+    dataset, _ = generate(two_regime_config(n_samples=80, seed=7))
+    return dataset, MODEL_CONFIGS["SWRC2"]
+
+
+@pytest.mark.parametrize("min_train", [30, 1000])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_pass_reports_equal_each_method_alone(swrc2_table, jobs, min_train):
+    # ten SWRC2 targets, 48 training rows per split: the mlr models of the
+    # one pass are the cpxr baselines and must give the reports of a
+    # separate mlr run; at min_train=1000 every cpxr split falls back
+    ds, cfg = swrc2_table
+    run = dict(repetitions=2, seed=7, k=5, cpxr_config=CpxrConfig(min_train=min_train),
+               jobs=jobs, collect_predictions=True)
+    alone = {method: cross_validate(ds, cfg, method=method, **run).to_dict()
+             for method in ("cpxr", "mlr")}
+    assert all(r["degraded"] == (min_train == 1000) for r in alone["cpxr"]["records"])
+    assert not any(r["degraded"] for r in alone["mlr"]["records"])
+    for methods in (["cpxr", "mlr"], ["mlr", "cpxr"]):
+        reports = cross_validate_methods(ds, cfg, methods, **run)
+        assert list(reports) == methods
+        assert {m: report.to_dict() for m, report in reports.items()} == alone
+
+
+def test_one_pass_rejects_a_repeated_or_missing_method():
+    ds, cfg = _regime_dataset(n=30)
+    with pytest.raises(EvaluationError, match="named twice"):
+        cross_validate_methods(ds, cfg, ["mlr", "mlr"])
+    with pytest.raises(EvaluationError, match="no methods"):
+        cross_validate_methods(ds, cfg, [])
+
+
 
 
 def test_parallel_jobs_identical():

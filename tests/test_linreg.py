@@ -8,7 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilptf.linreg import FitError, LinearModel, fit_local
+from soilptf.linreg import (FitError, LinearModel, _model, _solve, _standardize, fit_local,
+                            fit_local_targets)
 
 
 class _RankDeficient(Exception):
@@ -301,6 +302,156 @@ def test_fit_local_matches_the_first_formula_bit_for_bit(kinds, n, factor, seed)
     y = rng.normal(0.0, 1.0, n)
     names = [f"x{j}" for j in range(len(kinds))]
     assert _outcome(fit_local, X, y, names) == _outcome(reference_fit_local, X, y, names)
+
+
+def one_target_fit_local(X, y, feature_names):
+    """fit_local as a one-target call: checked, standardized in place from
+    one centred copy of X, then one lstsq and the ridge fallback."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise FitError(f"X must be 2-d, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise FitError(f"X has {X.shape[0]} rows but y has shape {y.shape}")
+    if not np.isfinite(X).all() or not np.isfinite(y).all():
+        raise FitError("X or y contains NaN or infinity")
+    n, p = X.shape
+    if n < 2:
+        raise FitError(f"need at least 2 rows to fit, got {n}")
+    names = list(feature_names)
+    if len(names) != p:
+        raise FitError(f"{len(names)} feature names for {p} columns")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.sum(axis=0) / n
+        d = X - means
+        scales = np.sqrt((d * d).sum(axis=0) / n)
+    const = X.min(axis=0) == X.max(axis=0)
+    if const.any():
+        means[const], scales[const] = X[0, const], 1.0
+    bad = ~(np.isfinite(means) & np.isfinite(scales))
+    if bad.any():
+        raise FitError(f"column {names[int(np.argmax(bad))]!r} is too large to standardize")
+    A = np.empty((n, p + 1))
+    A[:, 0] = 1.0
+    Xs = np.subtract(X, means, out=A[:, 1:])
+    Xs /= scales
+
+    rank = 0
+    if n > p:
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank <= p:
+        t = float((Xs * Xs).sum())
+        ridge = 1e-8 * (t / max(1, p) if t > 0.0 else 1.0)
+        pen = np.hstack([np.zeros((p, 1)), np.sqrt(ridge) * np.eye(p)])
+        beta = np.linalg.lstsq(
+            np.vstack([A, pen]), np.concatenate([y, np.zeros(p)]), rcond=None
+        )[0]
+
+    coef = beta[1:] / scales
+    intercept = float(beta[0] - (beta[1:] * means / scales).sum())
+    return LinearModel(
+        intercept=intercept,
+        coefficients=dict(zip(names, coef.tolist())),
+        training_count=n,
+        feature_means=dict(zip(names, means.tolist())),
+        feature_scales=dict(zip(names, scales.tolist())),
+    )
+
+
+def _hexed(value):
+    """value with every float replaced by its float.hex text (every bit,
+    and the sign of zero)."""
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return float.hex(value) if isinstance(value, float) else value
+
+
+def _outcomes(fit):
+    """fit()'s models as hexed dicts, or the FitError text."""
+    try:
+        return [_hexed(m.to_dict()) for m in fit()]
+    except FitError as exc:
+        return f"FitError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(["normal", "duplicate", "constant", "binary", "magnitude"]),
+             min_size=1, max_size=6),
+    st.integers(2, 16),
+    st.integers(1, 4),
+    st.sampled_from([None, None, None, "nan_x", "nan_y", "one_row", "names", "overflow"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_shared_design_fits_match_one_target_fits(kinds, n, targets, fault, seed):
+    # constant and duplicated columns, columns of mixed magnitudes (1e-8 to
+    # 1e8) and row masks that leave n <= p + 1 (the ridge route): each
+    # target of fit_local_targets, and each _standardize/_solve fit of a
+    # masked row set, gives the one-target fit's model bit for bit, and a
+    # fault gives its FitError text
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind == "duplicate" and j > 0:
+            X[:, j] = X[:, rng.integers(0, j)]
+        elif kind == "constant":
+            X[:, j] = rng.normal(0.0, 10.0)
+        elif kind == "binary":
+            X[:, j] = rng.integers(0, 2, n)
+        elif kind == "magnitude":
+            X[:, j] = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-8.0, 8.0)
+        else:
+            X[:, j] = rng.normal(0.0, 1.0, n)
+    ys = [rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), n) for _ in range(targets)]
+    names = [f"x{j}" for j in range(len(kinds))]
+    mask = rng.random(n) < rng.uniform(0.3, 1.0)
+    if mask.sum() < 2:
+        mask[:2] = True
+    if fault == "one_row":
+        mask[:] = False
+        mask[rng.integers(0, n)] = True
+    Xm, yms = X[mask], [y[mask] for y in ys]
+    if fault == "nan_x":
+        Xm[rng.integers(0, len(Xm)), rng.integers(0, len(kinds))] = np.nan
+    elif fault == "nan_y":
+        yms[rng.integers(0, targets)][rng.integers(0, len(Xm))] = np.nan
+    elif fault == "names":
+        names = names + ["extra"]
+    elif fault == "overflow":
+        Xm[:, rng.integers(0, len(kinds))] = 1.5e308
+
+    expected = [_outcomes(lambda: [one_target_fit_local(Xm, y, names)]) for y in yms]
+    errors = [e for e in expected if isinstance(e, str)]
+    expected = errors[0] if errors else [e[0] for e in expected]
+    assert _outcomes(lambda: fit_local_targets(Xm, yms, names)) == expected
+    if fault in (None, "overflow"):
+        def kernel():
+            A, means, scales = _standardize(Xm, names)
+            return [_model(names, len(Xm), *_solve(A, y, means, scales), means, scales)
+                    for y in yms]
+        assert _outcomes(kernel) == expected
+
+
+def test_solve_rejects_non_finite_coefficients_as_linear_model_does():
+    # a column scale near 1e-160 against targets near 1e200 takes the
+    # coefficient past the float range (numpy's overflow warning is not
+    # what is checked here)
+    X = np.column_stack([np.arange(5.0) * 1e-160, np.arange(5.0) ** 2])
+    y = np.arange(5.0) ** 3 * 1e200
+    A, means, scales = _standardize(X, ["a", "b"])
+    with pytest.raises(FitError) as kernel, np.errstate(all="ignore"):
+        _solve(A, y, means, scales)
+    with pytest.raises(FitError) as one_target, np.errstate(all="ignore"):
+        one_target_fit_local(X, y, ["a", "b"])
+    assert str(kernel.value) == str(one_target.value)
+    assert str(kernel.value).startswith("non-finite model coefficients: [")
+    with pytest.raises(FitError) as model:
+        LinearModel(intercept=float("inf"), coefficients={"a": 1.0}, training_count=5,
+                    feature_means={"a": 0.0}, feature_scales={"a": 1.0})
+    assert str(model.value) == "non-finite model coefficients: [inf, 1.0]"
 
 
 def test_constant_column_is_dependent():

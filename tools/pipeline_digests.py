@@ -9,7 +9,10 @@ of the checkout holding this script) in a fresh temporary directory:
     synth two-regime n=300 --retention, synth default n=120 --noise-sd 0
     (the scale rule without jitter), fit-vg, derive-features,
     train SWRC2, SWRC4 and SHC2 cpxr and SWRC3 mlr,
-    evaluate SWRC2 cpxr,mlr --reps 1 --k 5, predict SWRC4 --curve, report,
+    evaluate SWRC2 cpxr,mlr --reps 1 --k 5, the same evaluate with --methods
+    cpxr alone and with --methods mlr alone (steps evaluate-cpxr and
+    evaluate-mlr: each method's report must not depend on the other method
+    sharing its splits), predict SWRC4 --curve, report,
     fit-vg on a mixed retention table the script writes itself
     (MIXED_SAMPLES: 9-, 13- and 15-point samples and a minority that
     fails, so the grouping by point count and the fail lines are hashed),
@@ -87,6 +90,12 @@ STEPS = [
     ("evaluate", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
                   "--methods", "cpxr,mlr", "--reps", "1", "--k", "5", "--jobs", "1",
                   "--out-dir", "eval"]),
+    ("evaluate-cpxr", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
+                       "--methods", "cpxr", "--reps", "1", "--k", "5", "--jobs", "1",
+                       "--out-dir", "eval-cpxr"]),
+    ("evaluate-mlr", ["evaluate", "--features", "features.csv", "--config", "SWRC2",
+                      "--methods", "mlr", "--reps", "1", "--k", "5", "--jobs", "1",
+                      "--out-dir", "eval-mlr"]),
     ("predict", ["predict", "--model", "models/SWRC4_cpxr", "--features", "features.csv",
                  "--out", "pred.csv", "--curve", "curve.csv"]),
     ("report", ["report", "--a", "eval/report_SWRC2_cpxr.json",
