@@ -28,6 +28,9 @@ from . import __version__
 from .cpxr import CpxrConfig, CpxrError, PxrModel
 from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
 from .data import (
+    BASE_FEATURES,
+    SCALE_FEATURES,
+    VG_FEATURES,
     DataError,
     load_dataset,
     read_table,
@@ -41,7 +44,6 @@ from .evaluation import cross_validate  # only benchmark/trace_child.py looks it
 from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
-    VG_FEATURES,
     HydrologyError,
     each,
     fit_vg,  # not called here; benchmark/trace_child.py spans soilptf.cli.fit_vg
@@ -72,8 +74,8 @@ SEED_ENV = "CPXR_PTF_SEED"
 
 # Columns derive-features reads. Every fitted sample needs a value in the
 # required basic columns and in every parameter column.
-BASIC_REQUIRED = ("sand", "silt", "clay", "bulk_density")
-MEASURED_COLUMNS = BASIC_REQUIRED + ("internal_diameter_cm", "length_cm")
+BASIC_REQUIRED = BASE_FEATURES[:4]  # d_g and sigma_g are derived from the texture
+MEASURED_COLUMNS = BASIC_REQUIRED + SCALE_FEATURES
 BASIC_COLUMNS = MEASURED_COLUMNS + ("ksat_cm_day",)
 VG_COLUMNS = ("theta_r", "theta_s", "alpha_per_cm", "n")
 
@@ -318,6 +320,9 @@ def cmd_derive_features(args) -> int:
     _, basic_ids, basic = read_table(basic_path, BASIC_COLUMNS)
     _, vg_ids, vg = read_table(vg_path, VG_COLUMNS)
     vg_row = {sid: j for j, sid in enumerate(vg_ids)}
+    if len(vg_row) < len(vg_ids):  # a repeated id: vg_row holds its last row
+        twice = next(sid for j, sid in enumerate(vg_ids) if vg_row[sid] != j)
+        raise DataError(f"{vg_path}: sample {twice!r} is listed twice")
     rows = [i for i, sid in enumerate(basic_ids) if sid in vg_row]
     skipped = [sid for sid in basic_ids if sid not in vg_row]
     if not rows:

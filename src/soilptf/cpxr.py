@@ -24,7 +24,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .discretize import DiscretizationScheme, build_schemes
+from .discretize import MAX_DEPTH, DiscretizationScheme, build_schemes
 from .discretize import build_scheme  # only benchmark/trace_child.py looks it up here
 from .linreg import LinearModel, _model, _solve, _standardize, fit_local_targets, one_row
 from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
@@ -54,7 +54,7 @@ class CpxrConfig:
     min_reduction: float = 0.05    # required local error reduction vs baseline
     max_k: int = 7                 # patterns kept in the final model
     max_passes: int = 20           # swap-pass limit
-    max_depth: int = 3             # number of MDL splitting levels
+    max_depth: int = MAX_DEPTH     # number of MDL splitting levels
     weight_floor: float = 1e-6
     min_train: int = 30
 
@@ -100,7 +100,7 @@ class ErrorSplit:
     cum_fraction: float
 
 
-def split_le_se(residuals, rho: float = 0.45) -> ErrorSplit:
+def split_le_se(residuals, rho: float = CpxrConfig.rho) -> ErrorSplit:
     """Partition row indices by descending |residual| at cumulative fraction rho.
 
     The large-error class is the minimal prefix of the sorted rows whose
@@ -127,7 +127,8 @@ def split_le_se(residuals, rho: float = 0.45) -> ErrorSplit:
     )
 
 
-def local_weight(baseline_abs_error: float, local_abs_error: float, floor: float = 1e-6) -> float:
+def local_weight(baseline_abs_error: float, local_abs_error: float,
+                 floor: float = CpxrConfig.weight_floor) -> float:
     """Weight of a local model: its relative error reduction on the
     pattern's matching samples, floored at a small positive value."""
     if baseline_abs_error < 0 or local_abs_error < 0:

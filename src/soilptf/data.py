@@ -25,22 +25,12 @@ import re
 
 import numpy as np
 
-# Column names understood as sample properties (model inputs). Anything
-# else in a header, apart from the id column, is treated as a target.
-KNOWN_FEATURES = (
-    "sand",
-    "silt",
-    "clay",
-    "bulk_density",
-    "d_g",
-    "sigma_g",
-    "internal_diameter_cm",
-    "length_cm",
-    "theta_r",
-    "theta_s",
-    "alpha",
-    "n",
-)
+# Column names understood as sample properties (model inputs), by group.
+# Anything else in a header, apart from the id column, is treated as a target.
+BASE_FEATURES = ("sand", "silt", "clay", "bulk_density", "d_g", "sigma_g")
+SCALE_FEATURES = ("internal_diameter_cm", "length_cm")
+VG_FEATURES = ("theta_r", "theta_s", "alpha", "n")
+KNOWN_FEATURES = BASE_FEATURES + SCALE_FEATURES + VG_FEATURES
 
 MISSING_TOKENS = {"", "na", "nan", "none", "null"}
 
@@ -118,7 +108,7 @@ def validate_dataset(dataset: Dataset) -> list[tuple[int, str]]:
     found = []
     if {"sand", "silt", "clay"} <= features:
         found.extend(texture_sum_faults(cols["sand"], cols["silt"], cols["clay"]))
-    for name in ("internal_diameter_cm", "length_cm"):
+    for name in SCALE_FEATURES:
         if name in features:
             for i in np.flatnonzero(cols[name] <= 0):
                 found.append((i, f"{name} = {cols[name][i]:g} must be positive"))

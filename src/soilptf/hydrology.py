@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .data import texture_sum_faults
+from .data import BASE_FEATURES, SCALE_FEATURES, VG_FEATURES, texture_sum_faults
 
 # Tension unit conversion: 1 kPa of suction is 10.197 cm of water head.
 KPA_TO_CM = 10.197
@@ -313,7 +313,6 @@ def _fit_lanes(u0, h, theta_obs):
     tries = np.empty(width, dtype=int)  # failed trials since the last Jacobian
     g = np.empty((width, 4))
     JtJ = np.empty((width, 4, 4))
-    scale = np.empty((width, 4))
     free = np.arange(width)
     live = moved = free[:0]
     admitted = 0
@@ -337,11 +336,10 @@ def _fit_lanes(u0, h, theta_obs):
         if moved.size:
             # residual = obs - model, so the Gauss-Newton step solves (J'J + lam D) d = -J'r
             g[moved], JtJ[moved] = _normal_equations(u[moved], r[moved], log_h[moved])
-            diag = JtJ[moved][:, _DIAG, _DIAG]
-            scale[moved] = np.where(diag <= 0, 1.0, diag)
             tries[moved] = 0
         A = JtJ[live]
-        A[:, _DIAG, _DIAG] += lam[live, None] * scale[live]
+        diag = A[:, _DIAG, _DIAG]
+        A[:, _DIAG, _DIAG] += lam[live, None] * np.where(diag <= 0, 1.0, diag)
         d = _solve_lanes(A, -g[live])
         trial = u[live] + d
         r_new = _curve_residuals(trial, h_slot[live], obs[live])
@@ -562,10 +560,6 @@ def texture_statistics(sand: float, silt: float, clay: float) -> tuple[float, fl
 # ----------------------------------------------------------------------
 # model configurations and target assembly
 # ----------------------------------------------------------------------
-
-BASE_FEATURES = ("sand", "silt", "clay", "bulk_density", "d_g", "sigma_g")
-SCALE_FEATURES = ("internal_diameter_cm", "length_cm")
-VG_FEATURES = ("theta_r", "theta_s", "alpha", "n")
 
 POINT_TARGETS = ("theta_s", "theta_i") + tuple(f"theta_{k}" for k in TENSION_LADDER_KPA)
 PARAMETRIC_TARGETS = ("theta_r", "theta_s", "log_alpha", "log_n")

@@ -30,10 +30,7 @@ class LinearModel:
     feature_scales: dict[str, float]
 
     def __post_init__(self):
-        values = [self.intercept, *self.coefficients.values()]
-        # the bound also rejects NaN and integers past the float range
-        if not all(abs(v) <= sys.float_info.max for v in values):
-            raise FitError(f"non-finite model coefficients: {values}")
+        _check_coefficients([self.intercept, *self.coefficients.values()])
 
     @property
     def feature_names(self) -> list[str]:
@@ -109,7 +106,7 @@ def fit_local_targets(X, ys, feature_names) -> list[LinearModel]:
     columns Xs (1e-8 when every column is constant). A column whose values
     are all equal takes its value as mean and 1 as scale, so it
     standardizes to exact zeros. A column whose mean or standard deviation
-    overflows raises FitError.
+    overflows, or whose standard deviation underflows to 0, raises FitError.
     """
     X = np.asarray(X, dtype=float)
     ys = [np.asarray(y, dtype=float) for y in ys]
@@ -138,7 +135,8 @@ def _standardize(X, names):
     The means and scales are X.mean(axis=0) and X.std(axis=0), computed as
     numpy computes them from one centred copy of X, and A is written in
     place. Raises FitError naming the first column whose mean or standard
-    deviation overflows.
+    deviation overflows, else the first whose standard deviation underflows
+    to 0 although its values differ.
     """
     n, p = X.shape
     with np.errstate(over="ignore", invalid="ignore"):
@@ -152,6 +150,9 @@ def _standardize(X, names):
     bad = ~(np.isfinite(means) & np.isfinite(scales))
     if bad.any():
         raise FitError(f"column {names[int(np.argmax(bad))]!r} is too large to standardize")
+    flat = scales == 0.0  # values that differ, but whose squared deviations underflow
+    if flat.any():
+        raise FitError(f"column {names[int(np.argmax(flat))]!r} varies too little to standardize")
     A = np.empty((n, p + 1))
     A[:, 0] = 1.0
     Xs = np.subtract(X, means, out=A[:, 1:])
@@ -162,8 +163,8 @@ def _standardize(X, names):
 def _solve(A, y, means, scales):
     """(intercept, coefficients) in original units of the least-squares fit
     of y on a _standardize design: one lstsq, then the ridge fallback where
-    the system is underdetermined or rank-deficient. Raises FitError, with
-    LinearModel's text, where a value is not finite."""
+    the system is underdetermined or rank-deficient. Raises FitError
+    (_check_coefficients) where a value is not finite."""
     n, p = A.shape[0], A.shape[1] - 1
     rank = 0
     if n > p:
@@ -179,9 +180,16 @@ def _solve(A, y, means, scales):
 
     coef = beta[1:] / scales
     intercept = float(beta[0] - (beta[1:] * means / scales).sum())
-    if not (abs(intercept) <= sys.float_info.max and np.isfinite(coef).all()):
-        raise FitError(f"non-finite model coefficients: {[intercept, *coef.tolist()]}")
+    _check_coefficients([intercept, *coef.tolist()])
     return intercept, coef
+
+
+def _check_coefficients(values) -> None:
+    """Raise FitError unless each of a model's intercept and coefficients
+    is a finite number, and no bool."""
+    # the bound also rejects NaN and integers past the float range
+    if not all(abs(v) <= sys.float_info.max and not isinstance(v, bool) for v in values):
+        raise FitError(f"non-finite model coefficients: {values}")
 
 
 def _model(names, n, intercept, coef, means, scales) -> LinearModel:

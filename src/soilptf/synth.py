@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-from .data import KNOWN_FEATURES, Dataset, retention_columns
+from .data import KNOWN_FEATURES, VG_FEATURES, Dataset, retention_columns
 from .hydrology import (
+    LOG_TARGETS,
     POINT_TARGETS,
-    VG_FEATURES,
     each,
     parameter_faults,
     texture_columns,
@@ -41,9 +41,7 @@ class SynthError(ValueError):
 
 # Column order of the targets in feature tables written by synth and
 # derive-features.
-TARGET_COLUMNS = tuple(
-    t for t in POINT_TARGETS + ("log_alpha", "log_n", "log_ksat") if t not in KNOWN_FEATURES
-)
+TARGET_COLUMNS = tuple(t for t in POINT_TARGETS if t not in KNOWN_FEATURES) + LOG_TARGETS
 
 
 def derive_columns(ids, basic_columns: dict, vg_columns: dict, log_ksat) -> Dataset:
@@ -232,7 +230,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, dict]:
 
     dataset = derive_columns(ids, basic, vg, log_ksat)
     regimes = dict(zip(ids, np.where(fine, FINE.name, COARSE.name).tolist()))
-    effective = {sid: dict(zip(("theta_r", "theta_s", "alpha", "n", "log_ksat"), values))
+    effective = {sid: dict(zip(VG_FEATURES + ("log_ksat",), values))
                  for sid, values in zip(ids, zip(*(c.tolist() for c in (*vg.values(), log_ksat))))}
     truth = {"config": config.to_dict(), "regimes": regimes, "effective_params": effective}
     return dataset, truth

@@ -738,6 +738,17 @@ def test_derive_features_rejects_nonpositive_conductivity(tmp_path, capsys):
     assert "non-positive" in capsys.readouterr().err
 
 
+def test_derive_features_rejects_a_sample_the_vg_table_lists_twice(tmp_path, capsys):
+    basic, vg, out = tmp_path / "b.csv", tmp_path / "v.csv", tmp_path / "f.csv"
+    _basic_table(basic, ["s0000,40,40,20,1.4,120", "s0001,30,30,40,1.3,80"])
+    vg.write_text("id,theta_r,theta_s,alpha_per_cm,n\n"
+                  "s0000,0.05,0.45,0.02,1.6\ns0001,0.05,0.45,0.02,1.6\n"
+                  "s0000,0.08,0.45,0.02,1.6\n")
+    assert run(["derive-features", "--basic", basic, "--vg", vg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {vg}: sample 's0000' is listed twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("order, culprit", [("abc", "b"), ("acb", "c"), ("cab", "c")])
 def test_derive_features_reports_the_first_faulty_sample(tmp_path, capsys, order, culprit):
     # b's texture sums to 99 and c's theta_r exceeds its theta_s; the lower
@@ -1176,6 +1187,23 @@ def _set_bound_true(key):
     return mutate
 
 
+def _set_linear_true(where, key):
+    # JSON true as the intercept or the first coefficient of a linear model:
+    # the first pair's model, or the model of an MLR model file made of the
+    # CPXR baseline (train --method mlr writes that model for the same table)
+    def mutate(model):
+        if where == "mlr":
+            baseline = model["baseline"]
+            model.clear()
+            model.update(baseline)
+        linear = model if where == "mlr" else model["pairs"][0]["model"]
+        if key == "intercept":
+            linear["intercept"] = True
+        else:
+            linear["coefficients"][linear["feature_names"][0]] = True
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -1192,11 +1220,16 @@ def _set_bound_true(key):
         _set_weight(math.nan),
         _set_bound_true("lo"),
         _set_bound_true("hi"),
+        _set_linear_true("pair", "intercept"),
+        _set_linear_true("pair", "coefficient"),
+        _set_linear_true("mlr", "intercept"),
+        _set_linear_true("mlr", "coefficient"),
     ],
     ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
          "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
          "scheme-nan-cut", "pair-true-weight", "pair-inf-weight", "pair-nan-weight",
-         "item-true-lo", "item-true-hi"],
+         "item-true-lo", "item-true-hi", "pair-true-intercept", "pair-true-coefficient",
+         "mlr-true-intercept", "mlr-true-coefficient"],
 )
 def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
                                                             tmp_path, capsys, mutate):
@@ -1676,20 +1709,25 @@ ADJACENT_BULK_DENSITY = np.repeat(
 )
 # Finite values whose column mean and standard deviation overflow.
 HUGE_BULK_DENSITY = np.tile([1e308, 1.7e308], 35)
+# Positive values that differ, but whose squared deviations from their
+# mean underflow to 0.
+TINY_DIAMETER = np.tile([1e-170, 2e-170, 3e-170], 20)
 
 
-def _extreme_table(path, bulk_density):
-    """An SHC2 table with ordinary texture and scale columns around the
-    given bulk densities; log_ksat is 5 where bulk_density is 1.0, else 0."""
+def _extreme_table(path, bulk_density, internal_diameter_cm=5.0):
+    """An SHC2 table with ordinary texture and length columns around the
+    given bulk densities and internal diameters (a value or one per
+    sample); log_ksat is 5 where bulk_density is 1.0, else 0."""
     rng = np.random.default_rng(0)
     n = len(bulk_density)
     sand = rng.uniform(10, 60, n)
     clay = rng.uniform(5, 30, n)
+    diameter = np.broadcast_to(internal_diameter_cm, n)
     log_ksat = np.where(bulk_density == 1.0, 5.0, 0.0) + rng.normal(0, 0.01, n)
     lines = ["id,sand,silt,clay,bulk_density,d_g,sigma_g,internal_diameter_cm,length_cm,log_ksat"]
     for i in range(n):
         cells = [sand[i], 100.0 - sand[i] - clay[i], clay[i], bulk_density[i], 0.05, 10.0,
-                 5.0, 5.0, log_ksat[i]]
+                 diameter[i], 5.0, log_ksat[i]]
         lines.append(",".join([f"s{i:02d}"] + [repr(float(v)) for v in cells]))
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -1723,6 +1761,23 @@ def test_overflowing_column_is_one_line_runtime_error(tmp_path, capsys, command)
     assert run(argv) == 1
     assert capsys.readouterr().err == "error: column 'bulk_density' is too large to standardize\n"
     assert not out.exists()  # the output directory is made only after every fit
+
+
+@pytest.mark.parametrize("command", ["cpxr", "mlr", "evaluate"])
+def test_underflowing_column_is_one_line_runtime_error(tmp_path, capfd, command):
+    # capfd, not capsys: a LAPACK complaint would go to the stderr descriptor
+    table = _extreme_table(tmp_path / "tiny.csv", np.linspace(1.1, 1.6, 60), TINY_DIAMETER)
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--features", table, "--config", "SHC2", "--methods", "cpxr,mlr",
+                "--reps", "1", "--k", "5", "--jobs", "1", "--out-dir", out]
+    else:
+        argv = ["train", "--features", table, "--config", "SHC2", "--method", command,
+                "--out-dir", out]
+    assert run(argv) == 1
+    err = capfd.readouterr().err
+    assert err == "error: column 'internal_diameter_cm' varies too little to standardize\n"
+    assert not out.exists()
 
 
 def test_predict_non_finite_prediction_is_one_line_and_writes_nothing(shc2_cpxr_models,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soilptf.linreg import (FitError, LinearModel, _model, _solve, _standardize, fit_local,
@@ -454,6 +454,45 @@ def test_solve_rejects_non_finite_coefficients_as_linear_model_does():
     assert str(model.value) == "non-finite model coefficients: [inf, 1.0]"
 
 
+def test_underflowing_column_raises_fit_error():
+    # the values differ, but their squared deviations from the mean underflow to 0
+    X = np.column_stack([np.arange(12.0), np.tile([1e-170, 2e-170, 3e-170], 4)])
+    y = np.arange(12.0) ** 2
+    with pytest.raises(FitError) as kernel:
+        _standardize(X, ["x", "d"])
+    with pytest.raises(FitError) as fit:
+        fit_local_targets(X, [y, -y], ["x", "d"])
+    assert str(kernel.value) == str(fit.value) == "column 'd' varies too little to standardize"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.integers(1, 3),
+    k=st.integers(-1100, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=12, p=2, k=-600, seed=0)  # squared deviations underflow to 0
+@example(n=12, p=2, k=-536, seed=0)  # some of them underflow
+@example(n=12, p=2, k=1000, seed=0)  # squared deviations overflow
+def test_least_squares_at_any_power_of_two_magnitude(n, p, k, seed):
+    # one column scaled by 2**k: every model field is finite, or the fit
+    # raises FitError; any other exception (a warning among them) fails
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 1.0, (n, p))
+    j = rng.integers(p)
+    X[:, j] = np.ldexp(X[:, j], k)
+    assume(np.isfinite(X).all())
+    ys = [rng.normal(0.0, 1.0, n) for _ in range(2)]
+    try:
+        models = fit_local_targets(X, ys, [f"x{i}" for i in range(p)])
+    except FitError:
+        return
+    for m in models:
+        assert np.isfinite([m.intercept, *m.coefficients.values(),
+                            *m.feature_means.values(), *m.feature_scales.values()]).all()
+
+
 def test_constant_column_is_dependent():
     # constant column duplicates the intercept once standardized, so the
     # fit takes the ridge route, and still predicts the line
@@ -512,11 +551,13 @@ def test_predict_paths_agree():
 
 
 def test_model_finite_guard():
-    with pytest.raises(FitError, match="non-finite"):
-        LinearModel(
-            intercept=float("inf"), coefficients={"x": 1.0},
-            training_count=2, feature_means={"x": 0.0}, feature_scales={"x": 1.0},
-        )
+    # a bool is an int to Python, but no fit yields one
+    for intercept, coef in ((float("inf"), 1.0), (True, 1.0), (0.0, False)):
+        with pytest.raises(FitError, match="non-finite"):
+            LinearModel(
+                intercept=intercept, coefficients={"x": coef},
+                training_count=2, feature_means={"x": 0.0}, feature_scales={"x": 1.0},
+            )
 
 
 def _via_json(model):
