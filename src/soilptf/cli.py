@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -24,27 +25,25 @@ from pathlib import Path
 
 import numpy as np
 
+# Only what fit-vg and --version run is imported here; every other command
+# imports its own modules when it runs.
 from . import __version__
-from .cpxr import CpxrConfig, CpxrError, PxrModel
-from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
 from .data import (
     BASE_FEATURES,
     SCALE_FEATURES,
     VG_FEATURES,
     DataError,
+    SoilptfError,
     load_dataset,
+    map_jobs,
     read_table,
     retention_columns,
     select_columns,
     table_text,
 )
-from .evaluation import (MAX_REPETITIONS, EvaluationError, EvaluationReport, compare,
-                         cross_validate_methods, fit_targets, map_jobs)
-from .evaluation import cross_validate  # only benchmark/trace_child.py looks it up here
 from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
-    HydrologyError,
     each,
     fit_vg,  # not called here; benchmark/trace_child.py spans soilptf.cli.fit_vg
     fit_vg_rows,
@@ -52,18 +51,18 @@ from .hydrology import (
     texture_faults,
     vg_curve,
 )
-from .linreg import FitError, LinearModel
-from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
-from .synth import (
-    SynthError,
-    _check_noise_sd,
-    default_synth_config,
-    derive_columns,
-    generate,
-    generate_retention,
-    scale_effect_config,
-    two_regime_config,
-)
+
+# Names no command calls, which benchmark/trace_child.py looks up here: each
+# is imported only when looked up, so no command loads its module for it.
+_TRACED_ONLY = {"train_cpxr": "cpxr", "fit_local": "linreg", "cross_validate": "evaluation"}
+
+
+def __getattr__(name):
+    if name not in _TRACED_ONLY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_TRACED_ONLY[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 class UsageError(ValueError):
@@ -200,6 +199,8 @@ def _read_json(path, what: str):
 
 def _resolve_hyper(args) -> CpxrConfig:
     """Built-in defaults, overridden by the JSON file, overridden by --set."""
+    from .cpxr import CpxrConfig, CpxrError
+
     overrides: dict = {}
     if getattr(args, "hyper", None):
         path = _require_file(args.hyper)
@@ -311,6 +312,8 @@ def cmd_fit_vg(args) -> int:
 
 
 def cmd_derive_features(args) -> int:
+    from .synth import derive_columns
+
     _require_outputs(("--out", args.out))
     basic_path = _require_file(args.basic)
     vg_path = _require_file(args.vg)
@@ -360,6 +363,9 @@ def cmd_derive_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .cpxr import PxrModel
+    from .evaluation import fit_targets
+
     features_path = _require_file(args.features)
     config = _model_config(args.config)
     method = args.method
@@ -413,6 +419,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import MAX_REPETITIONS, compare, cross_validate_methods
+
     features_path = _require_file(args.features)
     config = _model_config(args.config)
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
@@ -496,6 +504,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_model_payload(path: Path) -> dict:
+    from .cpxr import PxrModel
+    from .linreg import LinearModel
+
     payload = _read_json(path, "model file")
     if (
         not isinstance(payload, dict)
@@ -597,31 +608,30 @@ def cmd_predict(args) -> int:
 # synth
 # ----------------------------------------------------------------------
 
-_SYNTH_KINDS = {
-    "default": default_synth_config,
-    "two-regime": two_regime_config,
-    "scale-effect": scale_effect_config,
-}
+_SYNTH_KINDS = ("default", "two-regime", "scale-effect")
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     seed = _resolve_seed(args.seed)
-    factory = _SYNTH_KINDS[args.kind]
+    factory = {"default": synth.default_synth_config, "two-regime": synth.two_regime_config,
+               "scale-effect": synth.scale_effect_config}[args.kind]
     try:  # a bad argument value is a usage error, found before anything is generated
         config = factory(n_samples=args.n, noise_sd=args.noise_sd, seed=seed)
-        _check_noise_sd("retention noise_sd", args.retention_noise_sd)
-    except SynthError as exc:
+        synth._check_noise_sd("retention noise_sd", args.retention_noise_sd)
+    except synth.SynthError as exc:
         raise UsageError(str(exc)) from None
     settings = {"command": "synth", "kind": args.kind, "seed": seed, "config": config.to_dict()}
     meta = _meta(seed, settings)
 
-    dataset, truth = generate(config)
+    dataset, truth = synth.generate(config)
     comments = _meta_comments(meta)
     out_dir = _out_dir(args.out_dir)
     _write_text(out_dir / "dataset.csv", table_text({"id": dataset.ids, **dataset.columns}, comments))
     _write_json(out_dir / "truth.json", {"meta": meta, "truth": truth})
     if args.retention:
-        retention = generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
+        retention = synth.generate_retention(truth, noise_sd=args.retention_noise_sd, seed=seed)
         _write_text(out_dir / "retention.csv", table_text(retention, comments))
     return 0
 
@@ -632,6 +642,8 @@ def cmd_synth(args) -> int:
 
 
 def _load_report(path) -> EvaluationReport:
+    from .evaluation import EvaluationReport
+
     payload = _read_json(_require_file(path), "report file")
     d = payload.get("report", payload) if isinstance(payload, dict) else None
     if d is None:
@@ -643,6 +655,8 @@ def _load_report(path) -> EvaluationReport:
 
 
 def cmd_report(args) -> int:
+    from .evaluation import EvaluationError, compare
+
     if args.out:
         _require_outputs(("--out", args.out))
     report_a = _load_report(args.a)
@@ -702,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output parameter CSV")
     p.add_argument("--log", help="fit log path (default: output with .log suffix)")
     _add_seed(p)
-    # the batched fit of a few hundred curves takes less time than starting a pool
+    # a pool gains nothing on the batched fit of a few hundred curves
     _add_jobs(p, 1)
     p.set_defaults(func=cmd_fit_vg)
 
@@ -783,7 +797,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CpxrError, EvaluationError, FitError, HydrologyError, SynthError, OSError) as exc:
+    except (SoilptfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from .data import SoilptfError
 from .discretize import MAX_DEPTH, DiscretizationScheme, build_schemes
 from .discretize import build_scheme  # only benchmark/trace_child.py looks it up here
 from .linreg import LinearModel, _model, _solve, _standardize, fit_local_targets, one_row
@@ -36,7 +37,7 @@ from .patterns import (
 )
 
 
-class CpxrError(ValueError):
+class CpxrError(SoilptfError):
     pass
 
 

@@ -1,5 +1,6 @@
 """Tabular soil-sample handling: the CSV table format in both directions,
-column selection, fold assignment.
+column selection, fold assignment; also the package's error base class
+and the worker-pool map its commands share.
 
 The canonical table layout is one row per sample with an ``id`` column,
 basic-property feature columns and any number of numeric target columns.
@@ -21,6 +22,7 @@ import csv
 import itertools
 from array import array
 import math
+import os
 import re
 
 import numpy as np
@@ -39,8 +41,24 @@ MISSING_TOKENS = {"", "na", "nan", "none", "null"}
 TEXTURE_SUM_TOL = 0.5
 
 
-class DataError(ValueError):
+class SoilptfError(ValueError):
+    """Base of every error the package raises for input it cannot use; the
+    command line turns one into a one-line message at exit 1."""
+
+
+class DataError(SoilptfError):
     """Malformed input table or unusable selection."""
+
+
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], spread over min(jobs, len(items),
+    cores) worker processes; with one worker it runs in this process."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: not a start-up cost
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @dataclass

@@ -22,13 +22,14 @@ from numbers import Real
 
 import numpy as np
 
+from .data import SoilptfError
 from .patterns import Item
 
 # Splitting levels; at most 2**MAX_DEPTH bins per feature.
 MAX_DEPTH = 3
 
 
-class DiscretizeError(ValueError):
+class DiscretizeError(SoilptfError):
     pass
 
 

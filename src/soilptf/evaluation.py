@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-import os
 import sys
 from numbers import Real
 
@@ -20,13 +19,13 @@ import numpy as np
 
 from .cpxr import CpxrConfig, CpxrError, train_cpxr_targets
 from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
-from .data import Dataset, assign_folds, select_columns
+from .data import Dataset, SoilptfError, assign_folds, map_jobs, select_columns
 from .hydrology import LOG_TARGETS, ModelConfig
 from .linreg import fit_local_targets
 from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
 
 
-class EvaluationError(ValueError):
+class EvaluationError(SoilptfError):
     pass
 
 
@@ -170,17 +169,6 @@ class EvaluationReport:
 
 def _plain(metric_sets: dict[str, MetricSet]) -> dict[str, dict]:
     return {t: vars(m).copy() for t, m in metric_sets.items()}
-
-
-def map_jobs(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], spread over min(jobs, len(items),
-    cores) worker processes; with one worker it runs in this process."""
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here: not a start-up cost
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _splits_for(k: int, scheme: str):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .data import BASE_FEATURES, SCALE_FEATURES, VG_FEATURES, texture_sum_faults
+from .data import BASE_FEATURES, SCALE_FEATURES, VG_FEATURES, SoilptfError, texture_sum_faults
 
 # Tension unit conversion: 1 kPa of suction is 10.197 cm of water head.
 KPA_TO_CM = 10.197
@@ -39,7 +39,7 @@ SILT_DIAMETER_MM = 0.026
 SAND_DIAMETER_MM = 1.025
 
 
-class HydrologyError(ValueError):
+class HydrologyError(SoilptfError):
     pass
 
 

@@ -14,8 +14,10 @@ import sys
 
 import numpy as np
 
+from .data import SoilptfError
 
-class FitError(ValueError):
+
+class FitError(SoilptfError):
     pass
 
 
@@ -71,20 +73,33 @@ class LinearModel:
     @classmethod
     def from_dict(cls, d: dict) -> "LinearModel":
         """Inverse of to_dict. Raises FitError for a dict without
-        feature_names (the form of earlier versions) or one whose
-        feature_names are not the coefficient names, each once."""
+        feature_names (the form of earlier versions), one whose
+        feature_names are not the coefficient names, each once, or one
+        whose training_count or standardization no fit gives."""
         if "feature_names" not in d:
             raise FitError("no feature_names: a model of an earlier version; retrain it")
         names, coefs = d["feature_names"], d["coefficients"]
         if not isinstance(names, list) or len(set(names)) != len(names) or set(names) != set(coefs):
             raise FitError(f"feature_names {names!r} are not the coefficient names, each once")
         std = d["standardization"]
+        count = d["training_count"]
+        means = {c: std["means"][c] for c in names}
+        scales = {c: std["scales"][c] for c in names}
+        # a fit takes at least 2 rows, and gives finite means and positive
+        # scales; the type tests also reject a bool
+        if type(count) is not int or count < 2:
+            raise FitError(f"training_count must be an integer of at least 2, got {count!r}")
+        for c in names:
+            if type(means[c]) not in (int, float) or not abs(means[c]) <= sys.float_info.max:
+                raise FitError(f"mean of {c!r} is not a finite number: {means[c]!r}")
+            if type(scales[c]) not in (int, float) or not 0 < scales[c] <= sys.float_info.max:
+                raise FitError(f"scale of {c!r} is not a finite positive number: {scales[c]!r}")
         return cls(
             intercept=d["intercept"],
             coefficients={c: coefs[c] for c in names},
-            training_count=d["training_count"],
-            feature_means={c: std["means"][c] for c in names},
-            feature_scales={c: std["scales"][c] for c in names},
+            training_count=count,
+            feature_means=means,
+            feature_scales=scales,
         )
 
 

@@ -20,10 +20,12 @@ import math
 
 import numpy as np
 
+from .data import SoilptfError
+
 INF = float("inf")
 
 
-class PatternError(ValueError):
+class PatternError(SoilptfError):
     pass
 
 

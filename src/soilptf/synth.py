@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .data import KNOWN_FEATURES, VG_FEATURES, Dataset, retention_columns
+from .data import KNOWN_FEATURES, VG_FEATURES, Dataset, SoilptfError, retention_columns
 from .hydrology import (
     LOG_TARGETS,
     POINT_TARGETS,
@@ -35,7 +35,7 @@ from .hydrology import (
 )
 
 
-class SynthError(ValueError):
+class SynthError(SoilptfError):
     pass
 
 

@@ -7,10 +7,12 @@ determinism.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -23,11 +25,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import soilptf
+import soilptf.cli
 import soilptf.evaluation
 from soilptf import __version__
-from soilptf.cli import SEED_ENV, main
+from soilptf.cli import SEED_ENV, UsageError, main
 from soilptf.cpxr import train_cpxr
-from soilptf.data import KNOWN_FEATURES, load_dataset, select_columns
+from soilptf.data import KNOWN_FEATURES, SoilptfError, load_dataset, select_columns
 from soilptf.hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
@@ -155,6 +158,14 @@ def test_version_flag(capsys):
     assert f"soilptf {__version__}" in capsys.readouterr().out
 
 
+def _run_child(code):
+    """The completed run of code in a fresh interpreter that imports the
+    soilptf sources under test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+
+
 def test_runtime_never_imports_scipy():
     # scipy is a test-only dependency: the package and the CLI run on numpy alone
     code = (
@@ -165,19 +176,86 @@ def test_runtime_never_imports_scipy():
         "    pass\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+    done = _run_child(code)
     assert done.stdout.splitlines() == [f"soilptf {__version__}", "[]"]
 
 
 def test_startup_defers_the_process_pool():
     # map_jobs imports the pool only when it starts workers
-    code = "import sys, soilptf.cli\nprint('concurrent.futures.process' in sys.modules)\n"
-    env = {**os.environ, "PYTHONPATH": str(Path(soilptf.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+    done = _run_child("import sys, soilptf.cli\nprint('concurrent.futures.process' in sys.modules)\n")
     assert done.stdout == "False\n"
+
+
+def _modules_loaded_by(argv):
+    """(exit code, loaded soilptf modules) of cli.main(argv) in a fresh
+    interpreter."""
+    code = (
+        "import json, sys, soilptf.cli\n"
+        "try:\n"
+        f"    rc = soilptf.cli.main({[str(a) for a in argv]!r})\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('soilptf'))]))\n"
+    )
+    rc, modules = json.loads(_run_child(code).stdout.splitlines()[-1])
+    return rc, set(modules)
+
+
+# the modules of training, cross-validation and synthetic data
+_MODEL_MODULES = {f"soilptf.{m}" for m in
+                  ("cpxr", "evaluation", "linreg", "patterns", "discretize", "synth")}
+
+
+def test_fit_vg_and_version_import_no_model_module(tmp_path):
+    table = tmp_path / "retention.csv"
+    _write_retention(table, [("a", _clean_pairs())])
+    fit_vg_argv = ["fit-vg", "--input", table, "--out", tmp_path / "vg.csv", "--jobs", "1"]
+    for argv in (fit_vg_argv, ["--version"]):
+        rc, modules = _modules_loaded_by(argv)
+        assert rc == 0 and "soilptf.hydrology" in modules
+        assert not modules & _MODEL_MODULES, argv
+    assert (tmp_path / "vg.csv").is_file()
+
+
+def test_evaluate_imports_no_synth(synth_small, tmp_path):
+    rc, modules = _modules_loaded_by(
+        ["evaluate", "--features", synth_small / "dataset.csv", "--config", "SHC2",
+         "--methods", "cpxr,mlr", "--reps", "1", "--k", "3", "--jobs", "1",
+         "--out-dir", tmp_path / "eval"])
+    assert rc == 0 and "soilptf.cpxr" in modules
+    assert "soilptf.synth" not in modules
+
+
+def test_bare_import_resolves_each_public_name_on_first_use():
+    code = (
+        "import json, sys, soilptf\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('soilptf'))\n"
+        "factory = soilptf.synth.two_regime_config.__name__\n"  # the README's first call
+        "missing = [name for name in soilptf.__all__ if not hasattr(soilptf, name)]\n"
+        "try:\n"
+        "    soilptf.no_such_name\n"
+        "    unknown = None\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "undir = sorted(set(soilptf.__all__) - set(dir(soilptf)))\n"
+        "print(json.dumps([loaded, factory, missing, unknown, undir]))\n"
+    )
+    loaded, factory, missing, unknown, undir = json.loads(_run_child(code).stdout)
+    assert loaded == ["soilptf"]
+    assert factory == "two_regime_config"
+    assert missing == [] and undir == []
+    assert unknown == "module 'soilptf' has no attribute 'no_such_name'"
+
+
+def test_star_import_gives_each_public_name_its_modules_object():
+    namespace = {}
+    exec("from soilptf import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(soilptf.__all__)
+    for name, obj in namespace.items():
+        # MODEL_CONFIGS, a dict, is the one name without a __module__
+        home = sys.modules[obj.__module__] if hasattr(obj, "__module__") else soilptf.hydrology
+        assert getattr(home, name) is obj, name
 
 
 def test_missing_subcommand_is_usage_error():
@@ -191,6 +269,45 @@ def test_invalid_choice_is_usage_error(tmp_path):
         run(["train", "--features", "x.csv", "--config", "SHC2",
              "--method", "svm", "--out-dir", tmp_path])
     assert exc.value.code == 2
+
+
+def _package_errors():
+    """Every exception class a soilptf module defines, but UsageError."""
+    modules = [importlib.import_module(f"soilptf.{m.name}")
+               for m in pkgutil.iter_modules(soilptf.__path__) if not m.name.startswith("_")]
+    return sorted({obj for module in modules for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__ and obj is not UsageError},
+                  key=lambda cls: cls.__name__)
+
+
+def test_package_errors_share_one_base():
+    assert [cls.__name__ for cls in _package_errors()] == [
+        "CpxrError", "DataError", "DiscretizeError", "EvaluationError", "FitError",
+        "HydrologyError", "PatternError", "SoilptfError", "SynthError", "VgFitError"]
+    assert issubclass(SoilptfError, ValueError) and not issubclass(UsageError, SoilptfError)
+
+
+@pytest.mark.parametrize("error", _package_errors(), ids=lambda cls: cls.__name__)
+def test_package_error_is_one_line_runtime_error(error, monkeypatch, capsys):
+    assert issubclass(error, SoilptfError) and issubclass(error, ValueError)
+
+    def fail(args):
+        raise error("no usable input")
+
+    monkeypatch.setattr(soilptf.cli, "cmd_report", fail)
+    assert run(["report", "--a", "a.json", "--b", "b.json"]) == 1
+    assert capsys.readouterr().err == "error: no usable input\n"
+
+
+def test_plain_value_error_is_not_swallowed(monkeypatch):
+    # a ValueError outside the package's errors is a bug: it keeps its traceback
+    def fail(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(soilptf.cli, "cmd_report", fail)
+    with pytest.raises(ValueError, match="^a bug$"):
+        run(["report", "--a", "a.json", "--b", "b.json"])
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +649,7 @@ def test_fit_vg_rows_of_a_sample_need_not_be_adjacent(rows):
 
 
 def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch, pool_sizes):
-    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     table = tmp_path / "retention.csv"
     _write_retention(table, [("a", _clean_pairs()), ("b", _clean_pairs(15))])
     assert run(["fit-vg", "--input", table, "--out", tmp_path / "p.csv", "--jobs", "64"]) == 0
@@ -542,7 +659,7 @@ def test_fit_vg_pool_never_exceeds_samples(tmp_path, monkeypatch, pool_sizes):
 def test_fit_vg_runs_in_process_by_default(tmp_path, monkeypatch, pool_sizes):
     # on 8 cores with 3 samples, a pool would get 3 workers; without
     # --jobs none starts
-    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     table = tmp_path / "retention.csv"
     _write_retention(table, [("a", _clean_pairs()), ("b", _clean_pairs(15)), ("c", _clean_pairs())])
     assert run(["fit-vg", "--input", table, "--out", tmp_path / "p.csv"]) == 0
@@ -1187,21 +1304,53 @@ def _set_bound_true(key):
     return mutate
 
 
-def _set_linear_true(where, key):
-    # JSON true as the intercept or the first coefficient of a linear model:
-    # the first pair's model, or the model of an MLR model file made of the
-    # CPXR baseline (train --method mlr writes that model for the same table)
+def _edit_linear(where, edit):
+    # edit(linear) of a linear model: the first pair's model, or the model of
+    # an MLR model file made of the CPXR baseline (train --method mlr writes
+    # that model for the same table)
     def mutate(model):
         if where == "mlr":
             baseline = model["baseline"]
             model.clear()
             model.update(baseline)
-        linear = model if where == "mlr" else model["pairs"][0]["model"]
+        edit(model if where == "mlr" else model["pairs"][0]["model"])
+    return mutate
+
+
+def _set_linear_true(where, key):
+    # JSON true as the intercept or the first coefficient
+    def edit(linear):
         if key == "intercept":
             linear["intercept"] = True
         else:
             linear["coefficients"][linear["feature_names"][0]] = True
-    return mutate
+    return _edit_linear(where, edit)
+
+
+def _set_training_count(where, value):
+    def edit(linear):
+        linear["training_count"] = value
+    return _edit_linear(where, edit)
+
+
+def _set_standardization(where, key, value):
+    # value as the first feature's entry of the means or the scales
+    def edit(linear):
+        linear["standardization"][key][linear["feature_names"][0]] = value
+    return _edit_linear(where, edit)
+
+
+# the model-file fields only loading checks, on both kinds of linear model
+_LINEAR_FIELD_CASES = [
+    (mutate(where, *args), f"{where}-{name}") for where in ("pair", "mlr")
+    for mutate, args, name in (
+        (_set_training_count, (True,), "true-count"),
+        (_set_training_count, (-5,), "negative-count"),
+        (_set_training_count, (2.5,), "fractional-count"),
+        (_set_standardization, ("means", "abc"), "string-mean"),
+        (_set_standardization, ("scales", None), "null-scale"),
+    )
+]
 
 
 @pytest.mark.parametrize(
@@ -1224,12 +1373,13 @@ def _set_linear_true(where, key):
         _set_linear_true("pair", "coefficient"),
         _set_linear_true("mlr", "intercept"),
         _set_linear_true("mlr", "coefficient"),
+        *(mutate for mutate, _ in _LINEAR_FIELD_CASES),
     ],
     ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
          "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
          "scheme-nan-cut", "pair-true-weight", "pair-inf-weight", "pair-nan-weight",
          "item-true-lo", "item-true-hi", "pair-true-intercept", "pair-true-coefficient",
-         "mlr-true-intercept", "mlr-true-coefficient"],
+         "mlr-true-intercept", "mlr-true-coefficient", *(i for _, i in _LINEAR_FIELD_CASES)],
 )
 def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
                                                             tmp_path, capsys, mutate):

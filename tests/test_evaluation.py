@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -233,13 +234,13 @@ def test_parallel_jobs_identical():
     (8, 0, 8, []),
 ])
 def test_map_jobs_bounds_the_pool(monkeypatch, pool_sizes, jobs, tasks, cores, want):
-    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert map_jobs(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
     assert pool_sizes == want
 
 
 def test_cross_validate_pool_has_one_worker_per_repetition(monkeypatch, pool_sizes):
-    monkeypatch.setattr(soilptf.evaluation.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     ds, cfg = _regime_dataset(n=40)
     report = cross_validate(ds, cfg, method="mlr", repetitions=2, seed=0, k=4, jobs=64)
     assert pool_sizes == [2]
