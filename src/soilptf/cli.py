@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -45,24 +44,20 @@ from .hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
     each,
-    fit_vg,  # not called here; benchmark/trace_child.py spans soilptf.cli.fit_vg
+    fit_vg,  # only benchmark/trace_child.py looks it up here
     fit_vg_rows,
     parameter_faults,
     texture_faults,
     vg_curve,
 )
 
-# Names no command calls, which benchmark/trace_child.py looks up here: each
-# is imported only when looked up, so no command loads its module for it.
-_TRACED_ONLY = {"train_cpxr": "cpxr", "fit_local": "linreg", "cross_validate": "evaluation"}
-
 
 def __getattr__(name):
-    if name not in _TRACED_ONLY:
+    # names no command calls, which only benchmark/trace_child.py looks up
+    # here; the package imports each one's module on first use
+    if name not in ("train_cpxr", "fit_local", "cross_validate"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_TRACED_ONLY[name]}", __package__), name)
-    globals()[name] = value
-    return value
+    return getattr(sys.modules[__package__], name)
 
 
 class UsageError(ValueError):
@@ -608,15 +603,16 @@ def cmd_predict(args) -> int:
 # synth
 # ----------------------------------------------------------------------
 
-_SYNTH_KINDS = ("default", "two-regime", "scale-effect")
+# kind -> the name of its config factory in soilptf.synth
+_SYNTH_KINDS = {"default": "default_synth_config", "two-regime": "two_regime_config",
+                "scale-effect": "scale_effect_config"}
 
 
 def cmd_synth(args) -> int:
     from . import synth
 
     seed = _resolve_seed(args.seed)
-    factory = {"default": synth.default_synth_config, "two-regime": synth.two_regime_config,
-               "scale-effect": synth.scale_effect_config}[args.kind]
+    factory = getattr(synth, _SYNTH_KINDS[args.kind])
     try:  # a bad argument value is a usage error, found before anything is generated
         config = factory(n_samples=args.n, noise_sd=args.noise_sd, seed=seed)
         synth._check_noise_sd("retention noise_sd", args.retention_noise_sd)

@@ -167,8 +167,7 @@ class PxrModel:
     trace: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        texts = [str(p.pattern) for p in self.pairs]
-        if len(set(texts)) != len(texts):
+        if len({p.pattern for p in self.pairs}) != len(self.pairs):
             raise CpxrError("duplicate patterns in model")
         unknown = {f for p in self.pairs for f in p.pattern.features} - set(self.feature_names)
         if unknown:
@@ -187,8 +186,6 @@ class PxrModel:
         rows matching none get the default model."""
         X = np.asarray(X, dtype=float)
         default = self.default_model.predict_matrix(X, feature_names)
-        if not self.pairs:
-            return default
         num = np.zeros(len(X))
         den = np.zeros(len(X))
         for pair in self.pairs:

@@ -166,17 +166,8 @@ def _logit(q):
 
 
 def _expit(x):
-    """Logistic 1 / (1 + exp(-x)); 0.0 where exp(-x) overflows.
-
-    A scalar goes through math.exp, which keeps it bit for bit equal to
-    scipy.special.expit; an array goes through np.exp elementwise, which
-    can differ from math.exp in the last bit.
-    """
-    if np.ndim(x) == 0:
-        try:
-            return 1.0 / (1.0 + math.exp(-x))
-        except OverflowError:
-            return 0.0
+    """Logistic 1 / (1 + exp(-x)) through np.exp, elementwise, a 0-d input
+    alike; 0.0 where exp(-x) overflows."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
@@ -201,9 +192,8 @@ def _curve_residuals(u, h, theta_obs):
     """theta_obs - theta(h) for one lane (u of shape (4,), h of shape (P,))
     or for B lanes (u (B, 4), h and theta_obs (B, P)). A lane whose alpha
     or n lies beyond float range has NaN residuals."""
-    # a trailing axis against the points; asarray, as one lane's theta_r and
-    # theta_s are Python floats
-    theta_r, theta_s, alpha, n = (np.asarray(p)[..., None] for p in _unpack(u))
+    # a trailing axis against the points
+    theta_r, theta_s, alpha, n = (p[..., None] for p in _unpack(u))
     # a lane whose alpha or n is inf may give NaN (inf * 0 at h = 0); np.where
     # sets all its residuals to NaN
     with np.errstate(invalid="ignore"):
@@ -224,8 +214,8 @@ def _curve_jacobian(u, log_h):
     everything comes from z = ln w, so no row overflows where w does. A
     lane whose n nears float range overflows n*n instead, without a warning.
     """
-    ratio = np.asarray(_expit(u[..., 0]))[..., None]
-    theta_s = np.asarray(_expit(u[..., 1]))[..., None]
+    ratio = _expit(u[..., :1])
+    theta_s = _expit(u[..., 1:2])
     n = 1.0 + np.exp(u[..., 3:])
     m = 1.0 - 1.0 / n
     log_ah = u[..., 2:3] + log_h

@@ -29,8 +29,14 @@ import soilptf.cli
 import soilptf.evaluation
 from soilptf import __version__
 from soilptf.cli import SEED_ENV, UsageError, main
-from soilptf.cpxr import train_cpxr
-from soilptf.data import KNOWN_FEATURES, SoilptfError, load_dataset, select_columns
+from soilptf.cpxr import PxrModel, train_cpxr
+from soilptf.data import (
+    KNOWN_FEATURES,
+    SoilptfError,
+    load_dataset,
+    select_columns,
+    table_text,
+)
 from soilptf.hydrology import (
     MODEL_CONFIGS,
     PARAMETRIC_TARGETS,
@@ -1015,6 +1021,34 @@ def test_train_below_min_train_is_one_line_error(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: need at least 1000 training rows, got 300\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def clustered_length_csv(work, clustered_length):
+    path = work / "clustered_length.csv"
+    path.write_text(table_text({"id": clustered_length.ids, **clustered_length.columns}))
+    return path
+
+
+def test_train_keeps_length_patterns_that_print_alike(clustered_length_csv, tmp_path):
+    models = tmp_path / "models"
+    assert run(["train", "--features", clustered_length_csv, "--config", "SHC2", "--method", "cpxr",
+                "--seed", "7", "--out-dir", models]) == 0
+    doc = json.loads((models / "SHC2_cpxr_log_ksat.json").read_text())
+    patterns = [p.pattern for p in PxrModel.from_dict(doc["model"]).pairs]
+    texts = [str(p) for p in patterns]
+    assert len(set(texts)) < len(texts) == len(set(patterns))
+    out = tmp_path / "preds.csv"
+    assert run(["predict", "--model", models, "--features", clustered_length_csv, "--out", out]) == 0
+    assert len(parse_csv(out)[1]) == 300
+
+
+def test_evaluate_degrades_no_split_on_patterns_that_print_alike(clustered_length_csv, tmp_path):
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--features", clustered_length_csv, "--config", "SHC2", "--reps", "1",
+                "--k", "5", "--jobs", "1", "--seed", "7", "--out-dir", out]) == 0
+    records = json.loads((out / "report_SHC2_cpxr.json").read_text())["report"]["records"]
+    assert len(records) == 5 and not any(rec["degraded"] for rec in records)
 
 
 def test_train_set_overrides_hyper_file(work, synth_small, shc2_cpxr_models):

@@ -245,6 +245,9 @@ def test_empty_model_uses_default():
     assert m.k == 0
     assert m.predict({"x": 123.0}) == 7.0
     assert m.predict_matrix(np.array([[1.0], [2.0]]), ["x"]).tolist() == [7.0, 7.0]
+    # no pattern matches, so every row gets the default model's bits
+    X = np.random.default_rng(0).normal(0.0, 1e3, (50, 1))
+    assert m.predict_matrix(X, ["x"]).tobytes() == m.default_model.predict_matrix(X, ["x"]).tobytes()
 
 
 def test_duplicate_patterns_rejected():
@@ -255,6 +258,40 @@ def test_duplicate_patterns_rejected():
             default_model=lin(0, x=1), baseline=lin(0, x=1),
             scheme=DiscretizationScheme(), feature_names=["x"],
         )
+
+
+def _clustered(seed, n=300):
+    """x in five clusters 1e-7 apart around 1.0, each 5e-8 wide, so cuts
+    between them print alike; y shifted by +4 and -4 on clusters 1 and 3
+    and linear in w elsewhere."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, 5, n)
+    x = 1.0 + c * 1e-7 + rng.uniform(0.0, 5e-8, n)
+    w = rng.uniform(0.0, 1.0, n)
+    y = w + np.select([c == 1, c == 3], [4.0, -4.0], 0.0) + rng.normal(0.0, 0.1, n)
+    return np.column_stack([x, w]), y
+
+
+def _print_alike_model():
+    X, y = _clustered(5)
+    return X, train_cpxr(X, y, ["x", "w"], CpxrConfig(min_train=10))
+
+
+def test_train_keeps_patterns_that_print_alike():
+    # two patterns whose bounds agree to 6 significant digits: a model
+    # tells patterns apart by their items, not by their text
+    _, model = _print_alike_model()
+    texts = [str(p.pattern) for p in model.pairs]
+    assert len(texts) == 2 and texts[0] == texts[1] == "1 <= x < 1"
+    assert model.pairs[0].pattern != model.pairs[1].pattern
+
+
+def test_model_json_roundtrip_keeps_patterns_that_print_alike():
+    X, model = _print_alike_model()
+    back = _via_json(model)
+    assert [p.pattern for p in back.pairs] == [p.pattern for p in model.pairs]
+    assert _json(back) == _json(model)
+    assert back.predict_matrix(X, ["x", "w"]).tobytes() == model.predict_matrix(X, ["x", "w"]).tobytes()
 
 
 def test_model_json_roundtrip():

@@ -1,5 +1,7 @@
 """Metrics, rotating-pair cross-validation protocol, method comparison."""
 
+import copy
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import soilptf.cli
 import soilptf.evaluation
-from soilptf.data import Dataset
+from soilptf.data import SCALE_FEATURES, Dataset, select_columns
 from soilptf.evaluation import (
     ComparisonRow,
     ComparisonTable,
@@ -22,6 +24,7 @@ from soilptf.evaluation import (
     compare,
     cross_validate,
     cross_validate_methods,
+    fit_targets,
     map_jobs,
     metrics,
 )
@@ -178,7 +181,7 @@ def test_small_folds_degrade_cpxr_gracefully():
 
 
 def _json(report):
-    """The report as JSON text, keys sorted as the CLI writes them."""
+    """A report or a model as JSON text, keys sorted as the CLI writes them."""
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
@@ -459,3 +462,90 @@ def test_comparison_csv_of_one_method_keeps_both_columns(tmp_path, capsys):
     soilptf.cli._write_comparison(out, ComparisonTable("cpxr", "cpxr", "test", _TABLE.rows), meta)
     lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert lines == ["target,metric,cpxr,cpxr,pct_change", "theta_10,rmse,1.0,0.75,25.0"]
+
+
+# ----------------------------------------------------------------------
+# a change of unit
+# ----------------------------------------------------------------------
+
+# 2**k is exact in binary floating point while the results stay normal, so
+# multiplying a measurement-scale column by it changes no prediction
+_UNIT_EXPONENTS = (-40, -3, 5, 40)
+
+
+@pytest.fixture(scope="module")
+def two_regime_seed7():
+    dataset, _ = generate(two_regime_config(n_samples=300, seed=7))
+    return dataset
+
+
+def _in_unit(dataset, column, k):
+    """The dataset with one column multiplied by 2**k."""
+    return dataclasses.replace(
+        dataset, columns={**dataset.columns, column: np.ldexp(dataset.columns[column], k)})
+
+
+@pytest.mark.parametrize("column", SCALE_FEATURES)
+@pytest.mark.parametrize("config_id", ["SHC2", "SWRC4"])
+def test_change_of_unit_changes_no_report(two_regime_seed7, config_id, column):
+    def reports(dataset):
+        got = cross_validate_methods(dataset, MODEL_CONFIGS[config_id], ["cpxr", "mlr"],
+                                     repetitions=1, k=3, collect_predictions=True)
+        return {method: _json(report) for method, report in got.items()}
+
+    unscaled = reports(two_regime_seed7)
+    for k in _UNIT_EXPONENTS:
+        assert reports(_in_unit(two_regime_seed7, column, k)) == unscaled, k
+
+
+def _linear_in_unit(doc, column, k):
+    """Change a LinearModel dict's unit in place: the column's mean and
+    scale times 2**k, its coefficient times 2**-k."""
+    doc["coefficients"][column] = math.ldexp(doc["coefficients"][column], -k)
+    for part in ("means", "scales"):
+        doc["standardization"][part][column] = math.ldexp(doc["standardization"][part][column], k)
+
+
+def _pxr_in_unit(doc, column, k):
+    """A PxrModel dict after the change of unit: its linear models as in
+    _linear_in_unit, the column's cuts and pattern bounds times 2**k."""
+    doc = copy.deepcopy(doc)
+    for linear in (doc["default_model"], doc["baseline"], *(p["model"] for p in doc["pairs"])):
+        _linear_in_unit(linear, column, k)
+    doc["scheme"][column] = [math.ldexp(cut, k) for cut in doc["scheme"][column]]
+    for item in (item for pair in doc["pairs"] for item in pair["pattern"]):
+        if item["feature"] == column:
+            item.update((end, None if item[end] is None else math.ldexp(item[end], k))
+                        for end in ("lo", "hi"))
+    return doc
+
+
+def _assert_models_rescale(dataset, config_id, column):
+    def models(dataset):
+        sel = select_columns(dataset, MODEL_CONFIGS[config_id])
+        return fit_targets("cpxr", sel.X, list(sel.targets.values()), sel.feature_names,
+                           CpxrConfig())
+
+    unscaled = models(dataset)
+    assert any(model.k for model in unscaled)
+    for k in _UNIT_EXPONENTS:
+        scaled = models(_in_unit(dataset, column, k))
+        # JSON text, so a -0.0 for a 0.0 counts as a difference
+        assert ([_json(m) for m in scaled]
+                == [json.dumps(_pxr_in_unit(m.to_dict(), column, k), sort_keys=True)
+                    for m in unscaled]), k
+    return unscaled
+
+
+@pytest.mark.parametrize("column", SCALE_FEATURES)
+@pytest.mark.parametrize("config_id", ["SHC2", "SWRC4", "SWRC2"])
+def test_change_of_unit_rescales_the_models_exactly(two_regime_seed7, config_id, column):
+    _assert_models_rescale(two_regime_seed7, config_id, column)
+
+
+def test_change_of_unit_rescales_cuts_and_pattern_bounds(clustered_length):
+    # the seed-7 table cuts neither scale column; this one's patterns are on
+    # length_cm
+    (model,) = _assert_models_rescale(clustered_length, "SHC2", "length_cm")
+    assert model.scheme.cuts["length_cm"]
+    assert all(p.pattern.features == ("length_cm",) for p in model.pairs)

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import struct
+import sys
 import warnings
 
 import numpy as np
@@ -195,9 +197,32 @@ def test_fit_reports_noise_floor():
 @example(-710.0)  # exp(710.0) overflows
 @example(710.0)
 @example(-746.0)
-def test_expit_matches_scipy_bit_for_bit(x):
+@example(2.015625)  # one ulp off scipy
+def test_expit_is_one_elementwise_logistic(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = float(_expit(x))
+    with np.errstate(over="ignore"):
+        overflows = math.isinf(np.exp(-x))
     # scipy serves only as the reference here; the package does not import it
-    assert _expit(x).hex() == float(special.expit(x)).hex()
+    ref = float(special.expit(x))
+    if math.isnan(x):
+        assert math.isnan(got)
+    elif overflows:
+        assert got.hex() == "0x0.0p+0"
+    else:
+        # both lie in [0, 1], where the bit patterns count the ulps between them
+        ulps = abs(struct.unpack("<q", struct.pack("<d", got))[0]
+                   - struct.unpack("<q", struct.pack("<d", ref))[0])
+        assert ulps <= 4, (got.hex(), ref.hex())
+    # a 0-d input and the same value at any place of an array give one result,
+    # so a lane's fit does not depend on how many lanes share its batch
+    for zero_d in (np.float64(x), np.array(x)):
+        assert float(_expit(zero_d)).hex() == got.hex()
+    for at in range(17):
+        lanes = np.linspace(-30.0, 30.0, 17)
+        lanes[at] = x
+        assert float(_expit(lanes)[at]).hex() == got.hex()
 
 
 # Tensions of the Jacobian checks: saturation (h = 0) and 15000 cm are
