@@ -183,12 +183,12 @@ def _require_values(path, ids, columns, names):
 
 
 def _read_json(path, what: str):
-    """Parsed JSON of a file; text that is not JSON or not UTF-8 is a usage
-    error naming the file."""
+    """Parsed JSON of a file; text that is not UTF-8, not JSON, or past the
+    parser's integer-digit or nesting limit is a usage error naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: malformed {what} ({exc})") from None
 
 
@@ -209,7 +209,7 @@ def _resolve_hyper(args) -> CpxrConfig:
             raise UsageError(f"--set expects key=value, got {spec!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             raise UsageError(f"--set {key}: value {raw!r} is not a number or JSON literal") from None
         overrides[key] = value
     try:

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import math
-import sys
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .data import SoilptfError
+from .data import SoilptfError, finite_number
 from .discretize import MAX_DEPTH, DiscretizationScheme, build_schemes
 from .discretize import build_scheme  # only benchmark/trace_child.py looks it up here
 from .linreg import LinearModel, _model, _solve, _standardize, fit_local_targets, one_row
@@ -62,10 +60,8 @@ class CpxrConfig:
     def __post_init__(self):
         for name, f in self.__dataclass_fields__.items():
             value = getattr(self, name)
-            kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a finite number")
-            # the bound also rejects NaN and integers past the float range
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or not abs(value) <= sys.float_info.max):
+            what = "an integer" if f.type == "int" else "a finite number"
+            if not finite_number(value) or f.type == "int" and not isinstance(value, Integral):
                 raise CpxrError(f"{name} must be {what}, got {value!r}")
         for name, ok, valid in (
             ("rho", 0 < self.rho < 1, "in (0, 1)"),
@@ -148,7 +144,7 @@ class PatternLocal:
     weight: float
 
     def __post_init__(self):
-        if isinstance(self.weight, bool) or not (self.weight > 0 and math.isfinite(self.weight)):
+        if not (finite_number(self.weight) and self.weight > 0):
             raise CpxrError(f"pattern weight must be a positive finite number, got {self.weight!r}")
 
 
@@ -169,7 +165,12 @@ class PxrModel:
     def __post_init__(self):
         if len({p.pattern for p in self.pairs}) != len(self.pairs):
             raise CpxrError("duplicate patterns in model")
-        unknown = {f for p in self.pairs for f in p.pattern.features} - set(self.feature_names)
+        names = set(self.feature_names)
+        models = [p.model for p in self.pairs] + [self.default_model, self.baseline]
+        if len(names) != len(self.feature_names) or any(set(m.coefficients) != names for m in models):
+            raise CpxrError(f"feature_names {self.feature_names} are not distinct or not the "
+                            "features of every linear model")
+        unknown = {f for p in self.pairs for f in p.pattern.features} - names
         if unknown:
             raise CpxrError(f"patterns name features the model lacks: {sorted(unknown)}")
 

@@ -22,8 +22,10 @@ import csv
 import itertools
 from array import array
 import math
+from numbers import Real
 import os
 import re
+import sys
 
 import numpy as np
 
@@ -48,6 +50,16 @@ class SoilptfError(ValueError):
 
 class DataError(SoilptfError):
     """Malformed input table or unusable selection."""
+
+
+def finite_number(v) -> bool:
+    """True for a real number within the float range: no bool, NaN or
+    infinity, and no integer too large for a float. The comparisons never
+    raise, and need no abs(), which warns on numpy's most negative integers."""
+    if type(v) not in (int, float) and (isinstance(v, bool) or not isinstance(v, Real)):
+        return False
+    top = sys.float_info.max
+    return -top <= v <= top
 
 
 def map_jobs(fn, items, jobs: int) -> list:

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import math
-from numbers import Real
 
 import numpy as np
 
-from .data import SoilptfError
+from .data import SoilptfError, finite_number
 from .patterns import Item
 
 # Splitting levels; at most 2**MAX_DEPTH bins per feature.
@@ -40,10 +39,7 @@ class CutPoints:
     cuts: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.cuts, tuple) or not all(
-            isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c)
-            for c in self.cuts
-        ):
+        if not isinstance(self.cuts, tuple) or not all(map(finite_number, self.cuts)):
             raise DiscretizeError(f"cuts must be a list of finite numbers, got {self.cuts!r}")
         if any(b <= a for a, b in zip(self.cuts, self.cuts[1:])):
             raise DiscretizeError(f"cuts not strictly increasing: {self.cuts}")

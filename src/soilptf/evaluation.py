@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-import sys
-from numbers import Real
-
 import numpy as np
 
 from .cpxr import CpxrConfig, CpxrError, train_cpxr_targets
 from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
-from .data import Dataset, SoilptfError, assign_folds, map_jobs, select_columns
+from .data import Dataset, SoilptfError, assign_folds, finite_number, map_jobs, select_columns
 from .hydrology import LOG_TARGETS, ModelConfig
 from .linreg import fit_local_targets
 from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
@@ -48,8 +45,7 @@ class MetricSet:
         for name, v in vars(metric_set).items():
             if v is None and name != "rmse":
                 continue
-            # the bound also rejects NaN and integers past the float range
-            if isinstance(v, bool) or not isinstance(v, Real) or not abs(v) <= sys.float_info.max:
+            if not finite_number(v):
                 raise EvaluationError(f"{name} must be a finite number, got {v!r}")
         return metric_set
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sys
-
 import numpy as np
 
-from .data import SoilptfError
+from .data import SoilptfError, finite_number
 
 
 class FitError(SoilptfError):
@@ -90,9 +88,9 @@ class LinearModel:
         if type(count) is not int or count < 2:
             raise FitError(f"training_count must be an integer of at least 2, got {count!r}")
         for c in names:
-            if type(means[c]) not in (int, float) or not abs(means[c]) <= sys.float_info.max:
+            if not finite_number(means[c]):
                 raise FitError(f"mean of {c!r} is not a finite number: {means[c]!r}")
-            if type(scales[c]) not in (int, float) or not 0 < scales[c] <= sys.float_info.max:
+            if not (finite_number(scales[c]) and scales[c] > 0):
                 raise FitError(f"scale of {c!r} is not a finite positive number: {scales[c]!r}")
         return cls(
             intercept=d["intercept"],
@@ -202,8 +200,7 @@ def _solve(A, y, means, scales):
 def _check_coefficients(values) -> None:
     """Raise FitError unless each of a model's intercept and coefficients
     is a finite number, and no bool."""
-    # the bound also rejects NaN and integers past the float range
-    if not all(abs(v) <= sys.float_info.max and not isinstance(v, bool) for v in values):
+    if not all(map(finite_number, values)):
         raise FitError(f"non-finite model coefficients: {values}")
 
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .data import SoilptfError
+from .data import SoilptfError, finite_number
 
 INF = float("inf")
 
@@ -38,7 +38,7 @@ class Item:
     hi: float = INF
 
     def __post_init__(self):
-        if isinstance(self.lo, bool) or isinstance(self.hi, bool):
+        if not all(finite_number(b) or b == end for b, end in ((self.lo, -INF), (self.hi, INF))):
             raise PatternError(f"interval bounds on {self.feature!r} must be numbers, "
                                f"got {self.lo!r}, {self.hi!r}")
         if not self.lo < self.hi:

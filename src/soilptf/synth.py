@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .data import KNOWN_FEATURES, VG_FEATURES, Dataset, SoilptfError, retention_columns
+from .data import KNOWN_FEATURES, VG_FEATURES, Dataset, SoilptfError, finite_number, retention_columns
 from .hydrology import (
     LOG_TARGETS,
     POINT_TARGETS,
@@ -123,7 +123,7 @@ MAX_SAMPLES = 100_000
 
 
 def _check_noise_sd(name: str, value: float):
-    if not (math.isfinite(value) and value >= 0):
+    if not (finite_number(value) and value >= 0):
         raise SynthError(f"{name} must be a finite number of at least 0, got {value}")
 
 

@@ -7,10 +7,12 @@ determinism.
 """
 
 import contextlib
+import functools
 import importlib
 import io
 import json
 import math
+import operator
 import os
 import pkgutil
 import shutil
@@ -967,6 +969,12 @@ def test_train_unknown_config(synth_small, tmp_path, capsys):
     assert "unknown model configuration" in capsys.readouterr().err
 
 
+# JSON text that json.loads refuses with a plain ValueError (an integer past
+# Python's 4,300-digit limit) or a RecursionError (100,000 nested arrays)
+_PAST_DIGIT_LIMIT = b'{"max_k": 1' + b"0" * 4400 + b"}"
+_PAST_NESTING_LIMIT = b"[" * 100_000
+
+
 def test_train_hyper_usage_errors(synth_small, tmp_path, capsys):
     base = ["train", "--features", synth_small / "dataset.csv", "--config", "SHC2",
             "--out-dir", tmp_path / "m"]
@@ -993,6 +1001,12 @@ def test_train_hyper_usage_errors(synth_small, tmp_path, capsys):
     assert run(base + ["--hyper", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: max_k") and err.count("\n") == 1
+
+    # values past the parser's integer-digit or nesting limit are not JSON
+    for raw in (_PAST_DIGIT_LIMIT, _PAST_NESTING_LIMIT):
+        assert run(base + ["--set", "max_k=" + raw.decode()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --set max_k: value ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -1264,15 +1278,20 @@ def _linear_model_file(feature_names, coefficient=0.5) -> bytes:
         ("report", b"\xff\xfe{}"),
         ("train", b"not json\n"),
         ("evaluate", b"\xff\xfe{}"),
+        *((command, content) for command in ("predict", "report", "train")
+          for content in (_PAST_DIGIT_LIMIT, _PAST_NESTING_LIMIT)),
     ],
     ids=["missing-key", "truncated", "predict-not-utf8", "no-feature-names",
          "feature-named-twice", "feature-names-not-coefficients",
          "coefficient-past-float-range", "report-truncated",
-         "report-not-utf8", "train-hyper-not-json", "evaluate-hyper-not-utf8"],
+         "report-not-utf8", "train-hyper-not-json", "evaluate-hyper-not-utf8",
+         *(f"{command}-past-{limit}-limit" for command in ("predict", "report", "train-hyper")
+           for limit in ("digit", "nesting"))],
 )
 def test_predict_malformed_model_file_is_one_line_usage_error(synth_small, tmp_path, capsys,
                                                               command, content):
-    # every JSON input (model, report, --hyper) that is not JSON or not UTF-8
+    # every JSON input (model, report, --hyper) that is not JSON, not UTF-8 or
+    # past the parser's integer-digit or nesting limit
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     features = synth_small / "dataset.csv"
@@ -1300,10 +1319,14 @@ def swrc2_cpxr_models(work, synth_big):
     return out
 
 
-def _set_item_key(key, value):
+def _set_item_keys(**values):
     def mutate(model):
-        model["pairs"][0]["pattern"][0][key] = value
+        model["pairs"][0]["pattern"][0].update(values)
     return mutate
+
+
+def _set_item_key(key, value):
+    return _set_item_keys(**{key: value})
 
 
 def _drop_item_key(key):
@@ -1374,6 +1397,31 @@ def _set_standardization(where, key, value):
     return _edit_linear(where, edit)
 
 
+def _edit_features(where, edit):
+    # edit(linear) of the first pair's model, the default model or the
+    # baseline
+    def mutate(model):
+        edit(model["pairs"][0]["model"] if where == "pair" else model[where])
+    return mutate
+
+
+def _rename_sand(linear):
+    # sand renamed to porosity in every field of a linear model
+    linear["feature_names"] = ["porosity" if c == "sand" else c for c in linear["feature_names"]]
+    for d in (linear["coefficients"], *linear["standardization"].values()):
+        d["porosity"] = d.pop("sand")
+
+
+def _drop_last_feature(linear):
+    name = linear["feature_names"].pop()
+    for d in (linear["coefficients"], *linear["standardization"].values()):
+        del d[name]
+
+
+def _repeat_feature_name(model):
+    model["feature_names"].append(model["feature_names"][0])
+
+
 # the model-file fields only loading checks, on both kinds of linear model
 _LINEAR_FIELD_CASES = [
     (mutate(where, *args), f"{where}-{name}") for where in ("pair", "mlr")
@@ -1408,12 +1456,27 @@ _LINEAR_FIELD_CASES = [
         _set_linear_true("mlr", "intercept"),
         _set_linear_true("mlr", "coefficient"),
         *(mutate for mutate, _ in _LINEAR_FIELD_CASES),
+        _set_weight(10**400),
+        _set_scheme_entry([47.5, 10**400]),
+        _set_item_key("lo", -10**400),
+        _set_item_key("hi", 10**400),
+        _set_item_keys(lo="0.01", hi="0.5"),
+        _edit_features("pair", _rename_sand),
+        _edit_features("default_model", _rename_sand),
+        _edit_features("baseline", _rename_sand),
+        _edit_features("pair", _drop_last_feature),
+        _edit_features("default_model", _drop_last_feature),
+        _repeat_feature_name,
     ],
     ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
          "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
          "scheme-nan-cut", "pair-true-weight", "pair-inf-weight", "pair-nan-weight",
          "item-true-lo", "item-true-hi", "pair-true-intercept", "pair-true-coefficient",
-         "mlr-true-intercept", "mlr-true-coefficient", *(i for _, i in _LINEAR_FIELD_CASES)],
+         "mlr-true-intercept", "mlr-true-coefficient", *(i for _, i in _LINEAR_FIELD_CASES),
+         "pair-huge-weight", "scheme-huge-cut", "item-huge-lo", "item-huge-hi",
+         "item-string-bounds", "pair-renames-feature", "default-renames-feature",
+         "baseline-renames-feature", "pair-drops-feature", "default-drops-feature",
+         "feature-names-repeat"],
 )
 def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
                                                             tmp_path, capsys, mutate):
@@ -1429,6 +1492,63 @@ def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, s
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed model file (") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _numeric_places(model):
+    """Key paths to every number of a CPXR model dict: the pair weights, the
+    cuts, the item bounds (open ends included) and, in each linear model,
+    the intercept, the coefficients, the means, the scales and
+    training_count."""
+    places = [("scheme", f, j) for f, cuts in model["scheme"].items() for j in range(len(cuts))]
+    linear = [("default_model",), ("baseline",)]
+    for i, pair in enumerate(model["pairs"]):
+        places.append(("pairs", i, "weight"))
+        places += [("pairs", i, "pattern", j, key)
+                   for j in range(len(pair["pattern"])) for key in ("lo", "hi")]
+        linear.append(("pairs", i, "model"))
+    for path in linear:
+        names = functools.reduce(operator.getitem, path, model)["feature_names"]
+        places += [path + ("intercept",), path + ("training_count",)]
+        places += [path + keys + (c,) for c in names
+                   for keys in [("coefficients",), ("standardization", "means"),
+                                ("standardization", "scales")]]
+    return places
+
+
+_JSON_VALUES = st.one_of(
+    st.sampled_from([10**400, -10**400, math.inf, -math.inf, math.nan, True, False, "0.5",
+                     None, [1.0]]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+# The autouse fixture only clears an environment variable, the same for
+# every example.
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_predict_generated_model_value_is_one_line_error_or_finite(swrc2_cpxr_models,
+                                                                  synth_small, data):
+    # one JSON value at one numeric place of a trained model file
+    payload = json.loads((swrc2_cpxr_models / "SWRC2_cpxr_theta_100.json").read_text())
+    *path, key = data.draw(st.sampled_from(_numeric_places(payload["model"])))
+    functools.reduce(operator.getitem, path, payload["model"])[key] = data.draw(_JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        model, out = Path(tmp_dir) / "model.json", Path(tmp_dir) / "p.csv"
+        model.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(["predict", "--model", model, "--features", synth_small / "dataset.csv",
+                      "--out", out])
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            _, rows = parse_csv(out)
+            assert rows and all(math.isfinite(float(v)) for row in rows
+                                for c, v in row.items() if c != "id")
+        else:
+            assert rc in (1, 2) and not out.exists()
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_trained_model_files_round_trip_byte_for_byte(swrc2_cpxr_models, swrc3_models, tmp_path):

@@ -1,21 +1,26 @@
 """Tables, feature/target inference, column selection and fold assignment."""
 
+import ast
 import csv
 import io
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import soilptf
 from soilptf.cli import _meta, _meta_comments, _write_text
 from soilptf.data import (
     KNOWN_FEATURES,
     DataError,
     Dataset,
     assign_folds,
+    finite_number,
     _parse_cell,
     load_dataset,
     read_table,
@@ -577,6 +582,62 @@ def _cell_outcome(parse, token):
 @given(st.tuples(_WHITE, st.one_of(_TOKEN, st.text(max_size=5)), _WHITE).map("".join))
 def test_parse_cell_matches_the_reference(token):
     assert _cell_outcome(_parse_cell, token) == _cell_outcome(ref_parse_cell, token)
+
+
+_FLOAT_MAX = int(np.finfo(np.float64).max)
+
+
+def ref_finite_number(v) -> bool:
+    # the rule spelled out per type: never a bool, integers compared exactly
+    # with the largest float, floats by math.isfinite, nothing else
+    if isinstance(v, (bool, np.bool_)):
+        return False
+    if isinstance(v, (int, np.integer)):
+        return abs(int(v)) <= _FLOAT_MAX
+    if isinstance(v, (float, np.floating)):
+        return math.isfinite(v)
+    return False
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.floats(),  # NaN, both infinities and subnormals included
+    st.integers(-10**400, 10**400),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(_INT64.min, _INT64.max).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(max_size=5),
+    st.none(),
+    st.lists(st.floats(), max_size=2),
+))
+@example(_FLOAT_MAX)
+@example(_FLOAT_MAX + 1)
+@example(-_FLOAT_MAX - 1)
+@example(10**400)
+@example(-10**400)
+@example(5e-324)
+@example(np.int64(_INT64.min))
+@example("1.0")
+def test_finite_number_matches_the_reference(value):
+    # truth, not identity: a numpy number's comparison gives numpy's bool
+    assert bool(finite_number(value)) is ref_finite_number(value)
+
+
+def test_float_range_bound_is_spelled_once():
+    # every finite-number check goes through data.finite_number, the one
+    # place that names the largest float
+    src = Path(soilptf.__file__).resolve().parent
+    found = [(path.name, text[:m.start()].count("\n") + 1)
+             for path in sorted(src.glob("*.py")) for text in [path.read_text()]
+             for m in re.finditer(r"float_info\.max", text)]
+    rule = next(node for node in ast.parse((src / "data.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "finite_number")
+    inside = range(rule.lineno, rule.end_lineno + 1)
+    assert found and all(name == "data.py" and line in inside for name, line in found), found
 
 
 def test_select_columns_zero_usable(tmp_path):
