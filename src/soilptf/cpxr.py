@@ -146,6 +146,7 @@ class PatternLocal:
     def __post_init__(self):
         if not (finite_number(self.weight) and self.weight > 0):
             raise CpxrError(f"pattern weight must be a positive finite number, got {self.weight!r}")
+        self.weight = float(self.weight)  # an integer past int64 would not multiply a mask
 
 
 @dataclass
@@ -173,6 +174,14 @@ class PxrModel:
         unknown = {f for p in self.pairs for f in p.pattern.features} - names
         if unknown:
             raise CpxrError(f"patterns name features the model lacks: {sorted(unknown)}")
+        unknown = set(self.scheme.cuts) - names
+        if unknown:
+            raise CpxrError(f"scheme names features the model lacks: {sorted(unknown)}")
+        total = 0.0  # added as _sums adds them: a finite total bounds every row's den
+        for p in self.pairs:
+            total += p.weight
+        if not finite_number(total):
+            raise CpxrError("pattern weights sum past the float range")
 
     @property
     def k(self) -> int:
@@ -187,13 +196,9 @@ class PxrModel:
         rows matching none get the default model."""
         X = np.asarray(X, dtype=float)
         default = self.default_model.predict_matrix(X, feature_names)
-        num = np.zeros(len(X))
-        den = np.zeros(len(X))
-        for pair in self.pairs:
-            m = pattern_mask(pair.pattern, X, feature_names)
-            num += pair.weight * m * pair.model.predict_matrix(X, feature_names)
-            den += pair.weight * m
-        return _blend(num, den, default)
+        w = [p.weight * pattern_mask(p.pattern, X, feature_names) for p in self.pairs]
+        wp = [wi * p.model.predict_matrix(X, feature_names) for wi, p in zip(w, self.pairs)]
+        return _blend(*_sums(w, wp, range(self.k), len(X)), default)
 
     def to_dict(self) -> dict:
         return {
@@ -217,6 +222,14 @@ class PxrModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PxrModel":
+        """Inverse of to_dict; raises CpxrError unless train_rmse and
+        baseline_rmse are non-negative finite numbers and trace is a
+        non-empty list of finite numbers."""
+        for name in ("train_rmse", "baseline_rmse"):
+            if not (finite_number(d[name]) and d[name] >= 0):
+                raise CpxrError(f"{name} must be a non-negative finite number, got {d[name]!r}")
+        if not (isinstance(d["trace"], list) and d["trace"] and all(map(finite_number, d["trace"]))):
+            raise CpxrError(f"trace must be a non-empty list of finite numbers, got {d['trace']!r}")
         return cls(
             pairs=[
                 PatternLocal(
@@ -234,6 +247,18 @@ class PxrModel:
             baseline_rmse=d["baseline_rmse"],
             trace=list(d["trace"]),
         )
+
+
+def _sums(w, wp, rows, n):
+    """(num, den) of the weighted mean: wp[i] and w[i] added from zeros(n)
+    for each i of rows, in the given order. Training, the optimizer and
+    predict_matrix all take their sums here, so a model's train_rmse is
+    the RMSE of its own training predictions, bit for bit."""
+    num, den = np.zeros(n), np.zeros(n)
+    for i in rows:
+        num += wp[i]
+        den += w[i]
+    return num, den
 
 
 def _blend(num, den, default):
@@ -255,42 +280,27 @@ def _optimize(w, wp, y, default_pred, config: CpxrConfig):
     err = float(np.abs(y - default_pred).sum())
     trace = [err]
 
-    def batch_errors(base_idx, pool):
-        num = np.zeros(len(y))
-        den = np.zeros(len(y))
-        for i in base_idx:
-            num += wp[i]
-            den += w[i]
-        return np.abs(y - _blend(num + wp[pool], den + w[pool], default_pred)).sum(axis=1)
-
-    while len(chosen) < config.max_k:
+    def move(pos):
+        """Put the unchosen candidate that scores best at chosen[pos] (at
+        pos == len(chosen), append it) if that strictly lowers the error."""
+        nonlocal err
         pool = [i for i in range(len(w)) if i not in chosen]
         if not pool:
-            break
-        errs = batch_errors(chosen, pool)
+            return False
+        num, den = _sums(w, wp, chosen[:pos] + chosen[pos + 1 :], len(y))
+        errs = np.abs(y - _blend(num + wp[pool], den + w[pool], default_pred)).sum(axis=1)
         best = int(np.argmin(errs))
-        if errs[best] < err:
-            chosen.append(pool[best])
-            err = float(errs[best])
-            trace.append(err)
-        else:
-            break
+        if not errs[best] < err:
+            return False
+        chosen[pos : pos + 1] = [pool[best]]
+        err = float(errs[best])
+        trace.append(err)
+        return True
 
+    while len(chosen) < config.max_k and move(len(chosen)):
+        pass
     for _ in range(config.max_passes):
-        swapped = False
-        for pos in range(len(chosen)):
-            others = chosen[:pos] + chosen[pos + 1 :]
-            pool = [i for i in range(len(w)) if i not in chosen]
-            if not pool:
-                break
-            errs = batch_errors(others, pool)
-            best = int(np.argmin(errs))
-            if errs[best] < err:
-                chosen[pos] = pool[best]
-                err = float(errs[best])
-                trace.append(err)
-                swapped = True
-        if not swapped:
+        if not any([move(pos) for pos in range(len(chosen))]):  # a list: try every position
             break
 
     for a, b in zip(trace, trace[1:]):
@@ -435,13 +445,7 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
     unmatched = ~(w[chosen] > 0).any(axis=0)
     if int(unmatched.sum()) >= min_rows:
         default = _model(names, int(unmatched.sum()), *_local_fit(X, y, unmatched, names, designs))
-    # the training prediction is PxrModel.predict_matrix's sum, taken from the
-    # candidate table: the same rows added in the same order
-    num, den = np.zeros(n), np.zeros(n)
-    for i in chosen:
-        num += wp[i]
-        den += w[i]
-    pred = _blend(num, den, default.predict_matrix(X, names))
+    pred = _blend(*_sums(w, wp, chosen, n), default.predict_matrix(X, names))
     train_rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
     if train_rmse > baseline_rmse:
         return baseline_only(trace)

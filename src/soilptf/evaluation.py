@@ -119,20 +119,21 @@ class EvaluationReport:
 
     def summary(self, split: str = "test") -> dict[str, MetricSet]:
         """Per-target metrics averaged over iterations; r2 and rmsle are
-        averaged over the iterations where they are defined."""
+        averaged over the iterations where they are defined. A mean past
+        the float range is inf, without a warning."""
         if split not in ("train", "test"):
             raise EvaluationError(f"split must be 'train' or 'test', got {split!r}")
         out = {}
         for t in self.target_names:
             sets = [getattr(rec, split)[t] for rec in self.records]
-            rmse = float(np.mean([m.rmse for m in sets]))
             rmsles = [m.rmsle for m in sets if m.rmsle is not None]
             r2s = [m.r2 for m in sets if m.r2 is not None]
-            out[t] = MetricSet(
-                rmse=rmse,
-                rmsle=float(np.mean(rmsles)) if rmsles else None,
-                r2=float(np.mean(r2s)) if r2s else None,
-            )
+            with np.errstate(over="ignore"):
+                out[t] = MetricSet(
+                    rmse=float(np.mean([m.rmse for m in sets])),
+                    rmsle=float(np.mean(rmsles)) if rmsles else None,
+                    r2=float(np.mean(r2s)) if r2s else None,
+                )
         return out
 
     def to_dict(self) -> dict:
@@ -149,9 +150,17 @@ class EvaluationReport:
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationReport":
         """Inverse of to_dict. Raises TypeError for a key that is not a
-        field, and EvaluationError for a report without records or with a
-        record that lacks metrics of a target."""
+        field, and EvaluationError for a report without records, with a
+        record that lacks metrics of a target, with a config_id, method or
+        cv_scheme that is not a string, or with target_names that are not a
+        list of strings."""
         report = cls(**{**d, "records": [IterationRecord.from_dict(r) for r in d["records"]]})
+        for name in ("config_id", "method", "cv_scheme"):
+            if not isinstance(getattr(report, name), str):
+                raise EvaluationError(f"{name} must be a string, got {getattr(report, name)!r}")
+        names = report.target_names
+        if not (isinstance(names, list) and all(isinstance(t, str) for t in names)):
+            raise EvaluationError(f"target_names must be a list of strings, got {names!r}")
         if not report.records:
             raise EvaluationError("report has no records")
         for rec in report.records:
@@ -360,6 +369,9 @@ def compare(report_a: EvaluationReport, report_b: EvaluationReport, split: str =
         if a is None or b is None:
             continue
         pct = 0.0 if a == 0 else 100.0 * (a - b) / a
+        if not all(map(finite_number, (a, b, pct))):
+            raise EvaluationError(f"{t} {metric}: the means {a!r} and {b!r} or their change "
+                                  f"({pct!r} %) is not finite")
         rows.append(ComparisonRow(target=t, metric=metric, value_a=a, value_b=b, pct_change=pct))
     return ComparisonTable(
         method_a=report_a.method, method_b=report_b.method, split=split, rows=rows

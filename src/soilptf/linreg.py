@@ -51,7 +51,7 @@ class LinearModel:
             raise FitError(
                 f"feature mismatch: model has {self.feature_names}, got {names}"
             )
-        beta = np.array([self.coefficients[c] for c in names])
+        beta = np.array([self.coefficients[c] for c in names], dtype=float)
         return X @ beta + self.intercept
 
     def to_dict(self) -> dict:

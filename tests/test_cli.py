@@ -19,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1335,15 +1336,28 @@ def _drop_item_key(key):
     return mutate
 
 
-def _set_scheme_entry(entry):
+def _set_scheme_entry(entry, feature="sand"):
     def mutate(model):
-        model["scheme"]["sand"] = entry
+        model["scheme"][feature] = entry
     return mutate
 
 
 def _set_weight(value):
     def mutate(model):
         model["pairs"][0]["weight"] = value
+    return mutate
+
+
+def _set_every_weight(value):
+    def mutate(model):
+        for pair in model["pairs"]:
+            pair["weight"] = value
+    return mutate
+
+
+def _set_field(key, value):
+    def mutate(model):
+        model[key] = value
     return mutate
 
 
@@ -1467,6 +1481,11 @@ _LINEAR_FIELD_CASES = [
         _edit_features("pair", _drop_last_feature),
         _edit_features("default_model", _drop_last_feature),
         _repeat_feature_name,
+        _set_every_weight(1.7e308),
+        _set_field("train_rmse", "abc"),
+        _set_field("baseline_rmse", None),
+        _set_field("trace", "ab"),
+        _set_scheme_entry([0.5], "porosity"),
     ],
     ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
          "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
@@ -1476,7 +1495,8 @@ _LINEAR_FIELD_CASES = [
          "pair-huge-weight", "scheme-huge-cut", "item-huge-lo", "item-huge-hi",
          "item-string-bounds", "pair-renames-feature", "default-renames-feature",
          "baseline-renames-feature", "pair-drops-feature", "default-drops-feature",
-         "feature-names-repeat"],
+         "feature-names-repeat", "pairs-weight-sum-overflows", "train-rmse-string",
+         "baseline-rmse-null", "trace-string", "scheme-extra-feature"],
 )
 def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
                                                             tmp_path, capsys, mutate):
@@ -1492,6 +1512,31 @@ def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, s
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed model file (") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _set_pair_coefficient(value):
+    def mutate(model):
+        linear = model["pairs"][0]["model"]
+        linear["coefficients"][linear["feature_names"][0]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("setter", [_set_weight, _set_pair_coefficient],
+                         ids=["pair-weight", "pair-coefficient"])
+def test_predict_integer_past_int64_is_its_float(swrc2_cpxr_models, synth_small, tmp_path,
+                                                 setter):
+    # 10**300 fits no C long; the model predicts as with the float 1e300
+    outs = []
+    for value in (10**300, 1e300):
+        payload = json.loads((swrc2_cpxr_models / "SWRC2_cpxr_theta_100.json").read_text())
+        setter(value)(payload["model"])
+        kind = type(value).__name__
+        model, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+        model.write_text(json.dumps(payload))
+        assert run(["predict", "--model", model, "--features", synth_small / "dataset.csv",
+                    "--out", out]) == 0
+        outs.append(data_lines(out))
+    assert outs[0] == outs[1]
 
 
 def _numeric_places(model):
@@ -1811,6 +1856,12 @@ def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
         ("no-records", lambda d: d["records"].clear()),
         ("extra-key", lambda d: d.update(source="elsewhere")),
         ("extra-record-key", lambda d: d["records"][0].update(weight=1.0)),
+        ("null-method", lambda d: d.update(method=None)),
+        ("list-method", lambda d: d.update(method=[1])),
+        ("number-config-id", lambda d: d.update(config_id=2)),
+        ("null-cv-scheme", lambda d: d.update(cv_scheme=None)),
+        ("number-target-name", lambda d: d["target_names"].append(1.0)),
+        ("string-target-names", lambda d: d.update(target_names="log_ksat")),
     ]:
         doc = json.loads(json.dumps(payload))
         change(doc["report"])
@@ -1821,6 +1872,64 @@ def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
         assert rc == 2, name
         assert err.startswith(f"error: {bad}: not an evaluation report") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    # reports whose means or change leave the float range, against a sound one
+    for name, count in [("one-huge-rmsle", 1), ("every-rmsle-huge", None)]:
+        doc = json.loads(json.dumps(payload))
+        for rec in doc["report"]["records"][:count]:
+            rec["test"]["log_ksat"]["rmsle"] = 1.7e308
+        bad, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["report", "--a", eval_dirs[0] / "report_SHC2_cpxr.json", "--b", bad,
+                      "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2 and not caught, name
+        assert err.startswith("error: log_ksat rmsle: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _report_places(report):
+    """Key paths to every metric of every record, and to the config_id,
+    method, cv_scheme and each target_names entry of a report dict."""
+    places = [("records", i, split, t, metric)
+              for i, rec in enumerate(report["records"]) for split in ("train", "test")
+              for t, metric_set in rec[split].items() for metric in metric_set]
+    places += [("config_id",), ("method",), ("cv_scheme",)]
+    return places + [("target_names", j) for j in range(len(report["target_names"]))]
+
+
+# The autouse fixture only clears an environment variable, the same for
+# every example.
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_report_generated_value_is_one_line_error_or_finite(eval_dirs, data):
+    # one JSON value at one place of one of the two reports compared
+    paths = [eval_dirs[0] / "report_SHC2_cpxr.json", eval_dirs[0] / "report_SHC2_mlr.json"]
+    side = data.draw(st.sampled_from([0, 1]))
+    payload = json.loads(paths[side].read_text())
+    *path, key = data.draw(st.sampled_from(_report_places(payload["report"])))
+    value = data.draw(st.one_of(_JSON_VALUES, st.sampled_from([1.7e308, -1.7e308])))
+    functools.reduce(operator.getitem, path, payload["report"])[key] = value
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        paths[side], out = Path(tmp_dir) / "report.json", Path(tmp_dir) / "c.csv"
+        paths[side].write_text(json.dumps(payload))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = run(["report", "--a", paths[0], "--b", paths[1], "--out", out])
+        assert "Traceback" not in stderr.getvalue()
+        if rc == 0:
+            printed = stdout.getvalue().lower()
+            assert "inf" not in printed and "nan" not in printed, printed
+            _, rows = parse_csv(out)
+            assert rows and all(math.isfinite(float(v)) for row in rows
+                                for c, v in row.items() if c not in ("target", "metric"))
+        else:
+            assert rc in (1, 2) and not out.exists()
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 # ----------------------------------------------------------------------

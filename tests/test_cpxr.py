@@ -1,12 +1,16 @@
 """Pattern-aided regression: splitting, weighting, optimization, training."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soilptf
 import soilptf.cpxr
 from soilptf.cpxr import (
     CpxrConfig,
@@ -625,6 +629,20 @@ def test_train_rmse_is_the_rmse_of_predict_matrix():
     assert max(ks) > 0  # the pattern route ran
 
 
+def test_weighted_mean_has_one_sum_and_the_optimizer_one_move():
+    # train_rmse equals the RMSE of predict_matrix only while training, the
+    # optimizer and predict_matrix add the same rows in the same order:
+    # cpxr.py builds num and den in _sums alone, and the optimizer scores
+    # its pool at one argmin. The source file is only read.
+    source = (Path(soilptf.__file__).parent / "cpxr.py").read_text()
+    (sums,) = [node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_sums"]
+    lines = source.splitlines()
+    adds = [n for n, line in enumerate(lines, 1) if re.search(r"\b(num|den)\s*\+=", line)]
+    assert adds and all(sums.lineno <= n <= sums.end_lineno for n in adds), adds
+    assert source.count("np.argmin") == 1
+
+
 def test_train_exact_linear_falls_back_to_baseline():
     rng = np.random.default_rng(9)
     X = rng.normal(0, 1, (50, 2))
@@ -813,8 +831,10 @@ def _random_pxr(seed):
             seen.add(str(pattern))
             pairs.append(PatternLocal(pattern, linear(), float(rng.uniform(1e-6, 2.0))))
     default = linear()
+    # a model file holds its training summary, and from_dict checks it
     return PxrModel(pairs=pairs, default_model=default, baseline=default,
-                    scheme=DiscretizationScheme(), feature_names=names)
+                    scheme=DiscretizationScheme(), feature_names=names,
+                    train_rmse=1.0, baseline_rmse=1.0, trace=[1.0])
 
 
 @settings(max_examples=200, deadline=None)
