@@ -380,8 +380,8 @@ def cmd_train(args) -> int:
     X, names = selection.X, selection.feature_names
     ys = [selection.targets[target] for target in config.targets]
     models, training = {}, {}
-    for target, y, model in zip(config.targets, ys, fit_targets(method, X, ys, names, hyper)):
-        pred = model.predict_matrix(X, names)
+    for target, y, fit in zip(config.targets, ys, fit_targets(method, X, ys, names, hyper)):
+        model, pred = fit.model, fit.train_pred
         entry = {"train_rmse": float(np.sqrt(np.mean((pred - y) ** 2))), "n_train": len(y)}
         if isinstance(model, PxrModel):
             entry["patterns"] = model.k
@@ -509,6 +509,10 @@ def _load_model_payload(path: Path) -> dict:
         or not isinstance(payload.get("target"), str)
     ):
         raise UsageError(f"{path}: not a model file (expected keys 'model' and 'target')")
+    for key in ("config_id", "method"):
+        if not isinstance(payload.get(key, ""), str):
+            raise UsageError(f"{path}: malformed model file ({key} must be a string, "
+                             f"got {payload[key]!r})")
     d = payload["model"]
     try:
         payload["model"] = (PxrModel if d.get("kind") == "pxr" else LinearModel).from_dict(d)

@@ -222,9 +222,11 @@ class PxrModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PxrModel":
-        """Inverse of to_dict; raises CpxrError unless train_rmse and
-        baseline_rmse are non-negative finite numbers and trace is a
-        non-empty list of finite numbers."""
+        """Inverse of to_dict; raises CpxrError unless pairs is a list,
+        train_rmse and baseline_rmse are non-negative finite numbers and
+        trace is a non-empty list of finite numbers."""
+        if not isinstance(d["pairs"], list):
+            raise CpxrError(f"pairs must be a list, got {d['pairs']!r}")
         for name in ("train_rmse", "baseline_rmse"):
             if not (finite_number(d[name]) and d[name] >= 0):
                 raise CpxrError(f"{name} must be a non-negative finite number, got {d[name]!r}")
@@ -309,18 +311,35 @@ def _optimize(w, wp, y, default_pred, config: CpxrConfig):
     return chosen, trace
 
 
+@dataclass(frozen=True)
+class TargetFit:
+    """One target's training result: its model (a PxrModel or a
+    LinearModel) and the model's predictions on the training rows, equal
+    bit for bit to model.predict_matrix on them."""
+
+    model: PxrModel | LinearModel
+    train_pred: np.ndarray
+
+
 def train_cpxr_targets(
     X, ys, feature_names, config: CpxrConfig = CpxrConfig()
 ) -> list[PxrModel]:
     """Fit one pattern-aided regression model per target vector of ys on a
-    shared design matrix: _error_split per target, one build_schemes call
-    over the non-empty large-error labelings, then _fit_patterns per
-    target. Raises CpxrError below config.min_train rows.
+    shared design matrix: the models of _train_targets. Raises CpxrError
+    below config.min_train rows.
 
     No model predicts its training data worse (in RMSE) than the baseline
     regression: if the optimized pattern set loses to the baseline after
     the default-model refit, the empty set is returned.
     """
+    return [fit.model for fit in _train_targets(X, ys, feature_names, config)[0]]
+
+
+def _train_targets(X, ys, feature_names, config: CpxrConfig):
+    """(one TargetFit per target vector of ys, each target's baseline
+    training predictions): _error_split per target, one build_schemes call
+    over the non-empty large-error labelings, then _fit_patterns per
+    target. Raises CpxrError below config.min_train rows."""
     X = np.asarray(X, dtype=float)
     ys = [np.asarray(y, dtype=float) for y in ys]
     names = list(feature_names)
@@ -337,10 +356,11 @@ def train_cpxr_targets(
         for t, scheme in zip(le_targets, shared):
             schemes[t] = scheme
     designs = {}  # the targets mine many of the same row sets: one _standardize per set
-    return [
+    fits = [
         _fit_patterns(X, y, names, config, start, scheme, designs)
         for y, start, scheme in zip(ys, starts, schemes)
     ]
+    return fits, [start[1] for start in starts]
 
 
 def train_cpxr(X, y, feature_names, config: CpxrConfig = CpxrConfig()) -> PxrModel:
@@ -377,16 +397,17 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
     """Stage 3 of one target (start is its _error_split): mine, fit and
     select patterns over scheme; baseline-only where a step leaves none.
     The local fits go through _local_fit with designs; a LinearModel is
-    built only for the chosen patterns and the default model."""
+    built only for the chosen patterns and the default model. Returns the
+    TargetFit of the model and its training predictions."""
     baseline, base_pred, r0, baseline_rmse, le_rows = start
     n, p = X.shape
 
     def baseline_only(err_trace):
-        return PxrModel(
+        return TargetFit(PxrModel(
             pairs=[], default_model=baseline, baseline=baseline, scheme=scheme,
             feature_names=names, train_rmse=baseline_rmse, baseline_rmse=baseline_rmse,
             trace=err_trace,
-        )
+        ), base_pred)
 
     base_err = float(np.abs(r0).sum())
     items = scheme.alphabet()
@@ -452,8 +473,8 @@ def _fit_patterns(X, y, names, config: CpxrConfig, start, scheme: Discretization
     pairs = [PatternLocal(Pattern(tuple(items[j] for j in mined[i][0])),
                           _model(names, int(full_masks[i].sum()), *local), weight)
              for i, local, weight in (candidates[c] for c in chosen)]
-    return PxrModel(
+    return TargetFit(PxrModel(
         pairs=pairs, default_model=default, baseline=baseline,
         scheme=scheme, feature_names=names, train_rmse=train_rmse,
         baseline_rmse=baseline_rmse, trace=trace,
-    )
+    ), pred)

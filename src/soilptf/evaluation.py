@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .cpxr import CpxrConfig, CpxrError, train_cpxr_targets
+from .cpxr import CpxrConfig, CpxrError, TargetFit, _train_targets
 from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
 from .data import Dataset, SoilptfError, assign_folds, finite_number, map_jobs, select_columns
 from .hydrology import LOG_TARGETS, ModelConfig
@@ -51,7 +51,8 @@ class MetricSet:
 
 
 def metrics(predicted, observed, log_space: bool = False) -> MetricSet:
-    """Error metrics over parallel prediction/observation vectors.
+    """Error metrics over parallel prediction/observation vectors: the
+    one-row call of _metric_rows.
 
     log_space marks values that already live in natural-log space, where
     the plain RMSE doubles as the RMSLE. Otherwise the RMSLE is computed
@@ -65,20 +66,34 @@ def metrics(predicted, observed, log_space: bool = False) -> MetricSet:
         raise EvaluationError(f"shape mismatch: {p.shape} vs {o.shape}")
     if len(p) < 2:
         raise EvaluationError(f"need at least 2 values, got {len(p)}")
-    rmse = float(np.sqrt(np.mean((p - o) ** 2)))
-    if log_space:
-        rmsle = rmse
-    elif np.all(p > 0) and np.all(o > 0):
-        rmsle = float(np.sqrt(np.mean((np.log(p) - np.log(o)) ** 2)))
-    else:
-        rmsle = None
-    r2 = None
-    sst = float(((o - o.mean()) ** 2).sum())
-    vp = float(((p - p.mean()) ** 2).sum())
-    if sst > 0 and vp > 0:
-        cov = float(((p - p.mean()) * (o - o.mean())).sum())
-        r2 = cov * cov / (vp * sst)
-    return MetricSet(rmse=rmse, rmsle=rmsle, r2=r2)
+    (metric_set,) = _metric_rows(p[None], o[None], [log_space])
+    return metric_set
+
+
+def _metric_rows(P, O, log_space) -> list[MetricSet]:
+    """metrics of each row pair of the (targets, rows) matrices P and O;
+    log_space holds one flag per row. Every reduction runs along axis 1 of
+    a C-contiguous matrix, which adds each row as the 1-D call adds the
+    vector, so each MetricSet equals metrics of its row bit for bit."""
+    P, O = np.ascontiguousarray(P, dtype=float), np.ascontiguousarray(O, dtype=float)
+    rmse = np.sqrt(np.mean((P - O) ** 2, axis=1))
+    logs = ~np.asarray(log_space, dtype=bool) & (P > 0).all(axis=1) & (O > 0).all(axis=1)
+    rmsle = np.full(len(P), np.nan)
+    rmsle[logs] = np.sqrt(np.mean((np.log(P[logs]) - np.log(O[logs])) ** 2, axis=1))
+    dp = P - P.mean(axis=1, keepdims=True)
+    do = O - O.mean(axis=1, keepdims=True)
+    sst = (do**2).sum(axis=1)
+    vp = (dp**2).sum(axis=1)
+    cov = (dp * do).sum(axis=1)
+    out = []
+    for t, flag in enumerate(log_space):
+        rmse_t = float(rmse[t])
+        r2 = None
+        if sst[t] > 0 and vp[t] > 0:
+            r2 = float(cov[t]) * float(cov[t]) / (float(vp[t]) * float(sst[t]))
+        rmsle_t = rmse_t if flag else float(rmsle[t]) if logs[t] else None
+        out.append(MetricSet(rmse=rmse_t, rmsle=rmsle_t, r2=r2))
+    return out
 
 
 @dataclass
@@ -97,11 +112,30 @@ class IterationRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IterationRecord":
-        return cls(**{
+        """Raises EvaluationError unless repetition, split, n_train and
+        n_test are non-negative integers, test_ids is a list of strings,
+        degraded is a bool and predictions is null or a list."""
+        record = cls(**{
             **d,
             "train": {t: MetricSet.from_dict(m) for t, m in d["train"].items()},
             "test": {t: MetricSet.from_dict(m) for t, m in d["test"].items()},
         })
+        for name in ("repetition", "split", "n_train", "n_test"):
+            _check_int(name, getattr(record, name), 0)
+        if not (isinstance(record.test_ids, list) and all(isinstance(i, str) for i in record.test_ids)):
+            raise EvaluationError(f"test_ids must be a list of strings, got {record.test_ids!r}")
+        if not isinstance(record.degraded, bool):
+            raise EvaluationError(f"degraded must be true or false, got {record.degraded!r}")
+        if not (record.predictions is None or isinstance(record.predictions, list)):
+            raise EvaluationError(f"predictions must be null or a list, got {record.predictions!r}")
+        return record
+
+
+def _check_int(name, value, least):
+    """Raises EvaluationError unless value is an integer (not a bool) of at
+    least least."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
+        raise EvaluationError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass
@@ -151,13 +185,17 @@ class EvaluationReport:
     def from_dict(cls, d: dict) -> "EvaluationReport":
         """Inverse of to_dict. Raises TypeError for a key that is not a
         field, and EvaluationError for a report without records, with a
-        record that lacks metrics of a target, with a config_id, method or
-        cv_scheme that is not a string, or with target_names that are not a
-        list of strings."""
+        record that lacks metrics of a target or fails
+        IterationRecord.from_dict, with a config_id, method or cv_scheme
+        that is not a string, with target_names that are not a list of
+        strings, or with a seed, k or repetitions that is not an integer of
+        at least 0, 2 or 1."""
         report = cls(**{**d, "records": [IterationRecord.from_dict(r) for r in d["records"]]})
         for name in ("config_id", "method", "cv_scheme"):
             if not isinstance(getattr(report, name), str):
                 raise EvaluationError(f"{name} must be a string, got {getattr(report, name)!r}")
+        for name, least in (("seed", 0), ("k", 2), ("repetitions", 1)):
+            _check_int(name, getattr(report, name), least)
         names = report.target_names
         if not (isinstance(names, list) and all(isinstance(t, str) for t in names)):
             raise EvaluationError(f"target_names must be a list of strings, got {names!r}")
@@ -186,72 +224,79 @@ def _splits_for(k: int, scheme: str):
     raise EvaluationError(f"unknown cv scheme {scheme!r}")
 
 
-def fit_targets(method, X, ys, names, config):
-    """One model per target y of ys: cpxr trains all targets in one call
-    and raises CpxrError where it cannot train; mlr fits each target's
-    baseline regression."""
+def fit_targets(method, X, ys, names, config) -> list[TargetFit]:
+    """One TargetFit per target y of ys: cpxr trains all targets in one
+    call and raises CpxrError where it cannot train; mlr fits each
+    target's baseline regression."""
     if method == "cpxr":
-        return train_cpxr_targets(X, ys, names, config=config)
-    return fit_local_targets(X, ys, names)
+        return _train_targets(X, ys, names, config)[0]
+    return [TargetFit(model, model.predict_matrix(X, names))
+            for model in fit_local_targets(X, ys, names)]
 
 
 def _fit_methods(methods, X, ys, names, cpxr_config):
-    """({method: one model per target}, whether cpxr fell back) for one
+    """({method: one TargetFit per target}, whether cpxr fell back) for one
     training split. The mlr models are the cpxr models' baselines, which
-    are the same fits; where cpxr raises CpxrError, both methods take one
-    mlr fit."""
+    are the same fits, with the baseline predictions cpxr trained from;
+    where cpxr raises CpxrError, both methods take one mlr fit."""
     if "cpxr" not in methods:
         return {"mlr": fit_targets("mlr", X, ys, names, cpxr_config)}, False
     try:
-        cpxr = fit_targets("cpxr", X, ys, names, cpxr_config)
+        cpxr, base_preds = _train_targets(X, ys, names, cpxr_config)
     except CpxrError:  # every target falls back to the baseline regression
         mlr = fit_targets("mlr", X, ys, names, cpxr_config)
         return {"cpxr": mlr, "mlr": mlr}, True
-    return {"cpxr": cpxr, "mlr": [model.baseline for model in cpxr]}, False
+    mlr = [TargetFit(fit.model.baseline, pred) for fit, pred in zip(cpxr, base_preds)]
+    return {"cpxr": cpxr, "mlr": mlr}, False
 
 
 def _run_repetition(selection, k, scheme, seed, methods, cpxr_config, collect_predictions, rep):
     """{method: the records of repetition rep}, each split trained once for
     every method."""
+    fold = assign_folds(len(selection.ids), k, seed ^ rep)
+    splits = [_run_split(selection, np.isin(fold, test_folds), methods, cpxr_config,
+                         collect_predictions, rep, split_id)
+              for split_id, test_folds in _splits_for(k, scheme)]
+    return {method: [split[method] for split in splits] for method in methods}
+
+
+def _run_split(selection, in_test, methods, cpxr_config, collect_predictions, rep, split_id):
+    """{method: the IterationRecord of one split}. The training metrics score
+    the predictions training returned; each method's targets are scored
+    together, as (targets, rows) matrices. The split's arrays go with the
+    call, so none is held while the next split trains."""
     ids, X, names = selection.ids, selection.X, selection.feature_names
-    fold = assign_folds(len(ids), k, seed ^ rep)
-    records = {method: [] for method in methods}
-    for split_id, test_folds in _splits_for(k, scheme):
-        in_test = np.isin(fold, test_folds)
-        test_idx = np.flatnonzero(in_test)
-        train_idx = np.flatnonzero(~in_test)
-        test_ids = [ids[i] for i in test_idx]
-        X_tr, X_te = X[train_idx], X[test_idx]
-        ys = [y[train_idx] for y in selection.targets.values()]
-        fitted, degraded = _fit_methods(methods, X_tr, ys, names, cpxr_config)
-        for method in methods:
-            train_metrics, test_metrics = {}, {}
-            rows = [] if collect_predictions else None
-            for (t, y), y_tr, model in zip(selection.targets.items(), ys, fitted[method]):
-                y_te = y[test_idx]
-                log_space = t in LOG_TARGETS
-                pred_tr = model.predict_matrix(X_tr, names)
-                pred_te = model.predict_matrix(X_te, names)
-                train_metrics[t] = metrics(pred_tr, y_tr, log_space=log_space)
-                test_metrics[t] = metrics(pred_te, y_te, log_space=log_space)
-                if rows is not None:
-                    rows.extend(
-                        [test_ids[i], t, float(y_te[i]), float(pred_te[i])]
-                        for i in range(len(test_ids))
-                    )
-            records[method].append(
-                IterationRecord(
-                    repetition=rep,
-                    split=split_id,
-                    n_train=len(train_idx),
-                    n_test=len(test_idx),
-                    test_ids=list(test_ids),
-                    degraded=degraded and method == "cpxr",
-                    train=train_metrics,
-                    test=test_metrics,
-                    predictions=rows,
-                )
-            )
+    targets = list(selection.targets)
+    log_space = [t in LOG_TARGETS for t in targets]
+    test_idx = np.flatnonzero(in_test)
+    train_idx = np.flatnonzero(~in_test)
+    test_ids = [ids[i] for i in test_idx]
+    X_tr, X_te = X[train_idx], X[test_idx]
+    ys = [y[train_idx] for y in selection.targets.values()]
+    O_tr = np.array(ys)
+    O_te = np.array([y[test_idx] for y in selection.targets.values()])
+    fitted, degraded = _fit_methods(methods, X_tr, ys, names, cpxr_config)
+    records = {}
+    for method in methods:
+        fits = fitted[method]
+        P_te = np.array([fit.model.predict_matrix(X_te, names) for fit in fits])
+        train = _metric_rows(np.array([fit.train_pred for fit in fits]), O_tr, log_space)
+        test = _metric_rows(P_te, O_te, log_space)
+        rows = None
+        if collect_predictions:
+            rows = [[test_ids[i], t, float(o[i]), float(p[i])]
+                    for t, o, p in zip(targets, O_te, P_te) for i in range(len(test_ids))]
+        records[method] = IterationRecord(
+            repetition=rep,
+            split=split_id,
+            n_train=len(train_idx),
+            n_test=len(test_idx),
+            test_ids=list(test_ids),
+            degraded=degraded and method == "cpxr",
+            train=dict(zip(targets, train)),
+            test=dict(zip(targets, test)),
+            predictions=rows,
+        )
     return records
 
 
@@ -349,8 +394,10 @@ def compare(report_a: EvaluationReport, report_b: EvaluationReport, split: str =
     """Per-target relative change of report_b versus report_a.
 
     Positive percentages mean report_b's method lowered the error. The two
-    reports must cover the same configuration and targets; pair them from
-    runs sharing a seed to keep fold assignments identical.
+    reports must cover the same configuration and targets over the same
+    splits: the same cv_scheme, seed, k and repetitions, and records of the
+    same (repetition, split, test_ids) in the same order. Raises
+    EvaluationError naming the first difference.
     """
     if report_a.config_id != report_b.config_id:
         raise EvaluationError(
@@ -358,6 +405,17 @@ def compare(report_a: EvaluationReport, report_b: EvaluationReport, split: str =
         )
     if report_a.target_names != report_b.target_names:
         raise EvaluationError("target mismatch between reports")
+    for name in ("cv_scheme", "seed", "k", "repetitions"):
+        a, b = getattr(report_a, name), getattr(report_b, name)
+        if a != b:
+            raise EvaluationError(f"unpaired reports: {name} {a!r} vs {b!r}")
+    if len(report_a.records) != len(report_b.records):
+        raise EvaluationError(f"unpaired reports: {len(report_a.records)} vs "
+                              f"{len(report_b.records)} records")
+    for i, (rec_a, rec_b) in enumerate(zip(report_a.records, report_b.records)):
+        for name in ("repetition", "split", "test_ids"):
+            if getattr(rec_a, name) != getattr(rec_b, name):
+                raise EvaluationError(f"unpaired reports: record {i} differs in {name}")
     sum_a = report_a.summary(split)
     sum_b = report_b.summary(split)
     rows = []

@@ -1361,6 +1361,14 @@ def _set_field(key, value):
     return mutate
 
 
+def _set_envelope(key, value):
+    # edits the model file around the model, not the model
+    def mutate(payload):
+        payload[key] = value
+    mutate.envelope = True
+    return mutate
+
+
 def _set_bound_true(key):
     # JSON true as bound `key` of the first item where true (== 1) still
     # passes lo < hi
@@ -1486,6 +1494,9 @@ _LINEAR_FIELD_CASES = [
         _set_field("baseline_rmse", None),
         _set_field("trace", "ab"),
         _set_scheme_entry([0.5], "porosity"),
+        _set_field("pairs", {}),
+        _set_envelope("config_id", 5),
+        _set_envelope("method", ["cpxr"]),
     ],
     ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
          "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
@@ -1496,13 +1507,14 @@ _LINEAR_FIELD_CASES = [
          "item-string-bounds", "pair-renames-feature", "default-renames-feature",
          "baseline-renames-feature", "pair-drops-feature", "default-drops-feature",
          "feature-names-repeat", "pairs-weight-sum-overflows", "train-rmse-string",
-         "baseline-rmse-null", "trace-string", "scheme-extra-feature"],
+         "baseline-rmse-null", "trace-string", "scheme-extra-feature", "pairs-mapping",
+         "number-config-id", "list-method"],
 )
 def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
                                                             tmp_path, capsys, mutate):
     payload = json.loads((swrc2_cpxr_models / "SWRC2_cpxr_theta_100.json").read_text())
     assert payload["model"]["pairs"] and len(payload["model"]["scheme"]["sand"]) > 1
-    mutate(payload["model"])
+    mutate(payload if getattr(mutate, "envelope", False) else payload["model"])
     bad = tmp_path / "mutated.json"
     bad.write_text(json.dumps(payload))
     out = tmp_path / "p.csv"
@@ -1511,6 +1523,24 @@ def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, s
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed model file (") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_predict_directory_with_a_number_config_id_is_one_line_usage_error(
+        swrc3_models, features_csv, tmp_path, capsys):
+    # the config ids of a model directory are sorted: a number among them
+    # is refused when its file loads
+    models = tmp_path / "models"
+    shutil.copytree(swrc3_models, models)
+    edited = next(p for p in sorted(models.glob("*.json")) if not p.name.endswith("_training.json"))
+    payload = json.loads(edited.read_text())
+    payload["config_id"] = 5
+    edited.write_text(json.dumps(payload))
+    out = tmp_path / "p.csv"
+    rc = run(["predict", "--model", models, "--features", features_csv, "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {edited}: malformed model file "
+                                       "(config_id must be a string, got 5)\n")
     assert not out.exists()
 
 
@@ -1862,6 +1892,21 @@ def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
         ("null-cv-scheme", lambda d: d.update(cv_scheme=None)),
         ("number-target-name", lambda d: d["target_names"].append(1.0)),
         ("string-target-names", lambda d: d.update(target_names="log_ksat")),
+        ("list-repetition", lambda d: d["records"][0].update(repetition=[0])),
+        ("string-split", lambda d: d["records"][0].update(split="0")),
+        ("null-n-train", lambda d: d["records"][0].update(n_train=None)),
+        ("true-n-test", lambda d: d["records"][0].update(n_test=True)),
+        ("negative-n-test", lambda d: d["records"][0].update(n_test=-1)),
+        ("string-test-ids", lambda d: d["records"][0].update(test_ids="s001")),
+        ("number-test-id", lambda d: d["records"][0]["test_ids"].append(7)),
+        ("number-degraded", lambda d: d["records"][0].update(degraded=0)),
+        ("string-predictions", lambda d: d["records"][0].update(predictions="rows")),
+        ("string-seed", lambda d: d.update(seed="5")),
+        ("null-seed", lambda d: d.update(seed=None)),
+        ("fractional-k", lambda d: d.update(k=3.0)),
+        ("one-fold", lambda d: d.update(k=1)),
+        ("list-repetitions", lambda d: d.update(repetitions=[1])),
+        ("zero-repetitions", lambda d: d.update(repetitions=0)),
     ]:
         doc = json.loads(json.dumps(payload))
         change(doc["report"])
@@ -1888,6 +1933,24 @@ def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
         assert rc == 2 and not caught, name
         assert err.startswith("error: log_ksat rmsle: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_report_refuses_unpaired_reports(synth_big, tmp_path, capsys):
+    # an mlr report and a cpxr report from different seeds, reps and k
+    # share no splits: no "change %" is printed over them
+    dirs = {}
+    for method, seed, reps, k in (("mlr", "99", "2", "5"), ("cpxr", "1", "1", "3")):
+        dirs[method] = tmp_path / method
+        assert run(["evaluate", "--features", synth_big / "dataset.csv", "--config", "SHC2",
+                    "--methods", method, "--seed", seed, "--reps", reps, "--k", k,
+                    "--jobs", "1", "--out-dir", dirs[method]]) == 0
+    capsys.readouterr()
+    out = tmp_path / "comparison.csv"
+    rc = run(["report", "--a", dirs["mlr"] / "report_SHC2_mlr.json",
+              "--b", dirs["cpxr"] / "report_SHC2_cpxr.json", "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unpaired reports: seed 99 vs 1\n"
+    assert not out.exists()
 
 
 def _report_places(report):

@@ -28,7 +28,8 @@ from soilptf.evaluation import (
     map_jobs,
     metrics,
 )
-from soilptf.cpxr import CpxrConfig
+from soilptf.cpxr import CpxrConfig, PxrModel, TargetFit
+from soilptf.linreg import LinearModel
 from soilptf.hydrology import MODEL_CONFIGS, ModelConfig
 from soilptf.synth import generate, two_regime_config
 
@@ -83,6 +84,70 @@ def test_metric_set_roundtrip():
     assert MetricSet.from_dict({"rmse": 0.5}) == MetricSet(rmse=0.5)
     with pytest.raises(TypeError, match="mae"):
         MetricSet.from_dict({"rmse": 0.5, "mae": 0.4})
+
+
+def _reference_metrics(predicted, observed, log_space=False):
+    """metrics as one vector pair at a time computed it, before the rows
+    of all targets were scored together."""
+    p = np.asarray(predicted, dtype=float)
+    o = np.asarray(observed, dtype=float)
+    rmse = float(np.sqrt(np.mean((p - o) ** 2)))
+    if log_space:
+        rmsle = rmse
+    elif np.all(p > 0) and np.all(o > 0):
+        rmsle = float(np.sqrt(np.mean((np.log(p) - np.log(o)) ** 2)))
+    else:
+        rmsle = None
+    r2 = None
+    sst = float(((o - o.mean()) ** 2).sum())
+    vp = float(((p - p.mean()) ** 2).sum())
+    if sst > 0 and vp > 0:
+        cov = float(((p - p.mean()) * (o - o.mean())).sum())
+        r2 = cov * cov / (vp * sst)
+    return MetricSet(rmse=rmse, rmsle=rmsle, r2=r2)
+
+
+def _bits(metric_set):
+    return [None if v is None else float.hex(v) for v in vars(metric_set).values()]
+
+
+_ROW_KINDS = ("signed", "positive", "constant", "zero-in-positive", "ties")
+
+
+def _generated_row(rng, kind, n):
+    if kind == "signed":
+        return rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n)
+    if kind == "positive":
+        return rng.lognormal(0.0, 2.0, n)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "zero-in-positive":
+        row = rng.lognormal(0.0, 1.0, n)
+        row[rng.integers(n)] = 0.0
+        return row
+    return rng.integers(-2, 3, n).astype(float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # numpy's pairwise sum adds fewer than 8 values one by one and unrolls
+    # up to 128 by eights, then splits
+    n=st.integers(2, 7) | st.integers(120, 136) | st.integers(8, 300),
+    kinds=st.lists(st.tuples(st.sampled_from(_ROW_KINDS), st.sampled_from(_ROW_KINDS),
+                             st.booleans()), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_metric_rows_equal_one_vector_metrics_bit_for_bit(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    P = np.array([_generated_row(rng, kp, n) for kp, _, _ in kinds])
+    O = np.array([_generated_row(rng, ko, n) for _, ko, _ in kinds])
+    log_space = [flag for _, _, flag in kinds]
+    rows = soilptf.evaluation._metric_rows(P, O, log_space)
+    assert len(rows) == len(kinds)
+    for p, o, flag, got in zip(P, O, log_space, rows):
+        want = _reference_metrics(p, o, flag)
+        assert _bits(got) == _bits(want)
+        assert _bits(metrics(p, o, log_space=flag)) == _bits(want)
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +243,83 @@ def test_small_folds_degrade_cpxr_gracefully():
     # the fallback is the baseline regression itself
     for ra, rb in zip(mlr.records, report.records):
         assert ra.test["y"].rmse == rb.test["y"].rmse
+
+
+# ----------------------------------------------------------------------
+# training predictions
+# ----------------------------------------------------------------------
+
+def _toy_split(n=60):
+    ds, cfg = _regime_dataset(n=n)
+    sel = select_columns(ds, cfg)
+    return sel.X, list(sel.targets.values()), sel.feature_names
+
+
+def _assert_train_pred_is_the_models(fits, X, names):
+    assert fits
+    for fit in fits:
+        assert isinstance(fit, TargetFit)
+        want = fit.model.predict_matrix(X, names)
+        assert fit.train_pred.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config, k_positive", [
+    (CpxrConfig(), True),
+    (CpxrConfig(min_reduction=2.0), False),  # no candidate: the baseline-only exit
+])
+def test_cpxr_train_pred_is_the_models_prediction(config, k_positive):
+    X, ys, names = _toy_split()
+    fits = fit_targets("cpxr", X, ys, names, config)
+    assert all((fit.model.k > 0) == k_positive for fit in fits)
+    _assert_train_pred_is_the_models(fits, X, names)
+
+
+def test_mlr_and_degraded_train_pred_is_the_models_prediction():
+    X, ys, names = _toy_split()
+    _assert_train_pred_is_the_models(fit_targets("mlr", X, ys, names, CpxrConfig()), X, names)
+    for min_train, degraded in ((30, False), (1000, True)):
+        fitted, fell_back = soilptf.evaluation._fit_methods(
+            ["cpxr", "mlr"], X, ys, names, CpxrConfig(min_train=min_train))
+        assert fell_back == degraded
+        assert all(isinstance(fit.model, LinearModel) for fit in fitted["mlr"])
+        for fits in fitted.values():
+            _assert_train_pred_is_the_models(fits, X, names)
+
+
+def test_cross_validation_never_predicts_training_rows_again(monkeypatch):
+    # training returns each target's training predictions: outside
+    # training, each method predicts only the test rows, once per (split,
+    # target); the LinearModel calls a PxrModel makes are its own
+    ds, _ = generate(two_regime_config(n_samples=120, seed=7))
+    cfg = MODEL_CONFIGS["SWRC2"]
+    calls, inside = [], []  # inside: the wrapped calls running now
+
+    def counted(owner, name, kind):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            if not inside:
+                calls.append((kind, len(args[1]) if kind != "train" else None))
+            inside.append(kind)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(PxrModel, "predict_matrix", "cpxr")
+    counted(LinearModel, "predict_matrix", "mlr")
+    counted(soilptf.evaluation, "_fit_methods", "train")
+    reports = cross_validate_methods(ds, cfg, ["cpxr", "mlr"], repetitions=1, seed=7, k=3)
+
+    records = reports["cpxr"].records
+    assert not any(rec.degraded for rec in records)
+    assert all(rec.n_test != rec.n_train for rec in records)  # the row count tells them apart
+    want = []
+    for rec in records:
+        want.append(("train", None))
+        want += [(method, rec.n_test) for method in ("cpxr", "mlr") for _ in cfg.targets]
+    assert calls == want
 
 
 def _json(report):
@@ -436,6 +578,28 @@ def test_compare_mismatches():
         compare(a, c)
 
 
+def _unpaired(change):
+    report = _report_with({"theta_10": 0.8}, "cpxr")
+    change(report)
+    return report
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r: setattr(r, "cv_scheme", "classic"), "cv_scheme 'paired' vs 'classic'"),
+    (lambda r: setattr(r, "seed", 99), "seed 0 vs 99"),
+    (lambda r: setattr(r, "k", 5), "k 3 vs 5"),
+    (lambda r: setattr(r, "repetitions", 2), "repetitions 1 vs 2"),
+    (lambda r: r.records.append(copy.deepcopy(r.records[0])), "1 vs 2 records"),
+    (lambda r: setattr(r.records[0], "repetition", 1), "record 0 differs in repetition"),
+    (lambda r: setattr(r.records[0], "split", 1), "record 0 differs in split"),
+    (lambda r: r.records[0].test_ids.reverse(), "record 0 differs in test_ids"),
+], ids=["cv-scheme", "seed", "k", "repetitions", "records", "repetition", "split", "test-ids"])
+def test_compare_refuses_unpaired_reports(change, message):
+    a = _report_with({"theta_10": 1.0}, "mlr")
+    with pytest.raises(EvaluationError, match=f"^unpaired reports: {message}$"):
+        compare(a, _unpaired(change))
+
+
 _TABLE = ComparisonTable(
     method_a="mlr", method_b="cpxr", split="test",
     rows=[ComparisonRow("theta_10", "rmse", 1.0, 0.75, 25.0)],
@@ -523,8 +687,8 @@ def _pxr_in_unit(doc, column, k):
 def _assert_models_rescale(dataset, config_id, column):
     def models(dataset):
         sel = select_columns(dataset, MODEL_CONFIGS[config_id])
-        return fit_targets("cpxr", sel.X, list(sel.targets.values()), sel.feature_names,
-                           CpxrConfig())
+        return [fit.model for fit in fit_targets("cpxr", sel.X, list(sel.targets.values()),
+                                                 sel.feature_names, CpxrConfig())]
 
     unscaled = models(dataset)
     assert any(model.k for model in unscaled)
