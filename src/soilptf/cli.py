@@ -30,11 +30,15 @@ from . import __version__
 from .data import (
     BASE_FEATURES,
     SCALE_FEATURES,
+    STR,
     VG_FEATURES,
     DataError,
+    Schema,
     SoilptfError,
+    integer,
     load_dataset,
     map_jobs,
+    one_of,
     read_table,
     retention_columns,
     select_columns,
@@ -107,6 +111,10 @@ def _meta(seed: int, settings: dict) -> dict:
         "seed": seed,
         "config_hash": _config_hash(settings),
     }
+
+
+# the meta of every JSON file a command writes, as _meta makes it
+META = Schema({"tool": one_of("soilptf"), "version": STR, "seed": integer(0), "config_hash": STR})
 
 
 def _meta_comments(meta: dict) -> list[str]:
@@ -499,26 +507,20 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_model_payload(path: Path) -> dict:
-    from .cpxr import PxrModel
-    from .linreg import LinearModel
+    """The model file's fields as train writes them, its model read as a
+    PxrModel for method cpxr and as a LinearModel for mlr."""
+    from .cpxr import PXR_MODEL
+    from .linreg import LINEAR_MODEL
 
     payload = _read_json(path, "model file")
-    if (
-        not isinstance(payload, dict)
-        or not isinstance(payload.get("model"), dict)
-        or not isinstance(payload.get("target"), str)
-    ):
+    if not (isinstance(payload, dict) and {"model", "target"} <= payload.keys()):
         raise UsageError(f"{path}: not a model file (expected keys 'model' and 'target')")
-    for key in ("config_id", "method"):
-        if not isinstance(payload.get(key, ""), str):
-            raise UsageError(f"{path}: malformed model file ({key} must be a string, "
-                             f"got {payload[key]!r})")
-    d = payload["model"]
+    model = PXR_MODEL if payload.get("method") == "cpxr" else LINEAR_MODEL
     try:
-        payload["model"] = (PxrModel if d.get("kind") == "pxr" else LinearModel).from_dict(d)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise UsageError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
-    return payload
+        return Schema({"meta": META, "config_id": STR, "method": one_of("cpxr", "mlr"),
+                       "target": STR, "model": model}).load(payload)
+    except SoilptfError as exc:
+        raise UsageError(f"{path}: malformed model file ({exc})") from None
 
 
 def _model_paths(spec: str) -> list[Path]:
@@ -540,7 +542,7 @@ def cmd_predict(args) -> int:
     targets = [pl["target"] for pl in payloads]
     if len(set(targets)) != len(targets):
         raise UsageError(f"duplicate targets among model files: {sorted(targets)}")
-    config_ids = sorted({pl.get("config_id", "?") for pl in payloads})
+    config_ids = sorted({pl["config_id"] for pl in payloads})
     settings = {"command": "predict", "seed": seed, "configs": config_ids, "targets": sorted(targets)}
     meta = _meta(seed, settings)
 
@@ -642,15 +644,13 @@ def cmd_synth(args) -> int:
 
 
 def _load_report(path) -> EvaluationReport:
-    from .evaluation import EvaluationReport
+    """The report of a report file as evaluate writes it."""
+    from .evaluation import REPORT
 
     payload = _read_json(_require_file(path), "report file")
-    d = payload.get("report", payload) if isinstance(payload, dict) else None
-    if d is None:
-        raise UsageError(f"{path}: not an evaluation report")
     try:
-        return EvaluationReport.from_dict(d)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        return Schema({"meta": META, "report": REPORT}).load(payload)["report"]
+    except SoilptfError as exc:
         raise UsageError(f"{path}: not an evaluation report ({exc})") from None
 
 

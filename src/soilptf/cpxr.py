@@ -22,12 +22,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .data import SoilptfError, finite_number
-from .discretize import MAX_DEPTH, DiscretizationScheme, build_schemes
+from .data import ANY, NON_NEGATIVE, STR, Schema, SoilptfError, finite_number, list_of, one_of
+from .discretize import MAX_DEPTH, SCHEME, DiscretizationScheme, build_schemes
 from .discretize import build_scheme  # only benchmark/trace_child.py looks it up here
-from .linreg import LinearModel, _model, _solve, _standardize, fit_local_targets, one_row
+from .linreg import (LINEAR_MODEL, LinearModel, _model, _solve, _standardize, fit_local_targets,
+                     one_row)
 from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
 from .patterns import (
+    PATTERN,
     Pattern,
     _mine_masks,
     filter_similar_masks,
@@ -149,6 +151,17 @@ class PatternLocal:
         self.weight = float(self.weight)  # an integer past int64 would not multiply a mask
 
 
+# a pair checks its weight, and the model its features, weights and trace
+PXR_MODEL = Schema({
+    "kind": one_of("pxr"), "feature_names": list_of(STR),
+    "pairs": list_of(Schema({"pattern": PATTERN, "model": LINEAR_MODEL, "weight": ANY},
+                           PatternLocal)),
+    "default_model": LINEAR_MODEL, "baseline": LINEAR_MODEL, "scheme": SCHEME,
+    "train_rmse": NON_NEGATIVE, "baseline_rmse": NON_NEGATIVE,
+    "trace": list_of(NON_NEGATIVE, least=1),
+}, lambda kind, **fields: PxrModel(**fields), CpxrError)
+
+
 @dataclass
 class PxrModel:
     """Pattern-aided regression model: local models behind contrast
@@ -182,6 +195,8 @@ class PxrModel:
             total += p.weight
         if not finite_number(total):
             raise CpxrError("pattern weights sum past the float range")
+        if any(not b < a for a, b in zip(self.trace, self.trace[1:])):
+            raise CpxrError(f"trace {self.trace} is not strictly decreasing")
 
     @property
     def k(self) -> int:
@@ -220,35 +235,7 @@ class PxrModel:
             "trace": list(self.trace),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PxrModel":
-        """Inverse of to_dict; raises CpxrError unless pairs is a list,
-        train_rmse and baseline_rmse are non-negative finite numbers and
-        trace is a non-empty list of finite numbers."""
-        if not isinstance(d["pairs"], list):
-            raise CpxrError(f"pairs must be a list, got {d['pairs']!r}")
-        for name in ("train_rmse", "baseline_rmse"):
-            if not (finite_number(d[name]) and d[name] >= 0):
-                raise CpxrError(f"{name} must be a non-negative finite number, got {d[name]!r}")
-        if not (isinstance(d["trace"], list) and d["trace"] and all(map(finite_number, d["trace"]))):
-            raise CpxrError(f"trace must be a non-empty list of finite numbers, got {d['trace']!r}")
-        return cls(
-            pairs=[
-                PatternLocal(
-                    pattern=Pattern.from_dict(p["pattern"]),
-                    model=LinearModel.from_dict(p["model"]),
-                    weight=p["weight"],
-                )
-                for p in d["pairs"]
-            ],
-            default_model=LinearModel.from_dict(d["default_model"]),
-            baseline=LinearModel.from_dict(d["baseline"]),
-            scheme=DiscretizationScheme.from_dict(d["scheme"]),
-            feature_names=list(d["feature_names"]),
-            train_rmse=d["train_rmse"],
-            baseline_rmse=d["baseline_rmse"],
-            trace=list(d["trace"]),
-        )
+    from_dict = PXR_MODEL.load  # the inverse of to_dict; raises CpxrError
 
 
 def _sums(w, wp, rows, n):
@@ -276,7 +263,8 @@ def _optimize(w, wp, y, default_pred, config: CpxrConfig):
     The candidates are the rows of a table: w[i] is candidate i's weight
     on the rows its pattern matches (0 elsewhere) and wp[i] is w[i] times
     its local model's predictions. Returns (chosen row indices, objective
-    trace); the trace is strictly decreasing by construction.
+    trace); the trace is strictly decreasing by construction, which the
+    PxrModel built from it checks.
     """
     chosen: list[int] = []
     err = float(np.abs(y - default_pred).sum())
@@ -304,10 +292,6 @@ def _optimize(w, wp, y, default_pred, config: CpxrConfig):
     for _ in range(config.max_passes):
         if not any([move(pos) for pos in range(len(chosen))]):  # a list: try every position
             break
-
-    for a, b in zip(trace, trace[1:]):
-        if not b < a:
-            raise CpxrError(f"optimizer accepted a non-improving move: {a} -> {b}")
     return chosen, trace
 
 

@@ -1,6 +1,7 @@
 """Tabular soil-sample handling: the CSV table format in both directions,
-column selection, fold assignment; also the package's error base class
-and the worker-pool map its commands share.
+column selection, fold assignment; also the package's error base class,
+the kinds of value that declare the JSON forms of its types, and the
+worker-pool map its commands share.
 
 The canonical table layout is one row per sample with an ``id`` column,
 basic-property feature columns and any number of numeric target columns.
@@ -60,6 +61,86 @@ def finite_number(v) -> bool:
         return False
     top = sys.float_info.max
     return -top <= v <= top
+
+
+class Value:
+    """A kind of JSON value: test(v) says whether v is one and what names
+    one, parts(v, path, error) reads the values it holds and build makes
+    the type of them. load raises error naming the key path of the first
+    bad value ("pairs[0].weight must be ..."), or of a build that raised."""
+
+    def __init__(self, test, what, parts=None, build=None, error=SoilptfError):
+        self.test, self.what, self.parts, self.build, self.error = test, what, parts, build, error
+
+    def load(self, doc):
+        return self.read(doc, "", self.error)
+
+    def read(self, v, path, error):
+        if not self.test(v):
+            got = sorted(v, key=str) if isinstance(v, dict) else v  # an object by its keys
+            # the path of a key at the top starts with "."; "" is the whole file
+            raise error(f"{path} must be {self.what}, got {got!r}".lstrip(". "))
+        if self.parts:
+            v = self.parts(v, path, error)
+        if self.build is None:
+            return v
+        try:
+            return self.build(v)
+        except SoilptfError as exc:
+            if not path:
+                raise
+            raise error(f"{path}: {exc}".lstrip(".")) from None
+
+
+ANY = Value(lambda v: True, "any value")  # a value its type checks when built
+FINITE = Value(finite_number, "a finite number")
+NON_NEGATIVE = Value(lambda v: finite_number(v) and v >= 0, "a non-negative finite number")
+POSITIVE = Value(lambda v: finite_number(v) and v > 0, "a finite positive number")
+STR = Value(lambda v: isinstance(v, str), "a string")
+BOOL = Value(lambda v: isinstance(v, bool), "true or false")
+
+
+def integer(least: int) -> Value:
+    return Value(lambda v: type(v) is int and v >= least, f"an integer of at least {least}")
+
+
+def one_of(*names) -> Value:
+    return Value(lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
+
+
+def maybe(kind, default=None) -> Value:
+    """null, read as default, or a value of kind."""
+    return Value(lambda v: True, f"null or {kind.what}",
+                 lambda v, path, error: default if v is None else kind.read(v, path, error))
+
+
+def list_of(kind, least: int = 0, **options) -> Value:
+    """A list of at least least values of kind; options are build and error."""
+    return Value(lambda v: isinstance(v, list) and len(v) >= least,
+                 "a non-empty list" if least else "a list",
+                 lambda v, path, error: [kind.read(x, f"{path}[{i}]", error)
+                                         for i, x in enumerate(v)], **options)
+
+
+def map_of(kind, **options) -> Value:
+    """An object whose every value is of kind; options are build and error."""
+    return Value(lambda v: isinstance(v, dict), "an object", lambda v, path, error: {
+        key: kind.read(x, f"{path}.{key}", error) for key, x in v.items()}, **options)
+
+
+class Schema(Value):
+    """The form of a type that serializes as an object: table maps each of
+    its keys, every one required and no other allowed, to the key's kind,
+    and the type is build(**values)."""
+
+    def __init__(self, table, build=dict, error=SoilptfError):
+        self.table = table
+        *keys, last = table
+        super().__init__(lambda v: isinstance(v, dict) and v.keys() == table.keys(),
+                         f"an object of exactly the keys {', '.join(keys)} and {last}",
+                         lambda v, path, error: {key: kind.read(v[key], f"{path}.{key}", error)
+                                                 for key, kind in table.items()},
+                         lambda values: build(**values), error)
 
 
 def map_jobs(fn, items, jobs: int) -> list:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .data import SoilptfError, finite_number
+from .data import ANY, SoilptfError, finite_number, map_of
 from .patterns import Item
 
 # Splitting levels; at most 2**MAX_DEPTH bins per feature.
@@ -43,6 +43,11 @@ class CutPoints:
             raise DiscretizeError(f"cuts must be a list of finite numbers, got {self.cuts!r}")
         if any(b <= a for a, b in zip(self.cuts, self.cuts[1:])):
             raise DiscretizeError(f"cuts not strictly increasing: {self.cuts}")
+
+
+# each feature's cuts check themselves
+SCHEME = map_of(ANY, build=lambda cuts: DiscretizationScheme(
+    {f: tuple(c) if isinstance(c, list) else c for f, c in cuts.items()}), error=DiscretizeError)
 
 
 @dataclass
@@ -69,11 +74,7 @@ class DiscretizationScheme:
     def to_dict(self) -> dict:
         return {f: list(c) for f, c in sorted(self.cuts.items())}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DiscretizationScheme":
-        """Inverse of to_dict; raises DiscretizeError unless every entry is
-        a list of finite, strictly increasing numbers."""
-        return cls(cuts={f: tuple(c) if isinstance(c, list) else c for f, c in doc.items()})
+    from_dict = SCHEME.load  # the inverse of to_dict; raises DiscretizeError
 
 
 def _entropies(counts: np.ndarray) -> np.ndarray:

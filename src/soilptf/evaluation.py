@@ -16,7 +16,8 @@ import numpy as np
 
 from .cpxr import CpxrConfig, CpxrError, TargetFit, _train_targets
 from .cpxr import train_cpxr  # only benchmark/trace_child.py looks it up here
-from .data import Dataset, SoilptfError, assign_folds, finite_number, map_jobs, select_columns
+from .data import (BOOL, NON_NEGATIVE, STR, Dataset, Schema, SoilptfError, Value, assign_folds,
+                   finite_number, integer, list_of, map_jobs, map_of, maybe, one_of, select_columns)
 from .hydrology import LOG_TARGETS, ModelConfig
 from .linreg import fit_local_targets
 from .linreg import fit_local  # only benchmark/trace_child.py looks it up here
@@ -28,6 +29,24 @@ class EvaluationError(SoilptfError):
 
 MAX_REPETITIONS = 1000  # a hundred times the ten of the usual protocol
 
+# The forms of a report's parts. A record checks that n_test counts its
+# test_ids, and a report that every record scores exactly its targets.
+METRIC_SET = Schema({"rmse": NON_NEGATIVE, "rmsle": maybe(NON_NEGATIVE), "r2": maybe(NON_NEGATIVE)},
+                    lambda **fields: MetricSet(**fields), EvaluationError)
+PREDICTION = Value(lambda r: isinstance(r, list) and len(r) == 4 and isinstance(r[0], str)
+                   and isinstance(r[1], str) and finite_number(r[2]) and finite_number(r[3]),
+                   "a row [id, target, observed, predicted] of two strings and two finite numbers")
+RECORD = Schema({
+    "repetition": integer(0), "split": integer(0), "n_train": integer(0), "n_test": integer(0),
+    "test_ids": list_of(STR), "degraded": BOOL, "train": map_of(METRIC_SET),
+    "test": map_of(METRIC_SET), "predictions": maybe(list_of(PREDICTION)),
+}, lambda **fields: IterationRecord(**fields), EvaluationError)
+REPORT = Schema({
+    "config_id": STR, "method": one_of("cpxr", "mlr"), "seed": integer(0),
+    "repetitions": integer(1), "k": integer(2), "cv_scheme": one_of("paired", "classic"),
+    "target_names": list_of(STR), "records": list_of(RECORD, least=1),
+}, lambda **fields: EvaluationReport(**fields), EvaluationError)
+
 
 @dataclass(frozen=True)
 class MetricSet:
@@ -37,17 +56,7 @@ class MetricSet:
     rmsle: float | None = None
     r2: float | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricSet":
-        """Raises EvaluationError unless rmse is a finite number and rmsle
-        and r2 are each null or a finite number."""
-        metric_set = cls(**d)
-        for name, v in vars(metric_set).items():
-            if v is None and name != "rmse":
-                continue
-            if not finite_number(v):
-                raise EvaluationError(f"{name} must be a finite number, got {v!r}")
-        return metric_set
+    from_dict = METRIC_SET.load  # the inverse of vars; raises EvaluationError
 
 
 def metrics(predicted, observed, log_space: bool = False) -> MetricSet:
@@ -110,32 +119,11 @@ class IterationRecord:
     test: dict[str, MetricSet]
     predictions: list | None = None  # (id, target, observed, predicted) rows
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationRecord":
-        """Raises EvaluationError unless repetition, split, n_train and
-        n_test are non-negative integers, test_ids is a list of strings,
-        degraded is a bool and predictions is null or a list."""
-        record = cls(**{
-            **d,
-            "train": {t: MetricSet.from_dict(m) for t, m in d["train"].items()},
-            "test": {t: MetricSet.from_dict(m) for t, m in d["test"].items()},
-        })
-        for name in ("repetition", "split", "n_train", "n_test"):
-            _check_int(name, getattr(record, name), 0)
-        if not (isinstance(record.test_ids, list) and all(isinstance(i, str) for i in record.test_ids)):
-            raise EvaluationError(f"test_ids must be a list of strings, got {record.test_ids!r}")
-        if not isinstance(record.degraded, bool):
-            raise EvaluationError(f"degraded must be true or false, got {record.degraded!r}")
-        if not (record.predictions is None or isinstance(record.predictions, list)):
-            raise EvaluationError(f"predictions must be null or a list, got {record.predictions!r}")
-        return record
+    def __post_init__(self):
+        if self.n_test != len(self.test_ids):
+            raise EvaluationError(f"n_test is {self.n_test}, but {len(self.test_ids)} test_ids")
 
-
-def _check_int(name, value, least):
-    """Raises EvaluationError unless value is an integer (not a bool) of at
-    least least."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
-        raise EvaluationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    from_dict = RECORD.load  # the inverse of a to_dict record; raises EvaluationError
 
 
 @dataclass
@@ -150,6 +138,12 @@ class EvaluationReport:
     cv_scheme: str
     target_names: list[str]
     records: list[IterationRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        for rec in self.records:
+            if not set(rec.train) == set(rec.test) == set(self.target_names):
+                raise EvaluationError(f"repetition {rec.repetition}, split {rec.split} does not "
+                                      f"score exactly the targets {self.target_names}")
 
     def summary(self, split: str = "test") -> dict[str, MetricSet]:
         """Per-target metrics averaged over iterations; r2 and rmsle are
@@ -181,33 +175,7 @@ class EvaluationReport:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvaluationReport":
-        """Inverse of to_dict. Raises TypeError for a key that is not a
-        field, and EvaluationError for a report without records, with a
-        record that lacks metrics of a target or fails
-        IterationRecord.from_dict, with a config_id, method or cv_scheme
-        that is not a string, with target_names that are not a list of
-        strings, or with a seed, k or repetitions that is not an integer of
-        at least 0, 2 or 1."""
-        report = cls(**{**d, "records": [IterationRecord.from_dict(r) for r in d["records"]]})
-        for name in ("config_id", "method", "cv_scheme"):
-            if not isinstance(getattr(report, name), str):
-                raise EvaluationError(f"{name} must be a string, got {getattr(report, name)!r}")
-        for name, least in (("seed", 0), ("k", 2), ("repetitions", 1)):
-            _check_int(name, getattr(report, name), least)
-        names = report.target_names
-        if not (isinstance(names, list) and all(isinstance(t, str) for t in names)):
-            raise EvaluationError(f"target_names must be a list of strings, got {names!r}")
-        if not report.records:
-            raise EvaluationError("report has no records")
-        for rec in report.records:
-            missing = [t for t in report.target_names if t not in rec.train or t not in rec.test]
-            if missing:
-                raise EvaluationError(
-                    f"repetition {rec.repetition}, split {rec.split} lacks targets {missing}"
-                )
-        return report
+    from_dict = REPORT.load  # the inverse of to_dict; raises EvaluationError
 
 
 def _plain(metric_sets: dict[str, MetricSet]) -> dict[str, dict]:
@@ -276,16 +244,19 @@ def _run_split(selection, in_test, methods, cpxr_config, collect_predictions, re
     O_tr = np.array(ys)
     O_te = np.array([y[test_idx] for y in selection.targets.values()])
     fitted, degraded = _fit_methods(methods, X_tr, ys, names, cpxr_config)
-    records = {}
+    records, scored = {}, {}
     for method in methods:
         fits = fitted[method]
-        P_te = np.array([fit.model.predict_matrix(X_te, names) for fit in fits])
-        train = _metric_rows(np.array([fit.train_pred for fit in fits]), O_tr, log_space)
-        test = _metric_rows(P_te, O_te, log_space)
-        rows = None
-        if collect_predictions:
-            rows = [[test_ids[i], t, float(o[i]), float(p[i])]
-                    for t, o, p in zip(targets, O_te, P_te) for i in range(len(test_ids))]
+        if id(fits) not in scored:  # a degraded split gives both methods one fit list
+            P_te = np.array([fit.model.predict_matrix(X_te, names) for fit in fits])
+            rows = None
+            if collect_predictions:
+                rows = [[test_ids[i], t, float(o[i]), float(p[i])]
+                        for t, o, p in zip(targets, O_te, P_te) for i in range(len(test_ids))]
+            scored[id(fits)] = (
+                _metric_rows(np.array([fit.train_pred for fit in fits]), O_tr, log_space),
+                _metric_rows(P_te, O_te, log_space), rows)
+        train, test, rows = scored[id(fits)]
         records[method] = IterationRecord(
             repetition=rep,
             split=split_id,

@@ -12,11 +12,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SoilptfError, finite_number
+from .data import (ANY, FINITE, POSITIVE, STR, Schema, SoilptfError, finite_number, integer,
+                   list_of, map_of)
 
 
 class FitError(SoilptfError):
     pass
+
+
+def _from_form(intercept, feature_names, coefficients, training_count, standardization):
+    """The LinearModel of a read to_dict form. Raises FitError unless its
+    feature_names, each once, name its coefficients, means and scales."""
+    parts = [coefficients, standardization["means"], standardization["scales"]]
+    names = set(feature_names)
+    if len(names) != len(feature_names) or any(set(part) != names for part in parts):
+        raise FitError(f"feature_names {feature_names!r} are not the names of the coefficients, "
+                       "means and scales, each once")
+    coefficients, means, scales = ({c: part[c] for c in feature_names} for part in parts)
+    return LinearModel(intercept, coefficients, training_count, means, scales)
+
+
+# a fit takes at least 2 rows, and gives finite means and positive scales;
+# the model checks its intercept and coefficients itself
+LINEAR_MODEL = Schema({
+    "intercept": ANY, "feature_names": list_of(STR), "coefficients": map_of(ANY),
+    "training_count": integer(2),
+    "standardization": Schema({"means": map_of(FINITE), "scales": map_of(POSITIVE)}),
+}, _from_form, FitError)
 
 
 @dataclass
@@ -68,37 +90,7 @@ class LinearModel:
             },
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        """Inverse of to_dict. Raises FitError for a dict without
-        feature_names (the form of earlier versions), one whose
-        feature_names are not the coefficient names, each once, or one
-        whose training_count or standardization no fit gives."""
-        if "feature_names" not in d:
-            raise FitError("no feature_names: a model of an earlier version; retrain it")
-        names, coefs = d["feature_names"], d["coefficients"]
-        if not isinstance(names, list) or len(set(names)) != len(names) or set(names) != set(coefs):
-            raise FitError(f"feature_names {names!r} are not the coefficient names, each once")
-        std = d["standardization"]
-        count = d["training_count"]
-        means = {c: std["means"][c] for c in names}
-        scales = {c: std["scales"][c] for c in names}
-        # a fit takes at least 2 rows, and gives finite means and positive
-        # scales; the type tests also reject a bool
-        if type(count) is not int or count < 2:
-            raise FitError(f"training_count must be an integer of at least 2, got {count!r}")
-        for c in names:
-            if not finite_number(means[c]):
-                raise FitError(f"mean of {c!r} is not a finite number: {means[c]!r}")
-            if not (finite_number(scales[c]) and scales[c] > 0):
-                raise FitError(f"scale of {c!r} is not a finite positive number: {scales[c]!r}")
-        return cls(
-            intercept=d["intercept"],
-            coefficients={c: coefs[c] for c in names},
-            training_count=count,
-            feature_means=means,
-            feature_scales=scales,
-        )
+    from_dict = LINEAR_MODEL.load  # the inverse of to_dict; raises FitError
 
 
 def fit_local(X, y, feature_names) -> LinearModel:

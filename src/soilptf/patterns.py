@@ -3,7 +3,7 @@
 A pattern is a conjunction of items, each a half-open interval condition
 lo <= feature < hi on a numeric feature, with at most one item per feature.
 An item serializes as {"feature", "lo", "hi"}, null for an open end, and
-parses back from exactly those keys. Contrast patterns are those much
+reads back from exactly those keys (ITEM). Contrast patterns are those much
 more frequent in the large-error class than in the small-error class.
 
 Mining and the similarity filter count supports on vertical row sets
@@ -20,13 +20,19 @@ import math
 
 import numpy as np
 
-from .data import SoilptfError, finite_number
+from .data import ANY, STR, Schema, SoilptfError, finite_number, list_of, maybe
 
 INF = float("inf")
 
 
 class PatternError(SoilptfError):
     pass
+
+
+# the item checks its bounds itself
+ITEM = Schema({"feature": STR, "lo": maybe(ANY, -INF), "hi": maybe(ANY, INF)},
+              lambda **fields: Item(**fields), PatternError)
+PATTERN = list_of(ITEM, build=lambda items: Pattern(tuple(items)), error=PatternError)
 
 
 @dataclass(frozen=True)
@@ -63,15 +69,7 @@ class Item:
             "hi": None if self.hi == INF else self.hi,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Item":
-        """Inverse of to_dict; raises PatternError unless d has exactly the
-        keys feature, lo and hi."""
-        if set(d) != {"feature", "lo", "hi"}:
-            raise PatternError(f"pattern item {d!r} needs exactly the keys feature, lo and hi")
-        lo = -INF if d["lo"] is None else d["lo"]
-        hi = INF if d["hi"] is None else d["hi"]
-        return cls(feature=d["feature"], lo=lo, hi=hi)
+    from_dict = ITEM.load  # the inverse of to_dict; raises PatternError
 
 
 @dataclass(frozen=True)
@@ -102,9 +100,7 @@ class Pattern:
     def to_dict(self) -> list:
         return [it.to_dict() for it in self.items]
 
-    @classmethod
-    def from_dict(cls, items: list) -> "Pattern":
-        return cls(tuple(Item.from_dict(d) for d in items))
+    from_dict = PATTERN.load  # the inverse of to_dict; raises PatternError
 
 
 def pattern_mask(pattern: Pattern, X: np.ndarray, feature_names) -> np.ndarray:

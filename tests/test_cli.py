@@ -15,11 +15,13 @@ import math
 import operator
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +34,12 @@ import soilptf.cli
 import soilptf.evaluation
 from soilptf import __version__
 from soilptf.cli import SEED_ENV, UsageError, main
-from soilptf.cpxr import PxrModel, train_cpxr
+from soilptf.cpxr import PXR_MODEL, PxrModel, train_cpxr
 from soilptf.data import (
+    ANY,
     KNOWN_FEATURES,
     SoilptfError,
+    Value,
     load_dataset,
     select_columns,
     table_text,
@@ -48,7 +52,10 @@ from soilptf.hydrology import (
     texture_statistics,
     vg_theta,
 )
-from soilptf.linreg import fit_local
+from soilptf.evaluation import (METRIC_SET, RECORD, REPORT, EvaluationReport, IterationRecord,
+                                MetricSet)
+from soilptf.linreg import LINEAR_MODEL, LinearModel, fit_local
+from soilptf.patterns import ITEM, Item
 from soilptf.synth import TARGET_COLUMNS
 
 
@@ -1262,7 +1269,9 @@ def _linear_model_file(feature_names, coefficient=0.5) -> bytes:
              "standardization": {"means": {"sand": 40.0}, "scales": {"sand": 10.0}}}
     if feature_names is not None:
         model["feature_names"] = feature_names
-    return json.dumps({"model": model, "target": "t"}).encode()
+    meta = {"tool": "soilptf", "version": __version__, "seed": 0, "config_hash": "0"}
+    return json.dumps({"meta": meta, "config_id": "SHC2", "method": "mlr", "target": "t",
+                       "model": model}).encode()
 
 
 @pytest.mark.parametrize(
@@ -1444,6 +1453,11 @@ def _repeat_feature_name(model):
     model["feature_names"].append(model["feature_names"][0])
 
 
+def _add_note(d):
+    # a key no writer writes
+    d["note"] = "extra"
+
+
 # the model-file fields only loading checks, on both kinds of linear model
 _LINEAR_FIELD_CASES = [
     (mutate(where, *args), f"{where}-{name}") for where in ("pair", "mlr")
@@ -1497,6 +1511,17 @@ _LINEAR_FIELD_CASES = [
         _set_field("pairs", {}),
         _set_envelope("config_id", 5),
         _set_envelope("method", ["cpxr"]),
+        _set_envelope("note", "extra"),
+        _set_field("note", "extra"),
+        _edit_features("baseline", _add_note),
+        lambda model: _add_note(model["pairs"][0]),
+        _edit_features("pair", lambda linear: _add_note(linear["standardization"])),
+        _set_envelope("meta", 5),
+        _edit_features("baseline", lambda linear: linear["standardization"]["means"].update(
+            porosity=0.4)),
+        _set_field("trace", [3.0, 2.0, 5.0]),
+        _set_envelope("method", "mlr"),
+        _set_field("kind", "pxr2"),
     ],
     ids=["item-value-key", "item-missing-lo", "item-extra-key", "item-unknown-feature",
          "scheme-values-entry", "scheme-string-cut", "scheme-decreasing-cuts",
@@ -1508,7 +1533,9 @@ _LINEAR_FIELD_CASES = [
          "baseline-renames-feature", "pair-drops-feature", "default-drops-feature",
          "feature-names-repeat", "pairs-weight-sum-overflows", "train-rmse-string",
          "baseline-rmse-null", "trace-string", "scheme-extra-feature", "pairs-mapping",
-         "number-config-id", "list-method"],
+         "number-config-id", "list-method", "envelope-extra-key", "model-extra-key",
+         "baseline-extra-key", "pair-extra-key", "standardization-extra-key", "number-meta",
+         "means-extra-feature", "trace-not-decreasing", "cpxr-model-method-mlr", "kind-pxr2"],
 )
 def test_predict_mutated_model_file_is_one_line_usage_error(swrc2_cpxr_models, synth_small,
                                                             tmp_path, capsys, mutate):
@@ -1569,25 +1596,33 @@ def test_predict_integer_past_int64_is_its_float(swrc2_cpxr_models, synth_small,
     assert outs[0] == outs[1]
 
 
-def _numeric_places(model):
-    """Key paths to every number of a CPXR model dict: the pair weights, the
-    cuts, the item bounds (open ends included) and, in each linear model,
-    the intercept, the coefficients, the means, the scales and
-    training_count."""
-    places = [("scheme", f, j) for f, cuts in model["scheme"].items() for j in range(len(cuts))]
-    linear = [("default_model",), ("baseline",)]
-    for i, pair in enumerate(model["pairs"]):
-        places.append(("pairs", i, "weight"))
-        places += [("pairs", i, "pattern", j, key)
-                   for j in range(len(pair["pattern"])) for key in ("lo", "hi")]
-        linear.append(("pairs", i, "model"))
-    for path in linear:
-        names = functools.reduce(operator.getitem, path, model)["feature_names"]
-        places += [path + ("intercept",), path + ("training_count",)]
-        places += [path + keys + (c,) for c in names
-                   for keys in [("coefficients",), ("standardization", "means"),
-                                ("standardization", "scales")]]
-    return places
+def _places(schema, doc):
+    """Key paths to every value the walker reads in doc, a document schema
+    loads: each value of a table, a list or a map, a null among them, and
+    each entry of a list ANY takes whole (a feature's cuts)."""
+    places = []
+    read = Value.read
+
+    def noting(kind, v, path, error):
+        keys = tuple(int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path))
+        places.append(keys)
+        if kind is ANY and isinstance(v, list):
+            places.extend(keys + (i,) for i in range(len(v)))
+        return read(kind, v, path, error)
+
+    with mock.patch.object(Value, "read", noting):
+        schema.load(doc)
+    return [place for place in dict.fromkeys(places) if place]
+
+
+def _draw_place(data, places):
+    """One of places, its group drawn first: places that differ only in
+    list indices are one group, so a long list (test_ids, say) crowds out
+    no other place."""
+    groups = {}
+    for place in places:
+        groups.setdefault(tuple("[]" if type(k) is int else k for k in place), []).append(place)
+    return data.draw(st.sampled_from(groups[data.draw(st.sampled_from(sorted(groups)))]))
 
 
 _JSON_VALUES = st.one_of(
@@ -1604,9 +1639,13 @@ _JSON_VALUES = st.one_of(
 @given(data=st.data())
 def test_predict_generated_model_value_is_one_line_error_or_finite(swrc2_cpxr_models,
                                                                   synth_small, data):
-    # one JSON value at one numeric place of a trained model file
+    # one JSON value at one place of a trained CPXR model file, or of the
+    # MLR model file train writes for the same table: the CPXR baseline
     payload = json.loads((swrc2_cpxr_models / "SWRC2_cpxr_theta_100.json").read_text())
-    *path, key = data.draw(st.sampled_from(_numeric_places(payload["model"])))
+    if data.draw(st.booleans()):
+        payload.update(method="mlr", model=payload["model"]["baseline"])
+    schema = PXR_MODEL if payload["method"] == "cpxr" else LINEAR_MODEL
+    *path, key = _draw_place(data, _places(schema, payload["model"]))
     functools.reduce(operator.getitem, path, payload["model"])[key] = data.draw(_JSON_VALUES)
     with tempfile.TemporaryDirectory() as tmp_dir:
         model, out = Path(tmp_dir) / "model.json", Path(tmp_dir) / "p.csv"
@@ -1636,6 +1675,41 @@ def test_trained_model_files_round_trip_byte_for_byte(swrc2_cpxr_models, swrc3_m
         copy = tmp_path / path.name
         soilptf.cli._write_json(copy, payload)
         assert copy.read_bytes() == path.read_bytes(), path.name
+
+
+class _KeysRead(dict):
+    """A dict that notes each key looked up in it."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.looked_up = set()
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.looked_up.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.looked_up.add(key)
+        return super().__contains__(key)
+
+
+def test_from_dict_looks_up_only_the_keys_of_its_table(swrc2_cpxr_models, eval_dirs):
+    # a key a from_dict looked up beyond its table would be read unchecked
+    model = json.loads((swrc2_cpxr_models / "SWRC2_cpxr_theta_100.json").read_text())["model"]
+    report = json.loads((eval_dirs[0] / "report_SHC2_cpxr.json").read_text())["report"]
+    for cls, schema, doc in [
+        (PxrModel, PXR_MODEL, model), (LinearModel, LINEAR_MODEL, model["baseline"]),
+        (Item, ITEM, model["pairs"][0]["pattern"][0]), (EvaluationReport, REPORT, report),
+        (IterationRecord, RECORD, report["records"][0]),
+        (MetricSet, METRIC_SET, report["records"][0]["test"]["log_ksat"]),
+    ]:
+        d = _KeysRead(doc)
+        cls.from_dict(d)
+        assert d.looked_up == set(schema.table), cls.__name__
 
 
 def test_predict_reports_first_missing_cell(swrc3_models, tmp_path, capsys):
@@ -1907,16 +1981,24 @@ def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
         ("one-fold", lambda d: d.update(k=1)),
         ("list-repetitions", lambda d: d.update(repetitions=[1])),
         ("zero-repetitions", lambda d: d.update(repetitions=0)),
+        ("extra-envelope-key", _set_envelope("note", "extra")),
+        ("number-meta", _set_envelope("meta", 5)),
+        ("test-target-outside-names",
+         lambda d: d["records"][0]["test"].update(theta_10=d["records"][0]["test"]["log_ksat"])),
+        ("n-test-not-test-ids",
+         lambda d: d["records"][0].update(n_test=d["records"][0]["n_test"] + 1)),
+        ("short-prediction-rows", lambda d: d["records"][0].update(predictions=[[1, 2]])),
+        ("negative-rmse", lambda d: d["records"][0]["test"]["log_ksat"].update(rmse=-1.0)),
     ]:
         doc = json.loads(json.dumps(payload))
-        change(doc["report"])
-        bad = tmp_path / f"{name}.json"
+        change(doc if getattr(change, "envelope", False) else doc["report"])
+        bad, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
         bad.write_text(json.dumps(doc))
-        rc = run(["report", "--a", bad, "--b", bad])
+        rc = run(["report", "--a", bad, "--b", bad, "--out", out])
         err = capsys.readouterr().err
         assert rc == 2, name
         assert err.startswith(f"error: {bad}: not an evaluation report") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert "Traceback" not in err and not out.exists()
 
     # reports whose means or change leave the float range, against a sound one
     for name, count in [("one-huge-rmsle", 1), ("every-rmsle-huge", None)]:
@@ -1953,16 +2035,6 @@ def test_report_refuses_unpaired_reports(synth_big, tmp_path, capsys):
     assert not out.exists()
 
 
-def _report_places(report):
-    """Key paths to every metric of every record, and to the config_id,
-    method, cv_scheme and each target_names entry of a report dict."""
-    places = [("records", i, split, t, metric)
-              for i, rec in enumerate(report["records"]) for split in ("train", "test")
-              for t, metric_set in rec[split].items() for metric in metric_set]
-    places += [("config_id",), ("method",), ("cv_scheme",)]
-    return places + [("target_names", j) for j in range(len(report["target_names"]))]
-
-
 # The autouse fixture only clears an environment variable, the same for
 # every example.
 @settings(max_examples=50, deadline=None,
@@ -1973,7 +2045,7 @@ def test_report_generated_value_is_one_line_error_or_finite(eval_dirs, data):
     paths = [eval_dirs[0] / "report_SHC2_cpxr.json", eval_dirs[0] / "report_SHC2_mlr.json"]
     side = data.draw(st.sampled_from([0, 1]))
     payload = json.loads(paths[side].read_text())
-    *path, key = data.draw(st.sampled_from(_report_places(payload["report"])))
+    *path, key = _draw_place(data, _places(REPORT, payload["report"]))
     value = data.draw(st.one_of(_JSON_VALUES, st.sampled_from([1.7e308, -1.7e308])))
     functools.reduce(operator.getitem, path, payload["report"])[key] = value
     with tempfile.TemporaryDirectory() as tmp_dir:

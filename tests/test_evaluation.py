@@ -81,9 +81,11 @@ def test_metrics_validation():
 def test_metric_set_roundtrip():
     m = MetricSet(rmse=0.5, rmsle=None, r2=0.9)
     assert MetricSet.from_dict(json.loads(json.dumps(vars(m)))) == m
-    assert MetricSet.from_dict({"rmse": 0.5}) == MetricSet(rmse=0.5)
-    with pytest.raises(TypeError, match="mae"):
-        MetricSet.from_dict({"rmse": 0.5, "mae": 0.4})
+    # a metric set holds exactly the keys vars gives it
+    with pytest.raises(EvaluationError, match=r"the keys rmse, rmsle and r2, got \['rmse'\]"):
+        MetricSet.from_dict({"rmse": 0.5})
+    with pytest.raises(EvaluationError, match="mae"):
+        MetricSet.from_dict({"rmse": 0.5, "mae": 0.4, "rmsle": None, "r2": None})
 
 
 def _reference_metrics(predicted, observed, log_space=False):
@@ -289,7 +291,9 @@ def test_mlr_and_degraded_train_pred_is_the_models_prediction():
 def test_cross_validation_never_predicts_training_rows_again(monkeypatch):
     # training returns each target's training predictions: outside
     # training, each method predicts only the test rows, once per (split,
-    # target); the LinearModel calls a PxrModel makes are its own
+    # target); the LinearModel calls a PxrModel makes are its own. At
+    # min_train=1000 every split falls back, and the one mlr fit list both
+    # methods take predicts its test rows once
     ds, _ = generate(two_regime_config(n_samples=120, seed=7))
     cfg = MODEL_CONFIGS["SWRC2"]
     calls, inside = [], []  # inside: the wrapped calls running now
@@ -310,16 +314,18 @@ def test_cross_validation_never_predicts_training_rows_again(monkeypatch):
     counted(PxrModel, "predict_matrix", "cpxr")
     counted(LinearModel, "predict_matrix", "mlr")
     counted(soilptf.evaluation, "_fit_methods", "train")
-    reports = cross_validate_methods(ds, cfg, ["cpxr", "mlr"], repetitions=1, seed=7, k=3)
-
-    records = reports["cpxr"].records
-    assert not any(rec.degraded for rec in records)
-    assert all(rec.n_test != rec.n_train for rec in records)  # the row count tells them apart
-    want = []
-    for rec in records:
-        want.append(("train", None))
-        want += [(method, rec.n_test) for method in ("cpxr", "mlr") for _ in cfg.targets]
-    assert calls == want
+    for min_train, methods in ((30, ("cpxr", "mlr")), (1000, ("mlr",))):
+        calls.clear()
+        reports = cross_validate_methods(ds, cfg, ["cpxr", "mlr"], repetitions=1, seed=7, k=3,
+                                         cpxr_config=CpxrConfig(min_train=min_train))
+        records = reports["cpxr"].records
+        assert all(rec.degraded == (min_train == 1000) for rec in records)
+        assert all(rec.n_test != rec.n_train for rec in records)  # the row count tells them apart
+        want = []
+        for rec in records:
+            want.append(("train", None))
+            want += [(method, rec.n_test) for method in methods for _ in cfg.targets]
+        assert calls == want, min_train
 
 
 def _json(report):
@@ -465,6 +471,7 @@ def _reference_to_dict(report):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_metric = st.floats(0.0, allow_infinity=False)  # an RMSE, RMSLE or squared correlation
 _names = st.text("abcxyz_0", min_size=1, max_size=4)
 
 
@@ -474,25 +481,25 @@ def reports(draw):
                             min_size=1, max_size=3, unique=True))
     metric_sets = st.dictionaries(
         st.sampled_from(targets),
-        st.builds(MetricSet, rmse=_finite, rmsle=st.none() | _finite, r2=st.none() | _finite),
+        st.builds(MetricSet, rmse=_metric, rmsle=st.none() | _metric, r2=st.none() | _metric),
         min_size=len(targets),
     )
     rows = st.lists(st.tuples(_names, st.sampled_from(targets), _finite, _finite).map(list),
                     max_size=4)
-    records = [
-        IterationRecord(
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        test_ids = draw(st.lists(_names, max_size=4))
+        records.append(IterationRecord(
             repetition=draw(st.integers(0, 9)),
             split=draw(st.integers(0, 9)),
             n_train=draw(st.integers(0, 500)),
-            n_test=draw(st.integers(0, 500)),
-            test_ids=draw(st.lists(_names, max_size=4)),
+            n_test=len(test_ids),
+            test_ids=test_ids,
             degraded=draw(st.booleans()),
             train=draw(metric_sets),
             test=draw(metric_sets),
             predictions=draw(st.none() | rows),
-        )
-        for _ in range(draw(st.integers(1, 4)))
-    ]
+        ))
     return EvaluationReport(
         config_id=draw(_names), method=draw(st.sampled_from(["mlr", "cpxr"])),
         seed=draw(st.integers(0, 2**63)), repetitions=draw(st.integers(1, 10)),

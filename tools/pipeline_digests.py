@@ -2,6 +2,7 @@
 
 Usage:
     python3 tools/pipeline_digests.py [--src DIR] > digests.json
+    python3 tools/pipeline_digests.py [--src DIR] --against digests.json
 
 The pipeline runs `python -m soilptf` from DIR (default: the `src` directory
 of the checkout holding this script) in a fresh temporary directory:
@@ -51,9 +52,11 @@ object mapping each artifact's path (relative to the run directory) to its
 sha256; each step's exit code, stdout and stderr count as
 one more artifact, `<step>.out`. A step exiting with another code than it
 expects (0 unless EXIT_CODES says otherwise), or a failing step that leaves
-files behind, stops the run. Run it for two checkouts on one machine and
-diff the outputs: equal objects mean byte-identical artifacts. Uses only the
-standard library.
+files behind, stops the run. Equal objects from two checkouts run on one
+machine mean byte-identical artifacts: with --against FILE, the digests
+another run printed, it prints one line per artifact path whose digest
+differs, is missing or is new, and exits 1 if there is one; it exits 0 when
+every digest matches. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -287,20 +290,42 @@ def run_pipeline(src: Path, work: Path) -> dict[str, str]:
     return digests
 
 
+def differences(expected: dict[str, str], got: dict[str, str]) -> list[str]:
+    """One line per artifact path, in path order, whose digest in got
+    differs from expected, is missing from got or is new in it."""
+    lines = []
+    for path in sorted(expected.keys() | got.keys()):
+        if path not in got:
+            lines.append(f"missing: {path}")
+        elif path not in expected:
+            lines.append(f"new: {path}")
+        elif got[path] != expected[path]:
+            lines.append(f"differs: {path}")
+    return lines
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=here / "src",
                         help="directory holding the soilptf package (default: %(default)s)")
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="digests printed by an earlier run: name each artifact that "
+                             "differs, is missing or is new, and exit 1 if there is one")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "soilptf" / "__init__.py").is_file():
         parser.error(f"{src} holds no soilptf package")
+    expected = json.loads(args.against.read_text(encoding="utf-8")) if args.against else None
     with tempfile.TemporaryDirectory(prefix="soilptf-digests-") as tmp:
         digests = run_pipeline(src, Path(tmp))
-    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
+    if expected is None:
+        json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        return 0
+    lines = differences(expected, digests)
+    print("\n".join(lines) if lines else f"all {len(digests)} digests match")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
