@@ -129,6 +129,12 @@ def _require_file(path) -> Path:
     return p
 
 
+def _require_out_dir(path):
+    """UsageError if --out-dir names a file, which would fail only after the work."""
+    if os.path.lexists(path) and not os.path.isdir(path):
+        raise UsageError(f"--out-dir names a file: {path}")
+
+
 def _out_dir(path) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
@@ -369,6 +375,7 @@ def cmd_train(args) -> int:
     from .cpxr import PxrModel
     from .evaluation import fit_targets
 
+    _require_out_dir(args.out_dir)
     features_path = _require_file(args.features)
     config = _model_config(args.config)
     method = args.method
@@ -424,6 +431,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     from .evaluation import MAX_REPETITIONS, compare, cross_validate_methods
 
+    _require_out_dir(args.out_dir)
     features_path = _require_file(args.features)
     config = _model_config(args.config)
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
@@ -617,6 +625,7 @@ _SYNTH_KINDS = {"default": "default_synth_config", "two-regime": "two_regime_con
 def cmd_synth(args) -> int:
     from . import synth
 
+    _require_out_dir(args.out_dir)
     seed = _resolve_seed(args.seed)
     factory = getattr(synth, _SYNTH_KINDS[args.kind])
     try:  # a bad argument value is a usage error, found before anything is generated

@@ -159,7 +159,7 @@ PXR_MODEL = Schema({
     "default_model": LINEAR_MODEL, "baseline": LINEAR_MODEL, "scheme": SCHEME,
     "train_rmse": NON_NEGATIVE, "baseline_rmse": NON_NEGATIVE,
     "trace": list_of(NON_NEGATIVE, least=1),
-}, lambda kind, **fields: PxrModel(**fields), CpxrError)
+}, lambda kind, **fields: PxrModel(**fields), CpxrError, lambda m: {**vars(m), "kind": "pxr"})
 
 
 @dataclass
@@ -216,24 +216,7 @@ class PxrModel:
         return _blend(*_sums(w, wp, range(self.k), len(X)), default)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "pxr",
-            "feature_names": list(self.feature_names),
-            "pairs": [
-                {
-                    "pattern": p.pattern.to_dict(),
-                    "model": p.model.to_dict(),
-                    "weight": p.weight,
-                }
-                for p in self.pairs
-            ],
-            "default_model": self.default_model.to_dict(),
-            "baseline": self.baseline.to_dict(),
-            "scheme": self.scheme.to_dict(),
-            "train_rmse": self.train_rmse,
-            "baseline_rmse": self.baseline_rmse,
-            "trace": list(self.trace),
-        }
+        return PXR_MODEL.write(self)
 
     from_dict = PXR_MODEL.load  # the inverse of to_dict; raises CpxrError
 

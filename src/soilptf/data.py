@@ -67,13 +67,22 @@ class Value:
     """A kind of JSON value: test(v) says whether v is one and what names
     one, parts(v, path, error) reads the values it holds and build makes
     the type of them. load raises error naming the key path of the first
-    bad value ("pairs[0].weight must be ..."), or of a build that raised."""
+    bad value ("pairs[0].weight must be ..."), or of a build that raised.
+    write is the inverse of load: unbuild takes a built value back to what
+    build took, and unparts writes the values that holds. A kind with
+    neither writes a value as itself."""
 
-    def __init__(self, test, what, parts=None, build=None, error=SoilptfError):
+    def __init__(self, test, what, parts=None, build=None, error=SoilptfError, unparts=None,
+                 unbuild=None):
         self.test, self.what, self.parts, self.build, self.error = test, what, parts, build, error
+        self.unparts, self.unbuild = unparts, unbuild
 
     def load(self, doc):
         return self.read(doc, "", self.error)
+
+    def write(self, v):
+        v = v if self.unbuild is None else self.unbuild(v)
+        return v if self.unparts is None else self.unparts(v)
 
     def read(self, v, path, error):
         if not self.test(v):
@@ -109,38 +118,46 @@ def one_of(*names) -> Value:
 
 
 def maybe(kind, default=None) -> Value:
-    """null, read as default, or a value of kind."""
+    """null, read as default, or a value of kind; default writes as null."""
     return Value(lambda v: True, f"null or {kind.what}",
-                 lambda v, path, error: default if v is None else kind.read(v, path, error))
+                 lambda v, path, error: default if v is None else kind.read(v, path, error),
+                 unparts=lambda v: None if v == default else kind.write(v))
 
 
 def list_of(kind, least: int = 0, **options) -> Value:
-    """A list of at least least values of kind; options are build and error."""
+    """A list of at least least values of kind; options are build, unbuild
+    and error. A list whose values write as themselves writes as itself."""
+    plain = kind.unparts is None and kind.unbuild is None
     return Value(lambda v: isinstance(v, list) and len(v) >= least,
                  "a non-empty list" if least else "a list",
                  lambda v, path, error: [kind.read(x, f"{path}[{i}]", error)
-                                         for i, x in enumerate(v)], **options)
+                                         for i, x in enumerate(v)],
+                 unparts=None if plain else lambda v: [kind.write(x) for x in v], **options)
 
 
 def map_of(kind, **options) -> Value:
-    """An object whose every value is of kind; options are build and error."""
+    """An object whose every value is of kind; options are build, unbuild and error."""
     return Value(lambda v: isinstance(v, dict), "an object", lambda v, path, error: {
-        key: kind.read(x, f"{path}.{key}", error) for key, x in v.items()}, **options)
+        key: kind.read(x, f"{path}.{key}", error) for key, x in v.items()},
+        unparts=lambda v: {key: kind.write(x) for key, x in v.items()}, **options)
 
 
 class Schema(Value):
     """The form of a type that serializes as an object: table maps each of
     its keys, every one required and no other allowed, to the key's kind,
-    and the type is build(**values)."""
+    and the type is build(**values). Its unbuild is fields, which maps each
+    key to its value in a built value: by default the value's attributes."""
 
-    def __init__(self, table, build=dict, error=SoilptfError):
+    def __init__(self, table, build=dict, error=SoilptfError, fields=vars):
         self.table = table
         *keys, last = table
         super().__init__(lambda v: isinstance(v, dict) and v.keys() == table.keys(),
                          f"an object of exactly the keys {', '.join(keys)} and {last}",
                          lambda v, path, error: {key: kind.read(v[key], f"{path}.{key}", error)
                                                  for key, kind in table.items()},
-                         lambda values: build(**values), error)
+                         lambda values: build(**values), error,
+                         lambda got: {key: kind.write(got[key]) for key, kind in table.items()},
+                         fields)
 
 
 def map_jobs(fn, items, jobs: int) -> list:

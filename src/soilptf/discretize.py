@@ -47,7 +47,8 @@ class CutPoints:
 
 # each feature's cuts check themselves
 SCHEME = map_of(ANY, build=lambda cuts: DiscretizationScheme(
-    {f: tuple(c) if isinstance(c, list) else c for f, c in cuts.items()}), error=DiscretizeError)
+    {f: tuple(c) if isinstance(c, list) else c for f, c in cuts.items()}), error=DiscretizeError,
+    unbuild=lambda scheme: {f: list(c) for f, c in sorted(scheme.cuts.items())})
 
 
 @dataclass
@@ -72,7 +73,7 @@ class DiscretizationScheme:
         return items
 
     def to_dict(self) -> dict:
-        return {f: list(c) for f, c in sorted(self.cuts.items())}
+        return SCHEME.write(self)
 
     from_dict = SCHEME.load  # the inverse of to_dict; raises DiscretizeError
 

@@ -30,7 +30,8 @@ class EvaluationError(SoilptfError):
 MAX_REPETITIONS = 1000  # a hundred times the ten of the usual protocol
 
 # The forms of a report's parts. A record checks that n_test counts its
-# test_ids, and a report that every record scores exactly its targets.
+# test_ids, and a report that its records are its grid of repetitions and
+# splits, each scoring exactly its targets.
 METRIC_SET = Schema({"rmse": NON_NEGATIVE, "rmsle": maybe(NON_NEGATIVE), "r2": maybe(NON_NEGATIVE)},
                     lambda **fields: MetricSet(**fields), EvaluationError)
 PREDICTION = Value(lambda r: isinstance(r, list) and len(r) == 4 and isinstance(r[0], str)
@@ -44,7 +45,7 @@ RECORD = Schema({
 REPORT = Schema({
     "config_id": STR, "method": one_of("cpxr", "mlr"), "seed": integer(0),
     "repetitions": integer(1), "k": integer(2), "cv_scheme": one_of("paired", "classic"),
-    "target_names": list_of(STR), "records": list_of(RECORD, least=1),
+    "target_names": list_of(STR), "records": list_of(RECORD),
 }, lambda **fields: EvaluationReport(**fields), EvaluationError)
 
 
@@ -140,7 +141,13 @@ class EvaluationReport:
     records: list[IterationRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        for rec in self.records:
+        if len(self.records) != self.repetitions * self.k:
+            raise EvaluationError(f"{len(self.records)} records, not repetitions x k = "
+                                  f"{self.repetitions * self.k}")
+        for i, rec in enumerate(self.records):
+            if (rec.repetition, rec.split) != divmod(i, self.k):
+                raise EvaluationError(f"record {i} is (repetition, split) "
+                                      f"{rec.repetition, rec.split}, not {divmod(i, self.k)}")
             if not set(rec.train) == set(rec.test) == set(self.target_names):
                 raise EvaluationError(f"repetition {rec.repetition}, split {rec.split} does not "
                                       f"score exactly the targets {self.target_names}")
@@ -165,21 +172,9 @@ class EvaluationReport:
         return out
 
     def to_dict(self) -> dict:
-        """The fields as plain data, records and metric sets as dicts.
-        Lists (prediction rows among them) are shared, not copied."""
-        return {
-            **vars(self),
-            "records": [
-                {**vars(r), "train": _plain(r.train), "test": _plain(r.test)}
-                for r in self.records
-            ],
-        }
+        return REPORT.write(self)
 
     from_dict = REPORT.load  # the inverse of to_dict; raises EvaluationError
-
-
-def _plain(metric_sets: dict[str, MetricSet]) -> dict[str, dict]:
-    return {t: vars(m).copy() for t, m in metric_sets.items()}
 
 
 def _splits_for(k: int, scheme: str):

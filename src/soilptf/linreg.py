@@ -21,7 +21,7 @@ class FitError(SoilptfError):
 
 
 def _from_form(intercept, feature_names, coefficients, training_count, standardization):
-    """The LinearModel of a read to_dict form. Raises FitError unless its
+    """The LinearModel of a read LINEAR_MODEL form. Raises FitError unless its
     feature_names, each once, name its coefficients, means and scales."""
     parts = [coefficients, standardization["means"], standardization["scales"]]
     names = set(feature_names)
@@ -33,12 +33,16 @@ def _from_form(intercept, feature_names, coefficients, training_count, standardi
 
 
 # a fit takes at least 2 rows, and gives finite means and positive scales;
-# the model checks its intercept and coefficients itself
+# the model checks its intercept and coefficients itself. feature_names
+# keeps the training column order, which JSON written with sorted keys
+# loses from the maps.
 LINEAR_MODEL = Schema({
     "intercept": ANY, "feature_names": list_of(STR), "coefficients": map_of(ANY),
     "training_count": integer(2),
-    "standardization": Schema({"means": map_of(FINITE), "scales": map_of(POSITIVE)}),
-}, _from_form, FitError)
+    "standardization": Schema({"means": map_of(FINITE), "scales": map_of(POSITIVE)}, fields=dict),
+}, _from_form, FitError, lambda m: {**vars(m), "feature_names": m.feature_names,
+                                   "standardization": {"means": m.feature_means,
+                                                       "scales": m.feature_scales}})
 
 
 @dataclass
@@ -77,18 +81,7 @@ class LinearModel:
         return X @ beta + self.intercept
 
     def to_dict(self) -> dict:
-        """Plain-data form; feature_names keeps the training column order,
-        which JSON written with sorted keys loses from the dicts."""
-        return {
-            "intercept": self.intercept,
-            "feature_names": self.feature_names,
-            "coefficients": dict(self.coefficients),
-            "training_count": self.training_count,
-            "standardization": {
-                "means": dict(self.feature_means),
-                "scales": dict(self.feature_scales),
-            },
-        }
+        return LINEAR_MODEL.write(self)
 
     from_dict = LINEAR_MODEL.load  # the inverse of to_dict; raises FitError
 

@@ -32,7 +32,8 @@ class PatternError(SoilptfError):
 # the item checks its bounds itself
 ITEM = Schema({"feature": STR, "lo": maybe(ANY, -INF), "hi": maybe(ANY, INF)},
               lambda **fields: Item(**fields), PatternError)
-PATTERN = list_of(ITEM, build=lambda items: Pattern(tuple(items)), error=PatternError)
+PATTERN = list_of(ITEM, unbuild=lambda p: p.items, build=lambda items: Pattern(tuple(items)),
+                  error=PatternError)
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,7 @@ class Item:
         return f"{self.lo:g} <= {self.feature} < {self.hi:g}"
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "lo": None if self.lo == -INF else self.lo,
-            "hi": None if self.hi == INF else self.hi,
-        }
+        return ITEM.write(self)
 
     from_dict = ITEM.load  # the inverse of to_dict; raises PatternError
 
@@ -98,7 +95,7 @@ class Pattern:
         return " & ".join(str(it) for it in self.items)
 
     def to_dict(self) -> list:
-        return [it.to_dict() for it in self.items]
+        return PATTERN.write(self)
 
     from_dict = PATTERN.load  # the inverse of to_dict; raises PatternError
 

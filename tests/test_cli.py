@@ -439,12 +439,22 @@ def test_synth_noise_sweep_ends_cleanly(noise_sd, retention_noise_sd, seed, n):
             assert not out.exists()
 
 
-def test_synth_out_dir_collision(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "evaluate", "synth"])
+def test_out_dir_naming_a_file_is_usage_error(synth_small, tmp_path, monkeypatch, capsys,
+                                              command):
+    # refused before the seed, which each command resolves before its work
+    def refuse(*args, **kwargs):
+        raise AssertionError("the seed was resolved before the --out-dir check")
+    monkeypatch.setattr("soilptf.cli._resolve_seed", refuse)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
-    rc = run(["synth", "--out-dir", blocker, "--n", "30"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    features = ["--features", synth_small / "dataset.csv", "--config", "SHC2"]
+    argv = {"train": features, "evaluate": features + ["--reps", "1", "--k", "3", "--jobs", "1"],
+            "synth": ["--n", "30"]}[command]
+    assert run([command, *argv, "--out-dir", blocker]) == 2
+    assert capsys.readouterr().err == f"error: --out-dir names a file: {blocker}\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory\n"
 
 
 # ----------------------------------------------------------------------
@@ -1677,6 +1687,17 @@ def test_trained_model_files_round_trip_byte_for_byte(swrc2_cpxr_models, swrc3_m
         assert copy.read_bytes() == path.read_bytes(), path.name
 
 
+def test_report_files_round_trip_byte_for_byte(eval_dirs, tmp_path):
+    paths = [p for d in eval_dirs for p in sorted(d.glob("report_*.json"))]
+    assert len(paths) == 2 + 2
+    for i, path in enumerate(paths):
+        payload = {"meta": json.loads(path.read_text())["meta"],
+                   "report": soilptf.cli._load_report(path).to_dict()}
+        copy = tmp_path / f"{i}_{path.name}"
+        soilptf.cli._write_json(copy, payload)
+        assert copy.read_bytes() == path.read_bytes(), path
+
+
 class _KeysRead(dict):
     """A dict that notes each key looked up in it."""
 
@@ -1989,6 +2010,11 @@ def test_report_rejects_non_reports(synth_small, eval_dirs, tmp_path, capsys):
          lambda d: d["records"][0].update(n_test=d["records"][0]["n_test"] + 1)),
         ("short-prediction-rows", lambda d: d["records"][0].update(predictions=[[1, 2]])),
         ("negative-rmse", lambda d: d["records"][0]["test"]["log_ksat"].update(rmse=-1.0)),
+        # records that are not the repetitions x k grid of the header
+        ("repetition-past-repetitions",
+         lambda d: [rec.update(repetition=5) for rec in d["records"]]),
+        ("split-past-k", lambda d: [rec.update(split=9) for rec in d["records"]]),
+        ("last-record-dropped", lambda d: d["records"].pop()),
     ]:
         doc = json.loads(json.dumps(payload))
         change(doc if getattr(change, "envelope", False) else doc["report"])

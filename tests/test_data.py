@@ -4,8 +4,10 @@ import ast
 import csv
 import io
 import itertools
+import json
 import math
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,21 +16,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soilptf
-from soilptf.cli import _meta, _meta_comments, _write_text
+from soilptf.cli import _meta, _meta_comments, _write_text, main
+from soilptf.cpxr import PXR_MODEL
 from soilptf.data import (
+    FINITE,
     KNOWN_FEATURES,
+    STR,
     DataError,
     Dataset,
+    Schema,
     assign_folds,
     finite_number,
+    list_of,
     _parse_cell,
     load_dataset,
+    maybe,
     read_table,
     select_columns,
     table_text,
     validate_dataset,
 )
+from soilptf.discretize import SCHEME
+from soilptf.evaluation import METRIC_SET, RECORD, REPORT
 from soilptf.hydrology import MODEL_CONFIGS, POINT_TARGETS, ModelConfig
+from soilptf.linreg import LINEAR_MODEL
+from soilptf.patterns import ITEM, PATTERN
 
 
 FOUR_ROWS = """id,sand,silt,clay,bulk_density,theta_10
@@ -638,6 +650,61 @@ def test_float_range_bound_is_spelled_once():
                 if isinstance(node, ast.FunctionDef) and node.name == "finite_number")
     inside = range(rule.lineno, rule.end_lineno + 1)
     assert found and all(name == "data.py" and line in inside for name, line in found), found
+
+
+# ----------------------------------------------------------------------
+# the write side of the forms
+# ----------------------------------------------------------------------
+
+
+def test_maybe_writes_its_default_as_null():
+    kind = maybe(FINITE, -math.inf)
+    assert kind.write(-math.inf) is None
+    assert kind.write(2.5) == 2.5 and kind.load(None) == -math.inf
+
+
+def test_list_of_plain_values_writes_the_list_itself():
+    names = ["a", "b"]
+    assert list_of(STR).write(names) is names
+
+
+def test_schema_writes_through_its_attribute_map():
+    form = Schema({"x": FINITE, "label": maybe(STR)})
+    assert form.write(types.SimpleNamespace(x=1.5, label=None, other=3)) == {"x": 1.5, "label": None}
+    moved = Schema({"x": FINITE, "y": STR}, fields=lambda v: {**vars(v), "y": "added"})
+    assert moved.write(types.SimpleNamespace(x=1.5)) == {"x": 1.5, "y": "added"}
+
+
+@pytest.fixture(scope="module")
+def seed7_files(tmp_path_factory):
+    """The model files of train SWRC2 cpxr and the reports of evaluate
+    SWRC2 cpxr,mlr --reps 1 --k 3, all --seed 7, on the seed-7 two-regime
+    table (n = 300)."""
+    out = tmp_path_factory.mktemp("seed7")
+    table = ["--features", str(out / "dataset.csv"), "--config", "SWRC2", "--seed", "7"]
+    assert main(["synth", "--out-dir", str(out), "--kind", "two-regime", "--n", "300",
+                 "--seed", "7"]) == 0
+    assert main(["train", *table, "--method", "cpxr", "--out-dir", str(out / "models")]) == 0
+    assert main(["evaluate", *table, "--reps", "1", "--k", "3", "--jobs", "1",
+                 "--dump-predictions", "--out-dir", str(out / "eval")]) == 0
+    models = sorted(p for p in (out / "models").glob("*.json") if "training" not in p.name)
+    return ([json.loads(p.read_text())["model"] for p in models],
+            [json.loads(p.read_text())["report"] for p in sorted((out / "eval").glob("report_*"))])
+
+
+def test_each_form_writes_what_it_reads(seed7_files):
+    models, reports = seed7_files
+    assert len(models) == 10 and len(reports) == 2
+    docs = [(REPORT, r) for r in reports] + [(RECORD, r["records"][0]) for r in reports]
+    docs += [(METRIC_SET, m) for r in reports for m in r["records"][0]["test"].values()]
+    for m in models:
+        docs += [(PXR_MODEL, m), (LINEAR_MODEL, m["baseline"]), (SCHEME, m["scheme"])]
+        docs += [(PATTERN, p["pattern"]) for p in m["pairs"]]
+        docs += [(ITEM, it) for p in m["pairs"] for it in p["pattern"]]
+    items = [doc for form, doc in docs if form is ITEM]
+    assert any(it["lo"] is None for it in items) and any(it["hi"] is None for it in items)
+    for form, doc in docs:
+        assert form.write(form.load(doc)) == doc
 
 
 def test_select_columns_zero_usable(tmp_path):

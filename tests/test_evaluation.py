@@ -486,12 +486,13 @@ def reports(draw):
     )
     rows = st.lists(st.tuples(_names, st.sampled_from(targets), _finite, _finite).map(list),
                     max_size=4)
+    repetitions, k = draw(st.integers(1, 3)), draw(st.integers(3, 5))
     records = []
-    for _ in range(draw(st.integers(1, 4))):
+    for i in range(repetitions * k):  # the grid the report checks
         test_ids = draw(st.lists(_names, max_size=4))
         records.append(IterationRecord(
-            repetition=draw(st.integers(0, 9)),
-            split=draw(st.integers(0, 9)),
+            repetition=i // k,
+            split=i % k,
             n_train=draw(st.integers(0, 500)),
             n_test=len(test_ids),
             test_ids=test_ids,
@@ -502,8 +503,8 @@ def reports(draw):
         ))
     return EvaluationReport(
         config_id=draw(_names), method=draw(st.sampled_from(["mlr", "cpxr"])),
-        seed=draw(st.integers(0, 2**63)), repetitions=draw(st.integers(1, 10)),
-        k=draw(st.integers(3, 10)), cv_scheme=draw(st.sampled_from(["paired", "classic"])),
+        seed=draw(st.integers(0, 2**63)), repetitions=repetitions,
+        k=k, cv_scheme=draw(st.sampled_from(["paired", "classic"])),
         target_names=targets, records=records,
     )
 
@@ -535,19 +536,20 @@ def test_cpxr_beats_mlr_on_regime_structure():
 # ----------------------------------------------------------------------
 
 def _report_with(rmse_by_target, method, config_id="CFG", rmsle=None):
+    """A report of one repetition of 3 splits, each scoring the same metrics."""
     targets = list(rmse_by_target)
-    rec = IterationRecord(
-        repetition=0, split=0, n_train=8, n_test=2, test_ids=["a", "b"],
+    records = [IterationRecord(
+        repetition=0, split=split, n_train=8, n_test=2, test_ids=["a", "b"],
         degraded=False,
         train={t: MetricSet(rmse=v) for t, v in rmse_by_target.items()},
         test={
             t: MetricSet(rmse=v, rmsle=(rmsle or {}).get(t))
             for t, v in rmse_by_target.items()
         },
-    )
+    ) for split in range(3)]
     return EvaluationReport(
         config_id=config_id, method=method, seed=0, repetitions=1, k=3,
-        cv_scheme="paired", target_names=targets, records=[rec],
+        cv_scheme="paired", target_names=targets, records=records,
     )
 
 
@@ -596,7 +598,7 @@ def _unpaired(change):
     (lambda r: setattr(r, "seed", 99), "seed 0 vs 99"),
     (lambda r: setattr(r, "k", 5), "k 3 vs 5"),
     (lambda r: setattr(r, "repetitions", 2), "repetitions 1 vs 2"),
-    (lambda r: r.records.append(copy.deepcopy(r.records[0])), "1 vs 2 records"),
+    (lambda r: r.records.append(copy.deepcopy(r.records[0])), "3 vs 4 records"),
     (lambda r: setattr(r.records[0], "repetition", 1), "record 0 differs in repetition"),
     (lambda r: setattr(r.records[0], "split", 1), "record 0 differs in split"),
     (lambda r: r.records[0].test_ids.reverse(), "record 0 differs in test_ids"),
